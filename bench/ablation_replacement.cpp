@@ -1,21 +1,22 @@
 // Ablation: LLC replacement policy — the paper's counter-based approximate
-// LRU vs true LRU vs random vs the adaptive family (CLOCK, LRU-2, ARC, CAR).
+// LRU vs true LRU vs random vs the adaptive family (CLOCK, LRU-2, ARC).
 //
 // Two sections:
 //  1. the original recency-friendly looping host workload, run through the
 //     full System (assembler program, host port timing), and
 //  2. classic adaptive-replacement scenarios (hot-data-access, loop-pattern,
 //     workload-shift) replayed directly against the LLC. The workload-shift
-//     rows report per-phase hit rates: after the hot set moves, ARC/CAR
-//     re-converge via their ghost lists while plain recency policies thrash
+//     rows report per-phase hit rates: after the hot set moves, ARC
+//     re-converges via its ghost lists while plain recency policies thrash
 //     against the cold-stream pollution.
 //
-// Both sections sweep the external-memory backends; --backend restricts
-// the sweep to one backend and --replacement restricts the policy axis
-// (this bench sweeps the policy, so the knob is a sweep filter here, not a
-// config override). --json emits schema-v2 rows; --fast shortens the
-// scenario traces (CI gates run fast mode; the shapes are identical).
-// Grid cells: backend x section (looping / scenarios) x replacement.
+// A hit rate depends only on the trace and the policy, never on memory
+// timing, so both sections run on one backend (psram unless --backend
+// picks another) instead of sweeping all three. --replacement restricts
+// the policy axis (this bench sweeps the policy, so the knob is a sweep
+// filter here, not a config override). --json emits schema-v2 rows;
+// --fast shortens the scenario traces (CI gates run fast mode; the shapes
+// are identical). Grid cells: section (looping / scenarios) x replacement.
 #include <cstdio>
 #include <vector>
 
@@ -46,7 +47,6 @@ const char* policy_name(ReplacementPolicy p) {
     case ReplacementPolicy::kClock: return "CLOCK";
     case ReplacementPolicy::kLruK: return "LRU-2";
     case ReplacementPolicy::kArc: return "ARC";
-    case ReplacementPolicy::kCar: return "CAR";
   }
   return "?";
 }
@@ -132,13 +132,12 @@ int main(int argc, char** argv) {
   benchjson::Harness h("ablation_replacement");
   h.add_choice("section", "--section", "", {"looping", "scenarios"},
                "restrict to the looping workload or the adaptive scenarios");
-  h.grid().add_product(
-      {{"backend", {}}, {"section", {}}, {"replacement", {}}});
+  h.grid().add_product({{"section", {}}, {"replacement", {}}});
   const benchjson::Options opt = h.parse(argc, argv);
   g_elision = opt.elision;
+  g_backend = opt.backend.value_or(MemBackendKind::kBurstPsram);
   benchjson::Report report("ablation_replacement");
 
-  // Scenario traces are backend-invariant inputs — build them once.
   // The cache holds 128 lines; every scenario is sized against that.
   const SystemConfig scen_cfg = SystemConfig::paper(4);
   const std::uint32_t line_bytes = scen_cfg.llc.line_bytes();
@@ -161,79 +160,76 @@ int main(int argc, char** argv) {
                      /*hot_pct=*/70, /*cold_lines=*/2048, line_bytes,
                      /*seed=*/0x5EED);
 
-  for (const MemBackendKind backend : benchjson::backend_sweep(opt)) {
-    g_backend = backend;
-    if (h.is("section", "looping")) {
-      if (!opt.json) {
-        std::printf("Ablation: LLC replacement policy (backend: %s)\n",
-                    backend_name(g_backend));
-        std::printf("(32 hot lines re-touched between cold accesses + a\n"
-                    " cold stream that overflows capacity — "
-                    "recency-friendly)\n\n");
-        std::printf("%-22s %12s\n", "policy", "hit rate");
-      }
-      for (ReplacementPolicy pol : kAllReplacementPolicies) {
-        if (opt.replacement && pol != *opt.replacement) continue;
-        const benchjson::WallTimer timer;
-        const double rate = looping_hit_rate(pol) * 100.0;
-        // Host-only workload: no kernel offloads run, so the stall fields
-        // are structurally zero (kept for schema uniformity across benches).
-        benchjson::add_stall_fields(
-            report.row()
-                .str("case", std::string("policy=") + policy_name(pol))
-                .str("backend", backend_name(g_backend))
-                .num("hit_rate_pct", rate)
-                .num("host_wall_ms", timer.ms()),
-            sim::OpStallBreakdown{});
-        if (!opt.json) std::printf("%-22s %11.1f%%\n", policy_name(pol), rate);
-      }
+  if (h.is("section", "looping")) {
+    if (!opt.json) {
+      std::printf("Ablation: LLC replacement policy (backend: %s)\n",
+                  backend_name(g_backend));
+      std::printf("(32 hot lines re-touched between cold accesses + a\n"
+                  " cold stream that overflows capacity — "
+                  "recency-friendly)\n\n");
+      std::printf("%-22s %12s\n", "policy", "hit rate");
     }
+    for (ReplacementPolicy pol : kAllReplacementPolicies) {
+      if (opt.replacement && pol != *opt.replacement) continue;
+      const benchjson::WallTimer timer;
+      const double rate = looping_hit_rate(pol) * 100.0;
+      // Host-only workload: no kernel offloads run, so the stall fields
+      // are structurally zero (kept for schema uniformity across benches).
+      benchjson::add_stall_fields(
+          report.row()
+              .str("case", std::string("policy=") + policy_name(pol))
+              .str("backend", backend_name(g_backend))
+              .num("hit_rate_pct", rate)
+              .num("host_wall_ms", timer.ms()),
+          sim::OpStallBreakdown{});
+      if (!opt.json) std::printf("%-22s %11.1f%%\n", policy_name(pol), rate);
+    }
+  }
 
-    // ------------------ adaptive-replacement scenarios ------------------
-    if (h.is("section", "scenarios")) {
+  // ------------------ adaptive-replacement scenarios ------------------
+  if (h.is("section", "scenarios")) {
+    if (!opt.json) {
+      std::printf("\nAdaptive scenarios (direct LLC replay, %s traces, "
+                  "backend: %s)\n",
+                  opt.fast ? "fast" : "full", backend_name(g_backend));
+      std::printf("%-22s %14s %12s %22s\n", "policy", "hot-data", "loop",
+                  "shift (ph1 / ph2)");
+    }
+    for (ReplacementPolicy pol : kAllReplacementPolicies) {
+      if (opt.replacement && pol != *opt.replacement) continue;
+      const benchjson::WallTimer timer;
+      const double hot =
+          replay_segments(pol, hot_trace, {hot_trace.size()})[0];
+      const double loop =
+          replay_segments(pol, loop_trace, {loop_trace.size()})[0];
+      const std::vector<double> shift = replay_segments(
+          pol, shift_trace, {shift_trace.size() / 2, shift_trace.size()});
+      benchjson::add_stall_fields(
+          report.row()
+              .str("case", std::string("scenario=hot-data policy=") +
+                               replacement_name(pol))
+              .str("backend", backend_name(g_backend))
+              .num("hit_rate_pct", hot),
+          sim::OpStallBreakdown{});
+      benchjson::add_stall_fields(
+          report.row()
+              .str("case", std::string("scenario=loop policy=") +
+                               replacement_name(pol))
+              .str("backend", backend_name(g_backend))
+              .num("hit_rate_pct", loop),
+          sim::OpStallBreakdown{});
+      benchjson::add_stall_fields(
+          report.row()
+              .str("case", std::string("scenario=shift policy=") +
+                               replacement_name(pol))
+              .str("backend", backend_name(g_backend))
+              .num("phase1_hit_rate_pct", shift[0])
+              .num("phase2_hit_rate_pct", shift[1])
+              .num("host_wall_ms", timer.ms()),
+          sim::OpStallBreakdown{});
       if (!opt.json) {
-        std::printf("\nAdaptive scenarios (direct LLC replay, %s traces, "
-                    "backend: %s)\n",
-                    opt.fast ? "fast" : "full", backend_name(g_backend));
-        std::printf("%-22s %14s %12s %22s\n", "policy", "hot-data", "loop",
-                    "shift (ph1 / ph2)");
-      }
-      for (ReplacementPolicy pol : kAllReplacementPolicies) {
-        if (opt.replacement && pol != *opt.replacement) continue;
-        const benchjson::WallTimer timer;
-        const double hot =
-            replay_segments(pol, hot_trace, {hot_trace.size()})[0];
-        const double loop =
-            replay_segments(pol, loop_trace, {loop_trace.size()})[0];
-        const std::vector<double> shift = replay_segments(
-            pol, shift_trace, {shift_trace.size() / 2, shift_trace.size()});
-        benchjson::add_stall_fields(
-            report.row()
-                .str("case", std::string("scenario=hot-data policy=") +
-                                 replacement_name(pol))
-                .str("backend", backend_name(g_backend))
-                .num("hit_rate_pct", hot),
-            sim::OpStallBreakdown{});
-        benchjson::add_stall_fields(
-            report.row()
-                .str("case", std::string("scenario=loop policy=") +
-                                 replacement_name(pol))
-                .str("backend", backend_name(g_backend))
-                .num("hit_rate_pct", loop),
-            sim::OpStallBreakdown{});
-        benchjson::add_stall_fields(
-            report.row()
-                .str("case", std::string("scenario=shift policy=") +
-                                 replacement_name(pol))
-                .str("backend", backend_name(g_backend))
-                .num("phase1_hit_rate_pct", shift[0])
-                .num("phase2_hit_rate_pct", shift[1])
-                .num("host_wall_ms", timer.ms()),
-            sim::OpStallBreakdown{});
-        if (!opt.json) {
-          std::printf("%-22s %13.1f%% %11.1f%% %9.1f%% / %7.1f%%\n",
-                      policy_name(pol), hot, loop, shift[0], shift[1]);
-        }
+        std::printf("%-22s %13.1f%% %11.1f%% %9.1f%% / %7.1f%%\n",
+                    policy_name(pol), hot, loop, shift[0], shift[1]);
       }
     }
   }
@@ -244,8 +240,8 @@ int main(int argc, char** argv) {
     std::printf(
         "\nThe paper's counter-based approximate LRU tracks true LRU closely\n"
         "on looping workloads at a fraction of the state (8-bit ages).\n"
-        "ARC/CAR self-tune: they shield the hot set from the cold spray and\n"
-        "recover their phase-1 hit rate after the hot set moves.\n");
+        "ARC self-tunes: it shields the hot set from the cold spray and\n"
+        "recovers its phase-1 hit rate after the hot set moves.\n");
   }
   return 0;
 }

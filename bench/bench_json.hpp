@@ -31,9 +31,9 @@
 #include "common/config.hpp"
 #include "common/types.hpp"
 #include "grid.hpp"
+#include "sched/scheduler.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/critical_path.hpp"
-#include "telemetry/flight.hpp"
 #include "telemetry/perfetto.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
@@ -77,7 +77,10 @@ class WallTimer {
 class Row {
  public:
   Row& str(const std::string& key, const std::string& v) {
-    fields_.emplace_back(key, "\"" + escape(v) + "\"");
+    std::string quoted = "\"";
+    quoted += escape(v);
+    quoted += '"';
+    fields_.emplace_back(key, std::move(quoted));
     return *this;
   }
   Row& num(const std::string& key, double v) {
@@ -98,7 +101,10 @@ class Row {
     std::string out = "{";
     for (std::size_t i = 0; i < fields_.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + escape(fields_[i].first) + "\": " + fields_[i].second;
+      out += '"';
+      out += escape(fields_[i].first);
+      out += "\": ";
+      out += fields_[i].second;
     }
     return out + "}";
   }
@@ -152,12 +158,12 @@ class TelemetryCollector {
   bool metrics_enabled() const { return !metrics_out_.empty(); }
 
   /// Fold one completed run in. `run` names the Perfetto process / the
-  /// metrics entry ("psram open/qos", ...). Pass the run's OpLog to embed
-  /// a "critical_paths" array (telemetry::CriticalPath over its entries —
-  /// consumed by `trace_summary.py --critical-path`).
+  /// metrics entry ("psram open/qos", ...); `sch` supplies the "flight"
+  /// section. Pass the run's OpLog to embed a "critical_paths" array
+  /// (telemetry::CriticalPath over its entries — consumed by
+  /// `trace_summary.py --critical-path`).
   void collect(const std::string& run, const telemetry::SpanTracer& spans,
-               const telemetry::Registry& reg,
-               const telemetry::FlightRecorder& flight,
+               const telemetry::Registry& reg, const sched::Scheduler& sch,
                const telemetry::OpLog* oplog = nullptr) {
     spans_recorded_ += spans.size();
     spans_dropped_ += spans.dropped();
@@ -168,7 +174,7 @@ class TelemetryCollector {
          << "\", \"metrics\": ";
       reg.write_json(os);
       os << ", \"flight\": ";
-      flight.write_json(os);
+      write_flight_json(os, sch);
       if (oplog != nullptr && oplog->enabled()) {
         os << ", \"critical_paths\": ";
         telemetry::CriticalPath::write_json(
@@ -212,6 +218,35 @@ class TelemetryCollector {
   }
 
  private:
+  /// Per tenant, from 0 up to the highest tenant with a resolved job: the
+  /// resolved-job count and the flight recorder view Scheduler::recent()
+  /// ("dropped" covers shed and failed jobs).
+  static void write_flight_json(std::ostream& os, const sched::Scheduler& sch) {
+    std::vector<std::uint64_t> totals;
+    for (const sched::JobReport& r : sch.outcomes()) {
+      if (r.tenant >= totals.size()) totals.resize(r.tenant + 1, 0);
+      ++totals[r.tenant];
+    }
+    os << "{\"per_tenant_capacity\": " << sched::Scheduler::kFlightDepth
+       << ", \"tenants\": [";
+    for (unsigned t = 0; t < totals.size(); ++t) {
+      os << (t == 0 ? "" : ", ") << "{\"tenant\": " << t
+         << ", \"total\": " << totals[t] << ", \"recent\": [";
+      bool first = true;
+      for (const sched::JobReport& r : sch.recent(t)) {
+        os << (first ? "" : ", ") << "{\"job\": " << r.id
+           << ", \"arrival\": " << r.arrival
+           << ", \"first_dispatch\": " << r.first_dispatch
+           << ", \"done\": " << r.done << ", \"deadline\": " << r.deadline
+           << ", \"dropped\": "
+           << (r.dropped || r.failed ? "true" : "false") << "}";
+        first = false;
+      }
+      os << "]}";
+    }
+    os << "]}";
+  }
+
   static void ensure_parent(const std::string& path) {
     if (path.empty()) return;
     const auto parent = std::filesystem::path(path).parent_path();

@@ -233,8 +233,8 @@ RunResult run_load(const SystemConfig& cfg, unsigned jobs_per_tenant,
   r.spans_recorded = sys.spans().size();
   r.spans_dropped = sys.spans().dropped();
   if (telem != nullptr) {
-    telem->collect(run_name, sys.spans(), sys.metrics(),
-                   sys.flight_recorder(), &sys.op_log());
+    telem->collect(run_name, sys.spans(), sys.metrics(), sys.scheduler(),
+                   &sys.op_log());
   }
   return r;
 }

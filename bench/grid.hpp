@@ -231,7 +231,10 @@ class KnobRegistry {
     out += " [flags]\n\nknobs (flags override ARCANE_BENCH_* env):\n";
     for (const auto& k : knobs_) {
       std::string lhs = "  " + k.flag;
-      if (k.kind != KnobSpec::Kind::kFlag) lhs += "=" + allowed_text(k);
+      if (k.kind != KnobSpec::Kind::kFlag) {
+        lhs += '=';
+        lhs += allowed_text(k);
+      }
       out += lhs + "\n      " + k.doc;
       if (!k.env.empty()) out += " [env: " + k.env + "]";
       out += "\n";
@@ -610,8 +613,11 @@ class Harness {
       out += "  {\"id\": \"" + escape(cells_[i].id()) + "\", \"bindings\": {";
       for (std::size_t j = 0; j < cells_[i].bindings.size(); ++j) {
         if (j > 0) out += ", ";
-        out += "\"" + escape(cells_[i].bindings[j].knob) + "\": \"" +
-               escape(cells_[i].bindings[j].value) + "\"";
+        out += '"';
+        out += escape(cells_[i].bindings[j].knob);
+        out += "\": \"";
+        out += escape(cells_[i].bindings[j].value);
+        out += '"';
       }
       out += "}}";
       out += i + 1 < cells_.size() ? ",\n" : "\n";

@@ -108,7 +108,7 @@ RunResult run_config(Workload workload, unsigned instances, unsigned tenants,
   r.spans_recorded = sys.spans().size();
   r.spans_dropped = sys.spans().dropped();
   r.stalls = sch.stall_totals();
-  telem.collect(run_name, sys.spans(), sys.metrics(), sys.flight_recorder(),
+  telem.collect(run_name, sys.spans(), sys.metrics(), sys.scheduler(),
                 &sys.op_log());
   const double seconds =
       static_cast<double>(r.makespan) / (cfg.clock_mhz * 1e6);

@@ -211,7 +211,7 @@ RunResult run_section(Section section, bool admission_on, Mix mix,
   r.tenants.resize(kTenants);
   // Percentiles come from the scheduler's registry series — the same
   // sample set as iterating sch.completed() by hand (the scheduler records
-  // each completed job's latency at the exact site completed_ is pushed),
+  // each completed job's latency where it logs the job's outcome),
   // under the same floor-index rule, so the values are bit-identical to
   // the historical hand-computed ones.
   const telemetry::Series* lat_all =
@@ -251,7 +251,7 @@ RunResult run_section(Section section, bool admission_on, Mix mix,
   r.series_truncated += lat_all->truncated();
   r.spans_recorded = sys.spans().size();
   r.spans_dropped = sys.spans().dropped();
-  telem.collect(run_name, sys.spans(), sys.metrics(), sys.flight_recorder(),
+  telem.collect(run_name, sys.spans(), sys.metrics(), sys.scheduler(),
                 &sys.op_log());
   return r;
 }

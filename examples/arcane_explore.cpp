@@ -10,7 +10,7 @@
 //     --lanes L       VPU lanes: 2, 4 or 8          (default 4)
 //     --multi         multi-instance mode (all VPUs on one kernel)
 //     --elide         full write-back elision
-//     --policy p      replacement: lru|truelru|random|clock|lru-k|arc|car
+//     --policy p      replacement: lru|truelru|random|clock|lru-k|arc
 //     --trace         dump the kernel/offload event trace
 //     --verify        check the result against the golden model
 #include <cstdio>
@@ -32,7 +32,7 @@ namespace {
   std::fprintf(stderr,
                "usage: %s [--impl arcane|scalar|pulp] [--size N] [--filter K]"
                " [--dtype b|h|w]\n  [--lanes L] [--multi] [--elide]"
-               " [--policy lru|truelru|random|clock|lru-k|arc|car]"
+               " [--policy lru|truelru|random|clock|lru-k|arc]"
                " [--trace] [--verify]\n",
                argv0);
   std::exit(2);

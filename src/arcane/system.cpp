@@ -34,7 +34,7 @@ System::System(SystemConfig cfg, crt::KernelLibrary library) : cfg_(cfg) {
   runtime_->register_metrics(metrics_);
   dma_->register_metrics(metrics_);
   ext_->backend().register_metrics(metrics_);
-  sched_->set_telemetry(&metrics_, &flight_);
+  sched_->set_telemetry(&metrics_);
   sched_->set_op_log(&op_log_);
   qos_->set_telemetry(&metrics_, &spans_);
   if (cfg_.fault.enabled) {

@@ -32,7 +32,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/critical_path.hpp"
-#include "telemetry/flight.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 #include "vpu/line_storage.hpp"
@@ -119,9 +118,6 @@ class System final : public cpu::DataPort {
   /// telemetry::TraceFile to export for ui.perfetto.dev).
   telemetry::SpanTracer& spans() { return spans_; }
   const telemetry::SpanTracer& spans() const { return spans_; }
-  /// Always-on per-tenant ring of recent scheduler job outcomes.
-  telemetry::FlightRecorder& flight_recorder() { return flight_; }
-  const telemetry::FlightRecorder& flight_recorder() const { return flight_; }
   /// Per-op timing log feeding telemetry::CriticalPath (disabled by
   /// default; op_log().enable() to record — capture never perturbs timing).
   telemetry::OpLog& op_log() { return op_log_; }
@@ -149,7 +145,6 @@ class System final : public cpu::DataPort {
   sim::EventQueue events_;
   telemetry::Registry metrics_;
   telemetry::SpanTracer spans_;
-  telemetry::FlightRecorder flight_;
   telemetry::OpLog op_log_;
   std::unique_ptr<mem::MainMemory> ext_;
   std::unique_ptr<mem::InstructionMemory> imem_;

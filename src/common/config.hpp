@@ -33,7 +33,6 @@ enum class ReplacementPolicy : std::uint8_t {
   kClock = 3,      // reference-bit second chance (one bit per line)
   kLruK = 4,       // LRU-K, K=2 backward distance with retained history
   kArc = 5,        // Adaptive Replacement Cache (self-tuning p, ghosts)
-  kCar = 6,        // Clock with Adaptive Replacement (ARC over clocks)
 };
 
 /// VPU-selection policies of the C-RT kernel scheduler. The paper
@@ -236,7 +235,7 @@ struct MemConfig {
 
 /// Stable lowercase names used by bench CLI flags and the CI nightly
 /// replacement axis ("approx-lru" / "true-lru" / "random" / "clock" /
-/// "lru-k" / "arc" / "car").
+/// "lru-k" / "arc").
 constexpr const char* replacement_name(ReplacementPolicy p) {
   switch (p) {
     case ReplacementPolicy::kApproxLru: return "approx-lru";
@@ -245,7 +244,6 @@ constexpr const char* replacement_name(ReplacementPolicy p) {
     case ReplacementPolicy::kClock: return "clock";
     case ReplacementPolicy::kLruK: return "lru-k";
     case ReplacementPolicy::kArc: return "arc";
-    case ReplacementPolicy::kCar: return "car";
   }
   return "?";
 }
@@ -256,7 +254,6 @@ inline constexpr ReplacementPolicy kAllReplacementPolicies[] = {
     ReplacementPolicy::kApproxLru, ReplacementPolicy::kTrueLru,
     ReplacementPolicy::kRandom,    ReplacementPolicy::kClock,
     ReplacementPolicy::kLruK,      ReplacementPolicy::kArc,
-    ReplacementPolicy::kCar,
 };
 
 /// The single name→policy parser behind every CLI/env knob. Unknown names
@@ -365,8 +362,7 @@ struct SystemConfig {
             sizeof(kAllReplacementPolicies) / sizeof(ReplacementPolicy),
         "unknown LLC replacement policy id "
             << static_cast<unsigned>(llc.replacement)
-            << " (valid: approx-lru, true-lru, random, clock, lru-k, arc, "
-               "car)");
+            << " (valid: approx-lru, true-lru, random, clock, lru-k, arc)");
     ARCANE_CHECK(num_matrix_regs >= 3 && num_matrix_regs <= 256,
                  "matrix register count out of range");
     ARCANE_CHECK(kernel_queue_depth >= 1, "kernel queue too small");

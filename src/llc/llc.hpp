@@ -3,7 +3,7 @@
 // Normal mode: fully associative, write-back + write-allocate cache with
 // single-cycle hits, DMA-serviced misses and a pluggable replacement
 // strategy (replacement.hpp: the paper's counter-based approximate LRU,
-// true LRU, random, and the adaptive CLOCK/LRU-K/ARC/CAR family).
+// true LRU, random, and the adaptive CLOCK/LRU-K/ARC family).
 // Compute mode: cache lines double as VPU vector registers; lines claimed
 // for an in-flight kernel are "busy computing" and are excluded from
 // replacement. The controller arbitrates between the host port and the

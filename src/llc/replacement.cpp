@@ -1,4 +1,4 @@
-// The seven LLC replacement strategies behind the ReplacementStrategy
+// The six LLC replacement strategies behind the ReplacementStrategy
 // interface (see replacement.hpp for the controller contract).
 //
 // Legacy family — bit-identical to the pre-strategy controller, including
@@ -15,9 +15,6 @@
 //                 tags (O'Neil et al.); scan-resistant
 //   * arc         Megiddo & Modha's Adaptive Replacement Cache: T1/T2
 //                 resident lists, B1/B2 ghost lists, self-tuning target p
-//   * car         Bansal & Modha's Clock with Adaptive Replacement: the
-//                 ARC ghost/target machinery over two clocks, so hits only
-//                 set a reference bit
 //
 // Busy-line pinning: claimed lines are evicted by the controller before
 // they turn Busy, so the adaptive strategies' resident lists only ever
@@ -266,7 +263,7 @@ class LruKStrategy final : public ReplacementStrategy {
 };
 
 // ------------------------------------------------------------------
-// Intrusive list machinery shared by ARC and CAR
+// Intrusive list machinery for ARC
 // ------------------------------------------------------------------
 
 constexpr std::uint16_t kNil = 0xFFFF;
@@ -274,8 +271,7 @@ constexpr std::uint16_t kNil = 0xFFFF;
 enum ListId : std::uint8_t { kT1 = 0, kT2, kB1, kB2, kNumLists, kFree };
 
 /// Four intrusive doubly-linked lists over one fixed node pool — no
-/// allocation after construction. Convention: head = MRU / clock hand,
-/// tail = LRU / clock insert position.
+/// allocation after construction. Convention: head = MRU, tail = LRU.
 class ListSet {
  public:
   struct Node {
@@ -284,7 +280,6 @@ class ListSet {
     std::uint16_t next = kNil;
     std::uint16_t line = kNil;  // resident line index (T1/T2 only)
     std::uint8_t list = kFree;
-    std::uint8_t ref = 0;  // CAR reference bit
   };
 
   explicit ListSet(unsigned pool_size) : nodes_(pool_size) { reset(); }
@@ -318,18 +313,6 @@ class ListSet {
     ++l.size;
   }
 
-  void push_back(ListId id, std::uint16_t h) {
-    List& l = lists_[id];
-    Node& n = nodes_[h];
-    n.list = id;
-    n.next = kNil;
-    n.prev = l.tail;
-    if (l.tail != kNil) nodes_[l.tail].next = h;
-    l.tail = h;
-    if (l.head == kNil) l.head = h;
-    ++l.size;
-  }
-
   void unlink(std::uint16_t h) {
     Node& n = nodes_[h];
     List& l = lists_[n.list];
@@ -339,13 +322,6 @@ class ListSet {
     if (l.tail == h) l.tail = n.prev;
     n.prev = n.next = kNil;
     --l.size;
-  }
-
-  std::uint16_t pop_front(ListId id) {
-    const std::uint16_t h = lists_[id].head;
-    ARCANE_ASSERT(h != kNil, "pop_front on empty replacement list");
-    unlink(h);
-    return h;
   }
 
   std::uint16_t pop_back(ListId id) {
@@ -384,11 +360,16 @@ class ListSet {
   std::uint16_t free_head_ = kNil;
 };
 
-/// Common ARC/CAR state: resident lists/clocks T1+T2, ghost lists B1+B2
-/// over a 2c node pool, the line→node index, and the self-tuning target p.
-class GhostedStrategy : public ReplacementStrategy {
+// ------------------------------------------------------------------
+// ARC — Megiddo & Modha, "ARC: A Self-Tuning, Low Overhead Replacement
+// Cache" (FAST'03): resident lists T1+T2, ghost lists B1+B2 over a 2c node
+// pool, the line→node index, and the self-tuning target p. head = MRU,
+// tail = LRU for all four lists.
+// ------------------------------------------------------------------
+
+class ArcStrategy final : public ReplacementStrategy {
  public:
-  explicit GhostedStrategy(std::vector<Line>& lines)
+  explicit ArcStrategy(std::vector<Line>& lines)
       : c_(static_cast<unsigned>(lines.size())),
         pool_(2 * static_cast<unsigned>(lines.size())),
         line_node_(lines.size(), kNil) {}
@@ -409,56 +390,6 @@ class GhostedStrategy : public ReplacementStrategy {
     std::fill(line_node_.begin(), line_node_.end(), kNil);
     p_ = 0.0;
   }
-
- protected:
-  /// Ghost lookup across B1 then B2; kNil when absent.
-  std::uint16_t find_ghost(Addr a, bool& in_b2) const {
-    std::uint16_t h = pool_.find(kB1, a);
-    in_b2 = false;
-    if (h == kNil && (h = pool_.find(kB2, a)) != kNil) in_b2 = true;
-    return h;
-  }
-
-  /// Pool-exhaustion safety valve for claim-heavy interleavings the
-  /// textbook trims cannot see: shed the coldest ghost to free a node.
-  std::uint16_t shed_ghost() {
-    const ListId from = pool_.size(kB2) > 0 ? kB2 : kB1;
-    ARCANE_ASSERT(pool_.size(from) > 0,
-                  "replacement node pool exhausted with no ghosts");
-    const std::uint16_t h = pool_.pop_back(from);
-    pool_.node(h) = ListSet::Node{};
-    return h;
-  }
-
-  /// Demote a resident node to ghost list `ghost` and return its line.
-  int demote(std::uint16_t h, ListId ghost, bool ghost_mru) {
-    ListSet::Node& n = pool_.node(h);
-    const int victim = n.line;
-    line_node_[victim] = kNil;
-    n.line = kNil;
-    n.ref = 0;
-    if (ghost_mru) {
-      pool_.push_front(ghost, h);
-    } else {
-      pool_.push_back(ghost, h);
-    }
-    return victim;
-  }
-
-  unsigned c_;
-  ListSet pool_;
-  std::vector<std::uint16_t> line_node_;
-  double p_ = 0.0;  // target size of T1 (recency side)
-};
-
-// ------------------------------------------------------------------
-// ARC — Megiddo & Modha, "ARC: A Self-Tuning, Low Overhead Replacement
-// Cache" (FAST'03). head = MRU, tail = LRU for all four lists.
-// ------------------------------------------------------------------
-
-class ArcStrategy final : public GhostedStrategy {
- public:
-  using GhostedStrategy::GhostedStrategy;
 
   void touch(unsigned idx, Addr) override {
     // Case I: hit in T1 or T2 moves the page to the MRU end of T2.
@@ -534,6 +465,25 @@ class ArcStrategy final : public GhostedStrategy {
   }
 
  private:
+  /// Ghost lookup across B1 then B2; kNil when absent.
+  std::uint16_t find_ghost(Addr a, bool& in_b2) const {
+    std::uint16_t h = pool_.find(kB1, a);
+    in_b2 = false;
+    if (h == kNil && (h = pool_.find(kB2, a)) != kNil) in_b2 = true;
+    return h;
+  }
+
+  /// Pool-exhaustion safety valve for claim-heavy interleavings the
+  /// textbook trims cannot see: shed the coldest ghost to free a node.
+  std::uint16_t shed_ghost() {
+    const ListId from = pool_.size(kB2) > 0 ? kB2 : kB1;
+    ARCANE_ASSERT(pool_.size(from) > 0,
+                  "replacement node pool exhausted with no ghosts");
+    const std::uint16_t h = pool_.pop_back(from);
+    pool_.node(h) = ListSet::Node{};
+    return h;
+  }
+
   /// REPLACE(p): evict the T1 LRU into B1 when T1 exceeds its target,
   /// otherwise the T2 LRU into B2. Falls back across empty lists (possible
   /// under busy-line pinning); -1 when both are empty.
@@ -550,113 +500,19 @@ class ArcStrategy final : public GhostedStrategy {
     } else {
       return -1;  // every line is busy computing
     }
-    return demote(pool_.pop_back(from), from == kT1 ? kB1 : kB2,
-                  /*ghost_mru=*/true);
-  }
-};
-
-// ------------------------------------------------------------------
-// CAR — Bansal & Modha, "CAR: Clock with Adaptive Replacement" (FAST'04).
-// T1/T2 are clocks: head = hand, tail = insert position; hits only set the
-// reference bit. B1/B2 stay LRU lists (head = MRU).
-// ------------------------------------------------------------------
-
-class CarStrategy final : public GhostedStrategy {
- public:
-  using GhostedStrategy::GhostedStrategy;
-
-  void touch(unsigned idx, Addr) override {
-    pool_.node(line_node_[idx]).ref = 1;
-  }
-
-  void fill(unsigned idx, Addr base) override {
-    bool in_b2 = false;
-    std::uint16_t h = find_ghost(base, in_b2);
-    ListId target = kT2;  // history hit: straight into the T2 clock
-    if (h != kNil) {
-      // p adapts at insert time in CAR (after the REPLACE of find_victim).
-      const auto b1 = pool_.size(kB1);
-      const auto b2 = pool_.size(kB2);
-      if (!in_b2) {
-        p_ = std::min(p_ + std::max(1.0, static_cast<double>(b2) /
-                                             static_cast<double>(b1)),
-                      static_cast<double>(c_));
-      } else {
-        p_ = std::max(p_ - std::max(1.0, static_cast<double>(b1) /
-                                             static_cast<double>(b2)),
-                      0.0);
-      }
-      pool_.unlink(h);
-    } else {
-      h = pool_.alloc();
-      if (h == kNil) h = shed_ghost();
-      target = kT1;
-    }
-    ListSet::Node& n = pool_.node(h);
-    n.addr = base;
-    n.line = static_cast<std::uint16_t>(idx);
-    n.ref = 0;  // CAR inserts with the reference bit off
-    pool_.push_back(target, h);
-    line_node_[idx] = h;
-  }
-
-  int find_victim(Addr incoming) override {
-    const int victim = replace();
-    if (victim >= 0) {
-      // History replacement: trim the directory only for brand-new pages
-      // (textbook order — after REPLACE, with the demoted ghost counted).
-      // As in ARC, >= tolerates directory overshoot from fills that went
-      // through Invalid lines freed by kernel releases.
-      bool in_b2 = false;
-      if (find_ghost(incoming, in_b2) == kNil) {
-        const auto t1 = pool_.size(kT1);
-        const auto b1 = pool_.size(kB1);
-        const auto b2 = pool_.size(kB2);
-        const auto total = t1 + pool_.size(kT2) + b1 + b2;
-        if (t1 + b1 >= c_ && b1 > 0) {
-          pool_.release(pool_.pop_back(kB1));
-        } else if (total >= 2 * c_) {
-          if (b2 > 0) {
-            pool_.release(pool_.pop_back(kB2));
-          } else if (b1 > 0) {
-            pool_.release(pool_.pop_back(kB1));
-          }
-        }
-      }
-    }
+    // Demote the resident LRU node to the MRU end of its ghost list.
+    const std::uint16_t h = pool_.pop_back(from);
+    const int victim = pool_.node(h).line;
+    line_node_[victim] = kNil;
+    pool_.node(h).line = kNil;
+    pool_.push_front(from == kT1 ? kB1 : kB2, h);
     return victim;
   }
 
- private:
-  int replace() {
-    // Rotate the clocks until a hand finds a 0-ref page: T1 pages with a
-    // set bit earn promotion into T2, T2 pages get a second chance at the
-    // tail. Every step clears a bit or returns, so 2c+2 bounds the walk.
-    for (unsigned guard = 2 * c_ + 2; guard-- > 0;) {
-      const auto t1 = pool_.size(kT1);
-      const bool use_t1 = (t1 >= 1 && static_cast<double>(t1) >=
-                                          std::max(1.0, p_)) ||
-                          pool_.size(kT2) == 0;
-      if (use_t1) {
-        if (t1 == 0) return -1;  // both clocks empty: all lines busy
-        const std::uint16_t h = pool_.pop_front(kT1);
-        if (pool_.node(h).ref == 0) {
-          return demote(h, kB1, /*ghost_mru=*/true);
-        }
-        pool_.node(h).ref = 0;
-        pool_.push_back(kT2, h);  // promotion: survived one T1 round
-      } else {
-        const std::uint16_t h = pool_.pop_front(kT2);
-        if (pool_.node(h).ref == 0) {
-          return demote(h, kB2, /*ghost_mru=*/true);
-        }
-        pool_.node(h).ref = 0;
-        pool_.push_back(kT2, h);  // second chance within the T2 clock
-      }
-    }
-    ARCANE_ASSERT(false, "CAR replace loop failed to terminate");
-    return -1;
-  }
+  unsigned c_;
+  ListSet pool_;
+  std::vector<std::uint16_t> line_node_;
+  double p_ = 0.0;  // target size of T1 (recency side)
 };
 
 }  // namespace
@@ -676,8 +532,6 @@ std::unique_ptr<ReplacementStrategy> make_replacement_strategy(
       return std::make_unique<LruKStrategy>(lines);
     case ReplacementPolicy::kArc:
       return std::make_unique<ArcStrategy>(lines);
-    case ReplacementPolicy::kCar:
-      return std::make_unique<CarStrategy>(lines);
   }
   ARCANE_CHECK(false, "unknown LLC replacement policy id "
                           << static_cast<unsigned>(cfg.replacement));

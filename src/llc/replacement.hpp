@@ -1,6 +1,6 @@
 // Pluggable LLC replacement strategies (victim selection + recency
 // bookkeeping), extracted from the controller so the adaptive family
-// (ARC / CAR / CLOCK / LRU-K) plugs in next to the paper's approximate
+// (ARC / CLOCK / LRU-K) plugs in next to the paper's approximate
 // LRU without touching the hit/miss datapath.
 //
 // Contract between Llc and a strategy:

@@ -69,7 +69,7 @@ Scheduler::Scheduler(crt::Runtime& rt)
   queues_.resize(n);
   inflight_.resize(n);
   health_.resize(n);
-  stats_.instance_occupied.assign(n, 0);
+  counters_.instance_occupied.assign(n, 0);
 }
 
 unsigned Scheduler::add_tenant(std::string name, unsigned priority) {
@@ -84,29 +84,54 @@ unsigned Scheduler::add_tenant(std::string name, unsigned priority) {
   return t;
 }
 
-void Scheduler::set_telemetry(telemetry::Registry* reg,
-                              telemetry::FlightRecorder* flight) {
+sim::SchedStats Scheduler::stats() const {
+  sim::SchedStats s;
+  static_cast<sim::SchedCounters&>(s) = counters_;
+  for (const sim::TenantStats& ts : tenant_stats_) {
+    s.jobs_submitted += ts.jobs_submitted;
+    s.jobs_completed += ts.jobs_completed;
+    s.jobs_dropped += ts.jobs_dropped;
+    s.jobs_failed += ts.jobs_failed;
+    s.deadline_misses += ts.deadline_misses;
+    s.retries += ts.retries;
+    s.failovers += ts.failovers;
+    s.total_queue_wait += ts.total_queue_wait;
+    s.makespan = std::max(s.makespan, ts.last_completion);
+  }
+  return s;
+}
+
+std::vector<JobReport> Scheduler::recent(unsigned tenant) const {
+  std::vector<JobReport> out;
+  for (auto it = outcomes_.rbegin();
+       it != outcomes_.rend() && out.size() < kFlightDepth; ++it) {
+    if (it->tenant == tenant) out.push_back(*it);
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+void Scheduler::set_telemetry(telemetry::Registry* reg) {
   metrics_ = reg;
-  flight_ = flight;
   if (reg == nullptr) return;
-  auto bind = [&](const char* name, const std::uint64_t& field) {
-    reg->bind(name, [&field] { return field; });
+  auto bind = [&](const char* name, std::uint64_t sim::SchedStats::* field) {
+    reg->bind(name, [this, field] { return stats().*field; });
   };
-  bind("sched.jobs_submitted", stats_.jobs_submitted);
-  bind("sched.jobs_completed", stats_.jobs_completed);
-  bind("sched.jobs_dropped", stats_.jobs_dropped);
-  bind("sched.ops_dispatched", stats_.ops_dispatched);
-  bind("sched.ops_completed", stats_.ops_completed);
-  bind("sched.ops_cancelled", stats_.ops_cancelled);
-  bind("sched.hazard_deferrals", stats_.hazard_deferrals);
-  bind("sched.deadline_misses", stats_.deadline_misses);
-  bind("sched.jobs_failed", stats_.jobs_failed);
-  bind("sched.retries", stats_.retries);
-  bind("sched.failovers", stats_.failovers);
-  bind("sched.watchdog_fires", stats_.watchdog_fires);
-  bind("sched.quarantines", stats_.quarantines);
-  bind("sched.total_queue_wait", stats_.total_queue_wait);
-  bind("sched.makespan", stats_.makespan);
+  bind("sched.jobs_submitted", &sim::SchedStats::jobs_submitted);
+  bind("sched.jobs_completed", &sim::SchedStats::jobs_completed);
+  bind("sched.jobs_dropped", &sim::SchedStats::jobs_dropped);
+  bind("sched.ops_dispatched", &sim::SchedStats::ops_dispatched);
+  bind("sched.ops_completed", &sim::SchedStats::ops_completed);
+  bind("sched.ops_cancelled", &sim::SchedStats::ops_cancelled);
+  bind("sched.hazard_deferrals", &sim::SchedStats::hazard_deferrals);
+  bind("sched.deadline_misses", &sim::SchedStats::deadline_misses);
+  bind("sched.jobs_failed", &sim::SchedStats::jobs_failed);
+  bind("sched.retries", &sim::SchedStats::retries);
+  bind("sched.failovers", &sim::SchedStats::failovers);
+  bind("sched.watchdog_fires", &sim::SchedStats::watchdog_fires);
+  bind("sched.quarantines", &sim::SchedStats::quarantines);
+  bind("sched.total_queue_wait", &sim::SchedStats::total_queue_wait);
+  bind("sched.makespan", &sim::SchedStats::makespan);
   for (unsigned i = 0; i < sim::kNumStallBuckets; ++i) {
     const auto b = static_cast<sim::StallBucket>(i);
     reg->bind(std::string("sched.stall.") + sim::stall_bucket_name(b),
@@ -195,7 +220,6 @@ std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
   if (js.shed_on_expiry) ++shed_armed_;
   jobs_.push_back(std::move(js));
   ++jobs_open_;
-  ++stats_.jobs_submitted;
   ++tenant_stats_[tenant].jobs_submitted;
 
   const Cycle when = std::max(arrival, ctx_->events->now());
@@ -293,7 +317,7 @@ unsigned Scheduler::pick_park_instance(int avoid) const {
 
 void Scheduler::shed_expired(Cycle t) {
   if (shed_armed_ == 0) return;  // no open job can expire: free fast path
-  // Collect first: drop_job mutates every queue. A job whose remaining ops
+  // Collect first: cancel_job mutates every queue. A job whose remaining ops
   // are all waiting on in-flight dependencies has no queued entry yet; it
   // is caught here on the completion event that readies them, before any
   // dispatch.
@@ -308,46 +332,9 @@ void Scheduler::shed_expired(Cycle t) {
   }
   std::sort(expired.begin(), expired.end());
   expired.erase(std::unique(expired.begin(), expired.end()), expired.end());
-  for (std::uint32_t job_idx : expired) drop_job(job_idx, t);
-}
-
-void Scheduler::drop_job(std::uint32_t job_idx, Cycle t) {
-  JobState& js = jobs_[job_idx];
-  ARCANE_ASSERT(!js.dropped, "job dropped twice");
-  js.dropped = true;
-  for (ReadyQueue& q : queues_) {
-    q.erase_if([job_idx](const ReadyEntry& e) { return e.job == job_idx; });
+  for (std::uint32_t job_idx : expired) {
+    cancel_job(job_idx, t, Outcome::kShed);
   }
-  // Ops already on an instance run to completion (a launched kernel cannot
-  // be recalled); everything else is cancelled. In-flight completions see
-  // the dropped flag, decrement ops_left and wake no waiters.
-  unsigned inflight_ops = 0;
-  for (const InFlight& fl : inflight_) {
-    if (fl.valid && fl.job == job_idx) ++inflight_ops;
-  }
-  ARCANE_ASSERT(js.ops_left >= inflight_ops, "drop accounting underflow");
-  stats_.ops_cancelled += js.ops_left - inflight_ops;
-  js.ops_left = inflight_ops;
-  ++stats_.jobs_dropped;
-  ++tenant_stats_[js.tenant].jobs_dropped;
-  ARCANE_ASSERT(shed_armed_ > 0, "shed-armed accounting underflow");
-  --shed_armed_;
-  shed_.push_back(JobReport{js.id, js.tenant, js.arrival, js.first_dispatch,
-                            t, js.deadline, js.tag, /*dropped=*/true,
-                            /*failed=*/false, js.retries, js.failovers});
-  ARCANE_ASSERT(jobs_open_ > 0, "job accounting underflow");
-  --jobs_open_;
-  if (ctx_->spans != nullptr) {
-    ctx_->spans->span(telemetry::track_tenant(js.tenant), "job.shed",
-                      js.arrival, t, static_cast<std::int32_t>(js.tenant),
-                      static_cast<std::int64_t>(js.id),
-                      static_cast<std::int64_t>(js.deadline));
-  }
-  if (flight_ != nullptr) {
-    flight_->record({js.id, static_cast<std::int32_t>(js.tenant), js.arrival,
-                     js.first_dispatch, t, js.deadline, /*dropped=*/true});
-  }
-  if (on_job_done_) on_job_done_(shed_.back());
 }
 
 void Scheduler::try_dispatch(Cycle t) {
@@ -394,7 +381,7 @@ void Scheduler::try_dispatch(Cycle t) {
     if (pick == ReadyQueue::kNone) {
       // Every queued op overlaps an in-flight kernel's ranges or waits on
       // an older conflicting op; retried at the next completion event.
-      ++stats_.hazard_deferrals;
+      ++counters_.hazard_deferrals;
       continue;
     }
     const ReadyEntry e = queues_[inst].take(pick);
@@ -445,7 +432,6 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   // Failover accounting: a retry attempt landing on a different instance
   // than the failed one is a failover.
   if (os.attempts > 0 && inst != os.prev_instance) {
-    ++stats_.failovers;
     ++tenant_stats_[js.tenant].failovers;
     ++js.failovers;
     if (ctx_->spans != nullptr) {
@@ -519,8 +505,7 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
     js.dispatched_any = true;
     js.first_dispatch = t;
   }
-  ++stats_.ops_dispatched;
-  stats_.total_queue_wait += t - os.ready_at;
+  ++counters_.ops_dispatched;
   tenant_stats_[js.tenant].total_queue_wait += t - os.ready_at;
 
   if (ctx_->spans != nullptr) {
@@ -563,7 +548,7 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
     ctx_->llc->at().release(static_cast<unsigned>(fl.dest_at_entry));
   }
   ctx_->llc->release_kernel_lines(fin.op.uid);
-  stats_.instance_occupied[inst] += t - fl.dispatch_at;
+  counters_.instance_occupied[inst] += t - fl.dispatch_at;
 
   JobState& js = jobs_[fl.job];
   OpState& os = js.ops[fl.op];
@@ -606,7 +591,7 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
   }
   if (injector_ != nullptr) note_op_outcome(inst, /*ok=*/true, t);
 
-  ++stats_.ops_completed;
+  ++counters_.ops_completed;
   bd += os.acc;  // failed attempts + retry backoff (all-zero fault-free)
   ARCANE_ASSERT(bd.total() == t - os.first_ready,
                 "op stall buckets sum to " << bd.total() << " but op latency is "
@@ -641,46 +626,81 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
   for (unsigned w : js.dag->complete(fl.op)) op_ready(fl.job, w, t);
 
   ARCANE_ASSERT(js.ops_left > 0, "job op accounting underflow");
-  if (--js.ops_left == 0) {
-    if (js.shed_on_expiry) {
-      ARCANE_ASSERT(shed_armed_ > 0, "shed-armed accounting underflow");
-      --shed_armed_;
-    }
-    ++stats_.jobs_completed;
-    stats_.makespan = std::max(stats_.makespan, t);
-    sim::TenantStats& ts = tenant_stats_[js.tenant];
-    ++ts.jobs_completed;
-    ts.total_job_latency += t - js.arrival;
-    ts.last_completion = std::max(ts.last_completion, t);
-    if (js.deadline != 0 && t > js.deadline) {
-      ++ts.deadline_misses;
-      ++stats_.deadline_misses;
-    } else {
-      ++ts.jobs_on_time;
-    }
-    completed_.push_back(JobReport{js.id, js.tenant, js.arrival,
-                                   js.first_dispatch, t, js.deadline, js.tag,
-                                   /*dropped=*/false, /*failed=*/false,
-                                   js.retries, js.failovers});
-    ARCANE_ASSERT(jobs_open_ > 0, "job accounting underflow");
-    --jobs_open_;
-    if (latency_all_ != nullptr) {
-      latency_all_->record(t - js.arrival);
-      latency_tenant_[js.tenant]->record(t - js.arrival);
-    }
-    if (ctx_->spans != nullptr) {
-      ctx_->spans->span(telemetry::track_tenant(js.tenant), "job", js.arrival,
-                        t, static_cast<std::int32_t>(js.tenant),
-                        static_cast<std::int64_t>(js.id),
-                        static_cast<std::int64_t>(js.deadline));
-    }
-    if (flight_ != nullptr) {
-      flight_->record({js.id, static_cast<std::int32_t>(js.tenant), js.arrival,
-                       js.first_dispatch, t, js.deadline, /*dropped=*/false});
-    }
-    if (on_job_done_) on_job_done_(completed_.back());
-  }
+  if (--js.ops_left == 0) resolve_job(fl.job, t, Outcome::kCompleted);
   try_dispatch(t);
+}
+
+void Scheduler::cancel_job(std::uint32_t job_idx, Cycle t, Outcome outcome) {
+  JobState& js = jobs_[job_idx];
+  ARCANE_ASSERT(!js.dropped, "job resolved twice");
+  js.dropped = true;
+  for (ReadyQueue& q : queues_) {
+    q.erase_if([job_idx](const ReadyEntry& e) { return e.job == job_idx; });
+  }
+  // Ops already on an instance run to completion (a launched kernel cannot
+  // be recalled); everything else is cancelled. In-flight completions see
+  // the dropped flag, decrement ops_left and wake no waiters. A failed
+  // job's exhausted op counts as cancelled too (dispatched attempts, no
+  // completion), hence strictly more ops left than in flight.
+  unsigned inflight_ops = 0;
+  for (const InFlight& fl : inflight_) {
+    if (fl.valid && fl.job == job_idx) ++inflight_ops;
+  }
+  ARCANE_ASSERT(js.ops_left >= inflight_ops + (outcome == Outcome::kFailed),
+                "cancel accounting underflow");
+  counters_.ops_cancelled += js.ops_left - inflight_ops;
+  js.ops_left = inflight_ops;
+  resolve_job(job_idx, t, outcome);
+}
+
+void Scheduler::resolve_job(std::uint32_t job_idx, Cycle t, Outcome outcome) {
+  const JobState& js = jobs_[job_idx];
+  if (js.shed_on_expiry) {
+    ARCANE_ASSERT(shed_armed_ > 0, "shed-armed accounting underflow");
+    --shed_armed_;
+  }
+  ARCANE_ASSERT(jobs_open_ > 0, "job accounting underflow");
+  --jobs_open_;
+  sim::TenantStats& ts = tenant_stats_[js.tenant];
+  const char* span = "job";
+  Cycle span_arg = js.deadline;
+  switch (outcome) {
+    case Outcome::kCompleted:
+      ++ts.jobs_completed;
+      ts.total_job_latency += t - js.arrival;
+      ts.last_completion = std::max(ts.last_completion, t);
+      if (js.deadline != 0 && t > js.deadline) {
+        ++ts.deadline_misses;
+      } else {
+        ++ts.jobs_on_time;
+      }
+      if (latency_all_ != nullptr) {
+        latency_all_->record(t - js.arrival);
+        latency_tenant_[js.tenant]->record(t - js.arrival);
+      }
+      break;
+    case Outcome::kShed:
+      ++ts.jobs_dropped;
+      span = "job.shed";
+      break;
+    case Outcome::kFailed:
+      ++ts.jobs_failed;
+      span = "job.fail";
+      span_arg = js.retries;
+      break;
+  }
+  outcomes_.push_back(JobReport{js.id, js.tenant, js.arrival,
+                                js.first_dispatch, t, js.deadline, js.tag,
+                                outcome == Outcome::kShed,
+                                outcome == Outcome::kFailed, js.retries,
+                                js.failovers});
+  if (ctx_->spans != nullptr) {
+    ctx_->spans->span(telemetry::track_tenant(js.tenant), span, js.arrival, t,
+                      static_cast<std::int32_t>(js.tenant),
+                      static_cast<std::int64_t>(js.id),
+                      static_cast<std::int64_t>(span_arg));
+  }
+  if (on_job_done_) on_job_done_(outcomes_.back());
 }
 
 void Scheduler::watchdog_fire(unsigned inst, std::uint64_t seq, Cycle t) {
@@ -689,7 +709,7 @@ void Scheduler::watchdog_fire(unsigned inst, std::uint64_t seq, Cycle t) {
   // actually executing (its completion event will fire): no-op.
   if (!cur.valid || cur.dispatch_seq != seq) return;
   if (!execs_[inst]->hung()) return;
-  ++stats_.watchdog_fires;
+  ++counters_.watchdog_fires;
   if (ctx_->spans != nullptr) {
     const JobState& js = jobs_[cur.job];
     ctx_->spans->instant(telemetry::track_vpu(inst), "sched.watchdog", t,
@@ -715,7 +735,7 @@ void Scheduler::abort_hung_inflight(unsigned inst, Cycle t) {
     ctx_->llc->at().release(static_cast<unsigned>(fl.dest_at_entry));
   }
   ctx_->llc->release_kernel_lines(fl.uid);
-  stats_.instance_occupied[inst] += t - fl.dispatch_at;
+  counters_.instance_occupied[inst] += t - fl.dispatch_at;
   JobState& js = jobs_[fl.job];
   OpState& os = js.ops[fl.op];
   // Attempt accounting: the pre-dispatch buckets are real work; the hung
@@ -739,11 +759,10 @@ void Scheduler::handle_op_failure(unsigned inst, std::uint32_t job_idx,
   OpState& os = js.ops[op_idx];
   note_op_outcome(inst, /*ok=*/false, t);
   if (os.attempts > cfg_->fault.max_retries) {
-    fail_job(job_idx, t);
+    cancel_job(job_idx, t, Outcome::kFailed);
     return;
   }
   ++js.retries;
-  ++stats_.retries;
   ++tenant_stats_[js.tenant].retries;
   const Cycle backoff = cfg_->fault.retry_backoff;
   os.acc[sim::StallBucket::kRetryBackoff] += backoff;
@@ -770,7 +789,7 @@ void Scheduler::requeue_op(std::uint32_t job_idx, unsigned op_idx,
   JobState& js = jobs_[job_idx];
   if (js.dropped) {
     // Shed (or failed via a sibling op) during the backoff window: the op
-    // was already cancelled by drop_job/fail_job.
+    // was already cancelled by cancel_job.
     try_dispatch(t);
     return;
   }
@@ -797,48 +816,6 @@ void Scheduler::requeue_op(std::uint32_t job_idx, unsigned op_idx,
   try_dispatch(t);
 }
 
-void Scheduler::fail_job(std::uint32_t job_idx, Cycle t) {
-  JobState& js = jobs_[job_idx];
-  ARCANE_ASSERT(!js.dropped, "failed job already resolved");
-  js.dropped = true;  // reuse the shed paths: in-flight siblings complete
-                      // without waking waiters or completing the job
-  js.failed = true;
-  for (ReadyQueue& q : queues_) {
-    q.erase_if([job_idx](const ReadyEntry& e) { return e.job == job_idx; });
-  }
-  unsigned inflight_ops = 0;
-  for (const InFlight& fl : inflight_) {
-    if (fl.valid && fl.job == job_idx) ++inflight_ops;
-  }
-  // The exhausted op itself counts as cancelled (dispatched attempts, no
-  // completion), hence strictly more ops left than in flight.
-  ARCANE_ASSERT(js.ops_left > inflight_ops, "fail accounting underflow");
-  stats_.ops_cancelled += js.ops_left - inflight_ops;
-  js.ops_left = inflight_ops;
-  ++stats_.jobs_failed;
-  ++tenant_stats_[js.tenant].jobs_failed;
-  if (js.shed_on_expiry) {
-    ARCANE_ASSERT(shed_armed_ > 0, "shed-armed accounting underflow");
-    --shed_armed_;
-  }
-  failed_.push_back(JobReport{js.id, js.tenant, js.arrival, js.first_dispatch,
-                              t, js.deadline, js.tag, /*dropped=*/false,
-                              /*failed=*/true, js.retries, js.failovers});
-  ARCANE_ASSERT(jobs_open_ > 0, "job accounting underflow");
-  --jobs_open_;
-  if (ctx_->spans != nullptr) {
-    ctx_->spans->span(telemetry::track_tenant(js.tenant), "job.fail",
-                      js.arrival, t, static_cast<std::int32_t>(js.tenant),
-                      static_cast<std::int64_t>(js.id),
-                      static_cast<std::int64_t>(js.retries));
-  }
-  if (flight_ != nullptr) {
-    flight_->record({js.id, static_cast<std::int32_t>(js.tenant), js.arrival,
-                     js.first_dispatch, t, js.deadline, /*dropped=*/true});
-  }
-  if (on_job_done_) on_job_done_(failed_.back());
-}
-
 void Scheduler::note_op_outcome(unsigned inst, bool ok, Cycle t) {
   Health& h = health_[inst];
   if (ok) {
@@ -857,7 +834,7 @@ void Scheduler::quarantine(unsigned inst, Cycle t) {
   Health& h = health_[inst];
   if (h.quarantined) return;
   h.quarantined = true;
-  ++stats_.quarantines;
+  ++counters_.quarantines;
   if (ctx_->spans != nullptr) {
     ctx_->spans->instant(telemetry::track_vpu(inst), "sched.quarantine", t,
                          -1, -1, static_cast<std::int64_t>(inst));

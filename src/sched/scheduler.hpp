@@ -23,8 +23,10 @@
 #ifndef ARCANE_SCHED_SCHEDULER_HPP_
 #define ARCANE_SCHED_SCHEDULER_HPP_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,16 +39,15 @@
 #include "sched/ready_queue.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/critical_path.hpp"
-#include "telemetry/flight.hpp"
 #include "telemetry/registry.hpp"
 
 namespace arcane::sched {
 
-/// One resolved job, in resolution order (the bench's latency sample).
-/// `dropped` jobs were shed on deadline expiry: `done` is the drop time and
-/// they appear in Scheduler::shed(), not completed(). `failed` jobs hit
-/// retry exhaustion under fault injection (src/fault/): `done` is the
-/// failure time and they appear in Scheduler::failed().
+/// One resolved job: an entry of Scheduler::outcomes() (the bench's latency
+/// sample). `dropped` jobs were shed on deadline expiry: `done` is the drop
+/// time and they appear in Scheduler::shed(), not completed(). `failed`
+/// jobs hit retry exhaustion under fault injection (src/fault/): `done` is
+/// the failure time and they appear in Scheduler::failed().
 struct JobReport {
   std::uint64_t id = 0;
   unsigned tenant = 0;
@@ -129,7 +130,9 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// runs (queued work may migrate back naturally via parking).
   void on_instance_recover(unsigned instance, Cycle t) override;
 
-  const sim::SchedStats& stats() const { return stats_; }
+  /// The stored scheduler counters plus the job totals summed over
+  /// tenant_stats(); makespan is the latest tenant last_completion.
+  sim::SchedStats stats() const;
   const sim::TenantStats& tenant_stats(unsigned t) const {
     return tenant_stats_[t];
   }
@@ -141,28 +144,43 @@ class Scheduler final : public crt::KernelExecutor::Client,
   const sim::OpStallBreakdown& tenant_stalls(unsigned t) const {
     return tenant_stall_[t];
   }
+  /// The outcome log: every resolved job — completed, shed or failed — in
+  /// resolution order, recorded once. The views below filter it.
+  const std::vector<JobReport>& outcomes() const { return outcomes_; }
   /// Completed jobs in completion order.
-  const std::vector<JobReport>& completed() const { return completed_; }
+  std::vector<JobReport> completed() const {
+    return outcomes_if(
+        [](const JobReport& r) { return !r.dropped && !r.failed; });
+  }
   /// Jobs shed on deadline expiry (JobSpec::shed_on_expiry), in drop order.
-  const std::vector<JobReport>& shed() const { return shed_; }
+  std::vector<JobReport> shed() const {
+    return outcomes_if([](const JobReport& r) { return r.dropped; });
+  }
   /// Jobs failed on retry exhaustion (src/fault/), in failure order.
-  const std::vector<JobReport>& failed() const { return failed_; }
+  std::vector<JobReport> failed() const {
+    return outcomes_if([](const JobReport& r) { return r.failed; });
+  }
 
-  /// Wire the scheduler into the System's telemetry: SchedStats fields
-  /// become `sched.*` registry views, job latencies are recorded into
-  /// `sched.job_latency` / `sched.tenant<i>.job_latency` Series (the exact
-  /// sample sets behind completed()), and every resolved job lands in the
-  /// flight recorder. Either pointer may be null.
-  void set_telemetry(telemetry::Registry* reg,
-                     telemetry::FlightRecorder* flight);
+  /// Jobs per tenant the flight recorder view keeps.
+  static constexpr std::size_t kFlightDepth = 64;
+  /// Flight recorder: the last kFlightDepth outcomes of `tenant`, oldest
+  /// first — "what happened to tenant T's recent jobs" when its tail
+  /// latency spikes.
+  std::vector<JobReport> recent(unsigned tenant) const;
+
+  /// Wire the scheduler into the System's metrics registry: SchedStats
+  /// fields become `sched.*` registry views, and completed-job latencies
+  /// are recorded into `sched.job_latency` / `sched.tenant<i>.job_latency`
+  /// Series (the exact sample sets behind completed()).
+  void set_telemetry(telemetry::Registry* reg);
 
   /// Record one telemetry::OpTiming per retired op into `log` (owned by the
   /// System). The log is consulted only at completion events and only when
   /// enabled, so critical-path capture never perturbs simulated timing.
   void set_op_log(telemetry::OpLog* log) { op_log_ = log; }
 
-  /// Observer invoked once per resolved job (completed or dropped), after
-  /// its report is recorded and before the dispatch scan — the hook
+  /// Observer invoked once per resolved job (completed, shed or failed),
+  /// after its report is recorded and before the dispatch scan — the hook
   /// closed-loop load generators use to submit the next request. The
   /// callback may submit (directly or through qos::AdmissionController);
   /// it must not call drain().
@@ -219,8 +237,7 @@ class Scheduler final : public crt::KernelExecutor::Client,
     unsigned ops_left = 0;
     bool dispatched_any = false;
     bool shed_on_expiry = false;
-    bool dropped = false;
-    bool failed = false;      // retry exhaustion (implies dropped handling)
+    bool dropped = false;     // shed or failed: in-flight ops wake no waiters
     unsigned retries = 0;     // op re-dispatches across this job
     unsigned failovers = 0;   // retries that landed on another instance
     std::vector<OpState> ops;
@@ -259,7 +276,22 @@ class Scheduler final : public crt::KernelExecutor::Client,
   void op_ready(std::uint32_t job_idx, unsigned op_idx, Cycle t);
   /// Drop every queued job whose deadline expired (shed_on_expiry only).
   void shed_expired(Cycle t);
-  void drop_job(std::uint32_t job_idx, Cycle t);
+  /// How a job left the scheduler.
+  enum class Outcome : std::uint8_t { kCompleted, kShed, kFailed };
+  /// Resolve an open job as shed (deadline expiry) or failed (retry
+  /// exhaustion): queued ops are cancelled, in-flight ones run out without
+  /// waking waiters.
+  void cancel_job(std::uint32_t job_idx, Cycle t, Outcome outcome);
+  /// The one place a job is recorded as resolved: tenant totals, the
+  /// outcome log, the latency Series, the job span and on_job_done.
+  void resolve_job(std::uint32_t job_idx, Cycle t, Outcome outcome);
+  template <typename Pred>
+  std::vector<JobReport> outcomes_if(Pred keep) const {
+    std::vector<JobReport> out;
+    std::copy_if(outcomes_.begin(), outcomes_.end(), std::back_inserter(out),
+                 keep);
+    return out;
+  }
   /// Fill every idle instance from its ready queue (policy + hazard check).
   void try_dispatch(Cycle t);
   void dispatch(unsigned inst, const ReadyEntry& e, Cycle t);
@@ -287,9 +319,6 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// (idempotent — AT registration and operand reload re-run at dispatch).
   void requeue_op(std::uint32_t job_idx, unsigned op_idx, unsigned prev_inst,
                   Cycle t);
-  /// Retry exhaustion: resolve the job as failed (dropped-style handling —
-  /// in-flight siblings complete without waking waiters).
-  void fail_job(std::uint32_t job_idx, Cycle t);
   /// Record an op outcome for `inst`'s health; `ok` resets the
   /// consecutive-failure count, a failure may quarantine.
   void note_op_outcome(unsigned inst, bool ok, Cycle t);
@@ -323,14 +352,11 @@ class Scheduler final : public crt::KernelExecutor::Client,
   sim::OpStallBreakdown stall_totals_{};
   telemetry::OpLog* op_log_ = nullptr;
   std::vector<JobState> jobs_;
-  std::vector<JobReport> completed_;
-  std::vector<JobReport> shed_;
-  std::vector<JobReport> failed_;
+  std::vector<JobReport> outcomes_;
   std::function<void(const JobReport&)> on_job_done_;
-  sim::SchedStats stats_;
+  sim::SchedCounters counters_;
 
   telemetry::Registry* metrics_ = nullptr;
-  telemetry::FlightRecorder* flight_ = nullptr;
   // Series live in the registry's node-stable map; cached pointers keep the
   // per-completion hot path to one indexed load.
   telemetry::Series* latency_all_ = nullptr;

@@ -204,29 +204,37 @@ struct TenantStats {
   }
 };
 
-/// Global kernel-offload scheduler statistics.
-struct SchedStats {
-  std::uint64_t jobs_submitted = 0;
-  std::uint64_t jobs_completed = 0;
+/// Counters of the kernel-offload scheduler that no tenant owns — the part
+/// of SchedStats the scheduler stores.
+struct SchedCounters {
   std::uint64_t ops_dispatched = 0;
+  /// Ops that finished successfully, including those of jobs shed while
+  /// the op ran (TenantStats::ops_completed leaves those out).
   std::uint64_t ops_completed = 0;
   /// Idle-instance dispatch scans in which every queued op was held back by
   /// an operand-range overlap — with an in-flight kernel or with an older
   /// conflicting queued op (one count per instance per scan, not per
   /// delayed op).
   std::uint64_t hazard_deferrals = 0;
-  std::uint64_t jobs_dropped = 0;     // shed on deadline expiry (src/qos/)
-  std::uint64_t deadline_misses = 0;  // jobs completed after their deadline
   std::uint64_t ops_cancelled = 0;    // undispatched ops of dropped jobs
   // Failure handling (src/fault/) — all zero when no fault plan is active.
-  std::uint64_t jobs_failed = 0;      // dropped after retry exhaustion
-  std::uint64_t retries = 0;          // op re-dispatches after a failure
-  std::uint64_t failovers = 0;        // retries landing on another instance
   std::uint64_t watchdog_fires = 0;   // hung ops aborted by the watchdog
   std::uint64_t quarantines = 0;      // instances quarantined for failures
-  Cycle total_queue_wait = 0;          // sum over ops of (dispatch - ready)
-  Cycle makespan = 0;                  // completion time of the last job
   std::vector<Cycle> instance_occupied;  // dispatch->finish time per instance
+};
+
+/// Global kernel-offload scheduler statistics: the stored counters plus
+/// totals derived from the TenantStats when Scheduler::stats() is read.
+struct SchedStats : SchedCounters {
+  std::uint64_t jobs_submitted = 0;
+  std::uint64_t jobs_completed = 0;
+  std::uint64_t jobs_dropped = 0;     // shed on deadline expiry (src/qos/)
+  std::uint64_t jobs_failed = 0;      // dropped after retry exhaustion
+  std::uint64_t deadline_misses = 0;  // jobs completed after their deadline
+  std::uint64_t retries = 0;          // op re-dispatches after a failure
+  std::uint64_t failovers = 0;        // retries landing on another instance
+  Cycle total_queue_wait = 0;         // sum over ops of (dispatch - ready)
+  Cycle makespan = 0;                 // max TenantStats::last_completion
 };
 
 /// Per-tenant accounting of the QoS admission controller (src/qos/): every

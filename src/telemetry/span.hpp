@@ -119,7 +119,10 @@ class SpanTracer {
   }
 
  private:
-  void push(const SpanEvent& e) {
+  // Out of line: inlined into a caller that fixed the capacity, GCC 12
+  // reports a false -Wstringop-overflow on push_back's (never taken,
+  // enable() reserved capacity_) reallocation path.
+  [[gnu::noinline]] void push(const SpanEvent& e) {
     if (events_.size() >= capacity_) {
       ++dropped_;
       return;

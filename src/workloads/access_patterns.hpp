@@ -8,7 +8,7 @@
 // workloads:
 //
 //  * sequential_scan   — one-shot sweep, no reuse. LRU pollutes the whole
-//                        cache; scan-resistant policies (ARC/CAR/LRU-K)
+//                        cache; scan-resistant policies (ARC/LRU-K)
 //                        should evict these lines first.
 //  * looping           — cyclic loop slightly larger than the cache, the
 //                        LRU worst case (hit rate ~0 when loop > capacity).

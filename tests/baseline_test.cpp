@@ -3,6 +3,8 @@
 // randomized shapes and data, and their relative performance must be sane.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "arcane/system.hpp"
 #include "baseline/runner.hpp"
 #include "baseline/scalar_kernels.hpp"
@@ -50,8 +52,9 @@ INSTANTIATE_TEST_SUITE_P(
         BaselineParam{33, 7, ElemType::kByte, baseline::Impl::kScalar}),
     [](const auto& info) {
       const auto& p = info.param;
-      return "s" + std::to_string(p.size) + "k" + std::to_string(p.k) +
-             elem_suffix(p.et);
+      std::ostringstream name;
+      name << "s" << p.size << "k" << p.k << elem_suffix(p.et);
+      return name.str();
     });
 
 INSTANTIATE_TEST_SUITE_P(
@@ -69,8 +72,9 @@ INSTANTIATE_TEST_SUITE_P(
         BaselineParam{24, 7, ElemType::kWord, baseline::Impl::kPulp}),
     [](const auto& info) {
       const auto& p = info.param;
-      return "s" + std::to_string(p.size) + "k" + std::to_string(p.k) +
-             elem_suffix(p.et);
+      std::ostringstream name;
+      name << "s" << p.size << "k" << p.k << elem_suffix(p.et);
+      return name.str();
     });
 
 TEST(BaselineTest, PulpFasterThanScalar) {

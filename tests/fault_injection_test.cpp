@@ -240,7 +240,7 @@ TEST(FaultRetryTest, ExhaustionFailsTheJobWithoutHanging) {
   sch.drain();  // must terminate
 
   ASSERT_EQ(sch.failed().size(), 1u);
-  const sched::JobReport& rep = sch.failed()[0];
+  const sched::JobReport rep = sch.failed()[0];
   EXPECT_TRUE(rep.failed);
   EXPECT_FALSE(rep.dropped);
   EXPECT_FALSE(rep.on_time());

@@ -1,6 +1,8 @@
 // Conv2D (xmk3) and Conv Layer (xmk4) kernel property sweeps.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
 #include "workloads/golden.hpp"
@@ -67,8 +69,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvParam{13, 17, 11, ElemType::kWord}),  // big filter
     [](const auto& info) {
       const auto& p = info.param;
-      return "h" + std::to_string(p.h) + "w" + std::to_string(p.w) + "k" +
-             std::to_string(p.k) + elem_suffix(p.et);
+      std::ostringstream name;
+      name << "h" << p.h << "w" << p.w << "k" << p.k << elem_suffix(p.et);
+      return name.str();
     });
 
 template <typename T>
@@ -130,8 +133,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvParam{9, 64, 3, ElemType::kByte}),
     [](const auto& info) {
       const auto& p = info.param;
-      return "h" + std::to_string(p.h) + "w" + std::to_string(p.w) + "k" +
-             std::to_string(p.k) + elem_suffix(p.et);
+      std::ostringstream name;
+      name << "h" << p.h << "w" << p.w << "k" << p.k << elem_suffix(p.et);
+      return name.str();
     });
 
 TEST(ConvLayerKernelTest, NonTripleInputRejected) {

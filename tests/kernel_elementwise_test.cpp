@@ -1,6 +1,8 @@
 // LeakyReLU (xmk1) and MaxPool (xmk2) property sweeps.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
 #include "workloads/golden.hpp"
@@ -64,8 +66,10 @@ INSTANTIATE_TEST_SUITE_P(
                       EwParam{7, 3, 1, ElemType::kByte}),
     [](const auto& info) {
       const auto& p = info.param;
-      return "r" + std::to_string(p.rows) + "c" + std::to_string(p.cols) +
-             "a" + std::to_string(p.alpha) + elem_suffix(p.et);
+      std::ostringstream name;
+      name << "r" << p.rows << "c" << p.cols << "a" << p.alpha
+           << elem_suffix(p.et);
+      return name.str();
     });
 
 TEST(LreluKernelTest, ShiftExceedingWidthRejected) {
@@ -132,9 +136,10 @@ INSTANTIATE_TEST_SUITE_P(
                       PoolParam{6, 6, 6, 1, ElemType::kWord}),  // win == size
     [](const auto& info) {
       const auto& p = info.param;
-      return "r" + std::to_string(p.rows) + "c" + std::to_string(p.cols) +
-             "w" + std::to_string(p.win) + "s" + std::to_string(p.stride) +
-             elem_suffix(p.et);
+      std::ostringstream name;
+      name << "r" << p.rows << "c" << p.cols << "w" << p.win << "s"
+           << p.stride << elem_suffix(p.et);
+      return name.str();
     });
 
 TEST(PoolKernelTest, WindowLargerThanInputRejected) {

@@ -1,6 +1,8 @@
 // GeMM kernel (xmk0) property tests across shapes, dtypes and alpha/beta.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
 #include "workloads/golden.hpp"
@@ -80,9 +82,10 @@ INSTANTIATE_TEST_SUITE_P(
         GemmParam{3, 3, 256, 1, 1, ElemType::kWord, 12}),  // N == cap
     [](const auto& info) {
       const auto& p = info.param;
-      return "m" + std::to_string(p.m) + "k" + std::to_string(p.k) + "n" +
-             std::to_string(p.n) + elem_suffix(p.et) + "s" +
-             std::to_string(p.seed);
+      std::ostringstream name;
+      name << "m" << p.m << "k" << p.k << "n" << p.n << elem_suffix(p.et)
+           << "s" << p.seed;
+      return name.str();
     });
 
 TEST(GemmKernelTest, ColumnTilingBeyondVlen) {

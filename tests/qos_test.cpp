@@ -229,7 +229,7 @@ TEST(QosPriorityTest, HighPriorityP99AtMostFifoP99UnderOverdrive) {
       spec.token_burst = 1;
       spec.token_period = 16000;
       spec.deadline = 60000;
-      adm.add_tenant("t" + std::to_string(t), spec);
+      adm.add_tenant(std::string("t").append(std::to_string(t)), spec);
     }
     offer_pipeline_jobs(sys, adm, 4, 16, 6000);
     adm.drain();

@@ -349,97 +349,6 @@ class RefArc final : public RefModel {
   double p_ = 0.0;
 };
 
-/// CAR per Bansal & Modha's FAST'04 pseudocode: T1/T2 are clocks (front =
-/// hand, back = insert), hits only set the reference bit, p adapts on
-/// ghost hits after the REPLACE step.
-class RefCar final : public RefModel {
- public:
-  explicit RefCar(unsigned n) : RefModel(n) {}
-
-  Step access(Addr x) override {
-    if (set_ref(t1_, x) || set_ref(t2_, x)) return {true, lookup(x)};
-    int f = first_free();
-    const bool ghost_hit = contains(b1_, x) || contains(b2_, x);
-    if (f < 0) {
-      f = replace();
-      if (!ghost_hit) {
-        if (t1_.size() + b1_.size() == n_ && !b1_.empty()) {
-          b1_.pop_back();
-        } else if (t1_.size() + t2_.size() + b1_.size() + b2_.size() ==
-                   2 * n_) {
-          b2_.pop_back();
-        }
-      }
-    }
-    // Insert (p adapts here, with the post-REPLACE list sizes).
-    if (ghost_hit) {
-      const double b1 = static_cast<double>(b1_.size());
-      const double b2 = static_cast<double>(b2_.size());
-      if (erase(b1_, x)) {
-        p_ = std::min(p_ + std::max(1.0, b2 / b1), static_cast<double>(n_));
-      } else {
-        erase(b2_, x);
-        p_ = std::max(p_ - std::max(1.0, b1 / b2), 0.0);
-      }
-      t2_.push_back({x, 0});
-    } else {
-      t1_.push_back({x, 0});
-    }
-    tags_[f] = x;
-    frame_[x] = f;
-    return {false, f};
-  }
-
- private:
-  struct Page {
-    Addr addr;
-    std::uint8_t ref;
-  };
-
-  static bool set_ref(std::deque<Page>& l, Addr x) {
-    for (Page& p : l) {
-      if (p.addr == x) {
-        p.ref = 1;
-        return true;
-      }
-    }
-    return false;
-  }
-  static bool contains(const std::deque<Addr>& l, Addr x) {
-    return std::find(l.begin(), l.end(), x) != l.end();
-  }
-  static bool erase(std::deque<Addr>& l, Addr x) {
-    const auto it = std::find(l.begin(), l.end(), x);
-    if (it == l.end()) return false;
-    l.erase(it);
-    return true;
-  }
-
-  int replace() {
-    for (;;) {
-      const bool use_t1 =
-          (!t1_.empty() &&
-           static_cast<double>(t1_.size()) >= std::max(1.0, p_)) ||
-          t2_.empty();
-      std::deque<Page>& clock = use_t1 ? t1_ : t2_;
-      const Page page = clock.front();
-      clock.pop_front();
-      if (page.ref == 0) {
-        (use_t1 ? b1_ : b2_).push_front(page.addr);
-        const int f = frame_.at(page.addr);
-        frame_.erase(page.addr);
-        return f;
-      }
-      t2_.push_back({page.addr, 0});  // T1: promotion; T2: second chance
-    }
-  }
-
-  std::deque<Page> t1_, t2_;
-  std::deque<Addr> b1_, b2_;
-  std::map<Addr, int> frame_;
-  double p_ = 0.0;
-};
-
 std::unique_ptr<RefModel> make_model(ReplacementPolicy pol,
                                      const SystemConfig& cfg) {
   const unsigned n = cfg.llc.num_lines();
@@ -451,7 +360,6 @@ std::unique_ptr<RefModel> make_model(ReplacementPolicy pol,
     case ReplacementPolicy::kClock: return std::make_unique<RefClock>(n);
     case ReplacementPolicy::kLruK: return std::make_unique<RefLruK>(n);
     case ReplacementPolicy::kArc: return std::make_unique<RefArc>(n);
-    case ReplacementPolicy::kCar: return std::make_unique<RefCar>(n);
   }
   return nullptr;
 }
@@ -542,12 +450,12 @@ TEST_P(ReplacementDifferentialTest, SequentialScan) {
 
 TEST_P(ReplacementDifferentialTest, LoopPattern) {
   // Cyclic loop at 1.25x capacity — the LRU pathological case, and the
-  // CLOCK/CAR hand-rotation stress.
+  // CLOCK hand-rotation stress.
   run_differential(GetParam(), workloads::looping(160, 30, 1024), "loop");
 }
 
 TEST_P(ReplacementDifferentialTest, WorkloadShift) {
-  // Hot set jumps mid-trace; exercises the ARC/CAR ghost adaptation hard.
+  // Hot set jumps mid-trace; exercises the ARC ghost adaptation hard.
   run_differential(
       GetParam(),
       workloads::workload_shift(4000, 96, 70, 1024, 1024,
@@ -617,8 +525,7 @@ TEST(ReplacementScenarioTest, AdaptivePoliciesAtLeastMatchLruOnLoop) {
   const std::vector<std::size_t> cuts = {trace.size()};
   const auto lru = segment_hits(ReplacementPolicy::kTrueLru, trace, cuts)[0];
   for (ReplacementPolicy pol :
-       {ReplacementPolicy::kArc, ReplacementPolicy::kCar,
-        ReplacementPolicy::kLruK}) {
+       {ReplacementPolicy::kArc, ReplacementPolicy::kLruK}) {
     EXPECT_GE(segment_hits(pol, trace, cuts)[0], lru)
         << replacement_name(pol);
   }

@@ -1,13 +1,16 @@
 // Multi-tenant kernel-offload scheduler tests: DAG validation, dependency
 // ordering under contention, buffer-reuse ordering across jobs,
-// determinism, tenant fairness, cross-backend functional equivalence and
-// multi-instance throughput scaling.
+// determinism, tenant fairness, cross-backend functional equivalence,
+// multi-instance throughput scaling, and the outcome log behind every
+// per-job view.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
+#include "bench_json.hpp"
 #include "isa/xmnmc.hpp"
 #include "sched/job.hpp"
 #include "sched/pipelines.hpp"
@@ -439,6 +442,157 @@ TEST(SchedScalingTest, FourInstancesAtLeastTwiceOneInstance) {
   // requests/sec ratio == makespan ratio for a fixed job count.
   EXPECT_GE(one, 2 * four) << "1-instance " << one << " vs 4-instance "
                            << four;
+}
+
+// One seeded serving run that resolves jobs every way a job can resolve:
+// four tenants under QoS drop-on-expiry, transient errors that retry and
+// fail over, a burst that exhausts the retries, and an instance fail-stop.
+// The outcome log is the scheduler's one record of resolved jobs; the job
+// totals, the flight recorder and the latency percentiles are views of it.
+TEST(SchedOutcomeLogTest, SeededRunViewsAgreeWithTheLog) {
+  constexpr unsigned kTenants = 4;
+  constexpr unsigned kJobsPerTenant = 72;  // > kFlightDepth: ring wraps
+  constexpr Cycle kPeriod = 33000;         // per tenant: a mild overload
+  SystemConfig cfg = sched_config(MemBackendKind::kBurstPsram, 3);
+  cfg.qos.enabled = true;
+  cfg.qos.deadline = 60000;
+  cfg.qos.deadline_policy = DeadlinePolicy::kDropOnExpiry;
+  cfg.fault.enabled = true;
+  cfg.fault.max_retries = 1;
+  cfg.fault.retry_backoff = 64;
+  Rng rng(0x0C7C0E);
+  auto fault = [&](FaultKind kind, unsigned instance) {
+    FaultEvent e;
+    e.kind = kind;
+    e.at = static_cast<Cycle>(rng.uniform(0, kJobsPerTenant * kPeriod / 2));
+    e.instance = instance;
+    return e;
+  };
+  for (unsigned i = 0; i < 6; ++i) {
+    cfg.fault.events.push_back(fault(FaultKind::kTransientError, i % 3));
+  }
+  // Three errors armed on every instance at once: an op that fails and
+  // fails over meets a second error and exhausts max_retries.
+  const FaultEvent burst = fault(FaultKind::kTransientError, 0);
+  for (unsigned i = 0; i < 9; ++i) {
+    cfg.fault.events.push_back(burst);
+    cfg.fault.events.back().instance = i % 3;
+  }
+  FaultEvent stop = fault(FaultKind::kInstanceFailStop, 2);
+  stop.recover_at = stop.at + 20 * kPeriod;
+  cfg.fault.events.push_back(stop);
+  System sys(cfg);
+  auto& adm = sys.admission();
+  auto& sch = sys.scheduler();
+  for (unsigned t = 0; t < kTenants; ++t) {
+    adm.add_tenant(std::string("t").append(std::to_string(t)));
+  }
+  for (unsigned j = 0; j < kJobsPerTenant; ++j) {
+    for (unsigned t = 0; t < kTenants; ++t) {
+      // Slots are reused (outputs are not checked here); the hazard checks
+      // order jobs that share one.
+      const PipelineSlot slot(sys.data_base() + 0x10000 +
+                              ((j * kTenants + t) % 128) * 0x8000);
+      sched::place_pipeline_data(sys, slot, sched::random_pipeline_data(rng));
+      const auto jitter = static_cast<Cycle>(rng.uniform(0, kPeriod / 2));
+      adm.submit(t, sched::pipeline_job(slot), j * kPeriod + jitter);
+    }
+  }
+  adm.drain();
+
+  // 1. Every submitted job is in the log exactly once, as completed, shed
+  //    or failed — and the run produced all three.
+  const std::vector<sched::JobReport>& log = sch.outcomes();
+  const sim::SchedStats stats = sch.stats();
+  std::vector<std::uint64_t> ids;
+  for (const sched::JobReport& r : log) {
+    EXPECT_FALSE(r.dropped && r.failed) << "job " << r.id;
+    ids.push_back(r.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  ASSERT_EQ(ids.size(), stats.jobs_submitted);
+  for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i + 1);
+  EXPECT_GT(sch.completed().size(), 0u);
+  EXPECT_GT(sch.shed().size(), 0u);
+  EXPECT_GT(sch.failed().size(), 0u);
+  EXPECT_EQ(sch.completed().size() + sch.shed().size() + sch.failed().size(),
+            log.size());
+  EXPECT_GT(stats.failovers, 0u);
+  EXPECT_EQ(stats.quarantines, 1u);
+
+  // 2. Each stats() total is its tenant sum (and agrees with the log).
+  sim::SchedStats sum;
+  std::uint64_t log_retries = 0;
+  for (const sched::JobReport& r : log) log_retries += r.retries;
+  for (unsigned t = 0; t < kTenants; ++t) {
+    const sim::TenantStats& ts = sch.tenant_stats(t);
+    sum.jobs_submitted += ts.jobs_submitted;
+    sum.jobs_completed += ts.jobs_completed;
+    sum.jobs_dropped += ts.jobs_dropped;
+    sum.jobs_failed += ts.jobs_failed;
+    sum.deadline_misses += ts.deadline_misses;
+    sum.retries += ts.retries;
+    sum.failovers += ts.failovers;
+    sum.total_queue_wait += ts.total_queue_wait;
+    sum.makespan = std::max(sum.makespan, ts.last_completion);
+  }
+  EXPECT_EQ(stats.jobs_submitted, sum.jobs_submitted);
+  EXPECT_EQ(stats.jobs_completed, sum.jobs_completed);
+  EXPECT_EQ(stats.jobs_dropped, sum.jobs_dropped);
+  EXPECT_EQ(stats.jobs_failed, sum.jobs_failed);
+  EXPECT_EQ(stats.deadline_misses, sum.deadline_misses);
+  EXPECT_EQ(stats.retries, sum.retries);
+  EXPECT_EQ(stats.failovers, sum.failovers);
+  EXPECT_EQ(stats.total_queue_wait, sum.total_queue_wait);
+  EXPECT_EQ(stats.makespan, sum.makespan);
+  EXPECT_EQ(stats.jobs_completed, sch.completed().size());
+  EXPECT_EQ(stats.jobs_dropped, sch.shed().size());
+  EXPECT_EQ(stats.jobs_failed, sch.failed().size());
+  EXPECT_EQ(stats.retries, log_retries);
+
+  // 3. The flight view of each tenant is its last <= kFlightDepth entries.
+  bool wrapped = false;
+  for (unsigned t = 0; t < kTenants; ++t) {
+    std::vector<sched::JobReport> mine;
+    for (const sched::JobReport& r : log) {
+      if (r.tenant == t) mine.push_back(r);
+    }
+    wrapped = wrapped || mine.size() > sched::Scheduler::kFlightDepth;
+    const std::size_t keep =
+        std::min(mine.size(), sched::Scheduler::kFlightDepth);
+    const std::vector<sched::JobReport> recent = sch.recent(t);
+    ASSERT_EQ(recent.size(), keep) << "tenant " << t;
+    for (std::size_t i = 0; i < keep; ++i) {
+      const sched::JobReport& want = mine[mine.size() - keep + i];
+      EXPECT_EQ(recent[i].id, want.id);
+      EXPECT_EQ(recent[i].done, want.done);
+    }
+  }
+  EXPECT_TRUE(wrapped);
+
+  // 4. Registry percentiles equal the bench rule over completed() latencies.
+  auto sorted_latencies = [&](int tenant) {
+    std::vector<Cycle> v;
+    for (const sched::JobReport& r : sch.completed()) {
+      if (tenant < 0 || r.tenant == static_cast<unsigned>(tenant)) {
+        v.push_back(r.latency());
+      }
+    }
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  auto expect_series = [&](const std::string& name, int tenant) {
+    const telemetry::Series* s = sys.metrics().find_series(name);
+    ASSERT_NE(s, nullptr) << name;
+    const std::vector<Cycle> v = sorted_latencies(tenant);
+    EXPECT_EQ(s->p50(), benchjson::percentile(v, 0.50)) << name;
+    EXPECT_EQ(s->p99(), benchjson::percentile(v, 0.99)) << name;
+  };
+  expect_series("sched.job_latency", -1);
+  for (unsigned t = 0; t < kTenants; ++t) {
+    expect_series("sched.tenant" + std::to_string(t) + ".job_latency",
+                  static_cast<int>(t));
+  }
 }
 
 }  // namespace

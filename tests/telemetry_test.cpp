@@ -1,6 +1,7 @@
 // Telemetry layer: histogram bucket math, exact Series percentiles,
-// registry determinism, flight-recorder ring bounds, and the Perfetto
-// exporter's structural validity.
+// registry determinism, and the Perfetto exporter's structural validity.
+// The flight recorder is a view of the scheduler's outcome log, covered in
+// sched_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,6 @@
 
 #include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
-#include "telemetry/flight.hpp"
 #include "telemetry/perfetto.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
@@ -21,9 +21,7 @@
 namespace arcane {
 namespace {
 
-using telemetry::FlightRecorder;
 using telemetry::Histogram;
-using telemetry::JobRecord;
 using telemetry::Registry;
 using telemetry::Series;
 using telemetry::SpanTracer;
@@ -171,28 +169,6 @@ TEST(TelemetryTest, RegistryDumpIsDeterministic) {
   EXPECT_EQ(a, b);  // identical runs -> byte-identical metric dumps
 }
 
-TEST(TelemetryTest, FlightRecorderRingKeepsMostRecent) {
-  FlightRecorder fr(/*per_tenant_capacity=*/2);
-  for (std::uint64_t id = 1; id <= 5; ++id) {
-    JobRecord r;
-    r.job_id = id;
-    r.tenant = 0;
-    r.arrival = id * 10;
-    r.done = id * 10 + 5;
-    r.dropped = (id == 4);
-    fr.record(r);
-  }
-  EXPECT_EQ(fr.tenants(), 1u);
-  EXPECT_EQ(fr.total(0), 5u);
-  const auto recent = fr.recent(0);
-  ASSERT_EQ(recent.size(), 2u);  // bounded by capacity
-  EXPECT_EQ(recent[0].job_id, 4u);  // oldest retained first
-  EXPECT_EQ(recent[1].job_id, 5u);
-  EXPECT_TRUE(recent[0].dropped);
-  EXPECT_EQ(recent[1].latency(), 5u);
-  EXPECT_TRUE(fr.recent(7).empty());  // unknown tenant -> empty, no throw
-}
-
 // Minimal structural JSON check: quotes respected, braces/brackets balance,
 // and the document is a single object. Not a full parser, but enough to
 // catch unescaped strings, trailing commas at the container level, and
@@ -286,42 +262,6 @@ TEST(TelemetryTest, RegistryJsonEscapesHostileNames) {
   // (the dump's own pretty-printing newlines are outside strings).
   EXPECT_EQ(text.find("multi\nline"), std::string::npos);
   EXPECT_EQ(text.find('\t'), std::string::npos);
-}
-
-// Ring wraparound under interleaved completions and drops, across several
-// laps: retention stays bounded, order stays oldest-first, the dropped
-// flags of the survivors are exact, and the JSON view matches.
-TEST(TelemetryTest, FlightRecorderWraparoundPreservesOrderAndDrops) {
-  FlightRecorder fr(/*per_tenant_capacity=*/4);
-  for (std::uint64_t id = 1; id <= 11; ++id) {
-    JobRecord r;
-    r.job_id = id;
-    r.tenant = static_cast<std::int32_t>(id % 2);
-    r.arrival = id * 100;
-    r.done = id * 100 + 7;
-    r.dropped = (id % 3 == 0);  // 3, 6, 9 shed
-    fr.record(r);
-  }
-  // Tenant 0 saw 2,4,6,8,10; tenant 1 saw 1,3,5,7,9,11.
-  EXPECT_EQ(fr.total(0), 5u);
-  EXPECT_EQ(fr.total(1), 6u);
-  const auto t0 = fr.recent(0);
-  const auto t1 = fr.recent(1);
-  ASSERT_EQ(t0.size(), 4u);
-  ASSERT_EQ(t1.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(t0[i].job_id, 4u + 2 * i);       // 4, 6, 8, 10
-    EXPECT_EQ(t1[i].job_id, 5u + 2 * i);       // 5, 7, 9, 11
-    EXPECT_EQ(t0[i].dropped, t0[i].job_id % 3 == 0);
-    EXPECT_EQ(t1[i].dropped, t1[i].job_id % 3 == 0);
-    EXPECT_EQ(t0[i].latency(), 7u);
-  }
-  std::ostringstream os;
-  fr.write_json(os);
-  expect_balanced_json(os.str());
-  // Job 2 wrapped out of tenant 0's ring; job 10 survived.
-  EXPECT_EQ(os.str().find("{\"job\": 2,"), std::string::npos);
-  EXPECT_NE(os.str().find("{\"job\": 10,"), std::string::npos);
 }
 
 // The histogram's percentile (upper bound of the rank's power-of-two
