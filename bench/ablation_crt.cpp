@@ -185,8 +185,7 @@ int main(int argc, char** argv) {
                     "lines accumulate from each write-back):\n");
       }
       for (auto pol :
-           {VpuSelectPolicy::kFewestDirty, VpuSelectPolicy::kRoundRobin,
-            VpuSelectPolicy::kFixed}) {
+           {VpuSelectPolicy::kFewestDirty, VpuSelectPolicy::kRoundRobin}) {
         SystemConfig cfg = base_cfg();
         cfg.vpu_select = pol;
         const benchjson::WallTimer timer;
@@ -211,9 +210,7 @@ int main(int argc, char** argv) {
         const auto res = sys.run();
         const char* name = pol == VpuSelectPolicy::kFewestDirty
                                ? "fewest-dirty"
-                               : pol == VpuSelectPolicy::kRoundRobin
-                                     ? "round-robin"
-                                     : "fixed-vpu0";
+                               : "round-robin";
         benchjson::add_stall_fields(
             report.row()
                 .str("case", std::string("vpu_select=") + name)

@@ -26,8 +26,8 @@ the total absolute stall movement; rows whose stall fields did not move
 (host-only or analytic benches) are labelled as not stall-driven.
 
 With --metrics both runs' `--metrics-out` documents can be diffed too:
-matching runs ("runs"[].run) get their `sched.stall.*` / `crt.stall.*` /
-per-tenant counters compared the same way.
+matching runs ("runs"[].run) get their `sched.stall.*` / per-tenant
+counters compared the same way.
 
 `--self-test` builds a synthetic artifact pair with a known injected
 memory-stall regression and exits nonzero unless the report attributes

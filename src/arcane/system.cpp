@@ -24,7 +24,7 @@ System::System(SystemConfig cfg, crt::KernelLibrary library) : cfg_(cfg) {
   sched_ = std::make_unique<sched::Scheduler>(*runtime_);
   qos_ = std::make_unique<qos::AdmissionController>(*sched_, events_,
                                                     cfg_.qos);
-  bridge_ = std::make_unique<bridge::Bridge>(cfg_, *runtime_);
+  bridge_ = std::make_unique<bridge::Bridge>(cfg_, *runtime_, *sched_);
   host_ = std::make_unique<cpu::HostCpu>(cfg_, *imem_, *this, bridge_.get());
   llc_->set_spans(&spans_);
   runtime_->set_spans(&spans_);
@@ -83,13 +83,15 @@ cpu::HostCpu::RunResult System::run_unchecked(std::uint64_t max_instructions) {
 void System::drain() { events_.run_all(); }
 
 void System::write_bytes(Addr addr, std::span<const std::uint8_t> data) {
-  runtime_->materialize_range(addr, static_cast<std::uint32_t>(data.size()));
+  sched_->materialize_deferred(
+      addr, addr + static_cast<std::uint32_t>(data.size()));
   llc_->backdoor_write(addr, data.data(),
                        static_cast<std::uint32_t>(data.size()));
 }
 
 void System::read_bytes(Addr addr, std::span<std::uint8_t> out) {
-  runtime_->materialize_range(addr, static_cast<std::uint32_t>(out.size()));
+  sched_->materialize_deferred(
+      addr, addr + static_cast<std::uint32_t>(out.size()));
   llc_->backdoor_read(addr, out.data(), static_cast<std::uint32_t>(out.size()));
 }
 

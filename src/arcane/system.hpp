@@ -92,10 +92,12 @@ class System final : public cpu::DataPort {
   cpu::HostCpu& host() { return *host_; }
   llc::Llc& llc() { return *llc_; }
   crt::Runtime& runtime() { return *runtime_; }
-  /// Multi-tenant kernel-offload scheduler driving one crt::KernelExecutor
-  /// per VPU instance (cfg.sched_instances / cfg.sched_policy). Shares the
-  /// Runtime's eCPU, DMA and LLC arbitration; jobs submitted here execute
-  /// concurrently across instances in simulated time.
+  /// Kernel-offload scheduler, the one owner of crt::KernelExecutor: one
+  /// serving instance per VPU (cfg.sched_instances / cfg.sched_policy) for
+  /// submitted jobs, plus the host instance the bridge feeds with the host
+  /// program's offloads. Shares the Runtime's eCPU, DMA and LLC
+  /// arbitration; jobs execute concurrently across instances in simulated
+  /// time.
   sched::Scheduler& scheduler() { return *sched_; }
   /// QoS admission controller fronting the scheduler (cfg.qos): per-tenant
   /// queue caps, token-bucket rates, priority classes and SLO-deadline
@@ -122,13 +124,11 @@ class System final : public cpu::DataPort {
   /// default; op_log().enable() to record — capture never perturbs timing).
   telemetry::OpLog& op_log() { return op_log_; }
   const telemetry::OpLog& op_log() const { return op_log_; }
-  /// System-wide stall-bucket totals: scheduler-retired ops plus the legacy
-  /// single-kernel offload path. Each retired op contributes exactly its
-  /// lifetime cycles (docs/OBSERVABILITY.md, "Cycle accounting").
-  sim::OpStallBreakdown stall_totals() const {
-    sim::OpStallBreakdown b = sched_->stall_totals();
-    b += runtime_->stall_totals();
-    return b;
+  /// System-wide stall-bucket totals of every retired kernel, host
+  /// offloads included. Each contributes exactly its lifetime cycles
+  /// (docs/OBSERVABILITY.md, "Cycle accounting").
+  const sim::OpStallBreakdown& stall_totals() const {
+    return sched_->stall_totals();
   }
   std::vector<vpu::VectorUnit>& vpus() { return vpus_; }
   mem::MainMemory& external_memory() { return *ext_; }

@@ -45,8 +45,8 @@ std::uint32_t Bridge::mmio_read(std::uint32_t offset) const {
   switch (offset) {
     case kRegMagic: return 0x41524341u;
     case kRegStatus:
-      return (runtime_->idle() ? 0u : 1u) |
-             (runtime_->queue_occupancy() << 8);
+      return (queue_->kernels_busy() ? 1u : 0u) |
+             (queue_->queued_kernels() << 8);
     case kRegKernelCount:
       return static_cast<std::uint32_t>(runtime_->phases().kernels_executed);
     case kRegXmrCount:

@@ -4,9 +4,10 @@
 // the software decode outcome back to the host (accept => the host continues
 // out-of-order; reject => the host takes an illegal-instruction trap).
 //
-// The bridge also exposes the LLC subsystem's memory-mapped registers on the
-// second slave port (firmware/config access in the real system; status
-// introspection here).
+// The bridge connects the decoder to the kernel queue it feeds (the
+// scheduler's host instance). It also exposes the LLC subsystem's
+// memory-mapped registers on the second slave port (firmware/config access
+// in the real system; status introspection here).
 #ifndef ARCANE_BRIDGE_BRIDGE_HPP_
 #define ARCANE_BRIDGE_BRIDGE_HPP_
 
@@ -23,7 +24,7 @@ namespace arcane::bridge {
 /// MMIO register map (offsets from MemConfig::mmio_base).
 enum MmioReg : std::uint32_t {
   kRegMagic = 0x00,       // reads 0x41524341 ("ARCA")
-  kRegStatus = 0x04,      // bit0: busy, bits[15:8]: queue occupancy
+  kRegStatus = 0x04,      // bit0: busy, bits[15:8]: kernel queue occupancy
   kRegKernelCount = 0x08, // kernels executed
   kRegXmrCount = 0x0C,    // xmr instructions executed
   kRegOffloads = 0x10,    // total offloads sampled
@@ -32,8 +33,12 @@ enum MmioReg : std::uint32_t {
 
 class Bridge final : public cpu::Coprocessor {
  public:
-  Bridge(const SystemConfig& cfg, crt::Runtime& runtime)
-      : cfg_(cfg), runtime_(&runtime) {}
+  /// Connects `runtime`'s decoder to `queue`.
+  Bridge(const SystemConfig& cfg, crt::Runtime& runtime,
+         crt::KernelQueue& queue)
+      : cfg_(cfg), runtime_(&runtime), queue_(&queue) {
+    runtime.connect(queue);
+  }
 
   void set_spans(telemetry::SpanTracer* spans) { spans_ = spans; }
 
@@ -56,6 +61,7 @@ class Bridge final : public cpu::Coprocessor {
  private:
   SystemConfig cfg_;
   crt::Runtime* runtime_;
+  crt::KernelQueue* queue_;
   telemetry::SpanTracer* spans_ = nullptr;
   Cycle busy_until_ = 0;  // one in-flight offload at a time
   std::uint64_t offloads_ = 0;

@@ -40,7 +40,6 @@ enum class ReplacementPolicy : std::uint8_t {
 enum class VpuSelectPolicy : std::uint8_t {
   kFewestDirty = 0,  // paper policy
   kRoundRobin = 1,   // ablation
-  kFixed = 2,        // always VPU 0 (ablation / debugging)
 };
 
 /// Dispatch policies of the multi-tenant kernel-offload scheduler

@@ -42,7 +42,7 @@ void register_at_ranges(KernelOp& op, const Plan& plan,
 }
 
 void KernelExecutor::launch(KernelOp op, Plan plan, std::vector<unsigned> vpus,
-                            Cycle now) {
+                            Cycle now, bool hung) {
   ARCANE_ASSERT(!active_.valid, "launch on a busy executor");
   ARCANE_ASSERT(vpus.size() == plan.chains.size(),
                 "launch: one VPU per chain required");
@@ -50,7 +50,7 @@ void KernelExecutor::launch(KernelOp op, Plan plan, std::vector<unsigned> vpus,
   active_.op = std::move(op);
   active_.plan = std::move(plan);
   active_.valid = true;
-  ++ctx_->kernels_in_flight;
+  active_.hung = hung;
 
   if (ctx_->spans != nullptr) {
     for (unsigned v : vpus) {
@@ -60,6 +60,7 @@ void KernelExecutor::launch(KernelOp op, Plan plan, std::vector<unsigned> vpus,
                            /*arg=*/active_.op.func5);
     }
   }
+  if (hung) return;  // the kernel sits here until abort_hung()
   active_.chains.resize(active_.plan.chains.size());
   active_.chains_left = static_cast<unsigned>(active_.plan.chains.size());
   for (std::size_t i = 0; i < active_.plan.chains.size(); ++i) {
@@ -72,34 +73,12 @@ void KernelExecutor::launch(KernelOp op, Plan plan, std::vector<unsigned> vpus,
   }
 }
 
-void KernelExecutor::launch_hung(KernelOp op, Plan plan,
-                                 std::vector<unsigned> vpus, Cycle now) {
-  ARCANE_ASSERT(!active_.valid, "launch on a busy executor");
-  ARCANE_ASSERT(vpus.size() == plan.chains.size(),
-                "launch: one VPU per chain required");
-  active_ = ActiveKernel{};
-  active_.op = std::move(op);
-  active_.plan = std::move(plan);
-  active_.valid = true;
-  active_.hung = true;
-  ++ctx_->kernels_in_flight;
-  if (ctx_->spans != nullptr) {
-    for (unsigned v : vpus) {
-      ctx_->spans->instant(telemetry::track_vpu(v), "kernel.launch", now,
-                           /*tenant=*/-1,
-                           /*job=*/static_cast<std::int64_t>(active_.op.uid),
-                           /*arg=*/active_.op.func5);
-    }
-  }
-  // Intentionally no chain events: the kernel sits here until abort_hung().
-}
-
-void KernelExecutor::abort_hung(Cycle /*t*/) {
+KernelOp KernelExecutor::abort_hung() {
   ARCANE_ASSERT(active_.valid && active_.hung,
                 "abort_hung on an executor that is not hung");
+  KernelOp op = std::move(active_.op);
   active_ = ActiveKernel{};
-  ARCANE_ASSERT(ctx_->kernels_in_flight > 0, "in-flight kernel underflow");
-  --ctx_->kernels_in_flight;
+  return op;
 }
 
 void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
@@ -114,7 +93,7 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   const Cycle ecpu_start = ecpu;
   // Cycle accounting: [t, ecpu_start) is time this chain event spent
   // waiting for the shared eCPU (another executor or the decoder holds it).
-  sim::OpStallBreakdown& bd = active_.breakdown;
+  sim::OpStallBreakdown& bd = cs.breakdown;
   bd[sim::StallBucket::kDispatch] += ecpu_start - t;
 
   // ---------------- allocation (Matrix Allocator) ----------------
@@ -130,11 +109,12 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   }
   fwd_valid_.assign(cs.tile.loads.size(), 0);
   for (std::size_t i = 0; i < cs.tile.loads.size(); ++i) {
-    fwd_valid_[i] = client_->forward_load(cs.tile.loads[i], fwd_bufs_[i]);
+    fwd_valid_[i] =
+        client_->forward_load(*this, cs.tile.loads[i], fwd_bufs_[i]);
   }
 
   if (!cs.claimed) {
-    client_->before_claim(cs.vpu, t);
+    client_->before_claim(cs.vpu);
     dma::TransferCost claim_cost;
     for (std::uint8_t v : cs.chain.vregs_used) {
       claim_cost += ctx_->llc->claim_line(cs.vpu, v, op.uid);
@@ -249,7 +229,7 @@ void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
       active_.plan.chains.size() == 1 && cs.chain.tile_count == 1;
   if (single_tile_chain && cs.tile.stores.size() == 1 &&
       cs.tile.stores[0].vreg_step == 1 && cs.tile.stores[0].vreg_offset == 0 &&
-      client_->allow_writeback_elision(active_.plan.dest_lo,
+      client_->allow_writeback_elision(*this, active_.plan.dest_lo,
                                        active_.plan.dest_hi)) {
     active_.elided_writeback = true;
   }
@@ -279,7 +259,7 @@ void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
     // Cycle accounting: eCPU wait, then write-back programming, then the
     // DMA-engine wait, then the transfer. The transfer's external share
     // stays in `writeback` (it drains results, it does not refill operands).
-    sim::OpStallBreakdown& bd = active_.breakdown;
+    sim::OpStallBreakdown& bd = cs.breakdown;
     bd[sim::StallBucket::kDispatch] += ecpu_start - t;
     bd[sim::StallBucket::kWriteback] += ecpu - ecpu_start;
     bd[sim::StallBucket::kMemDma] += wb_start - ecpu;
@@ -302,15 +282,21 @@ void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
     return;
   }
 
-  active_.finish_time = std::max(active_.finish_time, wb_end);
+  if (wb_end >= active_.finish_time) {
+    active_.finish_time = wb_end;
+    active_.critical_chain = chain_idx;
+  }
   ARCANE_ASSERT(active_.chains_left > 0, "chain accounting underflow");
   if (--active_.chains_left == 0) {
     const Cycle finish = std::max(active_.finish_time, ctx_->ecpu_free) +
                          ctx_->costs.writeback_epilogue;
-    active_.breakdown[sim::StallBucket::kDispatch] +=
+    // The critical chain's buckets tile [launch, finish_time]; the eCPU
+    // wait and the epilogue extend them to the kernel's finish.
+    sim::OpStallBreakdown& bd =
+        active_.chains[active_.critical_chain].breakdown;
+    bd[sim::StallBucket::kDispatch] +=
         std::max(active_.finish_time, ctx_->ecpu_free) - active_.finish_time;
-    active_.breakdown[sim::StallBucket::kWriteback] +=
-        ctx_->costs.writeback_epilogue;
+    bd[sim::StallBucket::kWriteback] += ctx_->costs.writeback_epilogue;
     ctx_->phases.ecpu_busy += ctx_->costs.writeback_epilogue;
     ctx_->ecpu_free = std::max(ctx_->ecpu_free, finish);
     ctx_->events->schedule(finish, [this] { finish_kernel(ctx_->events->now()); },
@@ -327,11 +313,15 @@ void KernelExecutor::finish_kernel(Cycle t) {
   fin.vpus.reserve(active_.chains.size());
   for (const ChainState& cs : active_.chains) fin.vpus.push_back(cs.vpu);
   fin.elided_writeback = active_.elided_writeback;
-  fin.breakdown = active_.breakdown;
+  fin.breakdown = active_.chains[active_.critical_chain].breakdown;
+  if (ctx_->spans != nullptr) {
+    ctx_->spans->instant(telemetry::track_vpu(fin.vpus[0]), "kernel.done", t,
+                         /*tenant=*/-1,
+                         /*job=*/static_cast<std::int64_t>(fin.op.uid),
+                         /*arg=*/fin.elided_writeback ? 1 : 0);
+  }
   // Free the executor *before* the hook so the owner can relaunch from it.
   active_ = ActiveKernel{};
-  ARCANE_ASSERT(ctx_->kernels_in_flight > 0, "in-flight kernel underflow");
-  --ctx_->kernels_in_flight;
   client_->on_kernel_finish(*this, std::move(fin), t);
 }
 

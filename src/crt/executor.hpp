@@ -3,13 +3,10 @@
 // its chains and tiles: allocation 2D-DMA, VPU micro-program launch and
 // write-back, all as events on the shared simulation queue.
 //
-// Two owners exist:
-//  * crt::Runtime keeps a single executor and serializes the kernel queue on
-//    it — the paper's single-kernel-in-flight C-RT (timing unchanged).
-//  * sched::Scheduler keeps one executor per VPU instance so independent
-//    kernels from different jobs/tenants execute concurrently, sharing the
-//    eCPU timeline, the DMA engine and the LLC through the same arbitration
-//    the single-kernel path uses.
+// sched::Scheduler is the one owner: it keeps an executor per instance (a
+// VPU group), so independent kernels execute concurrently while sharing the
+// eCPU timeline, the DMA engine and the LLC. The paper's single-queue C-RT
+// is its host instance, fed by the bridge decoder (crt::Runtime).
 //
 // Cross-kernel policies (destination forwarding, write-back elision, what
 // happens at completion) stay with the owner, reached through the Client
@@ -46,10 +43,6 @@ struct CrtContext {
   Cycle ecpu_free = 0;
   sim::CrtPhaseStats phases{};
   std::uint64_t next_uid = 1;
-  /// Kernels currently in flight across *all* executors sharing this
-  /// context — lets each offload path detect the other one mid-kernel
-  /// (concurrent use of both paths is rejected, not arbitrated).
-  unsigned kernels_in_flight = 0;
   telemetry::SpanTracer* spans = nullptr;
 };
 
@@ -63,17 +56,17 @@ struct FinishedKernel {
   std::vector<unsigned> vpus;  // VPU per chain
   bool elided_writeback = false;
   /// Exclusive stall-bucket decomposition of the kernel's in-executor
-  /// lifetime. For a single-chain kernel the segments tile [launch event,
-  /// finish] exactly; multi-chain kernels accumulate per-chain segments
-  /// (chains overlap in wall-clock, so their sum exceeds the interval).
+  /// lifetime: the segments tile [launch event, finish] exactly. Chains
+  /// overlap in time, so a multi-chain kernel reports its critical chain
+  /// (the one whose write-back ends last).
   sim::OpStallBreakdown breakdown{};
 };
 
 /// eCPU cycles of the CT source/destination status-marking pass (§III-A3):
 /// one `preamble_per_line` charge per cache line covered by the valid
 /// source operands and the plan's destination range. Shared by the
-/// decoder's kernel preamble and the scheduler's dispatch so the two
-/// offload paths price marking identically.
+/// decoder's kernel preamble and the scheduler's dispatch of submitted
+/// jobs so both price marking identically.
 Cycle preamble_marking_cost(const KernelOp& op, const Plan& plan,
                             const SystemConfig& cfg,
                             const CrtCostModel& costs);
@@ -86,9 +79,9 @@ void register_at_ranges(KernelOp& op, const Plan& plan,
 
 class KernelExecutor {
  public:
-  /// Owner hooks, called at the exact points the single-kernel C-RT consults
-  /// its resident/forwarding state. A policy-free owner (the scheduler)
-  /// implements these as no-ops.
+  /// Owner hooks, called at the exact points the C-RT consults its
+  /// resident/forwarding state. `ex` identifies the asking executor, so the
+  /// owner can enable forwarding and elision per instance.
   class Client {
    public:
     virtual ~Client() = default;
@@ -97,16 +90,17 @@ class KernelExecutor {
     /// usual. `out` is a reusable scratch buffer owned by the executor —
     /// implementations resize it (capacity is recycled across tiles) and
     /// must not keep references past the call.
-    virtual bool forward_load(const DmaXfer& x,
+    virtual bool forward_load(const KernelExecutor& ex, const DmaXfer& x,
                               std::vector<std::uint8_t>& out) = 0;
     /// About to claim this chain's lines on `vpu` (drop stale residents).
-    virtual void before_claim(unsigned vpu, Cycle t) = 0;
+    virtual void before_claim(unsigned vpu) = 0;
     /// A non-forwarded load reads [lo, hi) from memory: lazily materialize
     /// any deferred (never written back) intermediate overlapping it.
     virtual void materialize_deferred(Addr lo, Addr hi) = 0;
     /// May this kernel skip its write-back entirely (full elision)? Only
     /// asked once the executor has verified the store geometry allows it.
-    virtual bool allow_writeback_elision(Addr dest_lo, Addr dest_hi) = 0;
+    virtual bool allow_writeback_elision(const KernelExecutor& ex,
+                                         Addr dest_lo, Addr dest_hi) = 0;
     /// The kernel completed at `t` (epilogue charged, phases updated, the
     /// executor already free). The owner releases AT entries / kernel
     /// lines, records its bookkeeping and may launch the next kernel on
@@ -123,26 +117,22 @@ class KernelExecutor {
 
   /// Start `op` with chain i of `plan` on VPU vpus[i]. `now` is the event
   /// time (tracer timestamp); the chains begin at the eCPU horizon, which
-  /// the caller has already advanced past its scheduling cost.
-  void launch(KernelOp op, Plan plan, std::vector<unsigned> vpus, Cycle now);
-
-  /// Fault injection (src/fault/ OpVerdict::kHang): occupy the executor
-  /// with `op` but never schedule its chains — the kernel hangs forever.
-  /// No lines are claimed and no DMA runs; only abort_hung() frees the
-  /// executor (the owner's watchdog decides when).
-  void launch_hung(KernelOp op, Plan plan, std::vector<unsigned> vpus,
-                   Cycle now);
-  /// Abort a hung kernel at `t`: the executor becomes free, the kernel is
-  /// NOT retired through Client::on_kernel_finish (it never finished). The
-  /// owner keeps its own bookkeeping for the aborted attempt.
-  void abort_hung(Cycle t);
+  /// the caller has already advanced past its scheduling cost. With `hung`
+  /// (fault injection, src/fault/ OpVerdict::kHang) the kernel occupies the
+  /// executor but its chains are never scheduled: no lines are claimed, no
+  /// DMA runs, and only abort_hung() frees the executor.
+  void launch(KernelOp op, Plan plan, std::vector<unsigned> vpus, Cycle now,
+              bool hung = false);
+  /// Abort a hung kernel: the executor becomes free and the kernel is NOT
+  /// retired through Client::on_kernel_finish (it never finished). Returns
+  /// it so the owner can release what it registered.
+  KernelOp abort_hung();
   bool hung() const { return active_.valid && active_.hung; }
 
   bool busy() const { return active_.valid; }
   unsigned id() const { return id_; }
   /// The in-flight kernel (valid while busy).
   const KernelOp& op() const { return active_.op; }
-  const Plan& plan() const { return active_.plan; }
 
  private:
   struct ChainState {
@@ -152,6 +142,9 @@ class KernelExecutor {
     bool claimed = false;
     Tile tile;  // tile currently in flight (between events)
     Cycle compute_end = 0;
+    /// Stall buckets of this chain: they tile [launch event, its latest
+    /// write-back end].
+    sim::OpStallBreakdown breakdown{};
   };
   struct ActiveKernel {
     KernelOp op;
@@ -159,10 +152,10 @@ class KernelExecutor {
     std::vector<ChainState> chains;
     unsigned chains_left = 0;
     Cycle finish_time = 0;
+    unsigned critical_chain = 0;  // the chain that set finish_time
     bool valid = false;
     bool hung = false;  // fault-injected: chains never scheduled
     bool elided_writeback = false;
-    sim::OpStallBreakdown breakdown{};
   };
 
   void chain_step(unsigned chain_idx, Cycle t);       // alloc + compute

@@ -28,8 +28,9 @@ struct Operand {
   MatShape shape{};
   bool valid = false;
 
+  /// Bytes the operand spans in memory (0 when unused).
   std::uint32_t footprint(ElemType et) const {
-    return mat_footprint_bytes(shape, et);
+    return valid ? mat_footprint_bytes(shape, et) : 0;
   }
 };
 

@@ -2,27 +2,23 @@
 // (paper §IV-B). Single-threaded, preemptive, producer-consumer around a
 // statically allocated kernel queue. Three modules:
 //
-//  * Kernel Decoder  (decode_offload): runs in the bridge interrupt handler;
+//  * Kernel Decoder  (this class): runs in the bridge interrupt handler;
 //    O(1) kernel-library lookup, operand resolution with hazard-checking
-//    renames (operand snapshots), AT registration, preamble cost model.
-//  * Kernel Scheduler (try_start): selects VPUs (fewest dirty lines by
-//    default) and arbitrates the eCPU, DMA engine and controller lock.
+//    renames (operand snapshots), planning, AT registration, preamble cost
+//    model, and the wait for a free kernel-queue slot.
+//  * Kernel Scheduler: the consumer side of the queue. sched::Scheduler's
+//    host instance — FIFO, one kernel in flight, VPUs chosen by
+//    SystemConfig::vpu_select — reached through the KernelQueue interface
+//    the bridge connects.
 //  * Matrix Allocator (inside crt::KernelExecutor): claims vector-register
 //    lines, programs 2D DMA transfers through the cache (hit forwarding),
 //    and consolidates results back with fetch-on-write during write-back.
-//
-// The chain/tile walking machinery lives in crt::KernelExecutor (one per
-// concurrently executing kernel). The Runtime owns a single executor and
-// serializes its kernel queue on it — the paper's one-kernel-in-flight C-RT.
-// sched::Scheduler owns one executor per VPU instance instead, sharing this
-// Runtime's CrtContext (same eCPU, DMA and LLC arbitration).
 //
 // The functional semantics of this runtime are native C++; its *timing* is
 // an instruction-budget model (CrtCostModel) — see DESIGN.md substitutions.
 #ifndef ARCANE_CRT_RUNTIME_HPP_
 #define ARCANE_CRT_RUNTIME_HPP_
 
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -42,7 +38,28 @@
 
 namespace arcane::crt {
 
-class Runtime final : public KernelExecutor::Client {
+/// The consumer side of the C-RT kernel queue: where the decoder parks the
+/// kernels it accepts. sched::Scheduler implements it with its host
+/// instance; the bridge connects the two, so this library never depends on
+/// the scheduler.
+class KernelQueue {
+ public:
+  virtual ~KernelQueue() = default;
+  /// Decoded kernels waiting for dispatch (the queue occupancy).
+  virtual unsigned queued_kernels() const = 0;
+  /// True while a pushed kernel is queued or executing.
+  virtual bool kernels_busy() const = 0;
+  /// Whether a queued or executing kernel names logical matrix register
+  /// `reg` (the decoder's rename check).
+  virtual bool kernel_uses_matrix(std::uint16_t reg) const = 0;
+  /// Append a decoded, planned and AT-registered kernel whose decode
+  /// completes at `done`.
+  virtual void push_kernel(KernelOp op, Plan plan, Cycle done) = 0;
+  /// Stall buckets summed over every retired kernel pushed here.
+  virtual sim::OpStallBreakdown kernel_stalls() const = 0;
+};
+
+class Runtime {
  public:
   Runtime(const SystemConfig& cfg, sim::EventQueue& events, llc::Llc& llc,
           dma::DmaEngine& dma, std::vector<vpu::VectorUnit>& vpus,
@@ -50,6 +67,9 @@ class Runtime final : public KernelExecutor::Client {
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
+
+  /// Feed accepted kernels to `queue` (the bridge wires the scheduler).
+  void connect(KernelQueue& queue) { queue_ = &queue; }
 
   /// Kernel Decoder entry point, invoked by the bridge IRQ at `irq_time`.
   /// Runs the software decode + preamble; returns the acceptance decision
@@ -62,88 +82,35 @@ class Runtime final : public KernelExecutor::Client {
   DecodeResult decode_offload(const isa::xmnmc::OffloadPayload& payload,
                               Cycle irq_time);
 
-  bool idle() const { return !exec_.busy() && queue_.empty(); }
-  Cycle ecpu_busy_until() const { return ctx_.ecpu_free; }
-  Cycle last_completion() const { return last_completion_; }
-
   const sim::CrtPhaseStats& phases() const { return ctx_.phases; }
-  /// Accumulated stall-bucket cycles of every kernel retired through this
-  /// Runtime's own executor (the legacy single-kernel offload path;
-  /// scheduler-dispatched kernels accumulate in sched::Scheduler instead).
-  const sim::OpStallBreakdown& stall_totals() const { return stall_totals_; }
+  /// Stall-bucket totals of the kernels this decoder queued: a view of the
+  /// host tenant's buckets in the scheduler.
+  sim::OpStallBreakdown stall_totals() const {
+    return queue_ != nullptr ? queue_->kernel_stalls()
+                             : sim::OpStallBreakdown{};
+  }
   const MatrixMap& matrix_map() const { return map_; }
   const KernelLibrary& library() const { return lib_; }
-  unsigned queue_occupancy() const {
-    return static_cast<unsigned>(queue_.size());
-  }
 
   /// The shared C-RT firmware context (eCPU timeline, phases, uid
   /// allocator). sched::Scheduler executors charge the same eCPU here.
   CrtContext& context() { return ctx_; }
 
-  /// Materialize deferred (elided) write-backs overlapping a range — used
-  /// by the System's coherent backdoor accessors.
-  void materialize_range(Addr addr, std::uint32_t len);
-
-  /// Invalidate (after materializing) any resident register-file copies on
-  /// `vpu` — used by the scheduler before its executors claim lines there.
-  void drop_residents_on_vpu(unsigned vpu, Cycle t);
-
   void set_spans(telemetry::SpanTracer* spans) { ctx_.spans = spans; }
   /// Bind the shared CrtPhaseStats fields as `crt.*` registry views.
   void register_metrics(telemetry::Registry& reg);
 
-  // --------------------- KernelExecutor::Client ----------------------
-  bool forward_load(const DmaXfer& x, std::vector<std::uint8_t>& out) override;
-  void before_claim(unsigned vpu, Cycle t) override;
-  void materialize_deferred(Addr lo, Addr hi) override;
-  bool allow_writeback_elision(Addr dest_lo, Addr dest_hi) override;
-  void on_kernel_finish(KernelExecutor& ex, FinishedKernel fin,
-                        Cycle t) override;
-
  private:
-  /// A destination kept resident in VPU registers after kernel completion
-  /// so a dependent kernel can skip its allocation DMA (dest->source
-  /// forwarding; see DESIGN.md on write-back elision). With full elision
-  /// the write-back itself was skipped: `deferred_at_entry` then holds the
-  /// still-active AT entry and the data is materialized to memory lazily.
-  struct Resident {
-    Addr lo = 0, hi = 0;
-    unsigned vpu = 0;
-    std::uint8_t first_vreg = 0;
-    std::uint32_t rows = 0, row_bytes = 0, mem_stride = 0;
-    std::uint64_t uid = 0;
-    int deferred_at_entry = -1;  // >= 0: write-back was elided
-  };
-
   DecodeResult decode_xmr(const isa::xmnmc::OffloadPayload& p, Cycle start,
                           Cycle cost);
   DecodeResult decode_kernel(const isa::xmnmc::OffloadPayload& p, Cycle start,
                              Cycle cost);
-  void try_start(Cycle t);
-  std::vector<unsigned> assign_vpus(const KernelOp& op, unsigned count);
-
-  const Resident* find_resident(const DmaXfer& x) const;
-  void on_host_access(Addr addr, unsigned len, bool is_write);
-  /// Write an elided (never materialized) resident back to memory and
-  /// release its deferred AT entry.
-  void materialize(Resident& r);
-  /// True when the next queued kernel consumes [lo, hi) entirely as one of
-  /// its sources and runs as a single forwardable chain.
-  bool next_kernel_consumes(Addr lo, Addr hi) const;
 
   SystemConfig cfg_;
   KernelLibrary lib_;
   MatrixMap map_;
-
   CrtContext ctx_;
-  KernelExecutor exec_;
-
-  std::deque<std::pair<KernelOp, Plan>> queue_;
-  std::vector<Resident> residents_;
-  unsigned rr_next_ = 0;  // round-robin VPU selection state (ablation)
-  Cycle last_completion_ = 0;
-  sim::OpStallBreakdown stall_totals_{};
+  KernelQueue* queue_ = nullptr;
 };
 
 }  // namespace arcane::crt

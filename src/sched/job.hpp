@@ -14,20 +14,13 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "crt/kernel_op.hpp"
 
 namespace arcane::sched {
 
-/// A matrix operand snapshot (address + shape), the scheduler's analogue of
-/// an xmr-bound logical register.
-struct OperandSpec {
-  Addr addr = 0;
-  MatShape shape{};
-  bool valid = false;
-
-  std::uint32_t footprint(ElemType et) const {
-    return valid ? mat_footprint_bytes(shape, et) : 0;
-  }
-};
+/// A matrix operand snapshot (address + shape): the C-RT's decoded operand,
+/// the scheduler's analogue of an xmr-bound logical register.
+using OperandSpec = crt::Operand;
 
 inline OperandSpec operand(Addr addr, MatShape shape) {
   return OperandSpec{addr, shape, true};

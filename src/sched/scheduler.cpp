@@ -1,6 +1,8 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <numeric>
 
 namespace arcane::sched {
 
@@ -14,14 +16,26 @@ crt::KernelOp make_kernel_op(const OpSpec& s) {
   op.et = s.et;
   op.f.alpha = s.alpha;
   op.f.beta = s.beta;
-  auto conv = [](const OperandSpec& o) {
-    return crt::Operand{o.addr, o.shape, o.valid};
-  };
-  op.md = conv(s.md);
-  op.ms1 = conv(s.ms1);
-  op.ms2 = conv(s.ms2);
-  op.ms3 = conv(s.ms3);
+  op.md = s.md;
+  op.ms1 = s.ms1;
+  op.ms2 = s.ms2;
+  op.ms3 = s.ms3;
   return op;
+}
+
+/// The inverse translation, for kernels the bridge decoder already decoded:
+/// the spec the hazard checks and the cost estimate read.
+OpSpec spec_of(const crt::KernelOp& op) {
+  OpSpec s;
+  s.func5 = op.func5;
+  s.et = op.et;
+  s.alpha = op.f.alpha;
+  s.beta = op.f.beta;
+  s.md = op.md;
+  s.ms1 = op.ms1;
+  s.ms2 = op.ms2;
+  s.ms3 = op.ms3;
+  return s;
 }
 
 bool ranges_overlap(Addr a_lo, Addr a_hi, Addr b_lo, Addr b_hi) {
@@ -57,19 +71,15 @@ Scheduler::Scheduler(crt::Runtime& rt)
     : rt_(&rt),
       ctx_(&rt.context()),
       cfg_(rt.context().cfg),
-      policy_(cfg_->sched_policy) {
-  const unsigned n =
-      cfg_->sched_instances != 0 ? cfg_->sched_instances : cfg_->llc.num_vpus;
-  ARCANE_CHECK(n >= 1 && n <= cfg_->llc.num_vpus,
+      policy_(cfg_->sched_policy),
+      serving_(cfg_->sched_instances != 0 ? cfg_->sched_instances
+                                          : cfg_->llc.num_vpus) {
+  ARCANE_CHECK(serving_ >= 1 && serving_ <= cfg_->llc.num_vpus,
                "scheduler instance count out of range");
-  execs_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    execs_.push_back(std::make_unique<crt::KernelExecutor>(*ctx_, *this, i));
-  }
-  queues_.resize(n);
-  inflight_.resize(n);
-  health_.resize(n);
-  counters_.instance_occupied.assign(n, 0);
+  for (unsigned i = 0; i < serving_; ++i) add_instance();
+  ctx_->llc->on_host_access = [this](Addr addr, unsigned len, bool is_write) {
+    on_host_access(addr, len, is_write);
+  };
 }
 
 unsigned Scheduler::add_tenant(std::string name, unsigned priority) {
@@ -199,7 +209,25 @@ std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
                                "instance (disable multi_vpu_kernels)");
     plans.push_back(std::move(plan));
   }
+  const std::uint32_t job_idx =
+      open_job(tenant, std::move(job), std::move(plans), arrival);
 
+  const Cycle when = std::max(arrival, ctx_->events->now());
+  if (ctx_->spans != nullptr) {
+    ctx_->spans->instant(telemetry::track_tenant(tenant), "job.submit", when,
+                         static_cast<std::int32_t>(tenant),
+                         static_cast<std::int64_t>(jobs_.back().id));
+  }
+  ++pending_arrivals_;
+  ctx_->events->schedule(
+      when, [this, job_idx] { arrive(job_idx, ctx_->events->now()); },
+      "sched.arrive");
+  return jobs_.back().id;
+}
+
+std::uint32_t Scheduler::open_job(unsigned tenant, JobSpec job,
+                                  std::vector<crt::Plan> plans,
+                                  Cycle arrival) {
   JobState js;
   js.id = next_job_id_++;
   js.tenant = tenant;
@@ -221,18 +249,7 @@ std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
   jobs_.push_back(std::move(js));
   ++jobs_open_;
   ++tenant_stats_[tenant].jobs_submitted;
-
-  const Cycle when = std::max(arrival, ctx_->events->now());
-  if (ctx_->spans != nullptr) {
-    ctx_->spans->instant(telemetry::track_tenant(tenant), "job.submit", when,
-                         static_cast<std::int32_t>(tenant),
-                         static_cast<std::int64_t>(jobs_.back().id));
-  }
-  ++pending_arrivals_;
-  ctx_->events->schedule(
-      when, [this, job_idx] { arrive(job_idx, ctx_->events->now()); },
-      "sched.arrive");
-  return jobs_.back().id;
+  return job_idx;
 }
 
 void Scheduler::drain() {
@@ -266,53 +283,51 @@ void Scheduler::op_ready(std::uint32_t job_idx, unsigned op_idx, Cycle t) {
   OpState& os = js.ops[op_idx];
   os.ready_at = t;
   os.first_ready = t;
+  enqueue(job_idx, op_idx,
+          js.tenant == host_tenant_ ? serving_ : pick_park_instance(-1));
+}
 
+void Scheduler::enqueue(std::uint32_t job_idx, unsigned op_idx,
+                        unsigned inst) {
+  const JobState& js = jobs_[job_idx];
   ReadyEntry e;
   e.job = job_idx;
   e.op = static_cast<std::uint16_t>(op_idx);
   e.tenant = static_cast<std::uint16_t>(js.tenant);
   e.priority = static_cast<std::uint8_t>(tenant_priority_[js.tenant]);
-  e.est_cost = estimate_cost(os.spec);
+  e.est_cost = estimate_cost(js.ops[op_idx].spec);
   e.seq = ready_seq_++;
-  queues_[pick_park_instance(-1)].push(e);
+  queues_[inst].push(e);
 }
 
 unsigned Scheduler::pick_park_instance(int avoid) const {
-  // Park on the least-loaded healthy instance queue (in-flight kernel
+  // Park on the least-loaded serving instance queue (an in-flight kernel
   // counts as one queued unit); ties go to the lowest instance for
-  // determinism. With every instance healthy (the fault-free fast path)
-  // and no `avoid`, this is plain least-loaded.
-  for (const bool skip_avoid : {true, false}) {
-    unsigned best = 0;
+  // determinism. Preference: a healthy instance other than `avoid`
+  // (failover), then any healthy one, then — every instance quarantined —
+  // any at all: the op dispatches when one recovers, or drain() reports
+  // the wedge.
+  auto least_loaded = [this](const auto& skip) {
+    unsigned best = serving_;
     std::size_t best_load = ~std::size_t{0};
-    bool found = false;
-    for (unsigned k = 0; k < queues_.size(); ++k) {
-      if (health_[k].quarantined) continue;
-      if (skip_avoid && avoid >= 0 && k == static_cast<unsigned>(avoid)) {
-        continue;
-      }
+    for (unsigned k = 0; k < serving_; ++k) {
       const std::size_t load =
           queues_[k].size() + (inflight_[k].valid ? 1 : 0);
-      if (load < best_load) {
+      if (!skip(k) && load < best_load) {
         best = k;
         best_load = load;
-        found = true;
       }
     }
-    if (found) return best;
+    return best;
+  };
+  unsigned k = least_loaded([&](unsigned i) {
+    return health_[i].quarantined || static_cast<int>(i) == avoid;
+  });
+  if (k == serving_) {
+    k = least_loaded([this](unsigned i) { return health_[i].quarantined; });
   }
-  // Every instance quarantined: park anywhere (lowest-loaded); the op
-  // dispatches when one recovers, or drain() reports the wedge.
-  unsigned best = 0;
-  std::size_t best_load = ~std::size_t{0};
-  for (unsigned k = 0; k < queues_.size(); ++k) {
-    const std::size_t load = queues_[k].size() + (inflight_[k].valid ? 1 : 0);
-    if (load < best_load) {
-      best = k;
-      best_load = load;
-    }
-  }
-  return best;
+  if (k == serving_) k = least_loaded([](unsigned) { return false; });
+  return k;
 }
 
 void Scheduler::shed_expired(Cycle t) {
@@ -342,6 +357,7 @@ void Scheduler::try_dispatch(Cycle t) {
   for (unsigned inst = 0; inst < queues_.size(); ++inst) {
     if (health_[inst].quarantined) continue;
     if (inflight_[inst].valid || queues_[inst].empty()) continue;
+    if (group_held(inst)) continue;
     // Flatten all queued entries once per scan for the older-conflict
     // check (the per-candidate walk is then one linear pass; queues are
     // short relative to simulation cost, so O(queued^2) range checks per
@@ -377,7 +393,8 @@ void Scheduler::try_dispatch(Cycle t) {
       return ok;
     };
     const std::size_t pick =
-        queues_[inst].pick(policy_, num_tenants(), rr_last_, eligible);
+        queues_[inst].pick(is_host(inst) ? SchedPolicy::kFifo : policy_,
+                           num_tenants(), rr_last_, eligible);
     if (pick == ReadyQueue::kNone) {
       // Every queued op overlaps an in-flight kernel's ranges or waits on
       // an older conflicting op; retried at the next completion event.
@@ -413,18 +430,26 @@ void Scheduler::check_liveness(Cycle t) const {
 }
 
 void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
-  // The hazard tracking above only covers scheduler-launched kernels: a
-  // legacy bridge offload in flight could race this dispatch for lines and
-  // operand ranges. Drive one offload path at a time.
-  ARCANE_CHECK(rt_->idle(),
-               "scheduler dispatch while the host-program offload path has "
-               "kernels queued or in flight — drain it first");
   JobState& js = jobs_[e.job];
   OpState& os = js.ops[e.op];
   const OpSpec& spec = os.spec;
+  // A host kernel can be popped by a completion that fires before its
+  // decode's `done` cycle (the decoder runs ahead of the event queue); it
+  // is then ready from the pop, and its eCPU decode time counts as
+  // dispatch.
+  if (os.ready_at > t) os.ready_at = os.first_ready = js.arrival = t;
 
-  crt::KernelOp op = make_kernel_op(spec);
-  op.uid = ctx_->next_uid++;
+  // Host kernels were decoded, renamed and AT-registered at IRQ time;
+  // submitted ops are decoded here, on every attempt.
+  const bool predecoded = os.decoded != nullptr;
+  crt::KernelOp op;
+  if (predecoded) {
+    op = std::move(*os.decoded);
+    os.decoded.reset();
+  } else {
+    op = make_kernel_op(spec);
+    op.uid = ctx_->next_uid++;
+  }
   // Ops dispatch exactly once per attempt; a retry re-planned the spec
   // into os.plan before requeueing (requeue_op).
   crt::Plan plan = std::move(os.plan);
@@ -444,13 +469,22 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   os.prev_instance = inst;
   ++os.attempts;
 
-  // Dispatch runs on the shared eCPU: kernel-library lookup, preamble with
-  // per-line CT status marking (same budget as the decoder's path, minus
-  // the bridge IRQ entry the direct-submit path does not take), then the
-  // scheduling decision itself.
+  // A resident copy overlapping this kernel's destination is about to be
+  // superseded: materialize any deferred write-back first (the untouched
+  // part of the region must stay architecturally correct), then drop the
+  // record so no later consumer forwards stale data.
+  drop_residents([&](const Resident& r) {
+    return plan.dest_lo < r.hi && r.lo < plan.dest_hi;
+  });
+
+  // Dispatch runs on the shared eCPU. A submitted op first pays the
+  // kernel-library lookup and the preamble with per-line CT status marking
+  // (the decoder's budget minus the bridge IRQ entry); every kernel then
+  // pays the scheduling decision itself.
   const Cycle decode_cost =
-      ctx_->costs.decode_lookup + ctx_->costs.kernel_preamble +
-      crt::preamble_marking_cost(op, plan, *cfg_, ctx_->costs);
+      predecoded ? 0
+                 : ctx_->costs.decode_lookup + ctx_->costs.kernel_preamble +
+                       crt::preamble_marking_cost(op, plan, *cfg_, ctx_->costs);
   const Cycle start = std::max(t, ctx_->ecpu_free);
   ctx_->ecpu_free = start + decode_cost + ctx_->costs.schedule;
   ctx_->phases.preamble += decode_cost;
@@ -460,34 +494,31 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   // AT registration mirrors the decoder (shared rule): destination first,
   // then sources not covered by it — host traffic to in-flight ranges
   // stalls coherently.
-  crt::register_at_ranges(op, plan, ctx_->llc->at());
+  if (!predecoded) crt::register_at_ranges(op, plan, ctx_->llc->at());
+
+  std::vector<unsigned> vpus =
+      is_host(inst)
+          ? assign_vpus(op, static_cast<unsigned>(plan.chains.size()))
+          : std::vector<unsigned>{inst};
 
   InFlight fl;
   fl.valid = true;
   fl.job = e.job;
   fl.op = e.op;
   fl.dispatch_at = t;
-  fl.ready_at = os.ready_at;
   // Pre-execution buckets: [ready, first hazard hold-back) is queue_wait,
   // [hold-back, dispatch) is hazard_defer, and the eCPU decode + schedule
   // slice [t, ecpu_free) is dispatch. The executor's breakdown tiles the
   // rest, [ecpu_free, finish) — composed and checked at completion.
   {
-    const Cycle hz_from = os.hazard_marked ? os.hazard_since : t;
+    // (A host kernel may have been held back before its decode completed.)
+    const Cycle hz_from =
+        os.hazard_marked ? std::max(os.hazard_since, os.ready_at) : t;
     fl.pre[sim::StallBucket::kQueueWait] += hz_from - os.ready_at;
     fl.pre[sim::StallBucket::kHazardDefer] += t - hz_from;
     fl.pre[sim::StallBucket::kDispatch] += ctx_->ecpu_free - t;
   }
-  fl.dest_lo = plan.dest_lo;
-  fl.dest_hi = plan.dest_hi;
-  fl.dest_at_entry = op.dest_at_entry;
-  fl.src_at_entries = op.src_at_entries;
-  for (const crt::Operand* o : {&op.ms1, &op.ms2, &op.ms3}) {
-    if (!o->valid) continue;
-    fl.src_ranges.emplace_back(
-        o->addr, o->addr + std::max<std::uint32_t>(o->footprint(op.et), 1u));
-  }
-  fl.uid = op.uid;
+  for (unsigned v : vpus) fl.vpus |= 1u << v;
   fl.dispatch_seq = ++dispatch_seq_;
   fl.post_dispatch = ctx_->ecpu_free;
   // Consult the fault plan: a one-shot op fault armed for this instance
@@ -529,10 +560,14 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
         "sched.watchdog");
   }
 
-  if (verdict == fault::OpVerdict::kHang) {
-    execs_[inst]->launch_hung(std::move(op), std::move(plan), {inst}, t);
-  } else {
-    execs_[inst]->launch(std::move(op), std::move(plan), {inst}, t);
+  execs_[inst]->launch(std::move(op), std::move(plan), std::move(vpus), t,
+                       verdict == fault::OpVerdict::kHang);
+}
+
+void Scheduler::release_at(const crt::KernelOp& op, bool elided_writeback) {
+  for (unsigned at : op.src_at_entries) ctx_->llc->at().release(at);
+  if (op.dest_at_entry >= 0 && !elided_writeback) {
+    ctx_->llc->at().release(static_cast<unsigned>(op.dest_at_entry));
   }
 }
 
@@ -543,11 +578,11 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
   const InFlight fl = std::move(inflight_[inst]);
   inflight_[inst] = InFlight{};
 
-  for (unsigned at : fl.src_at_entries) ctx_->llc->at().release(at);
-  if (fl.dest_at_entry >= 0) {
-    ctx_->llc->at().release(static_cast<unsigned>(fl.dest_at_entry));
-  }
-  ctx_->llc->release_kernel_lines(fin.op.uid);
+  release_at(fin.op, fin.elided_writeback);
+  const bool kept = is_host(inst) && keep_resident(fin);
+  ARCANE_ASSERT(kept || !fin.elided_writeback,
+                "elided write-back without a resident record");
+  if (!kept) ctx_->llc->release_kernel_lines(fin.op.uid);
   counters_.instance_occupied[inst] += t - fl.dispatch_at;
 
   JobState& js = jobs_[fl.job];
@@ -726,15 +761,12 @@ void Scheduler::abort_hung_inflight(unsigned inst, Cycle t) {
                 "abort of a non-hung instance");
   const InFlight fl = std::move(inflight_[inst]);
   inflight_[inst] = InFlight{};
-  execs_[inst]->abort_hung(t);
   // The hung kernel registered AT ranges at dispatch but never claimed
   // lines or ran DMA; release what it held so a retry re-registers
   // cleanly (idempotent re-dispatch).
-  for (unsigned at : fl.src_at_entries) ctx_->llc->at().release(at);
-  if (fl.dest_at_entry >= 0) {
-    ctx_->llc->at().release(static_cast<unsigned>(fl.dest_at_entry));
-  }
-  ctx_->llc->release_kernel_lines(fl.uid);
+  const crt::KernelOp op = execs_[inst]->abort_hung();
+  release_at(op, /*elided_writeback=*/false);
+  ctx_->llc->release_kernel_lines(op.uid);
   counters_.instance_occupied[inst] += t - fl.dispatch_at;
   JobState& js = jobs_[fl.job];
   OpState& os = js.ops[fl.op];
@@ -805,14 +837,7 @@ void Scheduler::requeue_op(std::uint32_t job_idx, unsigned op_idx,
   os.ready_at = t;
   os.hazard_marked = false;
   os.hazard_since = 0;
-  ReadyEntry e;
-  e.job = job_idx;
-  e.op = static_cast<std::uint16_t>(op_idx);
-  e.tenant = static_cast<std::uint16_t>(js.tenant);
-  e.priority = static_cast<std::uint8_t>(tenant_priority_[js.tenant]);
-  e.est_cost = estimate_cost(os.spec);
-  e.seq = ready_seq_++;
-  queues_[pick_park_instance(static_cast<int>(prev_inst))].push(e);
+  enqueue(job_idx, op_idx, pick_park_instance(static_cast<int>(prev_inst)));
   try_dispatch(t);
 }
 
@@ -881,22 +906,9 @@ void Scheduler::on_instance_recover(unsigned inst, Cycle t) {
 }
 
 bool Scheduler::conflicts(const OpSpec& spec) const {
-  const Addr dlo = spec.md.addr;
-  const Addr dhi = dlo + std::max<std::uint32_t>(spec.md.footprint(spec.et), 1u);
-  const OperandSpec* srcs[] = {&spec.ms1, &spec.ms2, &spec.ms3};
   for (const InFlight& fl : inflight_) {
-    if (!fl.valid) continue;
-    // WAW / WAR: our destination vs their destination and sources.
-    if (ranges_overlap(dlo, dhi, fl.dest_lo, fl.dest_hi)) return true;
-    for (const auto& [lo, hi] : fl.src_ranges) {
-      if (ranges_overlap(dlo, dhi, lo, hi)) return true;
-    }
-    // RAW: our sources vs their destination.
-    for (const OperandSpec* s : srcs) {
-      if (!s->valid) continue;
-      const Addr lo = s->addr;
-      const Addr hi = lo + std::max<std::uint32_t>(s->footprint(spec.et), 1u);
-      if (ranges_overlap(lo, hi, fl.dest_lo, fl.dest_hi)) return true;
+    if (fl.valid && specs_conflict(spec, jobs_[fl.job].ops[fl.op].spec)) {
+      return true;
     }
   }
   return false;
@@ -907,6 +919,237 @@ std::uint64_t Scheduler::estimate_cost(const OpSpec& spec) const {
   return static_cast<std::uint64_t>(spec.md.footprint(spec.et)) +
          spec.ms1.footprint(spec.et) + spec.ms2.footprint(spec.et) +
          spec.ms3.footprint(spec.et);
+}
+
+// ---------------------------- host instance ----------------------------
+
+void Scheduler::add_instance() {
+  const auto k = static_cast<unsigned>(execs_.size());
+  execs_.push_back(std::make_unique<crt::KernelExecutor>(*ctx_, *this, k));
+  queues_.emplace_back();
+  inflight_.emplace_back();
+  health_.emplace_back();
+  counters_.instance_occupied.push_back(0);
+}
+
+void Scheduler::push_kernel(crt::KernelOp op, crt::Plan plan, Cycle done) {
+  if (!has_host()) {  // the first offload creates the host tenant + instance
+    host_tenant_ = add_tenant("host");
+    add_instance();
+  }
+  JobSpec job;
+  job.ops.push_back(spec_of(op));
+  job.tag = op.uid;
+  std::vector<crt::Plan> plans;
+  plans.push_back(std::move(plan));
+  const std::uint32_t job_idx =
+      open_job(host_tenant_, std::move(job), std::move(plans), done);
+  jobs_[job_idx].ops[0].decoded =
+      std::make_unique<crt::KernelOp>(std::move(op));
+  op_ready(job_idx, 0, done);
+  if (!inflight_[serving_].valid) {
+    ctx_->events->schedule(done, [this] { try_dispatch(ctx_->events->now()); },
+                           "sched.host_dispatch");
+  }
+}
+
+bool Scheduler::kernel_uses_matrix(std::uint16_t reg) const {
+  if (!has_host()) return false;
+  auto uses = [reg](const crt::KernelOp& op) {
+    return op.f.md == reg || op.f.ms1 == reg || op.f.ms2 == reg ||
+           op.f.ms3 == reg;
+  };
+  for (const ReadyEntry& e : queues_[serving_].entries()) {
+    if (uses(*jobs_[e.job].ops[e.op].decoded)) return true;
+  }
+  const crt::KernelExecutor& ex = *execs_[serving_];
+  return ex.busy() && uses(ex.op());
+}
+
+bool Scheduler::group_held(unsigned inst) const {
+  const std::uint32_t mine =
+      is_host(inst) ? (1u << cfg_->llc.num_vpus) - 1 : 1u << inst;
+  for (unsigned k = 0; k < inflight_.size(); ++k) {
+    if (k != inst && inflight_[k].valid && (inflight_[k].vpus & mine) != 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<unsigned> Scheduler::assign_vpus(const crt::KernelOp& op,
+                                             unsigned count) {
+  const unsigned n = cfg_->llc.num_vpus;
+  ARCANE_CHECK(count <= n, "plan has more chains than VPUs");
+  std::vector<unsigned> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+
+  // Prefer a VPU holding a resident (forwardable) copy of a source operand.
+  auto resident_vpu = [&]() -> int {
+    for (const Resident& r : residents_) {
+      for (const crt::Operand* o : {&op.ms1, &op.ms2, &op.ms3}) {
+        if (o->valid && o->addr >= r.lo && o->addr < r.hi) {
+          return static_cast<int>(r.vpu);
+        }
+      }
+    }
+    return -1;
+  }();
+
+  switch (cfg_->vpu_select) {
+    case VpuSelectPolicy::kFewestDirty:
+      // Paper policy (§IV-B2): prioritise VPUs with the fewest dirty lines.
+      std::stable_sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
+        return ctx_->llc->dirty_lines_in_vpu(a) <
+               ctx_->llc->dirty_lines_in_vpu(b);
+      });
+      break;
+    case VpuSelectPolicy::kRoundRobin:
+      std::rotate(order.begin(), order.begin() + (rr_next_ % n), order.end());
+      rr_next_ += count;
+      break;
+  }
+  if (resident_vpu >= 0) {
+    auto it = std::find(order.begin(), order.end(),
+                        static_cast<unsigned>(resident_vpu));
+    if (it != order.end()) std::rotate(order.begin(), it, it + 1);
+  }
+  order.resize(count);
+  return order;
+}
+
+// ------------------------------ residents ------------------------------
+
+bool Scheduler::forward_load(const crt::KernelExecutor& ex,
+                             const crt::DmaXfer& x,
+                             std::vector<std::uint8_t>& out) {
+  if (!is_host(ex.id())) return false;
+  auto res = std::find_if(residents_.begin(), residents_.end(),
+                          [&x](const Resident& r) {
+    if (x.mem_addr < r.lo || x.mem_stride != r.mem_stride) return false;
+    if ((x.mem_addr - r.lo) % r.mem_stride != 0) return false;
+    const std::uint32_t row0 = (x.mem_addr - r.lo) / r.mem_stride;
+    return row0 + x.rows <= r.rows && x.row_bytes <= r.row_bytes &&
+           x.vreg_step == 1;
+  });
+  if (res == residents_.end()) return false;
+  out.resize(static_cast<std::size_t>(x.rows) * x.row_bytes);
+  const std::uint32_t row0 = (x.mem_addr - res->lo) / res->mem_stride;
+  for (std::uint32_t r = 0; r < x.rows; ++r) {
+    auto src = (*ctx_->vpus)[res->vpu]
+                   .vreg(res->first_vreg + row0 + r)
+                   .subspan(0, x.row_bytes);
+    std::memcpy(out.data() + static_cast<std::size_t>(r) * x.row_bytes,
+                src.data(), x.row_bytes);
+  }
+  // The consumer has taken the data: a deferred (elided) write-back is
+  // considered consumed — release the producer's destination AT entry so
+  // host traffic to the intermediate no longer blocks.
+  if (res->deferred_at_entry >= 0) materialize(*res);
+  return true;
+}
+
+void Scheduler::before_claim(unsigned vpu) {
+  drop_residents([vpu](const Resident& r) { return r.vpu == vpu; });
+}
+
+void Scheduler::materialize_deferred(Addr lo, Addr hi) {
+  for (Resident& r : residents_) {
+    if (r.deferred_at_entry >= 0 && lo < r.hi && r.lo < hi) materialize(r);
+  }
+}
+
+bool Scheduler::allow_writeback_elision(const crt::KernelExecutor& ex,
+                                        Addr dest_lo, Addr dest_hi) {
+  // Only when the host queue's next kernel consumes [dest_lo, dest_hi)
+  // entirely as one of its sources and runs as a single (per-VPU
+  // forwardable) chain.
+  if (!is_host(ex.id()) || !cfg_->full_writeback_elision ||
+      queues_[serving_].empty()) {
+    return false;
+  }
+  const ReadyEntry& e = queues_[serving_].entries().front();
+  const OpState& os = jobs_[e.job].ops[e.op];
+  if (os.plan.chains.size() != 1) return false;
+  const crt::KernelOp& op = *os.decoded;
+  for (const crt::Operand* o : {&op.ms1, &op.ms2, &op.ms3}) {
+    if (o->valid && o->addr == dest_lo &&
+        o->addr + std::max<std::uint32_t>(o->footprint(op.et), 1u) ==
+            dest_hi) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool Scheduler::keep_resident(const crt::FinishedKernel& fin) {
+  // Destination forwarding: keep single-tile destinations resident in the
+  // VPU register file so a dependent kernel skips its allocation DMA.
+  if (!cfg_->enable_writeback_elision && !fin.elided_writeback) return false;
+  if (fin.plan.chains.size() != 1 || fin.plan.chains[0].tile_count != 1) {
+    return false;
+  }
+  const crt::Tile tile = fin.plan.chains[0].make_tile(0);
+  if (tile.stores.size() != 1 || tile.stores[0].vreg_step != 1 ||
+      tile.stores[0].vreg_offset != 0) {
+    return false;
+  }
+  const crt::DmaXfer& s = tile.stores[0];
+  Resident r{s.mem_addr,
+             s.mem_addr + (s.rows - 1) * s.mem_stride + s.row_bytes,
+             fin.vpus[0],
+             s.first_vreg,
+             s.rows,
+             s.row_bytes,
+             s.mem_stride,
+             fin.op.uid,
+             -1};
+  if (fin.elided_writeback) {
+    r.deferred_at_entry = fin.op.dest_at_entry;
+    ++ctx_->phases.full_elisions;
+  }
+  residents_.push_back(r);
+  return true;
+}
+
+template <typename Pred>
+void Scheduler::drop_residents(const Pred& pred) {
+  for (auto it = residents_.begin(); it != residents_.end();) {
+    if (pred(*it)) {
+      if (it->deferred_at_entry >= 0) materialize(*it);
+      ctx_->llc->release_kernel_lines(it->uid);
+      it = residents_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void Scheduler::on_host_access(Addr addr, unsigned len, bool is_write) {
+  if (residents_.empty()) return;
+  if (is_write) {
+    // The host overwrites the region: the resident copy goes stale.
+    drop_residents([&](const Resident& r) {
+      return addr < r.hi && r.lo < addr + len;
+    });
+  } else {
+    materialize_deferred(addr, addr + len);
+  }
+}
+
+void Scheduler::materialize(Resident& r) {
+  ARCANE_ASSERT(r.deferred_at_entry >= 0, "materialize of a written resident");
+  // Functional lazy write-back: the data becomes architecturally visible;
+  // the transfer itself is modeled as background traffic (no critical-path
+  // charge — see DESIGN.md on write-back elision).
+  for (std::uint32_t row = 0; row < r.rows; ++row) {
+    auto src =
+        (*ctx_->vpus)[r.vpu].vreg(r.first_vreg + row).subspan(0, r.row_bytes);
+    ctx_->llc->write_range(r.lo + row * r.mem_stride,
+                           {src.data(), src.size()});
+  }
+  ctx_->llc->at().release(static_cast<unsigned>(r.deferred_at_entry));
+  r.deferred_at_entry = -1;
 }
 
 }  // namespace arcane::sched

@@ -1,16 +1,22 @@
-// Multi-tenant kernel-offload scheduler (the "servable" front end of the
-// ARCANE LLC): accepts jobs — DAGs of crt kernel ops — from independent
-// tenants (request streams with arrival times) and dispatches ready ops
-// across N VPU instances, each driven by its own crt::KernelExecutor.
+// Kernel-offload scheduler: the one owner of crt::KernelExecutor. It
+// accepts jobs — DAGs of crt kernel ops — from independent tenants (request
+// streams with arrival times) and dispatches ready ops across instances,
+// each driven by its own executor. An instance is a VPU group:
+//
+//  * serving instance i is {VPU i}: tenant jobs park on the least-loaded
+//    one and run under the configured SchedPolicy;
+//  * the host instance spans every VPU: it is the paper's C-RT kernel queue
+//    (§IV-B) — FIFO, one kernel in flight, VPUs chosen by vpu_select, with
+//    destination forwarding and write-back elision. The bridge decoder
+//    (crt::Runtime) feeds it through crt::KernelQueue; the host tenant and
+//    instance are created on the first offload, after the serving ones.
 //
 // Arbitration model:
-//  * line storage / LLC ways — instance i only claims lines of VPU i (a
-//    plan's vector registers live in one VPU's way group), so instances
-//    never contend for lines structurally;
-//  * DMA engine, eCPU and the controller lock — shared with the legacy
-//    single-kernel path through the Runtime's CrtContext, so allocation and
-//    write-back transfers of concurrent kernels serialize exactly like the
-//    hardware's single engine;
+//  * VPUs — an instance waits while another in-flight kernel holds any VPU
+//    of its group (a kernel's vector registers live in its VPUs' ways);
+//  * DMA engine, eCPU and the controller lock — shared through the
+//    Runtime's CrtContext, so allocation and write-back transfers of
+//    concurrent kernels serialize exactly like the hardware's single engine;
 //  * data hazards — an op whose operand ranges overlap an in-flight op's
 //    destination (or whose destination overlaps in-flight sources) is held
 //    in its ready queue until the conflicting kernel retires, and
@@ -68,10 +74,12 @@ struct JobReport {
 };
 
 class Scheduler final : public crt::KernelExecutor::Client,
+                        public crt::KernelQueue,
                         public fault::Listener {
  public:
-  /// Instances, policy and the shared C-RT context come from the Runtime's
-  /// SystemConfig (sched_instances == 0 means one instance per VPU).
+  /// Serving instances, policy and the shared C-RT context come from the
+  /// Runtime's SystemConfig (sched_instances == 0 means one instance per
+  /// VPU).
   explicit Scheduler(crt::Runtime& rt);
 
   Scheduler(const Scheduler&) = delete;
@@ -98,15 +106,15 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// Run the event queue dry; every submitted job completes.
   void drain();
 
-  unsigned num_instances() const {
-    return static_cast<unsigned>(execs_.size());
-  }
-  /// Instances currently accepting work (not quarantined). Equal to
+  /// Serving instances (the ones tenant jobs park on); the host instance
+  /// is not counted.
+  unsigned num_instances() const { return serving_; }
+  /// Serving instances currently accepting work (not quarantined). Equal to
   /// num_instances() whenever no fault plan is active — the QoS capacity
   /// signal (qos::AdmissionController backlog projection) reads this.
   unsigned num_healthy_instances() const {
     unsigned n = 0;
-    for (const Health& h : health_) n += h.quarantined ? 0 : 1;
+    for (unsigned k = 0; k < serving_; ++k) n += health_[k].quarantined ? 0 : 1;
     return n;
   }
   bool instance_quarantined(unsigned inst) const {
@@ -137,9 +145,10 @@ class Scheduler final : public crt::KernelExecutor::Client,
     return tenant_stats_[t];
   }
   /// Exclusive stall-bucket cycles summed over every op retired through
-  /// this scheduler. Per op the buckets tile [op ready, op finish] exactly
-  /// (sum == op latency — asserted at completion), so these totals are the
-  /// full cycle-accounting of all scheduled work.
+  /// this scheduler, host kernels included. Per op the buckets tile [op
+  /// ready, op finish] exactly (sum == op latency — asserted at
+  /// completion), so these totals are the full cycle-accounting of all
+  /// offloaded work.
   const sim::OpStallBreakdown& stall_totals() const { return stall_totals_; }
   const sim::OpStallBreakdown& tenant_stalls(unsigned t) const {
     return tenant_stall_[t];
@@ -188,22 +197,36 @@ class Scheduler final : public crt::KernelExecutor::Client,
     on_job_done_ = std::move(fn);
   }
 
+  // ------------------------ crt::KernelQueue -------------------------
+  // The host instance's queue, fed by the bridge decoder.
+  unsigned queued_kernels() const override {
+    return has_host() ? static_cast<unsigned>(queues_[serving_].size()) : 0;
+  }
+  bool kernels_busy() const override {
+    return has_host() &&
+           (inflight_[serving_].valid || !queues_[serving_].empty());
+  }
+  bool kernel_uses_matrix(std::uint16_t reg) const override;
+  /// Park the kernel as a single-op job of the host tenant, now rather than
+  /// through a `sched.arrive` event: the decoder's queue-depth wait and the
+  /// full-elision lookahead read the queue at decode time.
+  void push_kernel(crt::KernelOp op, crt::Plan plan, Cycle done) override;
+  sim::OpStallBreakdown kernel_stalls() const override {
+    return has_host() ? tenant_stall_[host_tenant_] : sim::OpStallBreakdown{};
+  }
+
   // --------------------- KernelExecutor::Client ----------------------
-  // The scheduler path does no cross-kernel destination forwarding (jobs
-  // express reuse as DAG edges instead); residents of the legacy path are
-  // still dropped/materialized so both paths can share one LLC
-  // *sequentially* (dispatch checks the legacy path is idle — concurrent
-  // use of both offload paths is rejected, not arbitrated).
-  bool forward_load(const crt::DmaXfer&, std::vector<std::uint8_t>&) override {
-    return false;
-  }
-  void before_claim(unsigned vpu, Cycle t) override {
-    rt_->drop_residents_on_vpu(vpu, t);
-  }
-  void materialize_deferred(Addr lo, Addr hi) override {
-    rt_->materialize_range(lo, hi - lo);
-  }
-  bool allow_writeback_elision(Addr, Addr) override { return false; }
+  // Destination forwarding and write-back elision are capabilities of the
+  // host instance (jobs express reuse as DAG edges instead). Residents are
+  // dropped or materialized for every instance, so all of them share one
+  // coherent LLC.
+  bool forward_load(const crt::KernelExecutor& ex, const crt::DmaXfer& x,
+                    std::vector<std::uint8_t>& out) override;
+  void before_claim(unsigned vpu) override;
+  /// Also used by the System's coherent backdoor accessors.
+  void materialize_deferred(Addr lo, Addr hi) override;
+  bool allow_writeback_elision(const crt::KernelExecutor& ex, Addr dest_lo,
+                               Addr dest_hi) override;
   void on_kernel_finish(crt::KernelExecutor& ex, crt::FinishedKernel fin,
                         Cycle t) override;
 
@@ -211,6 +234,9 @@ class Scheduler final : public crt::KernelExecutor::Client,
   struct OpState {
     OpSpec spec;
     crt::Plan plan;  // validated at submit, consumed by dispatch
+    /// Host kernels only: decoded, renamed and AT-registered by the bridge
+    /// decoder, consumed by dispatch.
+    std::unique_ptr<crt::KernelOp> decoded;
     Cycle ready_at = 0;
     /// First cycle a dispatch scan held this op back for a hazard (an
     /// in-flight or older-queued conflicting op). Cycles before that count
@@ -250,17 +276,12 @@ class Scheduler final : public crt::KernelExecutor::Client,
     std::uint32_t job = 0;
     std::uint16_t op = 0;
     Cycle dispatch_at = 0;
-    Cycle ready_at = 0;
     /// Pre-execution stall buckets (queue_wait, hazard_defer and the
     /// dispatch/eCPU decode slice), composed with the executor's breakdown
     /// at completion to tile the op's full [ready, finish] lifetime.
     sim::OpStallBreakdown pre{};
-    Addr dest_lo = 0, dest_hi = 0;
-    std::vector<std::pair<Addr, Addr>> src_ranges;
-    std::vector<unsigned> src_at_entries;
-    int dest_at_entry = -1;
+    std::uint32_t vpus = 0;  // bit mask of the VPUs the kernel holds
     // Failure handling (src/fault/).
-    std::uint64_t uid = 0;           // kernel uid (hung-abort line release)
     std::uint64_t dispatch_seq = 0;  // watchdog token (stale-fire filter)
     Cycle post_dispatch = 0;         // eCPU horizon at launch (hang window)
     fault::OpVerdict verdict = fault::OpVerdict::kNone;
@@ -271,9 +292,28 @@ class Scheduler final : public crt::KernelExecutor::Client,
     bool quarantined = false;
     unsigned consecutive_failures = 0;
   };
+  /// A host kernel's destination kept resident in VPU registers after
+  /// completion so a dependent kernel can skip its allocation DMA
+  /// (dest->source forwarding; see DESIGN.md on write-back elision). With
+  /// full elision the write-back itself was skipped: `deferred_at_entry`
+  /// then holds the still-active AT entry and the data is materialized to
+  /// memory lazily.
+  struct Resident {
+    Addr lo = 0, hi = 0;
+    unsigned vpu = 0;
+    std::uint8_t first_vreg = 0;
+    std::uint32_t rows = 0, row_bytes = 0, mem_stride = 0;
+    std::uint64_t uid = 0;
+    int deferred_at_entry = -1;  // >= 0: write-back was elided
+  };
 
+  /// Record a job whose ops were validated and planned; returns its index.
+  std::uint32_t open_job(unsigned tenant, JobSpec job,
+                         std::vector<crt::Plan> plans, Cycle arrival);
   void arrive(std::uint32_t job_idx, Cycle t);
   void op_ready(std::uint32_t job_idx, unsigned op_idx, Cycle t);
+  /// Append a ready entry for the op to instance `inst`'s queue.
+  void enqueue(std::uint32_t job_idx, unsigned op_idx, unsigned inst);
   /// Drop every queued job whose deadline expired (shed_on_expiry only).
   void shed_expired(Cycle t);
   /// How a job left the scheduler.
@@ -295,6 +335,27 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// Fill every idle instance from its ready queue (policy + hazard check).
   void try_dispatch(Cycle t);
   void dispatch(unsigned inst, const ReadyEntry& e, Cycle t);
+  // --------------------------- host instance ---------------------------
+  bool has_host() const { return execs_.size() > serving_; }
+  bool is_host(unsigned inst) const { return inst == serving_; }
+  /// Append an instance (serving ones first, then the host instance).
+  void add_instance();
+  /// Another in-flight kernel holds a VPU of `inst`'s group.
+  bool group_held(unsigned inst) const;
+  /// Paper VPU selection (§IV-B2) for a host kernel's `count` chains.
+  std::vector<unsigned> assign_vpus(const crt::KernelOp& op, unsigned count);
+  // ----------------------------- residents -----------------------------
+  /// Keep a finished host kernel's destination resident; false when its
+  /// geometry does not allow it (the caller releases its lines).
+  bool keep_resident(const crt::FinishedKernel& fin);
+  /// Drop the residents `pred` selects, materializing elided ones first.
+  template <typename Pred>
+  void drop_residents(const Pred& pred);
+  void on_host_access(Addr addr, unsigned len, bool is_write);
+  /// Write an elided (never materialized) resident back to memory and
+  /// release its deferred AT entry.
+  void materialize(Resident& r);
+  /// An in-flight op's ranges overlap `spec`'s (WAW, WAR or RAW).
   bool conflicts(const OpSpec& spec) const;
   std::uint64_t estimate_cost(const OpSpec& spec) const;
   void register_tenant_metrics(unsigned tenant);
@@ -311,6 +372,9 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// release its AT entries, fold the attempt into the op's accumulator
   /// and route to handle_op_failure.
   void abort_hung_inflight(unsigned inst, Cycle t);
+  /// Release the AT entries `op` registered; an elided write-back keeps
+  /// its destination entry until the data is consumed or materialized.
+  void release_at(const crt::KernelOp& op, bool elided_writeback);
   /// One op attempt failed on `inst`: update health, then either schedule
   /// a retry (backoff + requeue) or fail the job on exhaustion.
   void handle_op_failure(unsigned inst, std::uint32_t job_idx,
@@ -338,12 +402,16 @@ class Scheduler final : public crt::KernelExecutor::Client,
   crt::CrtContext* ctx_;
   const SystemConfig* cfg_;
   SchedPolicy policy_;
+  unsigned serving_;  // serving instances; the host instance follows them
 
   std::vector<std::unique_ptr<crt::KernelExecutor>> execs_;
   std::vector<ReadyQueue> queues_;   // one per instance
   std::vector<InFlight> inflight_;   // one per instance
   std::vector<Health> health_;       // one per instance
   fault::Injector* injector_ = nullptr;
+  unsigned host_tenant_ = ~0u;       // valid once has_host()
+  std::vector<Resident> residents_;
+  unsigned rr_next_ = 0;  // round-robin VPU selection state (ablation)
 
   std::vector<std::string> tenant_names_;
   std::vector<unsigned> tenant_priority_;

@@ -123,6 +123,25 @@ TEST(CrtDecodeTest, HazardRenameCounted) {
   EXPECT_EQ(workloads::count_mismatches(got, workloads::golden_leaky_relu(X, 0u)), 0u);
 }
 
+// The bridge's status register reads the scheduler's host instance: busy,
+// with the decoded kernel queued, until the event queue dispatches and
+// retires it.
+TEST(CrtDecodeTest, StatusRegisterReadsTheKernelQueue) {
+  System sys(SystemConfig::paper(4));
+  auto& rt = sys.runtime();
+  Cycle t = 0;
+  t = rt.decode_offload(xmr_payload(0, sys.data_base(), {8, 8, 8}), t).complete_at;
+  t = rt.decode_offload(xmr_payload(1, sys.data_base() + 0x8000, {8, 8, 8}), t).complete_at;
+  EXPECT_EQ(sys.bridge().mmio_read(bridge::kRegStatus), 0u);
+  ASSERT_TRUE(rt.decode_offload(
+                    x::pack_xmk(x::kLeakyRelu, ElemType::kWord, {0, 0, 0, 1, 0, 0}), t)
+                  .accepted);
+  EXPECT_EQ(sys.bridge().mmio_read(bridge::kRegStatus), 1u | (1u << 8));
+  sys.drain();
+  EXPECT_EQ(sys.bridge().mmio_read(bridge::kRegStatus), 0u);
+  EXPECT_EQ(sys.bridge().mmio_read(bridge::kRegKernelCount), 1u);
+}
+
 TEST(CrtDecodeTest, QueueBackpressureDelaysDecode) {
   SystemConfig cfg = SystemConfig::paper(4);
   cfg.kernel_queue_depth = 1;

@@ -70,8 +70,11 @@ TEST(HazardTest, RawReadOfDestinationBlocksUntilWriteback) {
   EXPECT_EQ(workloads::count_mismatches(got,
                                         workloads::golden_leaky_relu(s.X, 2u)),
             0u);
-  // And the kernel had finished by then.
-  EXPECT_LE(s.sys.runtime().last_completion(), res.cycles);
+  // And the kernel had finished by then (tenant 0 is the host tenant the
+  // first offload created).
+  ASSERT_EQ(s.sys.scheduler().num_tenants(), 1u);
+  EXPECT_EQ(s.sys.scheduler().tenant_stats(0).jobs_completed, 1u);
+  EXPECT_LE(s.sys.scheduler().tenant_stats(0).last_completion, res.cycles);
 }
 
 TEST(HazardTest, WawStoreToDestinationOrdersAfterWriteback) {

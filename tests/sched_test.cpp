@@ -1,11 +1,12 @@
 // Multi-tenant kernel-offload scheduler tests: DAG validation, dependency
 // ordering under contention, buffer-reuse ordering across jobs,
 // determinism, tenant fairness, cross-backend functional equivalence,
-// multi-instance throughput scaling, and the outcome log behind every
-// per-job view.
+// multi-instance throughput scaling, the outcome log behind every per-job
+// view, and host-program offloads sharing the scheduler with tenant jobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "arcane/program_builder.hpp"
@@ -282,28 +283,120 @@ TEST(SchedOrderingTest, ConflictingJobsExecuteInReadyOrder) {
   }
 }
 
-// Concurrent use of both offload paths is rejected loudly: a host-program
-// xmk while a scheduler kernel is in flight must throw, not silently race
-// the scheduler for lines and operand ranges.
-TEST(SchedMixedPathTest, ConcurrentOffloadPathsRejected) {
+// One offload path: a host program offloading through the bridge while
+// tenant jobs are in flight on the same System finishes both. The host
+// instance spans every VPU, so its kernel waits until no serving instance
+// holds one, instead of racing them for lines and operand ranges.
+TEST(SchedMixedPathTest, HostOffloadsAndTenantJobsFinishTogether) {
   System sys(sched_config(MemBackendKind::kBurstPsram, 4));
   auto& sch = sys.scheduler();
   const unsigned t0 = sch.add_tenant("t");
   Rng rng(3);
-  const Addr base = sys.data_base() + 0x10000;
-  sched::place_scaling_probe_data(sys, base, rng);
-  sch.submit(t0, sched::scaling_probe_job(base), 0);  // in flight at t=0
+  std::vector<PipelineSlot> slots;
+  std::vector<PipelineData> data;
+  for (unsigned j = 0; j < 4; ++j) {
+    slots.emplace_back(sys.data_base() + 0x10000 + j * 0x8000);
+    data.push_back(sched::random_pipeline_data(rng));
+    sched::place_pipeline_data(sys, slots.back(), data.back());
+    sch.submit(t0, sched::pipeline_job(slots.back()), 0);  // in flight at t=0
+  }
 
-  const auto X = Matrix<std::int32_t>::random(8, 10, rng, -9, 9);
-  workloads::store_matrix(sys, sys.data_base() + 0x40000, X);
+  const auto X = Matrix<std::int8_t>::random(3 * 16, 16, rng, -9, 9);
+  const auto F = Matrix<std::int8_t>::random(3 * 3, 3, rng, -3, 3);
+  const Addr in = sys.data_base() + 0x40000;
+  const Addr f = sys.data_base() + 0x44000;
+  const Addr out = sys.data_base() + 0x48000;
+  workloads::store_matrix(sys, in, X);
+  workloads::store_matrix(sys, f, F);
   XProgram prog;
-  prog.xmr(0, sys.data_base() + 0x40000, X.shape(), ElemType::kWord);
-  prog.xmr(1, sys.data_base() + 0x48000, MatShape{8, 10, 10},
-           ElemType::kWord);
-  prog.leaky_relu(1, 0, 1, ElemType::kWord);
+  prog.xmr(0, in, X.shape(), ElemType::kByte);
+  prog.xmr(1, f, F.shape(), ElemType::kByte);
+  prog.xmr(2, out, MatShape{7, 7, 7}, ElemType::kByte);
+  prog.conv_layer(2, 0, 1, ElemType::kByte);
+  prog.sync_read(out);
   prog.halt();
   sys.load_program(prog.finish());
-  EXPECT_THROW(sys.run(), Error);
+  sys.run();
+
+  // The host tenant is created on the first offload, after tenant "t".
+  ASSERT_EQ(sch.num_tenants(), 2u);
+  const unsigned host = 1;
+  EXPECT_EQ(sch.tenant_name(host), "host");
+  EXPECT_EQ(sch.tenant_stats(t0).jobs_completed, 4u);
+  EXPECT_EQ(sch.tenant_stats(host).jobs_completed, 1u);
+  EXPECT_GT(sch.tenant_stats(host).total_queue_wait, 0u)
+      << "the host kernel should have waited for the serving instances";
+  EXPECT_EQ(sch.num_instances(), 4u);
+  EXPECT_FALSE(sch.kernels_busy());
+
+  const auto got = workloads::load_matrix<std::int8_t>(sys, out, 7, 7);
+  EXPECT_EQ(workloads::count_mismatches(
+                got, workloads::golden_conv_layer<std::int8_t>(X, F)),
+            0u);
+  for (unsigned j = 0; j < slots.size(); ++j) {
+    const auto res =
+        workloads::load_matrix<std::int32_t>(sys, slots[j].out, 4, 4);
+    EXPECT_EQ(workloads::count_mismatches(res,
+                                          sched::golden_pipeline(data[j])),
+              0u)
+        << "job " << j;
+  }
+}
+
+// The paper's C-RT is a one-instance FIFO scheduler: the same kernel
+// sequence, offloaded by a host program through the bridge or submitted as
+// single-op jobs to a one-instance FIFO scheduler, leaves byte-identical
+// memory.
+TEST(SchedMixedPathTest, BridgeMatchesOneInstanceFifoScheduler) {
+  Rng rng(11);
+  const PipelineData d = sched::random_pipeline_data(rng);
+  constexpr std::uint32_t kSlotBytes = 0x4000;
+
+  auto image = [&](bool bridge) {
+    SystemConfig cfg = sched_config(MemBackendKind::kBurstPsram, 1);
+    System sys(cfg);
+    const PipelineSlot s(sys.data_base() + 0x10000);
+    sched::place_pipeline_data(sys, s, d);
+    const sched::JobSpec pipeline = sched::pipeline_job(s);
+    if (bridge) {
+      XProgram prog;
+      prog.xmr(0, s.x, d.X.shape(), ElemType::kWord);
+      prog.xmr(1, s.f, d.F.shape(), ElemType::kWord);
+      prog.xmr(2, s.c1, MatShape{8, 10, 10}, ElemType::kWord);
+      prog.xmr(3, s.r, MatShape{8, 10, 10}, ElemType::kWord);
+      prog.xmr(4, s.p, MatShape{4, 5, 5}, ElemType::kWord);
+      prog.xmr(5, s.w, d.W.shape(), ElemType::kWord);
+      prog.xmr(6, s.b, d.B.shape(), ElemType::kWord);
+      prog.xmr(7, s.out, MatShape{4, 4, 4}, ElemType::kWord);
+      prog.conv2d(2, 0, 1, ElemType::kWord);
+      prog.leaky_relu(3, 2, 1, ElemType::kWord);
+      prog.maxpool(4, 3, /*win=*/2, /*stride=*/2, ElemType::kWord);
+      prog.gemm(7, 4, 5, 6, 1, 1, ElemType::kWord);
+      prog.halt();
+      sys.load_program(prog.finish());
+      sys.run();
+    } else {
+      auto& sch = sys.scheduler();
+      const unsigned t = sch.add_tenant("t");
+      for (sched::OpSpec op : pipeline.ops) {
+        op.deps.clear();
+        sched::JobSpec job;
+        job.ops.push_back(op);
+        sch.submit(t, std::move(job), 0);
+      }
+      sch.drain();
+    }
+    std::vector<std::uint8_t> bytes(kSlotBytes);
+    sys.read_bytes(s.x, bytes);
+    return bytes;
+  };
+
+  const std::vector<std::uint8_t> via_bridge = image(true);
+  EXPECT_EQ(via_bridge, image(false));
+  // And both are right.
+  Matrix<std::int32_t> out(4, 4);
+  std::memcpy(out.flat().data(), via_bridge.data() + 0x3800, 4 * 4 * 4);
+  EXPECT_EQ(workloads::count_mismatches(out, sched::golden_pipeline(d)), 0u);
 }
 
 TEST(SchedDeterminismTest, RepeatedRunsAreBitIdentical) {

@@ -214,7 +214,7 @@ TEST(SystemTest, DrainSettlesAsyncKernels) {
   sys.load_program(prog.finish());
   sys.run();
   EXPECT_EQ(sys.runtime().phases().kernels_executed, 1u);
-  EXPECT_TRUE(sys.runtime().idle());
+  EXPECT_FALSE(sys.scheduler().kernels_busy());
   auto got = workloads::load_matrix<std::int32_t>(sys, sys.data_base() + 0x8000,
                                                   16, 16);
   EXPECT_EQ(workloads::count_mismatches(
