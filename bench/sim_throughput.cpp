@@ -4,8 +4,11 @@
 // how many nightly sweep cells the project can afford (ROADMAP "Hot-path
 // profiling").
 //
-// Three scenario families:
+// Four scenario families:
 //  * iss       — host-ISS ALU loop (decode cache + interpreter hot loop);
+//  * cpu       — fig4's int8 k=7 conv layer on the scalar CV32E40X and the
+//                XCVPULP CV32E40PX baselines (ISS + LLC host port: the
+//                cost that dominates the fig4 sweep);
 //  * conv      — end-to-end ARCANE conv layer (event kernel + LLC + DMA +
 //                VPU lane loop), per external-memory backend;
 //  * sched     — a batch of independent conv jobs through the multi-tenant
@@ -16,8 +19,9 @@
 // CI check) plus the wall-clock trend fields `host_wall_ms`,
 // `sim_cycles_per_host_sec`, ... which check_bench_regression.py reports
 // informationally and never gates on (machine-dependent). --fast shrinks
-// repetitions and grid for CI. Grid cells: the backend-invariant iss cell
-// plus one conv and sched cell per backend.
+// repetitions and grid for CI. Grid cells: the iss cell, the cpu cell (on
+// the paper's PSRAM unless --backend picks another), plus one conv and
+// sched cell per backend.
 #include <cstdio>
 #include <string>
 
@@ -111,6 +115,33 @@ Totals run_iss(unsigned iters, unsigned reps) {
   return t;
 }
 
+/// A fig4 CPU-baseline conv layer (int8, k=7) on a fresh System per
+/// repetition: the ISS dispatch loop and the LLC host-port hit path.
+Totals run_cpu(baseline::Impl impl, std::uint32_t size,
+               const benchjson::Options& opt, unsigned reps) {
+  baseline::ConvCase c;
+  c.size = size;
+  c.k = 7;
+  c.et = ElemType::kByte;
+  c.verify = false;
+  SystemConfig cfg = SystemConfig::paper(4);
+  if (opt.backend) cfg.mem.backend = *opt.backend;
+  if (opt.replacement) cfg.llc.replacement = *opt.replacement;
+
+  Totals t;
+  baseline::run_conv_layer(cfg, impl, c);  // warm-up
+  const benchjson::WallTimer timer;
+  for (unsigned r = 0; r < reps; ++r) {
+    const auto res = baseline::run_conv_layer(cfg, impl, c);
+    t.sim_cycles = res.cycles;
+    t.instructions = res.instructions;
+    t.reps_cycles += static_cast<double>(res.cycles);
+    t.reps_insns += static_cast<double>(res.instructions);
+  }
+  t.wall_ms = timer.ms();
+  return t;
+}
+
 /// End-to-end ARCANE conv layer on a fresh System per repetition: the
 /// event kernel, LLC port, DMA model and VPU lane loop all on the path.
 Totals run_conv(std::uint32_t size, MemBackendKind backend,
@@ -181,9 +212,10 @@ Totals run_sched(unsigned instances, unsigned jobs, MemBackendKind backend,
 
 int main(int argc, char** argv) {
   benchjson::Harness h("sim_throughput");
-  h.add_choice("scenario", "--scenario", "", {"iss", "conv", "sched"},
+  h.add_choice("scenario", "--scenario", "", {"iss", "cpu", "conv", "sched"},
                "restrict to one scenario family");
   h.grid().add_cell({{"scenario", "iss"}});
+  h.grid().add_cell({{"scenario", "cpu"}});
   h.grid().add_product({{"scenario", {"conv"}}, {"backend", {}}});
   h.grid().add_product({{"scenario", {"sched"}}, {"backend", {}}});
   const benchjson::Options opt = h.parse(argc, argv);
@@ -192,6 +224,7 @@ int main(int argc, char** argv) {
 
   const unsigned reps = opt.fast ? 3 : 10;
   const unsigned iss_iters = opt.fast ? 50000 : 200000;
+  const std::uint32_t cpu_size = opt.fast ? 64 : 256;
   const std::uint32_t conv_size = opt.fast ? 32 : 128;
   const unsigned sched_jobs = opt.fast ? 12 : 48;
 
@@ -202,6 +235,16 @@ int main(int argc, char** argv) {
     char name[48];
     std::snprintf(name, sizeof(name), "iss/alu_loop=%u", iss_iters);
     emit(report, human, name, nullptr, run_iss(iss_iters, reps));
+  }
+  if (h.is("scenario", "cpu")) {
+    for (const baseline::Impl impl :
+         {baseline::Impl::kScalar, baseline::Impl::kPulp}) {
+      char name[48];
+      std::snprintf(name, sizeof(name), "cpu/%s/size=%u/k=7",
+                    impl == baseline::Impl::kScalar ? "scalar" : "pulp",
+                    cpu_size);
+      emit(report, human, name, nullptr, run_cpu(impl, cpu_size, opt, reps));
+    }
   }
   if (h.is("scenario", "conv")) {
     for (const MemBackendKind backend : benchjson::backend_sweep(opt)) {

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/bits.hpp"
+
 namespace arcane {
 
 System::System(SystemConfig cfg, crt::KernelLibrary library) : cfg_(cfg) {
@@ -97,10 +99,10 @@ void System::read_bytes(Addr addr, std::span<std::uint8_t> out) {
 
 Cycle System::read(Addr addr, unsigned bytes, void* out, Cycle now) {
   const auto& m = cfg_.mem;
-  if (addr >= m.data_base && addr + bytes <= m.data_base + m.data_bytes) {
+  if (range_within(addr, bytes, m.data_base, m.data_bytes)) {
     return llc_->host_access(addr, bytes, /*is_write=*/false, out, now).complete_at;
   }
-  if (addr >= m.mmio_base && addr + bytes <= m.mmio_base + m.mmio_bytes) {
+  if (range_within(addr, bytes, m.mmio_base, m.mmio_bytes)) {
     events_.run_until(now);
     const std::uint32_t v = bridge_->mmio_read(addr - m.mmio_base);
     std::memcpy(out, &v, bytes);
@@ -111,11 +113,11 @@ Cycle System::read(Addr addr, unsigned bytes, void* out, Cycle now) {
 
 Cycle System::write(Addr addr, unsigned bytes, const void* in, Cycle now) {
   const auto& m = cfg_.mem;
-  if (addr >= m.data_base && addr + bytes <= m.data_base + m.data_bytes) {
+  if (range_within(addr, bytes, m.data_base, m.data_bytes)) {
     return llc_->host_access(addr, bytes, /*is_write=*/true,
                              const_cast<void*>(in), now).complete_at;
   }
-  if (addr >= m.mmio_base && addr + bytes <= m.mmio_base + m.mmio_bytes) {
+  if (range_within(addr, bytes, m.mmio_base, m.mmio_bytes)) {
     return now + 1;  // configuration writes are accepted and ignored
   }
   throw Error("bus fault: write outside mapped regions");

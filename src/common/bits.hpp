@@ -68,6 +68,13 @@ constexpr std::uint32_t align_down(std::uint32_t v, std::uint32_t align) {
 
 constexpr bool is_pow2(std::uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
+/// [addr, addr + len) lies inside [base, base + size). Phrased with
+/// subtractions so ranges ending at or past 2^32 do not wrap.
+constexpr bool range_within(std::uint32_t addr, std::uint32_t len,
+                            std::uint32_t base, std::uint32_t size) {
+  return addr >= base && len <= size && addr - base <= size - len;
+}
+
 /// ceil(a / b) for unsigned integers; b must be non-zero.
 template <typename T>
 constexpr T ceil_div(T a, T b) {

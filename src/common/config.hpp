@@ -411,7 +411,8 @@ struct SystemConfig {
     ARCANE_CHECK(is_pow2(mem.dram_row_bytes) && mem.dram_row_bytes >= 64,
                  "DRAM row size must be a power of two >= 64 bytes");
     ARCANE_CHECK(mem.dram_refresh_interval >= 1, "DRAM refresh interval");
-    ARCANE_CHECK(mem.data_bytes % llc.line_bytes() == 0,
+    ARCANE_CHECK(mem.data_base % llc.line_bytes() == 0 &&
+                     mem.data_bytes % llc.line_bytes() == 0,
                  "data region must be line aligned");
   }
 

@@ -94,7 +94,6 @@ class HostCpu {
   void invalidate_decode_cache();
 
  private:
-  const isa::DecodedInst& fetch(Addr pc);
   bool xcvpulp() const { return cfg_.host_cpu == HostCpuKind::kCv32e40px; }
 
   SystemConfig cfg_;
@@ -106,7 +105,6 @@ class HostCpu {
   std::array<std::uint32_t, 32> regs_{};
   Addr pc_ = 0;
   Cycle time_ = 0;
-  std::uint64_t instret_ = 0;
 
   // XCVPULP hardware-loop state (two nesting levels).
   struct HwLoop {

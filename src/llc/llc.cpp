@@ -1,11 +1,27 @@
 #include "llc/llc.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/log.hpp"
 
 namespace arcane::llc {
+
+namespace {
+
+/// Host datum copy: fixed-width moves for the 1/2/4-byte accesses, a
+/// general copy only for the 3-byte head of a split misaligned word.
+void copy_datum(void* dst, const void* src, unsigned bytes) {
+  switch (bytes) {
+    case 1: std::memcpy(dst, src, 1); break;
+    case 2: std::memcpy(dst, src, 2); break;
+    case 4: std::memcpy(dst, src, 4); break;
+    default: std::memcpy(dst, src, bytes); break;
+  }
+}
+
+}  // namespace
 
 Llc::Llc(const SystemConfig& cfg, sim::EventQueue& events,
          mem::MainMemory& ext, dma::DmaEngine& dma,
@@ -16,10 +32,13 @@ Llc::Llc(const SystemConfig& cfg, sim::EventQueue& events,
       dma_(&dma),
       storage_(&storage),
       line_bytes_(cfg.llc.line_bytes()),
+      line_shift_(static_cast<unsigned>(std::countr_zero(line_bytes_))),
+      data_base_(cfg.mem.data_base),
+      data_bytes_(cfg.mem.data_bytes),
       lines_(cfg.llc.num_lines()),
-      policy_(make_replacement_strategy(cfg.llc, lines_)) {
-  tag_to_line_.reserve(lines_.size() * 2);
-}
+      index_(data_bytes_ >> line_shift_, -1),
+      decay_countdown_(cfg.llc.lru_decay_period),
+      policy_(make_replacement_strategy(cfg.llc, lines_)) {}
 
 void Llc::register_metrics(telemetry::Registry& reg) {
   auto bind = [&](const char* name, const std::uint64_t& field) {
@@ -43,18 +62,6 @@ void Llc::register_metrics(telemetry::Registry& reg) {
            [this] { return stats_.stalls.dma_contention; });
 }
 
-int Llc::lookup(Addr base) const {
-  const Line& m = lines_[mru_idx_];
-  if (m.tag == base &&
-      (m.state == LineState::kClean || m.state == LineState::kDirty)) {
-    return static_cast<int>(mru_idx_);
-  }
-  const auto it = tag_to_line_.find(base);
-  if (it == tag_to_line_.end()) return -1;
-  mru_idx_ = it->second;
-  return static_cast<int>(it->second);
-}
-
 int Llc::find_victim(Addr incoming) {
   // Pass 1: any invalid line — free capacity beats any policy decision.
   for (unsigned i = 0; i < lines_.size(); ++i) {
@@ -74,7 +81,7 @@ std::uint32_t Llc::evict(unsigned idx) {
       ext_bytes = line_bytes_;
       ++stats_.writebacks;
     }
-    tag_to_line_.erase(l.tag);
+    index_slot(l.tag) = -1;
     ++stats_.evictions;
   }
   l.state = LineState::kInvalid;
@@ -109,7 +116,7 @@ Cycle Llc::refill(Addr base, Cycle t, Cycle& dma_wait) {
   l.state = LineState::kClean;
   l.tag = base;
   l.owner_uid = 0;
-  tag_to_line_[base] = static_cast<unsigned>(victim);
+  index_slot(base) = static_cast<std::int16_t>(victim);
   policy_->fill(static_cast<unsigned>(victim), base);
   ext_->read(base, storage_->line(static_cast<unsigned>(victim)).data(),
              line_bytes_);
@@ -156,15 +163,20 @@ Llc::HostResult Llc::host_access(Addr addr, unsigned bytes, bool is_write,
   ARCANE_ASSERT((addr & (line_bytes_ - 1)) + bytes <= line_bytes_,
                 "host access crosses a cache line");
 
-  policy_->host_tick();
+  if (--decay_countdown_ == 0) {
+    decay_countdown_ = cfg_.llc.lru_decay_period;
+    policy_->decay();
+  }
   if (is_write) {
     ++stats_.writes;
   } else {
     ++stats_.reads;
   }
-  // Pre-resolution hook: lets the C-RT materialize deferred (elided)
+  // Pre-resolution hook: lets the scheduler materialize deferred (elided)
   // write-backs whose AT entries would otherwise block this access forever.
-  if (on_host_access) on_host_access(addr, bytes, is_write);
+  if (host_observer != nullptr) {
+    host_observer->on_host_access(addr, bytes, is_write);
+  }
 
   Cycle t = now;
   if (locked_until_ > t || at_.any_active() || !events_->empty()) {
@@ -173,7 +185,9 @@ Llc::HostResult Llc::host_access(Addr addr, unsigned bytes, bool is_write,
   // Post-resolution hook: kernels that completed *during* the stall drain
   // may have left forwarding residents; a write must invalidate them before
   // the data lands.
-  if (on_host_access) on_host_access(addr, bytes, is_write);
+  if (host_observer != nullptr) {
+    host_observer->on_host_access(addr, bytes, is_write);
+  }
 
   const Addr base = line_base(addr);
   int idx = lookup(base);
@@ -197,13 +211,13 @@ Llc::HostResult Llc::host_access(Addr addr, unsigned bytes, bool is_write,
     res.complete_at = done + cfg_.llc.hit_latency;
   }
 
-  auto line_data = storage_->line(static_cast<unsigned>(idx));
-  const std::uint32_t off = addr - base;
+  std::uint8_t* datum =
+      storage_->line(static_cast<unsigned>(idx)).data() + (addr - base);
   if (is_write) {
-    std::memcpy(line_data.data() + off, data, bytes);
+    copy_datum(datum, data, bytes);
     lines_[idx].state = LineState::kDirty;
   } else {
-    std::memcpy(data, line_data.data() + off, bytes);
+    copy_datum(data, datum, bytes);
   }
   return res;
 }
@@ -245,20 +259,11 @@ bool Llc::line_is_busy(unsigned vpu, unsigned vreg) const {
   return lines_[storage_->line_of(vpu, vreg)].state == LineState::kBusy;
 }
 
-unsigned Llc::dirty_lines_in_vpu(unsigned vpu) const {
+unsigned Llc::lines_in_vpu(unsigned vpu, LineState state) const {
   const unsigned per = cfg_.llc.vpu.num_vregs;
   unsigned count = 0;
   for (unsigned v = 0; v < per; ++v) {
-    if (lines_[vpu * per + v].state == LineState::kDirty) ++count;
-  }
-  return count;
-}
-
-unsigned Llc::busy_lines_in_vpu(unsigned vpu) const {
-  const unsigned per = cfg_.llc.vpu.num_vregs;
-  unsigned count = 0;
-  for (unsigned v = 0; v < per; ++v) {
-    if (lines_[vpu * per + v].state == LineState::kBusy) ++count;
+    if (lines_[vpu * per + v].state == state) ++count;
   }
   return count;
 }
@@ -317,7 +322,7 @@ dma::TransferCost Llc::write_range(Addr addr,
       Line& l = lines_[victim];
       l.state = LineState::kClean;
       l.tag = base;
-      tag_to_line_[base] = static_cast<unsigned>(victim);
+      index_slot(base) = static_cast<std::int16_t>(victim);
       policy_->fill(static_cast<unsigned>(victim), base);
       if (chunk != line_bytes_) {
         ext_->read(base, storage_->line(victim).data(), line_bytes_);
@@ -339,21 +344,7 @@ dma::TransferCost Llc::write_range(Addr addr,
 }
 
 void Llc::backdoor_read(Addr addr, void* out, std::uint32_t len) {
-  auto* p = static_cast<std::uint8_t*>(out);
-  std::uint32_t done = 0;
-  while (done < len) {
-    const Addr a = addr + done;
-    const Addr base = line_base(a);
-    const std::uint32_t off = a - base;
-    const std::uint32_t chunk = std::min(len - done, line_bytes_ - off);
-    const int idx = lookup(base);
-    if (idx >= 0) {
-      std::memcpy(p + done, storage_->line(idx).data() + off, chunk);
-    } else {
-      ext_->read(a, p + done, chunk);
-    }
-    done += chunk;
-  }
+  read_range(addr, {static_cast<std::uint8_t*>(out), len});
 }
 
 void Llc::backdoor_write(Addr addr, const void* in, std::uint32_t len) {
@@ -389,9 +380,11 @@ void Llc::flush_all() {
 void Llc::invalidate_all() {
   flush_all();
   for (Line& l : lines_) {
-    if (l.state == LineState::kClean) l = Line{};
+    if (l.state == LineState::kClean) {
+      index_slot(l.tag) = -1;
+      l = Line{};
+    }
   }
-  tag_to_line_.clear();
   // Adaptive strategies drop their resident/ghost directories; the legacy
   // strategies keep their counters, matching the pre-strategy controller.
   policy_->reset();

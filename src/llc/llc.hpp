@@ -20,10 +20,9 @@
 #ifndef ARCANE_LLC_LLC_HPP_
 #define ARCANE_LLC_LLC_HPP_
 
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hpp"
@@ -40,6 +39,15 @@
 #include "vpu/line_storage.hpp"
 
 namespace arcane::llc {
+
+/// Observer of host-port accesses (Llc::host_observer).
+class HostAccessObserver {
+ public:
+  virtual void on_host_access(Addr addr, unsigned len, bool is_write) = 0;
+
+ protected:
+  ~HostAccessObserver() = default;
+};
 
 class Llc {
  public:
@@ -67,8 +75,12 @@ class Llc {
   /// Free every line owned by kernel `uid` (post write-back).
   void release_kernel_lines(std::uint64_t uid);
   bool line_is_busy(unsigned vpu, unsigned vreg) const;
-  unsigned dirty_lines_in_vpu(unsigned vpu) const;
-  unsigned busy_lines_in_vpu(unsigned vpu) const;
+  unsigned dirty_lines_in_vpu(unsigned vpu) const {
+    return lines_in_vpu(vpu, LineState::kDirty);
+  }
+  unsigned busy_lines_in_vpu(unsigned vpu) const {
+    return lines_in_vpu(vpu, LineState::kBusy);
+  }
 
   // ------------------ allocator 2D-DMA data path ---------------------
   /// Read [addr, addr+out.size()) through the cache: hits are forwarded
@@ -100,14 +112,26 @@ class Llc {
   /// Bind this controller's CacheStats fields as `llc.*` registry views.
   void register_metrics(telemetry::Registry& reg);
 
-  /// Invoked on every host access *before* hazard resolution (used by the
-  /// C-RT to invalidate or lazily materialize forwarded/resident kernel
-  /// results kept in VPU registers).
-  std::function<void(Addr, unsigned, bool is_write)> on_host_access;
+  /// Sees host accesses before and after hazard resolution: the scheduler,
+  /// while it keeps kernel results resident in VPU registers (null
+  /// otherwise, so the idle port pays one pointer test).
+  HostAccessObserver* host_observer = nullptr;
 
  private:
   Addr line_base(Addr addr) const { return addr & ~(line_bytes_ - 1); }
-  int lookup(Addr base) const;
+  unsigned lines_in_vpu(unsigned vpu, LineState state) const;
+  /// Line holding block `base`, or -1 (also outside the data region).
+  int lookup(Addr base) const {
+    const Addr off = base - data_base_;
+    return off < data_bytes_ ? index_[off >> line_shift_] : -1;
+  }
+  /// Tag-index entry of block `base`, bounds-checked (not on the hit path).
+  std::int16_t& index_slot(Addr base) {
+    const Addr off = base - data_base_;
+    ARCANE_ASSERT(off < data_bytes_,
+                  "line 0x" << std::hex << base << " outside the data region");
+    return index_[off >> line_shift_];
+  }
   /// Pick a victim for the incoming line base among non-busy lines:
   /// recycles any Invalid line first, then delegates the replacement
   /// decision to the configured strategy; -1 when every line is busy.
@@ -127,14 +151,15 @@ class Llc {
   vpu::LineStorage* storage_;
 
   std::uint32_t line_bytes_;
+  unsigned line_shift_;
+  Addr data_base_;
+  std::uint32_t data_bytes_;
   std::vector<Line> lines_;
-  std::unordered_map<Addr, unsigned> tag_to_line_;
-  /// 1-entry MRU lookup cache. Self-validating: the hit predicate (tag
-  /// matches AND the line is Clean/Dirty) is exactly the invariant under
-  /// which tag_to_line_ holds the entry, so eviction/claiming needs no
-  /// explicit invalidation here. Streaming kernels hit it on nearly every
-  /// sequential host access, skipping the hash probe.
-  mutable unsigned mru_idx_ = 0;
+  /// Tag index: per line-sized block of the data region, the Clean/Dirty
+  /// line holding it or -1 (at most 16 VPUs x 64 vregs = 1024 lines).
+  std::vector<std::int16_t> index_;
+  /// Host accesses left until the next ReplacementStrategy::decay().
+  unsigned decay_countdown_;
   /// Replacement bookkeeping (victim ranking, recency/ghost state) lives in
   /// the strategy; the controller only reports touch/fill/evict events.
   std::unique_ptr<ReplacementStrategy> policy_;

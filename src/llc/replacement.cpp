@@ -60,14 +60,11 @@ class LegacyStrategy : public ReplacementStrategy {
 
 class ApproxLruStrategy final : public LegacyStrategy {
  public:
-  ApproxLruStrategy(std::vector<Line>& lines, unsigned decay_period)
-      : LegacyStrategy(lines), decay_period_(decay_period) {}
+  using LegacyStrategy::LegacyStrategy;
 
-  void host_tick() override {
-    if (++access_count_ % decay_period_ == 0) {
-      for (Line& l : lines_) {
-        if (l.age > 0) --l.age;
-      }
+  void decay() override {
+    for (Line& l : lines_) {
+      if (l.age > 0) --l.age;
     }
   }
 
@@ -84,10 +81,6 @@ class ApproxLruStrategy final : public LegacyStrategy {
     }
     return best;
   }
-
- private:
-  unsigned decay_period_;
-  std::uint64_t access_count_ = 0;
 };
 
 class TrueLruStrategy final : public LegacyStrategy {
@@ -521,7 +514,7 @@ std::unique_ptr<ReplacementStrategy> make_replacement_strategy(
     const LlcConfig& cfg, std::vector<Line>& lines) {
   switch (cfg.replacement) {
     case ReplacementPolicy::kApproxLru:
-      return std::make_unique<ApproxLruStrategy>(lines, cfg.lru_decay_period);
+      return std::make_unique<ApproxLruStrategy>(lines);
     case ReplacementPolicy::kTrueLru:
       return std::make_unique<TrueLruStrategy>(lines);
     case ReplacementPolicy::kRandom:

@@ -4,8 +4,9 @@
 // LRU without touching the hit/miss datapath.
 //
 // Contract between Llc and a strategy:
-//  * host_tick()     — once per host-port access, before lookup (drives the
-//                      approximate-LRU decay clock; others ignore it).
+//  * decay()         — every `lru_decay_period`-th host-port access, before
+//                      its lookup (the approximate-LRU age decay; others
+//                      ignore it). The controller keeps the countdown.
 //  * touch(idx, a)   — resident line `idx` holding tag `a` was hit by the
 //                      host port. Never called for Busy or Invalid lines.
 //  * fill(idx, a)    — line `idx` was just installed with tag `a` (miss
@@ -51,7 +52,7 @@ namespace arcane::llc {
 class ReplacementStrategy {
  public:
   virtual ~ReplacementStrategy() = default;
-  virtual void host_tick() {}
+  virtual void decay() {}
   virtual void touch(unsigned idx, Addr base) = 0;
   virtual void fill(unsigned idx, Addr base) = 0;
   virtual void evict(unsigned /*idx*/, Addr /*base*/) {}

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/bits.hpp"
 #include "common/types.hpp"
 
 namespace arcane::mem {
@@ -29,7 +30,7 @@ class InstructionMemory {
   }
 
   bool contains(Addr addr, std::uint32_t len) const {
-    return addr >= base_ && addr + len <= base_ + size();
+    return range_within(addr, len, base_, size());
   }
 
   /// Fetch 32 bits at a 16-bit aligned pc (RVC allows halfword alignment).

@@ -48,11 +48,7 @@ class MainMemory {
   std::uint32_t size() const { return size_; }
 
   bool contains(Addr addr, std::uint32_t len) const {
-    // Phrased with subtractions so ranges ending exactly at 2^32 do not
-    // wrap (addr + len overflows Addr for them).
-    if (addr < base_) return false;
-    const std::uint32_t off = addr - base_;
-    return off <= size() && len <= size() - off;
+    return range_within(addr, len, base_, size_);
   }
 
   void read(Addr addr, void* out, std::uint32_t len) const {

@@ -77,9 +77,6 @@ Scheduler::Scheduler(crt::Runtime& rt)
   ARCANE_CHECK(serving_ >= 1 && serving_ <= cfg_->llc.num_vpus,
                "scheduler instance count out of range");
   for (unsigned i = 0; i < serving_; ++i) add_instance();
-  ctx_->llc->on_host_access = [this](Addr addr, unsigned len, bool is_write) {
-    on_host_access(addr, len, is_write);
-  };
 }
 
 unsigned Scheduler::add_tenant(std::string name, unsigned priority) {
@@ -1109,6 +1106,7 @@ bool Scheduler::keep_resident(const crt::FinishedKernel& fin) {
     ++ctx_->phases.full_elisions;
   }
   residents_.push_back(r);
+  ctx_->llc->host_observer = this;
   return true;
 }
 
@@ -1123,10 +1121,10 @@ void Scheduler::drop_residents(const Pred& pred) {
       ++it;
     }
   }
+  if (residents_.empty()) ctx_->llc->host_observer = nullptr;
 }
 
 void Scheduler::on_host_access(Addr addr, unsigned len, bool is_write) {
-  if (residents_.empty()) return;
   if (is_write) {
     // The host overwrites the region: the resident copy goes stale.
     drop_residents([&](const Resident& r) {

@@ -41,6 +41,7 @@
 #include "crt/executor.hpp"
 #include "crt/runtime.hpp"
 #include "fault/fault.hpp"
+#include "llc/llc.hpp"
 #include "sched/job.hpp"
 #include "sched/ready_queue.hpp"
 #include "sim/stats.hpp"
@@ -75,7 +76,8 @@ struct JobReport {
 
 class Scheduler final : public crt::KernelExecutor::Client,
                         public crt::KernelQueue,
-                        public fault::Listener {
+                        public fault::Listener,
+                        llc::HostAccessObserver {
  public:
   /// Serving instances, policy and the shared C-RT context come from the
   /// Runtime's SystemConfig (sched_instances == 0 means one instance per
@@ -351,7 +353,8 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// Drop the residents `pred` selects, materializing elided ones first.
   template <typename Pred>
   void drop_residents(const Pred& pred);
-  void on_host_access(Addr addr, unsigned len, bool is_write);
+  /// Observes the LLC host port while residents_ is non-empty.
+  void on_host_access(Addr addr, unsigned len, bool is_write) override;
   /// Write an elided (never materialized) resident back to memory and
   /// release its deferred AT entry.
   void materialize(Resident& r);

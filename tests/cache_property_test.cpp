@@ -115,6 +115,80 @@ TEST_P(CachePropertyTest, StreamWithKernelLineClaims) {
   }
 }
 
+TEST_P(CachePropertyTest, SmallLinesReachBothEndsOfTheDataRegion) {
+  // 64-byte lines: the tag index covers the 8 MiB data region with 131072
+  // blocks. The stream hits the first and last block hard and interleaves
+  // kernel claims, releases and invalidate_all, checked against a flat
+  // reference memory.
+  SystemConfig cfg = SystemConfig::paper(4);
+  cfg.llc.vpu.vlen_bytes = 64;
+  cfg.llc.replacement = GetParam();
+  cfg.validate();
+  ASSERT_EQ(cfg.mem.data_bytes / cfg.llc.line_bytes(), 131072u);
+  sim::EventQueue events;
+  mem::MainMemory ext(cfg.mem.data_base, cfg.mem.data_bytes, cfg.mem);
+  vpu::LineStorage storage(cfg.llc);
+  dma::DmaEngine dma(cfg.mem);
+  Llc llc(cfg, events, ext, dma, storage);
+
+  const Addr first = cfg.mem.data_base;
+  const Addr last = first + cfg.mem.data_bytes - cfg.llc.line_bytes();
+  std::uint32_t v = 0;
+  Cycle t = 0;
+  for (const Addr a : {first, last}) {
+    EXPECT_FALSE(llc.host_access(a, 4, false, &v, t).hit);
+    EXPECT_TRUE(llc.host_access(a + 60, 4, false, &v, t).hit);
+  }
+
+  workloads::Rng rng(31 * (static_cast<std::uint64_t>(GetParam()) + 1));
+  std::map<Addr, std::uint32_t> model;
+  std::uint64_t uid = 1;
+  bool claimed = false;
+  for (int i = 0; i < 6000; ++i) {
+    if (i % 600 == 300) {
+      const unsigned vpu = uid % cfg.llc.num_vpus;
+      for (unsigned r = 0; r < cfg.llc.vpu.num_vregs / 2; ++r) {
+        llc.claim_line(vpu, r, uid);
+      }
+      claimed = true;
+    }
+    if (i % 600 == 599 && claimed) {
+      llc.release_kernel_lines(uid++);
+      claimed = false;
+    }
+    if (i % 2000 == 1999) {
+      llc.invalidate_all();
+      EXPECT_FALSE(llc.host_access(first, 4, false, &v, t).hit) << i;
+      EXPECT_FALSE(llc.host_access(last, 4, false, &v, t).hit) << i;
+    }
+    const Addr word = static_cast<Addr>(rng.uniform(0, 15)) * 4;
+    Addr addr;
+    switch (rng.uniform(0, 3)) {
+      case 0: addr = first + word; break;
+      case 1: addr = last + word; break;
+      default:
+        addr = first + static_cast<Addr>(rng.uniform(
+                           0, cfg.mem.data_bytes / 4 - 1)) * 4;
+        break;
+    }
+    if (rng.uniform(0, 1) == 0) {
+      v = static_cast<std::uint32_t>(rng.next());
+      t = llc.host_access(addr, 4, true, &v, t).complete_at + 1;
+      model[addr] = v;
+    } else {
+      t = llc.host_access(addr, 4, false, &v, t).complete_at + 1;
+      const auto it = model.find(addr);
+      ASSERT_EQ(v, it == model.end() ? 0u : it->second)
+          << "addr 0x" << std::hex << addr << " after " << std::dec << i;
+    }
+  }
+  if (claimed) llc.release_kernel_lines(uid);
+  llc.flush_all();
+  for (const auto& [addr, want] : model) {
+    ASSERT_EQ(ext.read_scalar<std::uint32_t>(addr), want);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Policies, CachePropertyTest,
                          ::testing::ValuesIn(kAllReplacementPolicies),
                          [](const auto& info) {

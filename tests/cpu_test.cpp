@@ -242,6 +242,36 @@ TEST(CpuTest, BusFaultOnUnmappedAccess) {
   EXPECT_EQ(sys.run_unchecked().reason, cpu::HaltReason::kBusFault);
 }
 
+TEST(CpuTest, JumpToTopOfAddressSpaceIsABusFault) {
+  // pc = 0xFFFFFFFE: pc + 2 wraps to 0, which must not pass the fetch check.
+  System sys(SystemConfig::paper(4));
+  Assembler a;
+  a.addi(Reg::kT0, Reg::kZero, -2);
+  a.jalr(Reg::kZero, Reg::kT0, 0);
+  a.ecall();
+  sys.load_program(a.finish());
+  const auto refills = sys.llc().stats().refills;
+  const auto res = sys.run_unchecked();
+  EXPECT_EQ(res.reason, cpu::HaltReason::kBusFault);
+  EXPECT_EQ(res.pc, 0xFFFF'FFFEu);
+  EXPECT_EQ(sys.llc().stats().refills, refills);
+}
+
+TEST(CpuTest, LoadAtTopOfAddressSpaceIsABusFault) {
+  // A byte at 0xFFFFFFFF: addr + 1 wraps to 0, which must not pass the
+  // data-region check or reach the LLC.
+  System sys(SystemConfig::paper(4));
+  Assembler a;
+  a.addi(Reg::kT0, Reg::kZero, -1);
+  a.lb(Reg::kA0, Reg::kT0, 0);
+  a.ecall();
+  sys.load_program(a.finish());
+  const auto refills = sys.llc().stats().refills;
+  EXPECT_EQ(sys.run_unchecked().reason, cpu::HaltReason::kBusFault);
+  EXPECT_EQ(sys.llc().stats().refills, refills);
+  EXPECT_EQ(sys.llc().stats().reads, 0u);
+}
+
 TEST(CpuTest, McycleAndMinstretCsrs) {
   Assembler a;
   a.nop();

@@ -369,8 +369,11 @@ std::unique_ptr<RefModel> make_model(ReplacementPolicy pol,
 // =====================================================================
 
 struct Rig {
-  explicit Rig(ReplacementPolicy pol) : cfg(SystemConfig::paper(4)) {
+  explicit Rig(ReplacementPolicy pol,
+               unsigned decay_period = LlcConfig{}.lru_decay_period)
+      : cfg(SystemConfig::paper(4)) {
     cfg.llc.replacement = pol;
+    cfg.llc.lru_decay_period = decay_period;
     ext = std::make_unique<mem::MainMemory>(cfg.mem.data_base,
                                             cfg.mem.data_bytes, cfg.mem);
     storage = std::make_unique<vpu::LineStorage>(cfg.llc);
@@ -407,9 +410,21 @@ struct Rig {
   Cycle t = 0;
 };
 
-void run_differential(ReplacementPolicy pol, const std::vector<Addr>& trace,
+/// One differential configuration: a policy and the approximate-LRU decay
+/// period (which the other policies ignore).
+struct DiffCase {
+  ReplacementPolicy policy;
+  unsigned decay_period = LlcConfig{}.lru_decay_period;
+};
+
+void PrintTo(const DiffCase& c, std::ostream* os) {
+  *os << replacement_name(c.policy) << " decay_period=" << c.decay_period;
+}
+
+void run_differential(const DiffCase& c, const std::vector<Addr>& trace,
                       const char* trace_name) {
-  Rig rig(pol);
+  const ReplacementPolicy pol = c.policy;
+  Rig rig(pol, c.decay_period);
   auto model = make_model(pol, rig.cfg);
   const Addr base = rig.cfg.mem.data_base;
   for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -427,15 +442,18 @@ void run_differential(ReplacementPolicy pol, const std::vector<Addr>& trace,
   }
 }
 
-class ReplacementDifferentialTest
-    : public ::testing::TestWithParam<ReplacementPolicy> {};
+class ReplacementDifferentialTest : public ::testing::TestWithParam<DiffCase> {
+ protected:
+  std::uint64_t policy_seed() const {
+    return static_cast<std::uint64_t>(GetParam().policy);
+  }
+};
 
 TEST_P(ReplacementDifferentialTest, SeededRandomStream) {
   // Uniform random over 4x capacity — plenty of misses and re-references.
   using workloads::AccessPhase;
   const auto trace = workloads::phase_trace(
-      {AccessPhase{0, 0, 0, 0, 512, 8000}}, 1024,
-      0x1000 + static_cast<std::uint64_t>(GetParam()));
+      {AccessPhase{0, 0, 0, 0, 512, 8000}}, 1024, 0x1000 + policy_seed());
   run_differential(GetParam(), trace, "random");
 }
 
@@ -456,22 +474,38 @@ TEST_P(ReplacementDifferentialTest, LoopPattern) {
 
 TEST_P(ReplacementDifferentialTest, WorkloadShift) {
   // Hot set jumps mid-trace; exercises the ARC ghost adaptation hard.
-  run_differential(
-      GetParam(),
-      workloads::workload_shift(4000, 96, 70, 1024, 1024,
-                                0x2000 + static_cast<std::uint64_t>(
-                                             GetParam())),
-      "shift");
+  run_differential(GetParam(),
+                   workloads::workload_shift(4000, 96, 70, 1024, 1024,
+                                             0x2000 + policy_seed()),
+                   "shift");
 }
 
+std::string diff_case_name(const ::testing::TestParamInfo<DiffCase>& info) {
+  std::string name = replacement_name(info.param.policy);
+  std::replace(name.begin(), name.end(), '-', '_');
+  if (info.param.decay_period != LlcConfig{}.lru_decay_period) {
+    name += "_decay" + std::to_string(info.param.decay_period);
+  }
+  return name;
+}
+
+std::vector<DiffCase> every_policy() {
+  std::vector<DiffCase> cases;
+  for (ReplacementPolicy pol : kAllReplacementPolicies) cases.push_back({pol});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementDifferentialTest,
+                         ::testing::ValuesIn(every_policy()), diff_case_name);
+
+// The controller's decay countdown against RefApproxLru's `%` form at the
+// boundary periods (1: decay before every access; 3: odd; 64 is the
+// default, covered above).
 INSTANTIATE_TEST_SUITE_P(
-    AllPolicies, ReplacementDifferentialTest,
-    ::testing::ValuesIn(kAllReplacementPolicies),
-    [](const auto& info) {
-      std::string name = replacement_name(info.param);
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
+    ApproxLruDecayPeriods, ReplacementDifferentialTest,
+    ::testing::Values(DiffCase{ReplacementPolicy::kApproxLru, 1},
+                      DiffCase{ReplacementPolicy::kApproxLru, 3}),
+    diff_case_name);
 
 // =====================================================================
 // Scenario regressions: hit-rate orderings with pinned golden counts.
