@@ -95,6 +95,42 @@ void BM_VpuMacc(benchmark::State& state) {
 }
 BENCHMARK(BM_VpuMacc)->Arg(2)->Arg(8);
 
+/// One conv tap as the ARCANE conv kernels issue it: vslidedown.vx of the
+/// input row into a temporary, then vmacc.es of that temporary times one
+/// filter element into the accumulator, at vl = VLEN capacity. Arg is the
+/// element width in bytes (1 = int8, 4 = int32).
+void BM_VpuTap(benchmark::State& state) {
+  LlcConfig cfg{};
+  vpu::LineStorage storage(cfg);
+  vpu::VectorUnit vu(cfg.vpu, 0, storage);
+  const auto et = state.range(0) == 1 ? ElemType::kByte : ElemType::kWord;
+  const std::uint32_t vl = cfg.vpu.vlen_bytes / elem_bytes(et);
+  vpu::VInsn slide;
+  slide.op = vpu::VOpc::kSlideDownVX;
+  slide.vd = 3;
+  slide.vs1 = 1;
+  slide.et = et;
+  slide.vl = vl;
+  slide.scalar = 1;
+  vpu::VInsn macc;
+  macc.op = vpu::VOpc::kMaccEs;
+  macc.vd = 4;
+  macc.vs1 = 2;
+  macc.vs2 = 3;
+  macc.et = et;
+  macc.vl = vl;
+  macc.scalar = 5;
+  for (auto _ : state) {
+    vu.execute(slide);
+    vu.execute(macc);
+    benchmark::DoNotOptimize(vu.vreg(macc.vd).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * vl);
+  state.SetLabel("elements/s");
+}
+BENCHMARK(BM_VpuTap)->Arg(1)->Arg(4);
+
 /// The schedule+drain micro: a burst of near-future events drained through
 /// run_until — the simulator's dominant event pattern, and the number to
 /// watch when touching the calendar-queue kernel (no automated gate: CI

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <type_traits>
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
@@ -35,8 +37,11 @@ HostCpu::HostCpu(const SystemConfig& cfg, mem::InstructionMemory& imem,
 
 void HostCpu::invalidate_decode_cache() {
   const std::size_t n = imem_->size() / 2;
-  if (decode_cache_.size() != n) {
-    decode_cache_.resize(n);
+  if (decode_gen_.size() != n) {
+    static_assert(std::is_trivially_destructible_v<DecodedInst>,
+                  "decode cache entries are never destroyed");
+    decode_cache_.reset(
+        static_cast<DecodedInst*>(::operator new(n * sizeof(DecodedInst))));
     decode_gen_.assign(n, 0);
     gen_ = 1;
     return;
@@ -65,7 +70,7 @@ HostCpu::RunResult HostCpu::run(std::uint64_t max_instructions) {
   const Addr ibase = imem_->base();
   const std::uint32_t isize = imem_->size();
   const bool pulp = xcvpulp();
-  DecodedInst* const dcache = decode_cache_.data();
+  DecodedInst* const dcache = decode_cache_.get();
   std::uint32_t* const dgen = decode_gen_.data();
   const std::uint32_t gen = gen_;
   auto halt = [&](HaltReason why) {
@@ -121,7 +126,7 @@ HostCpu::RunResult HostCpu::run(std::uint64_t max_instructions) {
     if (pc - ibase > isize - 2) return halt(HaltReason::kBusFault);
     const std::size_t slot = (pc - ibase) >> 1;
     if (dgen[slot] != gen) {
-      dcache[slot] = isa::decode(imem_->fetch(pc));
+      std::construct_at(dcache + slot, isa::decode(imem_->fetch(pc)));
       dgen[slot] = gen;
     }
     const DecodedInst& d = dcache[slot];

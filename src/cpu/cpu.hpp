@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/config.hpp"
@@ -116,7 +117,11 @@ class HostCpu {
   // Decoded-instruction cache, indexed by halfword. An entry is valid only
   // when its generation stamp matches gen_; invalidation bumps gen_ so the
   // arrays are never rewritten (capacity reused across program loads).
-  std::vector<isa::DecodedInst> decode_cache_;
+  // Entries start uninitialized; run() constructs each one as it decodes.
+  struct RawDelete {
+    void operator()(isa::DecodedInst* p) const { ::operator delete(p); }
+  };
+  std::unique_ptr<isa::DecodedInst[], RawDelete> decode_cache_;
   std::vector<std::uint32_t> decode_gen_;
   std::uint32_t gen_ = 1;
   sim::CpuStats stats_;

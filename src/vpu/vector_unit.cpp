@@ -9,89 +9,101 @@
 namespace arcane::vpu {
 namespace {
 
-// Element-typed functional execution. s1/s2 view the source registers (or a
-// snapshot when a source aliases vd — see execute()), so reads behave as if
-// they all happen before any write.
+// Lane arithmetic modulo 2^w: operands convert to uint32_t (defined for
+// negative values), results convert back to T (modular since C++20). Not the
+// element's own unsigned type: uint16_t * uint16_t would promote to int.
 template <typename T>
-void exec_typed(const VInsn& insn, std::span<std::uint8_t> vd,
-                std::span<const T> s1, std::span<const T> s2,
+constexpr std::uint32_t lane(T v) { return static_cast<std::uint32_t>(v); }
+
+// Element-typed functional execution. a/b point at the source registers (or
+// a snapshot when a source aliases vd — see execute()), so reads behave as if
+// they all happen before any write, and the block copies below never overlap.
+template <typename T>
+void exec_typed(const VInsn& insn, T* d, const T* a, const T* b,
                 unsigned capacity) {
-  T* d = reinterpret_cast<T*>(vd.data());
   const std::uint32_t vl = insn.vl;
   const T x = static_cast<T>(insn.scalar);
-  auto wrap = [](std::int64_t v) { return static_cast<T>(v); };
+  const std::uint32_t ux = lane(x);
 
   switch (insn.op) {
-    case VOpc::kAddVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = wrap(std::int64_t{s1[i]} + s2[i]); break;
-    case VOpc::kAddVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = wrap(std::int64_t{s1[i]} + x); break;
-    case VOpc::kSubVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = wrap(std::int64_t{s1[i]} - s2[i]); break;
-    case VOpc::kSubVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = wrap(std::int64_t{s1[i]} - x); break;
-    case VOpc::kRsubVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = wrap(std::int64_t{x} - s1[i]); break;
-    case VOpc::kMulVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = wrap(std::int64_t{s1[i]} * s2[i]); break;
-    case VOpc::kMulVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = wrap(std::int64_t{s1[i]} * x); break;
-    case VOpc::kMaccVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = wrap(std::int64_t{d[i]} + std::int64_t{s1[i]} * s2[i]); break;
-    case VOpc::kMaccVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = wrap(std::int64_t{d[i]} + std::int64_t{x} * s2[i]); break;
+    case VOpc::kAddVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(a[i]) + lane(b[i])); break;
+    case VOpc::kAddVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(a[i]) + ux); break;
+    case VOpc::kSubVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(a[i]) - lane(b[i])); break;
+    case VOpc::kSubVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(a[i]) - ux); break;
+    case VOpc::kRsubVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(ux - lane(a[i])); break;
+    case VOpc::kMulVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(a[i]) * lane(b[i])); break;
+    case VOpc::kMulVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(a[i]) * ux); break;
+    case VOpc::kMaccVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(d[i]) + lane(a[i]) * lane(b[i])); break;
+    case VOpc::kMaccVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(d[i]) + ux * lane(b[i])); break;
     case VOpc::kMaccEs: {
       ARCANE_ASSERT(insn.scalar < capacity, "vmacc.es element index "
                                                 << insn.scalar
                                                 << " out of range");
-      const std::int64_t e = s1[insn.scalar];
+      const std::uint32_t e = lane(a[insn.scalar]);
       for (std::uint32_t i = 0; i < vl; ++i)
-        d[i] = wrap(std::int64_t{d[i]} + e * s2[i]);
+        d[i] = static_cast<T>(lane(d[i]) + e * lane(b[i]));
       break;
     }
-    case VOpc::kMinVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = std::min(s1[i], s2[i]); break;
-    case VOpc::kMinVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = std::min(s1[i], x); break;
-    case VOpc::kMaxVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = std::max(s1[i], s2[i]); break;
-    case VOpc::kMaxVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = std::max(s1[i], x); break;
-    case VOpc::kAndVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = s1[i] & s2[i]; break;
-    case VOpc::kAndVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = s1[i] & x; break;
-    case VOpc::kOrVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = s1[i] | s2[i]; break;
-    case VOpc::kOrVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = s1[i] | x; break;
-    case VOpc::kXorVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = s1[i] ^ s2[i]; break;
-    case VOpc::kXorVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = s1[i] ^ x; break;
+    case VOpc::kMinVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = std::min(a[i], b[i]); break;
+    case VOpc::kMinVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = std::min(a[i], x); break;
+    case VOpc::kMaxVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = std::max(a[i], b[i]); break;
+    case VOpc::kMaxVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = std::max(a[i], x); break;
+    case VOpc::kAndVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = a[i] & b[i]; break;
+    case VOpc::kAndVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = a[i] & x; break;
+    case VOpc::kOrVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = a[i] | b[i]; break;
+    case VOpc::kOrVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = a[i] | x; break;
+    case VOpc::kXorVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = a[i] ^ b[i]; break;
+    case VOpc::kXorVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = a[i] ^ x; break;
     case VOpc::kSllVX: {
       const unsigned sh = insn.scalar & (8u * sizeof(T) - 1u);
       for (std::uint32_t i = 0; i < vl; ++i)
-        d[i] = wrap(static_cast<std::int64_t>(s1[i]) << sh);
+        d[i] = static_cast<T>(lane(a[i]) << sh);
       break;
     }
     case VOpc::kSrlVX: {
       const unsigned sh = insn.scalar & (8u * sizeof(T) - 1u);
       using U = std::make_unsigned_t<T>;
       for (std::uint32_t i = 0; i < vl; ++i)
-        d[i] = static_cast<T>(static_cast<U>(s1[i]) >> sh);
+        d[i] = static_cast<T>(static_cast<U>(a[i]) >> sh);
       break;
     }
     case VOpc::kSraVX: {
       const unsigned sh = insn.scalar & (8u * sizeof(T) - 1u);
       for (std::uint32_t i = 0; i < vl; ++i)
-        d[i] = static_cast<T>(s1[i] >> sh);
+        d[i] = static_cast<T>(a[i] >> sh);
       break;
     }
-    case VOpc::kSlideDownVX:
-      for (std::uint32_t i = 0; i < vl; ++i) {
-        const std::uint64_t src = std::uint64_t{i} + insn.scalar;
-        d[i] = src < capacity ? s1[src] : T{0};
-      }
+    case VOpc::kSlideDownVX: {
+      // Sources at or past VLEN read zero: copy the in-range prefix, then
+      // zero-fill [n, vl).
+      const std::uint32_t n =
+          insn.scalar < capacity ? std::min(vl, capacity - insn.scalar) : 0;
+      if (n != 0) std::memcpy(d, a + insn.scalar, n * sizeof(T));
+      std::memset(d + n, 0, (vl - n) * sizeof(T));
       break;
+    }
     case VOpc::kSlideUpVX:
-      for (std::uint32_t i = 0; i < vl; ++i)
-        if (i >= insn.scalar) d[i] = s1[i - insn.scalar];
+      // Elements below the slide amount keep their old contents.
+      if (insn.scalar < vl)
+        std::memcpy(d + insn.scalar, a, (vl - insn.scalar) * sizeof(T));
       break;
     case VOpc::kMvVV:
-      for (std::uint32_t i = 0; i < vl; ++i) d[i] = s1[i];
+      std::memcpy(d, a, vl * sizeof(T));
       break;
     case VOpc::kMvVX:
-      for (std::uint32_t i = 0; i < vl; ++i) d[i] = x;
+      std::fill_n(d, vl, x);
       break;
     case VOpc::kGatherStride: {
+      // Source indices i*stride + off only grow with i, so the in-range
+      // ones form a prefix [0, n); the rest read zero.
       const std::uint32_t stride = hi16(insn.scalar);
       const std::uint32_t off = lo16(insn.scalar);
-      for (std::uint32_t i = 0; i < vl; ++i) {
-        const std::uint64_t src = std::uint64_t{i} * stride + off;
-        d[i] = src < capacity ? s1[src] : T{0};
-      }
+      std::uint32_t n = 0;
+      if (off < capacity)
+        n = stride == 0 ? vl
+                        : std::min(vl, (capacity - off - 1) / stride + 1);
+      for (std::uint32_t i = 0; i < n; ++i) d[i] = a[i * stride + off];
+      std::memset(d + n, 0, (vl - n) * sizeof(T));
       break;
     }
     case VOpc::kOpcCount:
@@ -130,23 +142,19 @@ void VectorUnit::execute(const VInsn& insn) {
     s2p = snap2_.data();
   }
 
-  auto dst = vreg(insn.vd);
+  auto run = [&](auto elem) {
+    using T = decltype(elem);
+    exec_typed<T>(insn, reinterpret_cast<T*>(vreg(insn.vd).data()),
+                  reinterpret_cast<const T*>(s1p),
+                  reinterpret_cast<const T*>(s2p), capacity);
+  };
   switch (insn.et) {
-    case ElemType::kWord:
-      exec_typed<std::int32_t>(
-          insn, dst, {reinterpret_cast<const std::int32_t*>(s1p), capacity},
-          {reinterpret_cast<const std::int32_t*>(s2p), capacity}, capacity);
-      break;
-    case ElemType::kHalf:
-      exec_typed<std::int16_t>(
-          insn, dst, {reinterpret_cast<const std::int16_t*>(s1p), capacity},
-          {reinterpret_cast<const std::int16_t*>(s2p), capacity}, capacity);
-      break;
-    case ElemType::kByte:
-      exec_typed<std::int8_t>(
-          insn, dst, {reinterpret_cast<const std::int8_t*>(s1p), capacity},
-          {reinterpret_cast<const std::int8_t*>(s2p), capacity}, capacity);
-      break;
+    case ElemType::kWord: run(std::int32_t{}); break;
+    case ElemType::kHalf: run(std::int16_t{}); break;
+    case ElemType::kByte: run(std::int8_t{}); break;
+    default:
+      ARCANE_CHECK(false, "invalid element type "
+                              << static_cast<unsigned>(insn.et));
   }
 
   ++stats_.instructions;

@@ -66,7 +66,10 @@ VInsn decode_vinsn(std::uint32_t w, std::uint32_t vl, std::uint32_t scalar) {
   insn.vs2 = static_cast<std::uint8_t>(bits(w, 25, 21));
   insn.vs1 = static_cast<std::uint8_t>(bits(w, 20, 16));
   insn.vd = static_cast<std::uint8_t>(bits(w, 15, 11));
-  insn.et = static_cast<ElemType>(bits(w, 10, 9));
+  const auto esize = bits(w, 10, 9);
+  ARCANE_CHECK(esize <= static_cast<std::uint32_t>(ElemType::kByte),
+               "reserved vector element size " << esize);
+  insn.et = static_cast<ElemType>(esize);
   insn.vl = vl;
   insn.scalar = scalar;
   return insn;

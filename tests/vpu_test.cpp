@@ -225,6 +225,23 @@ TEST(VpuTest, EncodeDecodeVinsnRoundTrip) {
   EXPECT_EQ(d, i);
 }
 
+TEST(VpuTest, DecodeRejectsReservedElementSize) {
+  VInsn i;
+  i.op = VOpc::kMvVX;
+  i.vl = 4;
+  const std::uint32_t w = encode_vinsn(i) | place(3u, 10, 9);  // esize 3
+  EXPECT_THROW(decode_vinsn(w, i.vl, 0), Error);
+}
+
+TEST(VpuTest, ExecuteRejectsUnknownElementType) {
+  Fixture f;
+  auto insn = mk<std::int32_t>(VOpc::kMvVX, 0, 0, 0, 4, 7);
+  insn.et = static_cast<ElemType>(3);
+  EXPECT_THROW(f.vu.execute(insn), Error);
+  EXPECT_EQ(f.vu.stats().instructions, 0u);
+  EXPECT_EQ(f.vu.stats().elements, 0u);
+}
+
 TEST(VpuTest, VinsnToStringMentionsOpcode) {
   VInsn i;
   i.op = VOpc::kMaccVX;
