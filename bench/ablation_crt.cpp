@@ -1,9 +1,10 @@
 // Ablation: C-RT and datapath design choices called out in DESIGN.md —
-// external DMA bandwidth, VPU sequencer issue gap, destination forwarding
-// (write-back elision), and the VPU selection policy — swept per
-// external-memory backend. --json emits schema-v2 rows; --backend
-// restricts the sweep to one backend (default: all three). Grid cells:
-// backend x section (ext-bw / issue-gap / chain / vpu-select).
+// external DMA bandwidth, VPU sequencer issue gap, full write-back elision
+// (the producer's result forwarded to its consumer from the VPU registers)
+// and the VPU selection policy — swept per external-memory backend. --json
+// emits schema-v2 rows; --backend restricts the sweep to one backend
+// (default: all three). Grid cells: backend x section (ext-bw / issue-gap /
+// chain / vpu-select).
 #include <cstdio>
 
 #include "arcane/program_builder.hpp"
@@ -17,14 +18,12 @@ using namespace arcane;
 namespace {
 
 MemBackendKind g_backend = MemBackendKind::kBurstPsram;
-bool g_elision = true;
 std::optional<ReplacementPolicy> g_replacement;
 
-/// paper(4) with the swept backend / CLI elision / replacement applied.
+/// paper(4) with the swept backend / CLI replacement applied.
 SystemConfig base_cfg() {
   SystemConfig cfg = SystemConfig::paper(4);
   cfg.mem.backend = g_backend;
-  cfg.enable_writeback_elision = g_elision;
   if (g_replacement) cfg.llc.replacement = *g_replacement;
   return cfg;
 }
@@ -39,8 +38,6 @@ baseline::ConvRunResult conv_run(SystemConfig cfg, unsigned size = 64,
   return baseline::run_conv_layer(cfg, baseline::Impl::kArcane, c);
 }
 
-enum class ChainMode { kOff, kForward, kFullElision };
-
 struct ChainResult {
   Cycle cycles = 0;
   std::uint64_t rows_forwarded = 0;
@@ -48,10 +45,9 @@ struct ChainResult {
 };
 
 /// Chained conv2d -> leaky_relu.
-ChainResult chain_run(ChainMode mode) {
+ChainResult chain_run(bool full_elision) {
   SystemConfig cfg = base_cfg();
-  cfg.enable_writeback_elision = mode != ChainMode::kOff;
-  cfg.full_writeback_elision = mode == ChainMode::kFullElision;
+  cfg.full_writeback_elision = full_elision;
   System sys(cfg);
   workloads::Rng rng(4);
   auto X = workloads::Matrix<std::int32_t>::random(14, 16, rng, -9, 9);
@@ -86,7 +82,6 @@ int main(int argc, char** argv) {
                "restrict to one ablation section");
   h.grid().add_product({{"backend", {}}, {"section", {}}});
   const benchjson::Options opt = h.parse(argc, argv);
-  g_elision = opt.elision;
   g_replacement = opt.replacement;
   benchjson::Report report("ablation_crt");
   const bool human = !opt.json;
@@ -148,22 +143,20 @@ int main(int argc, char** argv) {
     }
     if (h.is("section", "chain")) {
       if (human) {
-        std::printf("\nDestination forwarding (conv2d -> leaky_relu chain):\n");
+        std::printf(
+            "\nFull write-back elision (conv2d -> leaky_relu chain):\n");
       }
       const struct {
         const char* name;
         const char* label;
-        ChainMode mode;
+        bool full_elision;
       } modes[] = {
-          {"chain_forwarding=off", "forwarding off       ", ChainMode::kOff},
-          {"chain_forwarding=on", "forwarding on        ",
-           ChainMode::kForward},
-          {"chain_forwarding=full", "full wb elision      ",
-           ChainMode::kFullElision},
+          {"chain_forwarding=off", "write-back      ", false},
+          {"chain_forwarding=full", "full wb elision ", true},
       };
       for (const auto& m : modes) {
         const benchjson::WallTimer timer;
-        const auto r = chain_run(m.mode);
+        const auto r = chain_run(m.full_elision);
         benchjson::add_stall_fields(
             report.row()
                 .str("case", m.name)

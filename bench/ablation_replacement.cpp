@@ -35,7 +35,6 @@ using namespace arcane;
 namespace {
 
 MemBackendKind g_backend = MemBackendKind::kBurstPsram;
-bool g_elision = true;
 
 /// Display names for the ablation table. The first three strings are row
 /// identities in the blessed baseline — do not rename them.
@@ -58,7 +57,6 @@ const char* policy_name(ReplacementPolicy p) {
 double looping_hit_rate(ReplacementPolicy pol) {
   SystemConfig cfg = SystemConfig::paper(4);
   cfg.mem.backend = g_backend;
-  cfg.enable_writeback_elision = g_elision;
   cfg.llc.replacement = pol;
   System sys(cfg);
   using isa::Assembler;
@@ -96,7 +94,6 @@ std::vector<double> replay_segments(ReplacementPolicy pol,
                                     const std::vector<std::size_t>& cuts) {
   SystemConfig cfg = SystemConfig::paper(4);
   cfg.mem.backend = g_backend;
-  cfg.enable_writeback_elision = g_elision;
   cfg.llc.replacement = pol;
   sim::EventQueue events;
   mem::MainMemory ext(cfg.mem.data_base, cfg.mem.data_bytes, cfg.mem);
@@ -134,7 +131,6 @@ int main(int argc, char** argv) {
                "restrict to the looping workload or the adaptive scenarios");
   h.grid().add_product({{"section", {}}, {"replacement", {}}});
   const benchjson::Options opt = h.parse(argc, argv);
-  g_elision = opt.elision;
   g_backend = opt.backend.value_or(MemBackendKind::kBurstPsram);
   benchjson::Report report("ablation_replacement");
 

@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
         c.verify = size <= 64;  // keep the harness fast at large sizes
         SystemConfig cfg = SystemConfig::paper(lanes);
         cfg.mem.backend = backend;
-        cfg.enable_writeback_elision = opt.elision;
         if (opt.replacement) cfg.llc.replacement = *opt.replacement;
         const benchjson::WallTimer timer;
         const auto r =

@@ -5,9 +5,9 @@
 //
 // Flags (see bench/grid.hpp): --json emits schema-v2 rows; --backend
 // restricts the sweep to one backend (default: all three); --dtype
-// restricts the data-type sweep; --lanes restricts the ARCANE lane sweep;
-// --elision=off disables write-back elision. ARCANE_FIG4_FAST=1 /
-// ARCANE_BENCH_FAST=1 / --fast sweep a reduced grid (CI-friendly).
+// restricts the data-type sweep; --lanes restricts the ARCANE lane sweep.
+// ARCANE_FIG4_FAST=1 / ARCANE_BENCH_FAST=1 / --fast sweep a reduced grid
+// (CI-friendly).
 // Grid cells: backend x dtype.
 #include <cstdio>
 #include <cstdlib>
@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
     auto config = [&](unsigned lanes) {
       SystemConfig cfg = SystemConfig::paper(lanes);
       cfg.mem.backend = backend;
-      cfg.enable_writeback_elision = opt.elision;
       if (opt.replacement) cfg.llc.replacement = *opt.replacement;
       return cfg;
     };
@@ -147,7 +146,7 @@ int main(int argc, char** argv) {
     std::printf(
         "Paper anchors (PSRAM backend): int8 3x3 @256: ARCANE-8L ~30x,\n"
         "CV32E40PX ~5x; int8 7x7 @256: ARCANE ~84x (16x over XCVPULP);\n"
-        "XCVPULP peak ~8.6x; see EXPERIMENTS.md for the discussion.\n");
+        "XCVPULP peak ~8.6x.\n");
   }
   return 0;
 }

@@ -427,7 +427,6 @@ class GridSpec {
 struct Options {
   bool json = false;
   bool fast = false;
-  bool elision = true;
   bool deterministic = false;
   std::optional<MemBackendKind> backend;  // unset => bench default / sweep
   std::optional<unsigned> lanes;          // unset => bench's own lane sweep
@@ -467,8 +466,6 @@ class Harness {
     reg_.add_choice("backend", "--backend", "ARCANE_BENCH_BACKEND",
                     {"ideal", "psram", "dram"},
                     "external-memory backend (unset: bench default/sweep)");
-    reg_.add_choice("elision", "--elision", "ARCANE_BENCH_ELISION",
-                    {"on", "off"}, "write-back elision (default: on)");
     reg_.add_choice("lanes", "--lanes", "ARCANE_BENCH_LANES", {"2", "4", "8"},
                     "restrict the ARCANE lane sweep");
     reg_.add_choice("replacement", "--replacement",
@@ -634,7 +631,6 @@ class Harness {
     opt->fast = is_on("fast");
     opt->deterministic = is_on("deterministic");
     g_deterministic = opt->deterministic;
-    if (auto v = get("elision")) opt->elision = *v == "on";
     if (auto v = get("backend")) {
       opt->backend = mem::parse_backend(*v);
       if (!opt->backend) {

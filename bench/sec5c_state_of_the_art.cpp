@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   auto config = [&](MemBackendKind backend) {
     SystemConfig cfg8 = SystemConfig::paper(8);
     cfg8.mem.backend = backend;
-    cfg8.enable_writeback_elision = opt.elision;
     if (opt.replacement) cfg8.llc.replacement = *opt.replacement;
     return cfg8;
   };

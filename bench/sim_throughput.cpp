@@ -8,7 +8,7 @@
 //  * iss       — host-ISS ALU loop (decode cache + interpreter hot loop);
 //  * cpu       — fig4's int8 k=7 conv layer on the scalar CV32E40X and the
 //                XCVPULP CV32E40PX baselines (ISS + LLC host port: the
-//                cost that dominates the fig4 sweep);
+//                cost that dominates the fig4 sweep), one pass per row;
 //  * conv      — end-to-end ARCANE conv layer (event kernel + LLC + DMA +
 //                VPU lane loop), per external-memory backend;
 //  * sched     — a batch of independent conv jobs through the multi-tenant
@@ -115,10 +115,11 @@ Totals run_iss(unsigned iters, unsigned reps) {
   return t;
 }
 
-/// A fig4 CPU-baseline conv layer (int8, k=7) on a fresh System per
-/// repetition: the ISS dispatch loop and the LLC host-port hit path.
+/// A fig4 CPU-baseline conv layer (int8, k=7): the ISS dispatch loop and
+/// the LLC host-port hit path. One timed pass, no warm-up: at full size the
+/// layer runs for seconds, and fig4 already gates the same layer's cycles.
 Totals run_cpu(baseline::Impl impl, std::uint32_t size,
-               const benchjson::Options& opt, unsigned reps) {
+               const benchjson::Options& opt) {
   baseline::ConvCase c;
   c.size = size;
   c.k = 7;
@@ -129,16 +130,13 @@ Totals run_cpu(baseline::Impl impl, std::uint32_t size,
   if (opt.replacement) cfg.llc.replacement = *opt.replacement;
 
   Totals t;
-  baseline::run_conv_layer(cfg, impl, c);  // warm-up
   const benchjson::WallTimer timer;
-  for (unsigned r = 0; r < reps; ++r) {
-    const auto res = baseline::run_conv_layer(cfg, impl, c);
-    t.sim_cycles = res.cycles;
-    t.instructions = res.instructions;
-    t.reps_cycles += static_cast<double>(res.cycles);
-    t.reps_insns += static_cast<double>(res.instructions);
-  }
+  const auto res = baseline::run_conv_layer(cfg, impl, c);
   t.wall_ms = timer.ms();
+  t.sim_cycles = res.cycles;
+  t.instructions = res.instructions;
+  t.reps_cycles = static_cast<double>(res.cycles);
+  t.reps_insns = static_cast<double>(res.instructions);
   return t;
 }
 
@@ -153,7 +151,6 @@ Totals run_conv(std::uint32_t size, MemBackendKind backend,
   c.verify = false;
   SystemConfig cfg = SystemConfig::paper(opt.lanes.value_or(4));
   cfg.mem.backend = backend;
-  cfg.enable_writeback_elision = opt.elision;
   if (opt.replacement) cfg.llc.replacement = *opt.replacement;
 
   Totals t;
@@ -243,7 +240,7 @@ int main(int argc, char** argv) {
       std::snprintf(name, sizeof(name), "cpu/%s/size=%u/k=7",
                     impl == baseline::Impl::kScalar ? "scalar" : "pulp",
                     cpu_size);
-      emit(report, human, name, nullptr, run_cpu(impl, cpu_size, opt, reps));
+      emit(report, human, name, nullptr, run_cpu(impl, cpu_size, opt));
     }
   }
   if (h.is("scenario", "conv")) {

@@ -1,8 +1,7 @@
 // A small image-processing pipeline composed of chained xmnmc kernels:
 // edge detection (conv2d with a Laplacian), ReLU thresholding and 2x2
 // max-pool downsampling — all executing inside the cache while the host
-// stays free. Demonstrates kernel chaining, implicit synchronization and
-// the destination-forwarding optimization.
+// stays free. Demonstrates kernel chaining and implicit synchronization.
 #include <cstdio>
 
 #include "arcane/program_builder.hpp"
@@ -79,9 +78,6 @@ int main() {
   std::printf("  kernels executed : %llu\n",
               static_cast<unsigned long long>(
                   sys.runtime().phases().kernels_executed));
-  std::printf("  forwarded rows   : %llu (dest->source forwarding)\n",
-              static_cast<unsigned long long>(
-                  sys.runtime().phases().writebacks_elided));
   std::printf("  host cycles      : %llu\n",
               static_cast<unsigned long long>(run.cycles));
   std::printf("  result           : %s\n", ok ? "VERIFIED" : "WRONG");

@@ -27,7 +27,6 @@
 #                                  micro_components' --benchmark_min_time)
 #   ARCANE_BENCH_BACKEND=name      ideal|psram|dram (default: each bench's
 #                                  sweep/default)
-#   ARCANE_BENCH_ELISION=off       disable write-back elision
 #   ARCANE_BENCH_LANES=n           2|4|8: restrict the lane sweep
 #   ARCANE_BENCH_REPLACEMENT=name  LLC replacement policy
 #   ARCANE_BENCH_SCHED_POLICY=name fifo|rr|sjf|priority
@@ -143,7 +142,6 @@ for entry in "${benches[@]}"; do
        BENCH_STDOUT="${stdout_file}" BENCH_FAST="${FAST}" \
        BENCH_NATIVE_JSON="${native_json}" \
        BENCH_BACKEND="${ARCANE_BENCH_BACKEND:-}" \
-       BENCH_ELISION="${ARCANE_BENCH_ELISION:-}" \
        BENCH_LANES="${ARCANE_BENCH_LANES:-}" \
        BENCH_REPLACEMENT="${ARCANE_BENCH_REPLACEMENT:-}" \
        BENCH_SCHED_POLICY="${ARCANE_BENCH_SCHED_POLICY:-}" \
@@ -158,7 +156,6 @@ envelope = {
     "reproduces": os.environ["BENCH_REPRODUCES"],
     "fast_mode": os.environ["BENCH_FAST"] == "1",
     "backend": os.environ["BENCH_BACKEND"] or None,
-    "elision": os.environ["BENCH_ELISION"] or None,
     "lanes": os.environ["BENCH_LANES"] or None,
     "replacement": os.environ["BENCH_REPLACEMENT"] or None,
     "sched_policy": os.environ["BENCH_SCHED_POLICY"] or None,

@@ -22,10 +22,10 @@ Usage:
     scripts/sweep_runner.py --build-dir build --out-dir bench-out \\
         [--jobs N] [--benches a,b] [--fast] [--deterministic] [--verify]
 
-ARCANE_BENCH_* env knobs (backend, elision, lanes, replacement,
-sched-policy, ...) are inherited by the bench subprocesses and restrict
-each grid exactly as they would a serial run — `--list-cells` already
-honours them, so the sharded and serial row sets stay aligned.
+ARCANE_BENCH_* env knobs (backend, lanes, replacement, sched-policy,
+...) are inherited by the bench subprocesses and restrict each grid
+exactly as they would a serial run — `--list-cells` already honours
+them, so the sharded and serial row sets stay aligned.
 
 `--knob-table` prints the registry-generated markdown knob table embedded
 in docs/BENCHMARKS.md instead of running anything.
@@ -65,7 +65,6 @@ BENCHES = [
 # Envelope fields mirroring run_benches.sh (sourced from the same env).
 ENV_KNOBS = (
     ("backend", "ARCANE_BENCH_BACKEND"),
-    ("elision", "ARCANE_BENCH_ELISION"),
     ("lanes", "ARCANE_BENCH_LANES"),
     ("replacement", "ARCANE_BENCH_REPLACEMENT"),
     ("sched_policy", "ARCANE_BENCH_SCHED_POLICY"),

@@ -149,7 +149,6 @@ struct FaultEvent {
 /// the fault subsystem.
 struct FaultConfig {
   bool enabled = false;  // false: no injector, no watchdog, no retries
-  std::uint32_t seed = 1;              // reserved for randomized plans
   std::vector<FaultEvent> events;      // declared faults, in arming order
   std::uint64_t watchdog_timeout = 0;  // cycles before a hung op is aborted
   unsigned max_retries = 0;            // re-dispatch attempts per failed op
@@ -335,13 +334,12 @@ struct SystemConfig {
   /// Deterministic fault injection + failure-aware scheduling (src/fault/).
   FaultConfig fault{};
   bool multi_vpu_kernels = false;  // split one kernel across all VPUs (§V-C)
-  /// Destination forwarding: keep single-tile kernel results resident in the
-  /// VPU register file so a dependent kernel skips its allocation DMA.
-  bool enable_writeback_elision = true;
   /// Full write-back elision (paper §IV-B2): when the queued next kernel
   /// consumes the whole destination as a source, skip the producer's
-  /// write-back entirely. The intermediate is materialized lazily (and
-  /// functionally) only if the host later touches its memory range.
+  /// write-back entirely and keep the result resident in the VPU register
+  /// file, so the consumer skips its allocation DMA. The intermediate is
+  /// materialized lazily (and functionally) only if the host later touches
+  /// its memory range.
   bool full_writeback_elision = false;
   double clock_mhz = 250.0;        // for GOPS/reporting only
 

@@ -101,9 +101,9 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   Cycle alloc_duration = 0;
   Cycle alloc_ext = 0;  // external-backend share of alloc_duration
 
-  // Destination forwarding: snapshot forwardable operand rows *before*
-  // claiming lines (claiming this chain's registers may recycle the very
-  // lines that hold the producer's resident result).
+  // Forwarding of an elided result: snapshot forwardable operand rows
+  // *before* claiming lines (claiming this chain's registers may recycle
+  // the very lines that hold the producer's resident result).
   if (fwd_bufs_.size() < cs.tile.loads.size()) {
     fwd_bufs_.resize(cs.tile.loads.size());
   }

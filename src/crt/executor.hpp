@@ -8,9 +8,9 @@
 // eCPU timeline, the DMA engine and the LLC. The paper's single-queue C-RT
 // is its host instance, fed by the bridge decoder (crt::Runtime).
 //
-// Cross-kernel policies (destination forwarding, write-back elision, what
-// happens at completion) stay with the owner, reached through the Client
-// interface — the executor itself is policy-free mechanics.
+// Cross-kernel policies (write-back elision, forwarding of elided results,
+// what happens at completion) stay with the owner, reached through the
+// Client interface — the executor itself is policy-free mechanics.
 #ifndef ARCANE_CRT_EXECUTOR_HPP_
 #define ARCANE_CRT_EXECUTOR_HPP_
 

@@ -13,10 +13,8 @@
 //     (LLC refills, DMA descriptors, baseline runners) pays it identically.
 //
 // Determinism contract: the plan is a pure function of FaultConfig — no
-// RNG is consulted at injection time (FaultConfig::seed is reserved for
-// future randomized plan *generation*, which would expand to a concrete
-// event list before arming). Same plan + same workload → same timeline,
-// byte-identical artifacts (tests/fault_injection_test.cpp).
+// RNG is consulted at injection time. Same plan + same workload → same
+// timeline, byte-identical artifacts (tests/fault_injection_test.cpp).
 #ifndef ARCANE_FAULT_FAULT_HPP_
 #define ARCANE_FAULT_FAULT_HPP_
 

@@ -183,8 +183,8 @@ Llc::HostResult Llc::host_access(Addr addr, unsigned bytes, bool is_write,
     t = resolve_stalls(addr, bytes, is_write, t);
   }
   // Post-resolution hook: kernels that completed *during* the stall drain
-  // may have left forwarding residents; a write must invalidate them before
-  // the data lands.
+  // may have left elided residents; a write must invalidate them before the
+  // data lands.
   if (host_observer != nullptr) {
     host_observer->on_host_access(addr, bytes, is_write);
   }

@@ -576,10 +576,11 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
   inflight_[inst] = InFlight{};
 
   release_at(fin.op, fin.elided_writeback);
-  const bool kept = is_host(inst) && keep_resident(fin);
-  ARCANE_ASSERT(kept || !fin.elided_writeback,
-                "elided write-back without a resident record");
-  if (!kept) ctx_->llc->release_kernel_lines(fin.op.uid);
+  if (fin.elided_writeback) {
+    keep_resident(fin);
+  } else {
+    ctx_->llc->release_kernel_lines(fin.op.uid);
+  }
   counters_.instance_occupied[inst] += t - fl.dispatch_at;
 
   JobState& js = jobs_[fl.job];
@@ -1079,35 +1080,24 @@ bool Scheduler::allow_writeback_elision(const crt::KernelExecutor& ex,
   return false;
 }
 
-bool Scheduler::keep_resident(const crt::FinishedKernel& fin) {
-  // Destination forwarding: keep single-tile destinations resident in the
-  // VPU register file so a dependent kernel skips its allocation DMA.
-  if (!cfg_->enable_writeback_elision && !fin.elided_writeback) return false;
-  if (fin.plan.chains.size() != 1 || fin.plan.chains[0].tile_count != 1) {
-    return false;
-  }
+void Scheduler::keep_resident(const crt::FinishedKernel& fin) {
+  // The write-back was elided, so the destination lives only in the VPU
+  // register file: forward it to the consumer, materialize it if the host
+  // touches it first. The executor elides single-tile, unit-step stores only.
+  ARCANE_ASSERT(fin.plan.chains.size() == 1 &&
+                    fin.plan.chains[0].tile_count == 1,
+                "elided write-back of a multi-tile kernel");
   const crt::Tile tile = fin.plan.chains[0].make_tile(0);
-  if (tile.stores.size() != 1 || tile.stores[0].vreg_step != 1 ||
-      tile.stores[0].vreg_offset != 0) {
-    return false;
-  }
+  ARCANE_ASSERT(tile.stores.size() == 1 && tile.stores[0].vreg_step == 1 &&
+                    tile.stores[0].vreg_offset == 0,
+                "elided write-back of a strided store");
   const crt::DmaXfer& s = tile.stores[0];
-  Resident r{s.mem_addr,
-             s.mem_addr + (s.rows - 1) * s.mem_stride + s.row_bytes,
-             fin.vpus[0],
-             s.first_vreg,
-             s.rows,
-             s.row_bytes,
-             s.mem_stride,
-             fin.op.uid,
-             -1};
-  if (fin.elided_writeback) {
-    r.deferred_at_entry = fin.op.dest_at_entry;
-    ++ctx_->phases.full_elisions;
-  }
-  residents_.push_back(r);
+  residents_.push_back({s.mem_addr,
+                        s.mem_addr + (s.rows - 1) * s.mem_stride + s.row_bytes,
+                        fin.vpus[0], s.first_vreg, s.rows, s.row_bytes,
+                        s.mem_stride, fin.op.uid, fin.op.dest_at_entry});
+  ++ctx_->phases.full_elisions;
   ctx_->llc->host_observer = this;
-  return true;
 }
 
 template <typename Pred>

@@ -7,7 +7,9 @@
 //    one and run under the configured SchedPolicy;
 //  * the host instance spans every VPU: it is the paper's C-RT kernel queue
 //    (§IV-B) — FIFO, one kernel in flight, VPUs chosen by vpu_select, with
-//    destination forwarding and write-back elision. The bridge decoder
+//    full write-back elision: a result the next queued kernel consumes
+//    whole stays in the producer's VPU registers and is forwarded to the
+//    consumer instead of round-tripping through the LLC. The bridge decoder
 //    (crt::Runtime) feeds it through crt::KernelQueue; the host tenant and
 //    instance are created on the first offload, after the serving ones.
 //
@@ -218,10 +220,10 @@ class Scheduler final : public crt::KernelExecutor::Client,
   }
 
   // --------------------- KernelExecutor::Client ----------------------
-  // Destination forwarding and write-back elision are capabilities of the
-  // host instance (jobs express reuse as DAG edges instead). Residents are
-  // dropped or materialized for every instance, so all of them share one
-  // coherent LLC.
+  // Write-back elision and the forwarding of elided results are
+  // capabilities of the host instance (jobs express reuse as DAG edges
+  // instead). Residents are dropped or materialized for every instance, so
+  // all of them share one coherent LLC.
   bool forward_load(const crt::KernelExecutor& ex, const crt::DmaXfer& x,
                     std::vector<std::uint8_t>& out) override;
   void before_claim(unsigned vpu) override;
@@ -294,12 +296,11 @@ class Scheduler final : public crt::KernelExecutor::Client,
     bool quarantined = false;
     unsigned consecutive_failures = 0;
   };
-  /// A host kernel's destination kept resident in VPU registers after
-  /// completion so a dependent kernel can skip its allocation DMA
-  /// (dest->source forwarding; see DESIGN.md on write-back elision). With
-  /// full elision the write-back itself was skipped: `deferred_at_entry`
-  /// then holds the still-active AT entry and the data is materialized to
-  /// memory lazily.
+  /// A host kernel's destination whose write-back was elided, kept resident
+  /// in VPU registers so the consuming kernel skips its allocation DMA.
+  /// `deferred_at_entry` holds the still-active AT entry until the data is
+  /// materialized to memory: once forwarded, or earlier when the host or
+  /// another load touches its range or its VPU is claimed.
   struct Resident {
     Addr lo = 0, hi = 0;
     unsigned vpu = 0;
@@ -347,9 +348,8 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// Paper VPU selection (§IV-B2) for a host kernel's `count` chains.
   std::vector<unsigned> assign_vpus(const crt::KernelOp& op, unsigned count);
   // ----------------------------- residents -----------------------------
-  /// Keep a finished host kernel's destination resident; false when its
-  /// geometry does not allow it (the caller releases its lines).
-  bool keep_resident(const crt::FinishedKernel& fin);
+  /// Keep the destination of a kernel whose write-back was elided resident.
+  void keep_resident(const crt::FinishedKernel& fin);
   /// Drop the residents `pred` selects, materializing elided ones first.
   template <typename Pred>
   void drop_residents(const Pred& pred);

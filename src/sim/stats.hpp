@@ -171,7 +171,7 @@ struct CrtPhaseStats {
   std::uint64_t xmr_executed = 0;
   std::uint64_t dma_descriptors = 0;
   std::uint64_t renames = 0;          // hazard-checker matrix renames
-  std::uint64_t writebacks_elided = 0;  // rows forwarded dest -> source
+  std::uint64_t writebacks_elided = 0;  // rows forwarded from elided results
   std::uint64_t full_elisions = 0;      // write-backs skipped entirely
   Cycle ecpu_busy = 0;  // eCPU active cycles (rest = C-RT deep-sleep)
 

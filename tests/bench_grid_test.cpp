@@ -17,10 +17,9 @@ namespace {
 // Env vars the standard registry reads; cleared around every test so a
 // polluted CI environment cannot leak into the expectations.
 const char* const kEnvVars[] = {
-    "ARCANE_BENCH_FAST",        "ARCANE_BENCH_DETERMINISTIC",
-    "ARCANE_BENCH_BACKEND",     "ARCANE_BENCH_ELISION",
-    "ARCANE_BENCH_LANES",       "ARCANE_BENCH_REPLACEMENT",
-    "ARCANE_BENCH_SCHED_POLICY"};
+    "ARCANE_BENCH_FAST",    "ARCANE_BENCH_DETERMINISTIC",
+    "ARCANE_BENCH_BACKEND", "ARCANE_BENCH_LANES",
+    "ARCANE_BENCH_REPLACEMENT", "ARCANE_BENCH_SCHED_POLICY"};
 
 class BenchGridTest : public ::testing::Test {
  protected:
@@ -58,7 +57,6 @@ TEST_F(BenchGridTest, DefaultsMatchLegacyOptions) {
   const Options opt = parse_ok(h, {});
   EXPECT_FALSE(opt.json);
   EXPECT_FALSE(opt.fast);
-  EXPECT_TRUE(opt.elision);
   EXPECT_FALSE(opt.deterministic);
   EXPECT_FALSE(opt.backend.has_value());
   EXPECT_FALSE(opt.lanes.has_value());
@@ -76,13 +74,12 @@ TEST_F(BenchGridTest, FlagsParse) {
 TEST_F(BenchGridTest, ChoiceKnobsParseIntoTypedOptions) {
   Harness h("t");
   const Options opt = parse_ok(
-      h, {"--backend=psram", "--lanes=8", "--elision=off",
-          "--replacement=arc", "--sched-policy=sjf"});
+      h, {"--backend=psram", "--lanes=8", "--replacement=arc",
+          "--sched-policy=sjf"});
   ASSERT_TRUE(opt.backend.has_value());
   EXPECT_EQ(*opt.backend, MemBackendKind::kBurstPsram);
   ASSERT_TRUE(opt.lanes.has_value());
   EXPECT_EQ(*opt.lanes, 8u);
-  EXPECT_FALSE(opt.elision);
   ASSERT_TRUE(opt.replacement.has_value());
   EXPECT_EQ(*opt.replacement, ReplacementPolicy::kArc);
   ASSERT_TRUE(opt.sched_policy.has_value());

@@ -1,6 +1,6 @@
-// Write-back elision (paper §IV-B2): destination forwarding and full
-// elision with lazy materialization must preserve memory consistency under
-// every consumption/abandonment path.
+// Full write-back elision (paper §IV-B2): the elided result is forwarded to
+// its consumer and lazily materialized, which must preserve memory
+// consistency under every consumption/abandonment path.
 #include <gtest/gtest.h>
 
 #include "arcane/program_builder.hpp"
@@ -170,10 +170,10 @@ TEST(ElisionTest, SupersededElidedDestMaterializedBeforeOverwrite) {
 }
 
 TEST(ElisionTest, ForwardingDisabledStillCorrect) {
+  // Default config (full elision off): the producer writes back, so there
+  // is no resident to forward and the consumer reloads through the LLC.
   ChainSetup s;
-  SystemConfig cfg = SystemConfig::paper(4);
-  cfg.enable_writeback_elision = false;
-  System sys(cfg);
+  System sys(SystemConfig::paper(4));
   const Addr x = sys.data_base() + 0x1000;
   const Addr f = sys.data_base() + 0x10000;
   const Addr mid = sys.data_base() + 0x20000;

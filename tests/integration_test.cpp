@@ -279,8 +279,8 @@ TEST(IntegrationTest, ChainedKernelsConvThenRelu) {
   auto got = workloads::load_matrix<std::int32_t>(sys, out, 10, 10);
   auto want = workloads::golden_leaky_relu(workloads::golden_conv2d(X, F), 0);
   EXPECT_EQ(workloads::count_mismatches(got, want), 0u);
-  // Both kernels executed; the intermediate was also written back (memory
-  // stays consistent even with forwarding enabled).
+  // Both kernels executed; the intermediate was also written back (full
+  // write-back elision is off by default).
   EXPECT_EQ(sys.runtime().phases().kernels_executed, 2u);
   auto midm = workloads::load_matrix<std::int32_t>(sys, mid, 10, 10);
   EXPECT_EQ(workloads::count_mismatches(midm, workloads::golden_conv2d(X, F)),
