@@ -75,6 +75,20 @@ void BM_CacheHitPort(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheHitPort);
 
+/// An LLC hit through the host CPU's data port (System::read), the path
+/// the ISS's loads take: the range dispatch plus the inline hit path.
+void BM_HostPortHit(benchmark::State& state) {
+  System sys(SystemConfig::paper(4));
+  std::uint32_t v = 0;
+  Cycle t = sys.read(sys.data_base(), 4, &v, 0);  // warm the line
+  for (auto _ : state) {
+    t = sys.read(sys.data_base() + (t % 256) * 4, 4, &v, t);
+    benchmark::DoNotOptimize(v);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HostPortHit);
+
 void BM_VpuMacc(benchmark::State& state) {
   LlcConfig cfg{};
   cfg.vpu.lanes = static_cast<unsigned>(state.range(0));

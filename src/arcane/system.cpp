@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/bits.hpp"
+#include "cpu/run_loop.hpp"
 
 namespace arcane {
 
@@ -77,7 +78,7 @@ cpu::HostCpu::RunResult System::run(std::uint64_t max_instructions) {
 }
 
 cpu::HostCpu::RunResult System::run_unchecked(std::uint64_t max_instructions) {
-  auto res = host_->run(max_instructions);
+  auto res = host_->run_on(*this, max_instructions);
   drain();
   return res;
 }
@@ -97,11 +98,9 @@ void System::read_bytes(Addr addr, std::span<std::uint8_t> out) {
   llc_->backdoor_read(addr, out.data(), static_cast<std::uint32_t>(out.size()));
 }
 
-Cycle System::read(Addr addr, unsigned bytes, void* out, Cycle now) {
+Cycle System::read_outside_data(Addr addr, unsigned bytes, void* out,
+                                Cycle now) {
   const auto& m = cfg_.mem;
-  if (range_within(addr, bytes, m.data_base, m.data_bytes)) {
-    return llc_->host_access(addr, bytes, /*is_write=*/false, out, now).complete_at;
-  }
   if (range_within(addr, bytes, m.mmio_base, m.mmio_bytes)) {
     events_.run_until(now);
     const std::uint32_t v = bridge_->mmio_read(addr - m.mmio_base);
@@ -111,12 +110,8 @@ Cycle System::read(Addr addr, unsigned bytes, void* out, Cycle now) {
   throw Error("bus fault: read outside mapped regions");
 }
 
-Cycle System::write(Addr addr, unsigned bytes, const void* in, Cycle now) {
+Cycle System::write_outside_data(Addr addr, unsigned bytes, Cycle now) {
   const auto& m = cfg_.mem;
-  if (range_within(addr, bytes, m.data_base, m.data_bytes)) {
-    return llc_->host_access(addr, bytes, /*is_write=*/true,
-                             const_cast<void*>(in), now).complete_at;
-  }
   if (range_within(addr, bytes, m.mmio_base, m.mmio_bytes)) {
     return now + 1;  // configuration writes are accepted and ignored
   }

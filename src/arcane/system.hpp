@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bridge/bridge.hpp"
+#include "common/bits.hpp"
 #include "common/config.hpp"
 #include "cpu/cpu.hpp"
 #include "crt/runtime.hpp"
@@ -137,10 +138,29 @@ class System final : public cpu::DataPort {
   const mem::MemBackend& mem_backend() const { return ext_->backend(); }
 
   // ------------------------- cpu::DataPort ---------------------------
-  Cycle read(Addr addr, unsigned bytes, void* out, Cycle now) override;
-  Cycle write(Addr addr, unsigned bytes, const void* in, Cycle now) override;
+  // Forced inline, so that HostCpu::run_on<System> (run_unchecked) inlines
+  // the LLC's host-port hit path into its loads and stores.
+  [[gnu::always_inline]] Cycle read(Addr addr, unsigned bytes, void* out,
+                                    Cycle now) override {
+    if (range_within(addr, bytes, cfg_.mem.data_base, cfg_.mem.data_bytes)) {
+      return llc_->host_port(addr, bytes, /*is_write=*/false, out, now);
+    }
+    return read_outside_data(addr, bytes, out, now);
+  }
+  [[gnu::always_inline]] Cycle write(Addr addr, unsigned bytes,
+                                     const void* in, Cycle now) override {
+    if (range_within(addr, bytes, cfg_.mem.data_base, cfg_.mem.data_bytes)) {
+      return llc_->host_port(addr, bytes, /*is_write=*/true,
+                             const_cast<void*>(in), now);
+    }
+    return write_outside_data(addr, bytes, now);
+  }
 
  private:
+  /// MMIO (the bridge's registers) or a bus fault.
+  Cycle read_outside_data(Addr addr, unsigned bytes, void* out, Cycle now);
+  Cycle write_outside_data(Addr addr, unsigned bytes, Cycle now);
+
   SystemConfig cfg_;
   sim::EventQueue events_;
   telemetry::Registry metrics_;

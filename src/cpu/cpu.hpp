@@ -78,6 +78,11 @@ class HostCpu {
     Addr pc = 0;                // faulting / final pc
   };
   RunResult run(std::uint64_t max_instructions = ~0ull);
+  /// run() over a concrete port type (cpu/run_loop.hpp): with a `final`
+  /// port such as arcane::System, its read/write calls bind directly and
+  /// inline. run() itself is run_on over the DataPort interface.
+  template <typename Port>
+  RunResult run_on(Port& port, std::uint64_t max_instructions);
 
   std::uint32_t reg(unsigned idx) const { return regs_[idx & 31u]; }
   void set_reg(unsigned idx, std::uint32_t v) {
@@ -117,11 +122,31 @@ class HostCpu {
   // Decoded-instruction cache, indexed by halfword. An entry is valid only
   // when its generation stamp matches gen_; invalidation bumps gen_ so the
   // arrays are never rewritten (capacity reused across program loads).
-  // Entries start uninitialized; run() constructs each one as it decodes.
-  struct RawDelete {
-    void operator()(isa::DecodedInst* p) const { ::operator delete(p); }
+  // Entries start uninitialized; decode_block() constructs them.
+  //
+  // Each entry also records the straight-line block that starts at it:
+  // the instructions up to and including the next branch, jump, CSR,
+  // cv.setup, xmnmc, ecall or ebreak, stopping before an illegal op or a
+  // fetch past the end of imem. Every instruction of a valid entry's block
+  // is itself a valid entry, so run_on() checks bounds, generation and
+  // budget once per block.
+  struct Slot {
+    isa::DecodedInst inst;
+    std::uint16_t block;      // instructions in the block from here (>= 1)
+    std::uint16_t block_rvc;  // how many of them are compressed
   };
-  std::unique_ptr<isa::DecodedInst[], RawDelete> decode_cache_;
+  struct RawDelete {
+    void operator()(Slot* p) const { ::operator delete(p); }
+  };
+  /// Decodes the block starting at halfword `slot` (not yet valid) and
+  /// every entry in it. Returns why the slot cannot execute (an illegal op,
+  /// or a 32-bit op whose upper half lies past the end of imem), else kNone.
+  HaltReason decode_block(std::size_t slot);
+  /// Hardware-loop back-edge for a fall-through to `next` (the inner loop
+  /// has priority; zero-overhead). Returns the pc to continue at.
+  Addr close_hw_loop(Addr next);
+
+  std::unique_ptr<Slot[], RawDelete> decode_cache_;
   std::vector<std::uint32_t> decode_gen_;
   std::uint32_t gen_ = 1;
   sim::CpuStats stats_;

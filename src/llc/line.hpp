@@ -19,7 +19,6 @@ enum class LineState : std::uint8_t {
 struct Line {
   LineState state = LineState::kInvalid;
   Addr tag = 0;               // line base address (valid for Clean/Dirty)
-  std::uint8_t age = 0;       // approximate-LRU counter
   std::uint64_t lru_seq = 0;  // exact-LRU timestamp (ablation policy)
   std::uint64_t owner_uid = 0;  // kernel owning a Busy line
 };

@@ -8,21 +8,6 @@
 
 namespace arcane::llc {
 
-namespace {
-
-/// Host datum copy: fixed-width moves for the 1/2/4-byte accesses, a
-/// general copy only for the 3-byte head of a split misaligned word.
-void copy_datum(void* dst, const void* src, unsigned bytes) {
-  switch (bytes) {
-    case 1: std::memcpy(dst, src, 1); break;
-    case 2: std::memcpy(dst, src, 2); break;
-    case 4: std::memcpy(dst, src, 4); break;
-    default: std::memcpy(dst, src, bytes); break;
-  }
-}
-
-}  // namespace
-
 Llc::Llc(const SystemConfig& cfg, sim::EventQueue& events,
          mem::MainMemory& ext, dma::DmaEngine& dma,
          vpu::LineStorage& storage)
@@ -85,7 +70,6 @@ std::uint32_t Llc::evict(unsigned idx) {
     ++stats_.evictions;
   }
   l.state = LineState::kInvalid;
-  l.age = 0;
   return ext_bytes;
 }
 
@@ -157,12 +141,15 @@ Cycle Llc::resolve_stalls(Addr addr, unsigned bytes, bool is_write, Cycle t) {
   }
 }
 
-Llc::HostResult Llc::host_access(Addr addr, unsigned bytes, bool is_write,
-                                 void* data, Cycle now) {
+void Llc::reject_host_access(Addr addr, unsigned bytes) const {
   ARCANE_ASSERT(bytes >= 1 && bytes <= 4, "host access size " << bytes);
   ARCANE_ASSERT((addr & (line_bytes_ - 1)) + bytes <= line_bytes_,
                 "host access crosses a cache line");
+}
 
+Llc::HostResult Llc::host_access(Addr addr, unsigned bytes, bool is_write,
+                                 void* data, Cycle now) {
+  check_host_access(addr, bytes);
   if (--decay_countdown_ == 0) {
     decay_countdown_ = cfg_.llc.lru_decay_period;
     policy_->decay();
@@ -211,14 +198,7 @@ Llc::HostResult Llc::host_access(Addr addr, unsigned bytes, bool is_write,
     res.complete_at = done + cfg_.llc.hit_latency;
   }
 
-  std::uint8_t* datum =
-      storage_->line(static_cast<unsigned>(idx)).data() + (addr - base);
-  if (is_write) {
-    copy_datum(datum, data, bytes);
-    lines_[idx].state = LineState::kDirty;
-  } else {
-    copy_datum(data, datum, bytes);
-  }
+  move_datum(static_cast<unsigned>(idx), addr - base, bytes, is_write, data);
   return res;
 }
 
@@ -250,7 +230,6 @@ void Llc::release_kernel_lines(std::uint64_t uid) {
     if (l.state == LineState::kBusy && l.owner_uid == uid) {
       l.state = LineState::kInvalid;
       l.owner_uid = 0;
-      l.age = 0;
     }
   }
 }

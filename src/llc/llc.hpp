@@ -21,6 +21,7 @@
 #define ARCANE_LLC_LLC_HPP_
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -62,6 +63,27 @@ class Llc {
   /// Aligned access of 1/2/4 bytes. Reads fill `data`, writes consume it.
   HostResult host_access(Addr addr, unsigned bytes, bool is_write,
                          void* data, Cycle now);
+  /// host_access(...).complete_at, with the common hit inlined into the
+  /// caller (the ISS loop): no decay due, no host observer, controller
+  /// unlocked, no AT entry active, no event pending and the line present.
+  /// Every other access takes the out-of-line host_access.
+  [[gnu::always_inline]] Cycle host_port(Addr addr, unsigned bytes,
+                                         bool is_write, void* data,
+                                         Cycle now) {
+    check_host_access(addr, bytes);
+    const Addr base = line_base(addr);
+    const int idx = lookup(base);
+    if (idx < 0 || decay_countdown_ == 1 || host_observer != nullptr ||
+        locked_until_ > now || at_.any_active() || !events_->empty()) {
+      return host_access(addr, bytes, is_write, data, now).complete_at;
+    }
+    --decay_countdown_;
+    ++(is_write ? stats_.writes : stats_.reads);
+    ++stats_.hits;
+    policy_->touch(static_cast<unsigned>(idx), base);
+    move_datum(static_cast<unsigned>(idx), addr - base, bytes, is_write, data);
+    return now + cfg_.llc.hit_latency;
+  }
 
   // --------------------- controller lock (allocator) -----------------
   void lock_until(Cycle t);
@@ -107,6 +129,8 @@ class Llc {
   sim::CacheStats& stats() { return stats_; }
   unsigned num_lines() const { return static_cast<unsigned>(lines_.size()); }
   const Line& line(unsigned idx) const { return lines_[idx]; }
+  /// Approximate-LRU age of line `idx` (0 under the adaptive strategies).
+  std::uint8_t line_age(unsigned idx) const { return policy_->age(idx); }
 
   void set_spans(telemetry::SpanTracer* spans) { spans_ = spans; }
   /// Bind this controller's CacheStats fields as `llc.*` registry views.
@@ -119,6 +143,32 @@ class Llc {
 
  private:
   Addr line_base(Addr addr) const { return addr & ~(line_bytes_ - 1); }
+  /// A host access is 1-4 bytes within one line; the assertion messages
+  /// are built out of line (reject_host_access) to keep host_port small.
+  void check_host_access(Addr addr, unsigned bytes) const {
+    if (bytes - 1 > 3 || (addr & (line_bytes_ - 1)) + bytes > line_bytes_)
+        [[unlikely]] {
+      reject_host_access(addr, bytes);
+    }
+  }
+  [[gnu::noinline]] void reject_host_access(Addr addr, unsigned bytes) const;
+  /// Moves a host datum between `data` and resident line `idx` at `off`
+  /// (a write dirties the line). Fixed-width copies for 1/2/4 bytes, a
+  /// general one only for the 3-byte head of a split misaligned word.
+  [[gnu::always_inline]] void move_datum(unsigned idx, Addr off,
+                                         unsigned bytes, bool is_write,
+                                         void* data) {
+    std::uint8_t* datum = storage_->line(idx).data() + off;
+    void* dst = is_write ? static_cast<void*>(datum) : data;
+    const void* src = is_write ? data : datum;
+    switch (bytes) {
+      case 1: std::memcpy(dst, src, 1); break;
+      case 2: std::memcpy(dst, src, 2); break;
+      case 4: std::memcpy(dst, src, 4); break;
+      default: std::memcpy(dst, src, bytes); break;
+    }
+    if (is_write) lines_[idx].state = LineState::kDirty;
+  }
   unsigned lines_in_vpu(unsigned vpu, LineState state) const;
   /// Line holding block `base`, or -1 (also outside the data region).
   int lookup(Addr base) const {

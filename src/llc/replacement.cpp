@@ -2,7 +2,7 @@
 // interface (see replacement.hpp for the controller contract).
 //
 // Legacy family — bit-identical to the pre-strategy controller, including
-// the shared age/lru_seq bookkeeping written into the Line array:
+// the shared recency bookkeeping (per-line ages, lru_seq in the Line array):
 //   * approx-lru  per-line 8-bit ages, periodic decay (the paper's policy)
 //   * true-lru    exact LRU stack ordering via a 64-bit sequence counter
 //   * random      deterministic xorshift32 over the evictable candidates
@@ -40,21 +40,28 @@ bool resident(const Line& l) {
 
 /// Shared recency bookkeeping of the pre-strategy controller: every touch
 /// stamps both the approximate age and the exact LRU sequence, whichever
-/// policy is active, so introspection (Llc::line) stays unchanged.
+/// policy is active, so introspection (Llc::line, Llc::line_age) stays
+/// unchanged. The ages live in their own byte array so decay() vectorizes.
 class LegacyStrategy : public ReplacementStrategy {
  public:
-  explicit LegacyStrategy(std::vector<Line>& lines) : lines_(lines) {}
+  explicit LegacyStrategy(std::vector<Line>& lines)
+      : lines_(lines), ages_(lines.size(), 0) {}
 
   void touch(unsigned idx, Addr) override {
-    lines_[idx].age = 255;
+    ages_[idx] = 255;
     lines_[idx].lru_seq = ++lru_counter_;
   }
   void fill(unsigned idx, Addr base) override { touch(idx, base); }
-  // Counters deliberately survive reset(): invalidate_all never rewound
-  // them in the pre-strategy controller.
+  void evict(unsigned idx, Addr) override { ages_[idx] = 0; }
+  // Ages restart from zero, but the sequence counter deliberately survives
+  // reset(): invalidate_all never rewound it in the pre-strategy controller.
+  void reset() override { std::fill(ages_.begin(), ages_.end(), 0); }
+  std::uint8_t age(unsigned idx) const override { return ages_[idx]; }
 
  protected:
   std::vector<Line>& lines_;
+  /// Per-line approximate-LRU age; zero for every non-resident line.
+  std::vector<std::uint8_t> ages_;
   std::uint64_t lru_counter_ = 0;
 };
 
@@ -63,19 +70,16 @@ class ApproxLruStrategy final : public LegacyStrategy {
   using LegacyStrategy::LegacyStrategy;
 
   void decay() override {
-    for (Line& l : lines_) {
-      if (l.age > 0) --l.age;
-    }
+    for (std::uint8_t& a : ages_) a = a > 0 ? a - 1 : 0;
   }
 
   int find_victim(Addr) override {
     int best = -1;
     unsigned best_age = 256;
     for (unsigned i = 0; i < lines_.size(); ++i) {
-      const Line& l = lines_[i];
-      if (l.state == LineState::kBusy) continue;
-      if (l.age < best_age) {
-        best_age = l.age;
+      if (lines_[i].state == LineState::kBusy) continue;
+      if (ages_[i] < best_age) {
+        best_age = ages_[i];
         best = static_cast<int>(i);
       }
     }

@@ -23,9 +23,12 @@
 //                      when nothing is evictable (all lines busy
 //                      computing); the controller then drains kernel
 //                      events and retries.
-//  * reset()         — invalidate_all. Legacy strategies keep their
-//                      counters (bit-compatible with the pre-strategy
-//                      controller); adaptive strategies drop all state.
+//  * reset()         — invalidate_all. Legacy strategies zero their ages
+//                      but keep their counters (bit-compatible with the
+//                      pre-strategy controller); adaptive strategies drop
+//                      all state.
+//  * age(idx)        — read-only introspection of the approximate-LRU age
+//                      the legacy strategies keep per line (0 elsewhere).
 //
 // Determinism rules: strategies may consult only their own state and the
 // shared line array — no wall clock, no address-dependent hashing with
@@ -40,6 +43,7 @@
 #ifndef ARCANE_LLC_REPLACEMENT_HPP_
 #define ARCANE_LLC_REPLACEMENT_HPP_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -58,11 +62,12 @@ class ReplacementStrategy {
   virtual void evict(unsigned /*idx*/, Addr /*base*/) {}
   virtual int find_victim(Addr incoming) = 0;
   virtual void reset() {}
+  virtual std::uint8_t age(unsigned /*idx*/) const { return 0; }
 };
 
 /// Builds the strategy selected by `cfg.replacement`. `lines` is the
 /// controller's line array; the strategy holds the reference for its whole
-/// lifetime (it reads states and writes the legacy age / lru_seq fields).
+/// lifetime (it reads states and writes the legacy lru_seq field).
 std::unique_ptr<ReplacementStrategy> make_replacement_strategy(
     const LlcConfig& cfg, std::vector<Line>& lines);
 

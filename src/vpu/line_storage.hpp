@@ -25,12 +25,12 @@ class LineStorage {
   unsigned line_bytes() const { return line_bytes_; }
 
   std::span<std::uint8_t> line(unsigned idx) {
-    ARCANE_ASSERT(idx < num_lines_, "line index " << idx << " out of range");
+    check_line(idx);
     return {data_.data() + static_cast<std::size_t>(idx) * line_bytes_,
             line_bytes_};
   }
   std::span<const std::uint8_t> line(unsigned idx) const {
-    ARCANE_ASSERT(idx < num_lines_, "line index " << idx << " out of range");
+    check_line(idx);
     return {data_.data() + static_cast<std::size_t>(idx) * line_bytes_,
             line_bytes_};
   }
@@ -48,6 +48,15 @@ class LineStorage {
   }
 
  private:
+  // The assertion message is built out of line, so line() stays small
+  // enough to inline into the LLC host port's hit path.
+  void check_line(unsigned idx) const {
+    if (idx >= num_lines_) [[unlikely]] reject_line(idx);
+  }
+  [[gnu::noinline]] void reject_line(unsigned idx) const {
+    ARCANE_ASSERT(idx < num_lines_, "line index " << idx << " out of range");
+  }
+
   unsigned num_lines_;
   unsigned line_bytes_;
   unsigned vregs_per_vpu_;

@@ -241,7 +241,7 @@ std::uint64_t state_hash(const CacheRig& rig) {
     const Line& l = rig.llc->line(i);
     mix(static_cast<std::uint64_t>(l.state));
     mix(l.tag);
-    mix(l.age);
+    mix(rig.llc->line_age(i));
     mix(l.lru_seq);
   }
   mix(rig.llc->stats().hits);

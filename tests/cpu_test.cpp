@@ -257,6 +257,22 @@ TEST(CpuTest, JumpToTopOfAddressSpaceIsABusFault) {
   EXPECT_EQ(sys.llc().stats().refills, refills);
 }
 
+TEST(CpuTest, FetchPastEndOfInstructionMemoryIsABusFault) {
+  // The last halfword of imem holds the low half of addi a0, a0, 5: the
+  // 32-bit op cannot be fetched whole, so it faults at its own pc without
+  // retiring (rather than running with its upper half read as zero).
+  System sys(SystemConfig::paper(4));
+  const Addr end = sys.config().mem.imem_base + sys.config().mem.imem_bytes;
+  const std::uint32_t addi = isa::enc::addi(10, 10, 5);
+  sys.load_program({0x0001u | ((addi & 0xFFFFu) << 16)}, end - 4);  // c.nop
+  sys.load_program({isa::enc::jal(0, static_cast<std::int32_t>(end - 2))});
+  const auto res = sys.run_unchecked();
+  EXPECT_EQ(res.reason, cpu::HaltReason::kBusFault);
+  EXPECT_EQ(res.pc, end - 2);
+  EXPECT_EQ(res.instructions, 1u);
+  EXPECT_EQ(sys.host().reg(10), 0u);
+}
+
 TEST(CpuTest, LoadAtTopOfAddressSpaceIsABusFault) {
   // A byte at 0xFFFFFFFF: addr + 1 wraps to 0, which must not pass the
   // data-region check or reach the LLC.

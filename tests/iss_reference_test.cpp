@@ -1,0 +1,1006 @@
+// Differential test of the block-threaded host ISS (HostCpu::run and the
+// System's run_on<System>) against a test-local single-step reference
+// model: one decode and one dispatch per instruction, the straightforward
+// switch-loop semantics the block interpreter must reproduce exactly.
+//
+// Seeded generated programs cover hardware loops (nested, counts 0 and 1,
+// branch/jump to pc+size at a loop end), post-increment with rd == rs1,
+// cycle/instret CSR reads, instruction budgets that cut blocks, misaligned
+// split accesses, bus faults and illegal ops inside blocks, fetches past
+// the end of instruction memory and program reloads. Every comparison
+// covers the RunResult, every CpuStats field, all registers and memory.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <random>
+#include <vector>
+
+#include "arcane/system.hpp"
+#include "common/bits.hpp"
+#include "cpu/cpu.hpp"
+#include "isa/decode.hpp"
+#include "isa/encode.hpp"
+#include "mem/imem.hpp"
+
+namespace arcane {
+namespace {
+
+using cpu::HaltReason;
+using cpu::HostCpu;
+using isa::DecodedInst;
+using isa::Op;
+namespace enc = isa::enc;
+
+// ---------------------------------------------------------------------
+// Reference model: one instruction per loop iteration.
+// ---------------------------------------------------------------------
+
+class RefIss {
+ public:
+  RefIss(const SystemConfig& cfg, const mem::InstructionMemory& imem,
+         cpu::DataPort& port)
+      : cfg_(cfg), t_(cfg.cpu), imem_(imem), port_(port) {}
+
+  void reset(Addr pc, Addr sp) {
+    regs = {};
+    regs[2] = sp;
+    pc_ = pc;
+    now_ = 0;
+    loops_ = {};
+    stats = {};
+  }
+
+  HostCpu::RunResult run(std::uint64_t max_instructions) {
+    const bool pulp = cfg_.host_cpu == HostCpuKind::kCv32e40px;
+    auto halt = [&](HaltReason why) {
+      stats.cycles = now_;
+      return HostCpu::RunResult{why, now_, stats.instructions, regs[10], pc_};
+    };
+    auto sext8 = [](std::uint32_t v) {
+      return static_cast<std::uint32_t>(static_cast<std::int8_t>(v));
+    };
+    auto sext16 = [](std::uint32_t v) {
+      return static_cast<std::uint32_t>(static_cast<std::int16_t>(v));
+    };
+    auto mem_read = [&](Addr addr, unsigned bytes, std::uint32_t& raw) {
+      const unsigned p1 = std::min(bytes, 4u - (addr & 3u));
+      std::uint8_t buf[4] = {0, 0, 0, 0};
+      const Cycle start = now_ + t_.load_base;
+      Cycle done;
+      try {
+        done = port_.read(addr, p1, buf, now_);
+        if (p1 < bytes) done = port_.read(addr + p1, bytes - p1, buf + p1, done);
+      } catch (const Error&) {
+        return false;
+      }
+      std::memcpy(&raw, buf, 4);
+      stats.stall_cycles += done > start ? done - start : 0;
+      now_ = std::max(done, start);
+      ++stats.loads;
+      return true;
+    };
+    auto mem_write = [&](Addr addr, unsigned bytes, std::uint32_t value) {
+      const unsigned p1 = std::min(bytes, 4u - (addr & 3u));
+      std::uint8_t buf[4];
+      std::memcpy(buf, &value, 4);
+      const Cycle start = now_ + t_.store_base;
+      Cycle done;
+      try {
+        done = port_.write(addr, p1, buf, now_);
+        if (p1 < bytes) done = port_.write(addr + p1, bytes - p1, buf + p1, done);
+      } catch (const Error&) {
+        return false;
+      }
+      stats.stall_cycles += done > start ? done - start : 0;
+      now_ = std::max(done, start);
+      ++stats.stores;
+      return true;
+    };
+
+    for (std::uint64_t executed = 0; executed < max_instructions; ++executed) {
+      const Addr off = pc_ - imem_.base();
+      if (off > imem_.size() - 2) return halt(HaltReason::kBusFault);
+      const std::uint32_t word = imem_.fetch(pc_);
+      if (!isa::is_rvc(word) && off + 4 > imem_.size()) {
+        return halt(HaltReason::kBusFault);  // upper half past the end
+      }
+      const DecodedInst d = isa::decode(word);
+      if (d.op == Op::kIllegal) return halt(HaltReason::kIllegalInstruction);
+
+      Addr next = pc_ + d.size;
+      const std::uint32_t rs1 = regs[d.rs1];
+      const std::uint32_t rs2 = regs[d.rs2];
+      std::uint32_t rd_val = 0;
+      bool write_rd = false;
+      auto result = [&](std::uint32_t v, unsigned cost) {
+        rd_val = v;
+        write_rd = true;
+        now_ += cost;
+      };
+      auto simd = [&](std::uint32_t v) {
+        result(v, t_.simd);
+        ++stats.simd_ops;
+      };
+      auto muldiv = [&](std::uint32_t v, unsigned cost) {
+        result(v, cost);
+        ++stats.mul_div;
+      };
+      const auto s1 = static_cast<std::int32_t>(rs1);
+      const auto s2 = static_cast<std::int32_t>(rs2);
+      const auto imm = static_cast<std::uint32_t>(d.imm);
+
+      ++stats.instructions;
+      if (d.is_compressed()) ++stats.compressed_instructions;
+
+      const bool pulp_op =
+          d.op >= Op::kCvLbPost && d.op <= Op::kPvSdotupB;
+      if (pulp_op && !pulp) return halt(HaltReason::kIllegalInstruction);
+
+      switch (d.op) {
+        case Op::kLui: result(imm << 12, t_.alu); break;
+        case Op::kAuipc: result(pc_ + (imm << 12), t_.alu); break;
+        case Op::kAddi: result(rs1 + imm, t_.alu); break;
+        case Op::kSlti: result(s1 < d.imm ? 1 : 0, t_.alu); break;
+        case Op::kSltiu: result(rs1 < imm ? 1 : 0, t_.alu); break;
+        case Op::kXori: result(rs1 ^ imm, t_.alu); break;
+        case Op::kOri: result(rs1 | imm, t_.alu); break;
+        case Op::kAndi: result(rs1 & imm, t_.alu); break;
+        case Op::kSlli: result(rs1 << (imm & 31), t_.alu); break;
+        case Op::kSrli: result(rs1 >> (imm & 31), t_.alu); break;
+        case Op::kSrai:
+          result(static_cast<std::uint32_t>(s1 >> (imm & 31)), t_.alu);
+          break;
+        case Op::kAdd: result(rs1 + rs2, t_.alu); break;
+        case Op::kSub: result(rs1 - rs2, t_.alu); break;
+        case Op::kSll: result(rs1 << (rs2 & 31), t_.alu); break;
+        case Op::kSlt: result(s1 < s2 ? 1 : 0, t_.alu); break;
+        case Op::kSltu: result(rs1 < rs2 ? 1 : 0, t_.alu); break;
+        case Op::kXor: result(rs1 ^ rs2, t_.alu); break;
+        case Op::kSrl: result(rs1 >> (rs2 & 31), t_.alu); break;
+        case Op::kSra:
+          result(static_cast<std::uint32_t>(s1 >> (rs2 & 31)), t_.alu);
+          break;
+        case Op::kOr: result(rs1 | rs2, t_.alu); break;
+        case Op::kAnd: result(rs1 & rs2, t_.alu); break;
+        case Op::kFence: now_ += t_.alu; break;
+
+        case Op::kJal:
+          result(next, t_.jump);
+          next = pc_ + imm;
+          break;
+        case Op::kJalr:
+          result(next, t_.jump);
+          next = (rs1 + imm) & ~1u;
+          break;
+        case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
+        case Op::kBltu: case Op::kBgeu: {
+          bool taken = false;
+          switch (d.op) {
+            case Op::kBeq: taken = rs1 == rs2; break;
+            case Op::kBne: taken = rs1 != rs2; break;
+            case Op::kBlt: taken = s1 < s2; break;
+            case Op::kBge: taken = s1 >= s2; break;
+            case Op::kBltu: taken = rs1 < rs2; break;
+            default: taken = rs1 >= rs2; break;
+          }
+          ++stats.branches;
+          if (taken) {
+            ++stats.taken_branches;
+            next = pc_ + imm;
+            now_ += t_.branch_taken;
+          } else {
+            now_ += t_.branch_not_taken;
+          }
+          break;
+        }
+
+        case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLbu:
+        case Op::kLhu: case Op::kCvLbPost: case Op::kCvLbuPost:
+        case Op::kCvLhPost: case Op::kCvLhuPost: case Op::kCvLwPost: {
+          const bool post = pulp_op;
+          const bool word_op = d.op == Op::kLw || d.op == Op::kCvLwPost;
+          const bool half = d.op == Op::kLh || d.op == Op::kLhu ||
+                            d.op == Op::kCvLhPost || d.op == Op::kCvLhuPost;
+          std::uint32_t raw = 0;
+          if (!mem_read(post ? rs1 : rs1 + imm, word_op ? 4 : half ? 2 : 1,
+                        raw)) {
+            return halt(HaltReason::kBusFault);
+          }
+          switch (d.op) {
+            case Op::kLb: case Op::kCvLbPost: rd_val = sext8(raw); break;
+            case Op::kLh: case Op::kCvLhPost: rd_val = sext16(raw); break;
+            case Op::kLbu: case Op::kCvLbuPost: rd_val = raw & 0xFFu; break;
+            case Op::kLhu: case Op::kCvLhuPost: rd_val = raw & 0xFFFFu; break;
+            default: rd_val = raw; break;
+          }
+          write_rd = true;
+          if (post) {  // pointer first, so rd wins when rd == rs1
+            regs[d.rs1] = rs1 + imm;
+            regs[0] = 0;
+          }
+          break;
+        }
+        case Op::kSb: case Op::kSh: case Op::kSw: case Op::kCvSbPost:
+        case Op::kCvShPost: case Op::kCvSwPost: {
+          const bool post = pulp_op;
+          const unsigned bytes =
+              (d.op == Op::kSw || d.op == Op::kCvSwPost)   ? 4
+              : (d.op == Op::kSh || d.op == Op::kCvShPost) ? 2
+                                                           : 1;
+          if (!mem_write(post ? rs1 : rs1 + imm, bytes, rs2)) {
+            return halt(HaltReason::kBusFault);
+          }
+          if (post) {
+            regs[d.rs1] = rs1 + imm;
+            regs[0] = 0;
+          }
+          break;
+        }
+
+        case Op::kMul: muldiv(rs1 * rs2, t_.mul); break;
+        case Op::kMulh:
+          muldiv(static_cast<std::uint32_t>(
+                     (static_cast<std::int64_t>(s1) * s2) >> 32),
+                 t_.mul);
+          break;
+        case Op::kMulhsu:
+          muldiv(static_cast<std::uint32_t>(
+                     (static_cast<std::int64_t>(s1) *
+                      static_cast<std::int64_t>(rs2)) >> 32),
+                 t_.mul);
+          break;
+        case Op::kMulhu:
+          muldiv(static_cast<std::uint32_t>(
+                     (static_cast<std::uint64_t>(rs1) * rs2) >> 32),
+                 t_.mul);
+          break;
+        case Op::kDiv:
+          muldiv(rs2 == 0 ? 0xFFFF'FFFFu
+                 : (rs1 == 0x8000'0000u && rs2 == 0xFFFF'FFFFu)
+                     ? 0x8000'0000u
+                     : static_cast<std::uint32_t>(s1 / s2),
+                 t_.div);
+          break;
+        case Op::kDivu:
+          muldiv(rs2 == 0 ? 0xFFFF'FFFFu : rs1 / rs2, t_.div);
+          break;
+        case Op::kRem:
+          muldiv(rs2 == 0 ? rs1
+                 : (rs1 == 0x8000'0000u && rs2 == 0xFFFF'FFFFu)
+                     ? 0u
+                     : static_cast<std::uint32_t>(s1 % s2),
+                 t_.div);
+          break;
+        case Op::kRemu: muldiv(rs2 == 0 ? rs1 : rs1 % rs2, t_.div); break;
+
+        case Op::kCsrrw: case Op::kCsrrs: case Op::kCsrrc:
+        case Op::kCsrrwi: case Op::kCsrrsi: case Op::kCsrrci: {
+          std::uint32_t v = 0;
+          switch (static_cast<std::uint16_t>(d.imm)) {
+            case isa::kCsrMcycle: v = static_cast<std::uint32_t>(now_); break;
+            case isa::kCsrMcycleH:
+              v = static_cast<std::uint32_t>(now_ >> 32);
+              break;
+            case isa::kCsrMinstret:
+              v = static_cast<std::uint32_t>(stats.instructions);
+              break;
+            case isa::kCsrMinstretH:
+              v = static_cast<std::uint32_t>(stats.instructions >> 32);
+              break;
+            case isa::kCsrMhartid: v = 0; break;
+            default: return halt(HaltReason::kIllegalInstruction);
+          }
+          result(v, t_.csr);
+          break;
+        }
+
+        case Op::kEcall: case Op::kEbreak:
+          now_ += t_.alu;
+          pc_ = next;
+          return halt(d.op == Op::kEcall ? HaltReason::kEcall
+                                         : HaltReason::kEbreak);
+
+        case Op::kCvMac: simd(regs[d.rd] + rs1 * rs2); break;
+        case Op::kCvMax: simd(s1 > s2 ? rs1 : rs2); break;
+        case Op::kCvMin: simd(s1 < s2 ? rs1 : rs2); break;
+        case Op::kCvAbs: simd(s1 < 0 ? 0u - rs1 : rs1); break;
+        case Op::kCvClip: {
+          const unsigned b = d.rs2 & 31u;
+          const std::int32_t hi = b == 0 ? 0 : (1 << (b - 1)) - 1;
+          const std::int32_t lo = b == 0 ? -1 : -(1 << (b - 1));
+          simd(static_cast<std::uint32_t>(s1 < lo ? lo : s1 > hi ? hi : s1));
+          break;
+        }
+        case Op::kCvSetup: {
+          Loop& l = loops_[d.rd & 1u];
+          l.start = pc_ + 4;
+          l.end = pc_ + 4 + imm;
+          l.count = rs1;
+          now_ += t_.alu;
+          break;
+        }
+        case Op::kPvAddB: case Op::kPvSubB: case Op::kPvMaxB:
+        case Op::kPvMinB: case Op::kPvAddH: case Op::kPvSubH:
+        case Op::kPvMaxH: case Op::kPvMinH: {
+          const bool byte = d.op == Op::kPvAddB || d.op == Op::kPvSubB ||
+                            d.op == Op::kPvMaxB || d.op == Op::kPvMinB;
+          const unsigned w = byte ? 8 : 16;
+          std::uint32_t out = 0;
+          for (unsigned i = 0; i < 32 / w; ++i) {
+            const std::int32_t a = byte ? sext8(rs1 >> (w * i))
+                                        : sext16(rs1 >> (w * i));
+            const std::int32_t b = byte ? sext8(rs2 >> (w * i))
+                                        : sext16(rs2 >> (w * i));
+            std::int32_t r;
+            switch (d.op) {
+              case Op::kPvAddB: case Op::kPvAddH: r = a + b; break;
+              case Op::kPvSubB: case Op::kPvSubH: r = a - b; break;
+              case Op::kPvMaxB: case Op::kPvMaxH: r = a > b ? a : b; break;
+              default: r = a < b ? a : b; break;
+            }
+            out |= (static_cast<std::uint32_t>(r) & ((1u << w) - 1)) << (w * i);
+          }
+          simd(out);
+          break;
+        }
+        case Op::kPvSdotspB: case Op::kPvSdotupB: case Op::kPvSdotspH: {
+          auto acc = static_cast<std::int64_t>(
+              static_cast<std::int32_t>(regs[d.rd]));
+          for (unsigned i = 0; i < 4; ++i) {
+            if (d.op == Op::kPvSdotspB) {
+              acc += static_cast<std::int64_t>(
+                         static_cast<std::int8_t>(rs1 >> (8 * i))) *
+                     static_cast<std::int8_t>(rs2 >> (8 * i));
+            } else if (d.op == Op::kPvSdotupB) {
+              acc += static_cast<std::int64_t>((rs1 >> (8 * i)) & 0xFFu) *
+                     ((rs2 >> (8 * i)) & 0xFFu);
+            } else if (i < 2) {
+              acc += static_cast<std::int64_t>(
+                         static_cast<std::int16_t>(rs1 >> (16 * i))) *
+                     static_cast<std::int16_t>(rs2 >> (16 * i));
+            }
+          }
+          simd(static_cast<std::uint32_t>(acc));
+          break;
+        }
+
+        case Op::kXmnmc:  // no coprocessor attached in this test
+        case Op::kIllegal:
+        case Op::kOpCount:
+          return halt(HaltReason::kIllegalInstruction);
+      }
+
+      if (write_rd && d.rd != 0) regs[d.rd] = rd_val;
+
+      // Hardware-loop back-edge: the inner loop (0) first; fires when the
+      // sequential next pc reaches a loop end with a non-zero count.
+      if (d.op != Op::kCvSetup && next == pc_ + d.size) {
+        for (Loop& l : loops_) {
+          if (l.count != 0 && next == l.end) {
+            if (--l.count != 0) next = l.start;
+            ++stats.hw_loop_iterations;
+            break;
+          }
+        }
+      }
+      pc_ = next;
+    }
+    return halt(HaltReason::kMaxInstructions);
+  }
+
+  std::array<std::uint32_t, 32> regs{};
+  sim::CpuStats stats;
+
+ private:
+  struct Loop {
+    Addr start = 0, end = 0;
+    std::uint32_t count = 0;
+  };
+  SystemConfig cfg_;
+  CpuTiming t_;
+  const mem::InstructionMemory& imem_;
+  cpu::DataPort& port_;
+  Addr pc_ = 0;
+  Cycle now_ = 0;
+  std::array<Loop, 2> loops_{};
+};
+
+// ---------------------------------------------------------------------
+// A flat data port with address-dependent latency (so stalls vary).
+// ---------------------------------------------------------------------
+
+class FlatPort final : public cpu::DataPort {
+ public:
+  FlatPort(Addr base, std::uint32_t size) : base_(base), mem_(size) {
+    for (std::uint32_t i = 0; i < size; ++i) {
+      mem_[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+  }
+  Cycle read(Addr addr, unsigned bytes, void* out, Cycle now) override {
+    std::memcpy(out, at(addr, bytes), bytes);
+    return now + 1 + ((addr >> 3) % 3);
+  }
+  Cycle write(Addr addr, unsigned bytes, const void* in, Cycle now) override {
+    std::memcpy(at(addr, bytes), in, bytes);
+    return now + 1 + ((addr >> 4) % 2);
+  }
+  const std::vector<std::uint8_t>& bytes() const { return mem_; }
+
+ private:
+  std::uint8_t* at(Addr addr, unsigned bytes) {
+    if (!range_within(addr, bytes, base_, size())) throw Error("bus fault");
+    return mem_.data() + (addr - base_);
+  }
+  std::uint32_t size() const { return static_cast<std::uint32_t>(mem_.size()); }
+
+  Addr base_;
+  std::vector<std::uint8_t> mem_;
+};
+
+// ---------------------------------------------------------------------
+// Program builder over halfwords (RVC and 32-bit ops mixed, any 16-bit
+// alignment) with label fix-ups.
+// ---------------------------------------------------------------------
+
+constexpr std::uint16_t c_li(unsigned rd, std::int32_t imm) {
+  const auto u = static_cast<std::uint32_t>(imm);
+  return static_cast<std::uint16_t>(0x4001u | (bit(u, 5) << 12) | (rd << 7) |
+                                    (bits(u, 4, 0) << 2));
+}
+constexpr std::uint16_t c_addi(unsigned rd, std::int32_t imm) {
+  const auto u = static_cast<std::uint32_t>(imm);
+  return static_cast<std::uint16_t>(0x0001u | (bit(u, 5) << 12) | (rd << 7) |
+                                    (bits(u, 4, 0) << 2));
+}
+constexpr std::uint16_t c_j(std::int32_t off) {
+  const auto u = static_cast<std::uint32_t>(off);
+  return static_cast<std::uint16_t>(
+      0xA001u | (bit(u, 11) << 12) | (bit(u, 4) << 11) | (bits(u, 9, 8) << 9) |
+      (bit(u, 10) << 8) | (bit(u, 6) << 7) | (bit(u, 7) << 6) |
+      (bits(u, 3, 1) << 3) | (bit(u, 5) << 2));
+}
+constexpr std::uint16_t c_bnez(unsigned rs1_prime, std::int32_t off) {
+  const auto u = static_cast<std::uint32_t>(off);
+  return static_cast<std::uint16_t>(
+      0xE001u | (bit(u, 8) << 12) | (bits(u, 4, 3) << 10) | (rs1_prime << 7) |
+      (bits(u, 7, 6) << 5) | (bits(u, 2, 1) << 3) | (bit(u, 5) << 2));
+}
+constexpr std::uint16_t kCNop = 0x0001;
+
+TEST(IssReferenceTest, CompressedEncodersMatchTheDecoder) {
+  EXPECT_EQ(isa::expand_rvc(c_li(9, -7)), enc::addi(9, 0, -7));
+  EXPECT_EQ(isa::expand_rvc(c_addi(12, 31)), enc::addi(12, 12, 31));
+  EXPECT_EQ(isa::expand_rvc(c_j(2)), enc::jal(0, 2));
+  EXPECT_EQ(isa::expand_rvc(c_j(-1000)), enc::jal(0, -1000));
+  EXPECT_EQ(isa::expand_rvc(c_bnez(1, 2)), enc::bne(9, 0, 2));
+  EXPECT_EQ(isa::expand_rvc(c_bnez(2, -60)), enc::bne(10, 0, -60));
+}
+
+class Program {
+ public:
+  int label() {
+    labels_.push_back(-1);
+    return static_cast<int>(labels_.size()) - 1;
+  }
+  void bind(int l) { labels_[l] = static_cast<std::int64_t>(bytes()); }
+  void op16(std::uint16_t h) { half_.push_back(h); }
+  void op32(std::uint32_t w) {
+    half_.push_back(static_cast<std::uint16_t>(w));
+    half_.push_back(static_cast<std::uint16_t>(w >> 16));
+  }
+  /// A 32-bit op whose encoding depends on the byte offset from `from`
+  /// (default: its own address) to label `l`.
+  void op32_to(int l, std::function<std::uint32_t(std::int32_t)> make,
+               std::size_t from = ~std::size_t{0}) {
+    fixes_.push_back({half_.size(), from == ~std::size_t{0} ? bytes() : from,
+                      l, false, std::move(make)});
+    op32(0);
+  }
+  void op16_to(int l, std::function<std::uint32_t(std::int32_t)> make) {
+    fixes_.push_back({half_.size(), bytes(), l, true, std::move(make)});
+    op16(0);
+  }
+  std::size_t bytes() const { return half_.size() * 2; }
+
+  std::vector<std::uint32_t> words() {
+    for (const Fix& f : fixes_) {
+      const auto off = static_cast<std::int32_t>(labels_[f.label] -
+                                                 static_cast<std::int64_t>(f.from));
+      const std::uint32_t w = f.make(off);
+      half_[f.at] = static_cast<std::uint16_t>(w);
+      if (!f.rvc) half_[f.at + 1] = static_cast<std::uint16_t>(w >> 16);
+    }
+    if (half_.size() % 2 != 0) half_.push_back(kCNop);
+    std::vector<std::uint32_t> out(half_.size() / 2);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = half_[2 * i] | (static_cast<std::uint32_t>(half_[2 * i + 1]) << 16);
+    }
+    return out;
+  }
+
+ private:
+  struct Fix {
+    std::size_t at;    // halfword index
+    std::size_t from;  // byte offset the displacement is relative to
+    int label;
+    bool rvc;
+    std::function<std::uint32_t(std::int32_t)> make;
+  };
+  std::vector<std::uint16_t> half_;
+  std::vector<std::int64_t> labels_;
+  std::vector<Fix> fixes_;
+};
+
+// ---------------------------------------------------------------------
+// Seeded structured program generator. Control flow is forward except for
+// counted loops and hardware loops with small counts, so every program
+// terminates. Dedicated registers: x5 data pointer, x6 post-increment
+// pointer, x7 unmapped address, x28/x29 loop counters, x30/x31 hardware-
+// loop counts, x20 jalr target.
+// ---------------------------------------------------------------------
+
+struct GenOptions {
+  bool pulp = true;
+  Addr data = 0;       // base of a >= 16 KiB mapped data window
+  Addr unmapped = 0;   // an address the port faults on
+  bool abnormal_ends = true;
+  bool xmnmc = true;  // may end in an xmnmc op (no coprocessor attached)
+};
+
+class Generator {
+ public:
+  Generator(std::uint64_t seed, GenOptions opt) : rng_(seed), opt_(opt) {}
+
+  Program make() {
+    Program p;
+    li(p, 5, opt_.data + 0x1000);
+    li(p, 6, opt_.data + 0x2800);
+    li(p, 7, opt_.unmapped);
+    for (unsigned r : {8u, 9u, 10u, 11u, 12u, 13u}) {
+      li(p, r, static_cast<std::int32_t>(rng_()));
+    }
+    block(p, 0, 8 + pick(16), -1);
+    if (opt_.abnormal_ends && pick(8) == 0) abnormal(p);
+    p.op32(enc::ecall());
+    return p;
+  }
+
+ private:
+  unsigned pick(unsigned n) { return static_cast<unsigned>(rng_() % n); }
+  unsigned scratch() {
+    static constexpr unsigned kRegs[] = {0,  1,  3,  4,  8,  9,  10, 11, 12,
+                                         13, 14, 15, 16, 17, 18, 21, 22, 23};
+    return kRegs[pick(sizeof(kRegs) / sizeof(kRegs[0]))];
+  }
+  unsigned any_src() { return pick(4) == 0 ? pick(32) : scratch(); }
+  static void li(Program& p, unsigned rd, std::uint32_t v) {
+    const std::int32_t lo = sign_extend(v, 12);
+    p.op32(enc::lui(rd, static_cast<std::int32_t>(
+                            (v - static_cast<std::uint32_t>(lo)) >> 12)));
+    p.op32(enc::addi(rd, rd, lo));
+  }
+
+  void alu(Program& p) {
+    using Rop = std::uint32_t (*)(unsigned, unsigned, unsigned);
+    using Iop = std::uint32_t (*)(unsigned, unsigned, std::int32_t);
+    static constexpr Rop kR[] = {enc::add,  enc::sub,    enc::sll,   enc::slt,
+                                 enc::sltu, enc::xor_,   enc::srl,   enc::sra,
+                                 enc::or_,  enc::and_,   enc::mul,   enc::mulh,
+                                 enc::mulhsu, enc::mulhu, enc::div,  enc::divu,
+                                 enc::rem,  enc::remu};
+    static constexpr Iop kI[] = {enc::addi, enc::slti, enc::sltiu,
+                                 enc::xori, enc::ori,  enc::andi};
+    switch (pick(6)) {
+      case 0: case 1:
+        p.op32(kR[pick(std::size(kR))](scratch(), any_src(), any_src()));
+        break;
+      case 2:
+        p.op32(kI[pick(std::size(kI))](scratch(), any_src(),
+                                       static_cast<std::int32_t>(pick(4096)) - 2048));
+        break;
+      case 3: {
+        static constexpr Rop kS[] = {enc::slli, enc::srli, enc::srai};
+        p.op32(kS[pick(3)](scratch(), any_src(), pick(32)));
+        break;
+      }
+      case 4:
+        p.op32(pick(2) ? enc::lui(scratch(), static_cast<std::int32_t>(pick(1u << 20)))
+                       : enc::auipc(scratch(), static_cast<std::int32_t>(pick(1u << 20))));
+        break;
+      default: {  // RVC
+        const unsigned rd = 8 + pick(8);
+        const auto imm = static_cast<std::int32_t>(pick(64)) - 32;
+        p.op16(pick(3) == 0 ? kCNop : pick(2) ? c_li(rd, imm) : c_addi(rd, imm));
+        break;
+      }
+    }
+  }
+
+  void memory(Program& p) {
+    const auto off = static_cast<std::int32_t>(pick(2048)) - 1024;  // any alignment
+    switch (pick(8)) {
+      case 0: p.op32(enc::lw(scratch(), 5, off)); break;
+      case 1: p.op32(enc::lh(scratch(), 5, off)); break;
+      case 2: p.op32(enc::lhu(scratch(), 5, off)); break;
+      case 3: p.op32(enc::lb(scratch(), 5, off)); break;
+      case 4: p.op32(enc::lbu(scratch(), 5, off)); break;
+      case 5: p.op32(enc::sw(5, any_src(), off)); break;
+      case 6: p.op32(enc::sh(5, any_src(), off)); break;
+      default: p.op32(enc::sb(5, any_src(), off)); break;
+    }
+  }
+
+  void pulp_op(Program& p) {
+    const auto inc = static_cast<std::int32_t>(pick(17)) - 8;
+    switch (pick(10)) {
+      case 0: {
+        using Post = std::uint32_t (*)(unsigned, unsigned, std::int32_t);
+        static constexpr Post kLd[] = {enc::cv_lb_post, enc::cv_lbu_post,
+                                       enc::cv_lh_post, enc::cv_lhu_post,
+                                       enc::cv_lw_post};
+        if (pick(6) == 0) {  // rd == rs1: the loaded value wins
+          p.op32(kLd[pick(5)](6, 6, inc));
+          li(p, 6, opt_.data + 0x2800);
+        } else {
+          p.op32(kLd[pick(5)](scratch(), 6, inc));
+        }
+        break;
+      }
+      case 1: {
+        using Post = std::uint32_t (*)(unsigned, unsigned, std::int32_t);
+        static constexpr Post kSt[] = {enc::cv_sb_post, enc::cv_sh_post,
+                                       enc::cv_sw_post};
+        p.op32(kSt[pick(3)](6, any_src(), inc));
+        break;
+      }
+      case 2: p.op32(enc::cv_mac(scratch(), any_src(), any_src())); break;
+      case 3: p.op32(enc::cv_max(scratch(), any_src(), any_src())); break;
+      case 4: p.op32(enc::cv_min(scratch(), any_src(), any_src())); break;
+      case 5: p.op32(enc::cv_abs(scratch(), any_src())); break;
+      case 6: p.op32(enc::cv_clip(scratch(), any_src(), pick(32))); break;
+      default: {
+        using Pv = std::uint32_t (*)(unsigned, unsigned, unsigned);
+        static constexpr Pv kPv[] = {
+            enc::pv_add_b,    enc::pv_add_h,    enc::pv_sub_b, enc::pv_sub_h,
+            enc::pv_max_b,    enc::pv_max_h,    enc::pv_min_b, enc::pv_min_h,
+            enc::pv_sdotsp_b, enc::pv_sdotsp_h, enc::pv_sdotup_b};
+        p.op32(kPv[pick(std::size(kPv))](scratch(), any_src(), any_src()));
+        break;
+      }
+    }
+  }
+
+  void csr(Program& p) {
+    static constexpr unsigned kCsrs[] = {isa::kCsrMcycle, isa::kCsrMcycleH,
+                                         isa::kCsrMinstret, isa::kCsrMinstretH,
+                                         isa::kCsrMhartid};
+    p.op32(enc::csrrs(scratch(), kCsrs[pick(5)], 0));
+  }
+
+  /// An op that ends the program abnormally (or, for an ebreak, normally).
+  void abnormal(Program& p) {
+    switch (pick(5)) {
+      case 0: p.op32(0xFFFF'FFFFu); break;                 // illegal
+      case 1: p.op32(enc::lw(scratch(), 7, 0)); break;     // bus fault
+      case 2: p.op32(enc::csrrs(scratch(), 0x7C0, 0)); break;  // unknown CSR
+      case 3: p.op32(enc::ebreak()); break;
+      default:  // an XCVPULP op (illegal on the plain core) or xmnmc
+        p.op32(!opt_.pulp  ? enc::pv_add_b(10, 11, 12)
+               : opt_.xmnmc ? enc::xmnmc(3, 0, 10, 11, 12)
+                            : 0xFFFF'FFFFu);
+        break;
+    }
+  }
+
+  /// `len` random items. `hw` is the innermost active hardware loop index
+  /// (-1 none); only loop 1 may enclose loop 0.
+  void block(Program& p, int depth, unsigned len, int hw) {
+    for (unsigned i = 0; i < len; ++i) {
+      const unsigned kind = pick(depth < 2 ? 16 : 10);
+      if (kind < 4) {
+        alu(p);
+      } else if (kind < 6) {
+        memory(p);
+      } else if (kind == 6) {
+        if (opt_.pulp) pulp_op(p);
+        else alu(p);
+      } else if (kind == 7) {
+        csr(p);
+      } else if (kind == 8) {
+        alu(p);
+        if (opt_.abnormal_ends && pick(60) == 0) abnormal(p);
+      } else if (kind == 9 || kind == 10) {
+        forward(p, depth, hw);
+      } else if (kind == 11 || kind == 12) {
+        counted_loop(p, depth, hw);
+      } else if (opt_.pulp && hw != 0) {
+        hw_loop(p, depth, hw == 1 ? 0 : static_cast<int>(pick(2)));
+      } else {
+        alu(p);
+      }
+    }
+  }
+
+  /// A forward branch, jal, c.j or jalr over a sub-block.
+  void forward(Program& p, int depth, int hw) {
+    const int skip = p.label();
+    switch (pick(5)) {
+      case 0: case 1: {
+        using Br = std::uint32_t (*)(unsigned, unsigned, std::int32_t);
+        static constexpr Br kBr[] = {enc::beq, enc::bne,  enc::blt,
+                                     enc::bge, enc::bltu, enc::bgeu};
+        const Br br = kBr[pick(6)];
+        const unsigned a = any_src(), b = any_src();
+        p.op32_to(skip, [=](std::int32_t off) { return br(a, b, off); });
+        break;
+      }
+      case 2: {
+        const unsigned rd = scratch();
+        p.op32_to(skip, [=](std::int32_t off) { return enc::jal(rd, off); });
+        break;
+      }
+      case 3:
+        if (pick(2)) {
+          p.op16_to(skip, [](std::int32_t off) { return c_j(off); });
+        } else {
+          const unsigned rs = pick(8);
+          p.op16_to(skip, [=](std::int32_t off) { return c_bnez(rs, off); });
+        }
+        break;
+      default: {
+        const std::size_t at = p.bytes();
+        p.op32(enc::auipc(20, 0));
+        p.op32_to(skip, [](std::int32_t off) { return enc::addi(20, 20, off); },
+                  at);
+        p.op32(enc::jalr(scratch(), 20, 0));
+        break;
+      }
+    }
+    block(p, depth + 1, 1 + pick(3), hw);
+    p.bind(skip);
+  }
+
+  void counted_loop(Program& p, int depth, int hw) {
+    const unsigned ctr = 28 + static_cast<unsigned>(depth);
+    p.op32(enc::addi(ctr, 0, 1 + static_cast<std::int32_t>(pick(4))));
+    const int top = p.label();
+    p.bind(top);
+    block(p, depth + 1, 1 + pick(4), hw);
+    p.op32(enc::addi(ctr, ctr, -1));
+    p.op32_to(top, [=](std::int32_t off) { return enc::bne(ctr, 0, off); });
+  }
+
+  /// cv.setup with a count of 0..4 over a short body; the body's last op is
+  /// sometimes a branch or jump to pc+size, a not-taken branch, a CSR read
+  /// or an RVC op.
+  void hw_loop(Program& p, int depth, int idx) {
+    const unsigned count_reg = 30 + static_cast<unsigned>(idx);
+    p.op32(enc::addi(count_reg, 0, static_cast<std::int32_t>(pick(5))));
+    const int end = p.label();
+    p.op32_to(end, [=](std::int32_t off) {
+      return enc::cv_setup(static_cast<unsigned>(idx), count_reg, off - 4);
+    });
+    block(p, depth + 1, 1 + pick(4), idx);
+    switch (pick(7)) {
+      case 0: p.op32(enc::jal(0, 4)); break;
+      case 1: p.op32(enc::beq(0, 0, 4)); break;
+      case 2: p.op32(enc::bne(0, 0, 4)); break;
+      case 3: p.op16(c_j(2)); break;
+      case 4: csr(p); break;
+      case 5: p.op16(kCNop); break;
+      default: break;
+    }
+    p.bind(end);
+  }
+
+  std::mt19937_64 rng_;
+  GenOptions opt_;
+};
+
+// ---------------------------------------------------------------------
+// Comparison helpers.
+// ---------------------------------------------------------------------
+
+void expect_same_stats(const sim::CpuStats& got, const sim::CpuStats& want) {
+  EXPECT_EQ(got.instructions, want.instructions);
+  EXPECT_EQ(got.compressed_instructions, want.compressed_instructions);
+  EXPECT_EQ(got.loads, want.loads);
+  EXPECT_EQ(got.stores, want.stores);
+  EXPECT_EQ(got.branches, want.branches);
+  EXPECT_EQ(got.taken_branches, want.taken_branches);
+  EXPECT_EQ(got.mul_div, want.mul_div);
+  EXPECT_EQ(got.simd_ops, want.simd_ops);
+  EXPECT_EQ(got.hw_loop_iterations, want.hw_loop_iterations);
+  EXPECT_EQ(got.offloads, want.offloads);
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_EQ(got.stall_cycles, want.stall_cycles);
+}
+
+void expect_same_result(const HostCpu::RunResult& got,
+                        const HostCpu::RunResult& want) {
+  EXPECT_EQ(got.reason, want.reason);
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_EQ(got.instructions, want.instructions);
+  EXPECT_EQ(got.exit_code, want.exit_code);
+  EXPECT_EQ(got.pc, want.pc);
+}
+
+void expect_same_regs(const HostCpu& got, const RefIss& want) {
+  for (unsigned r = 0; r < 32; ++r) {
+    EXPECT_EQ(got.reg(r), want.regs[r]) << "x" << r;
+  }
+}
+
+constexpr std::uint32_t kFlatBytes = 64u << 10;
+constexpr Addr kUnmapped = 0x7000'0000;
+
+/// Budget schedule: a whole run, or runs of 1..64 instructions resumed
+/// until the program halts (cutting blocks at arbitrary points).
+std::uint64_t next_budget(std::mt19937_64& rng, bool chunked) {
+  return chunked ? 1 + rng() % 64 : 200'000;
+}
+
+/// One HostCpu and one RefIss over twin flat ports; programs are reloaded
+/// into the same instruction memories between runs.
+struct FlatRig {
+  explicit FlatRig(HostCpuKind kind) : cfg(SystemConfig::paper(4)) {
+    cfg.host_cpu = kind;
+    imem = std::make_unique<mem::InstructionMemory>(cfg.mem.imem_base,
+                                                    cfg.mem.imem_bytes);
+    port = std::make_unique<FlatPort>(cfg.mem.data_base, kFlatBytes);
+    ref_port = std::make_unique<FlatPort>(cfg.mem.data_base, kFlatBytes);
+    iss = std::make_unique<HostCpu>(cfg, *imem, *port);
+    ref = std::make_unique<RefIss>(cfg, *imem, *ref_port);
+  }
+
+  void load(const std::vector<std::uint32_t>& words, Addr base, Addr sp) {
+    imem->load(base, words);
+    iss->invalidate_decode_cache();
+    iss->reset(base, sp);
+    ref->reset(base, sp);
+  }
+
+  /// Runs both to a halt other than the budget, comparing after each run.
+  void run_and_compare(std::mt19937_64& rng, bool chunked) {
+    for (int guard = 0; guard < 100'000; ++guard) {
+      const std::uint64_t budget = next_budget(rng, chunked);
+      const auto got = iss->run(budget);
+      const auto want = ref->run(budget);
+      expect_same_result(got, want);
+      expect_same_stats(iss->stats(), ref->stats);
+      expect_same_regs(*iss, *ref);
+      if (::testing::Test::HasFailure()) return;
+      if (got.reason != HaltReason::kMaxInstructions) break;
+    }
+    EXPECT_EQ(port->bytes(), ref_port->bytes());
+  }
+
+  SystemConfig cfg;
+  std::unique_ptr<mem::InstructionMemory> imem;
+  std::unique_ptr<FlatPort> port, ref_port;
+  std::unique_ptr<HostCpu> iss;
+  std::unique_ptr<RefIss> ref;
+};
+
+struct Case {
+  HostCpuKind kind;
+  bool chunked;
+};
+
+class IssFlatTest : public ::testing::TestWithParam<Case> {};
+
+TEST_P(IssFlatTest, MatchesReferenceOnGeneratedPrograms) {
+  const Case c = GetParam();
+  FlatRig rig(c.kind);
+  GenOptions opt;
+  opt.pulp = c.kind == HostCpuKind::kCv32e40px;
+  opt.data = rig.cfg.mem.data_base;
+  opt.unmapped = kUnmapped;
+  std::mt19937_64 budgets(99);
+  // Consecutive programs reuse the CPU: each load invalidates the decode
+  // cache of the previous program at the same addresses.
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Program p = Generator(seed * 7919 + (opt.pulp ? 1 : 0), opt).make();
+    rig.load(p.words(), rig.cfg.mem.imem_base, rig.cfg.mem.data_base + 0x3000);
+    rig.run_and_compare(budgets, c.chunked);
+    if (HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cores, IssFlatTest,
+    ::testing::Values(Case{HostCpuKind::kCv32e40x, false},
+                      Case{HostCpuKind::kCv32e40x, true},
+                      Case{HostCpuKind::kCv32e40px, false},
+                      Case{HostCpuKind::kCv32e40px, true}),
+    [](const ::testing::TestParamInfo<Case>& info) {
+      return std::string(info.param.kind == HostCpuKind::kCv32e40px
+                             ? "pulp"
+                             : "scalar") +
+             (info.param.chunked ? "_chunked" : "_whole");
+    });
+
+TEST(IssReferenceTest, MatchesReferenceThroughTheSystemPort) {
+  // The System instantiation (run_on<System>, inline LLC hit path) against
+  // the reference driving a twin System's data port: same LLC traffic, so
+  // timing, stalls and cache statistics must agree too.
+  SystemConfig cfg = SystemConfig::paper(4);
+  cfg.host_cpu = HostCpuKind::kCv32e40px;
+  std::mt19937_64 budgets(7);
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    System sys(cfg), twin(cfg);
+    std::vector<std::uint8_t> init(16u << 10);
+    for (std::size_t i = 0; i < init.size(); ++i) {
+      init[i] = static_cast<std::uint8_t>(i * 13 + seed);
+    }
+    sys.write_bytes(sys.data_base(), init);
+    twin.write_bytes(twin.data_base(), init);
+    GenOptions opt;
+    opt.data = sys.data_base();
+    opt.unmapped = kUnmapped;
+    opt.abnormal_ends = seed % 2 == 0;
+    opt.xmnmc = false;  // the System's bridge would accept it
+    Program p = Generator(seed, opt).make();
+    const auto words = p.words();
+    mem::InstructionMemory imem(cfg.mem.imem_base, cfg.mem.imem_bytes);
+    imem.load(cfg.mem.imem_base, words);
+    RefIss ref(cfg, imem, twin);
+    sys.load_program(words);
+    ref.reset(cfg.mem.imem_base, sys.stack_top());
+    const bool chunked = seed % 3 == 0;
+    for (int guard = 0; guard < 100'000; ++guard) {
+      const std::uint64_t budget = next_budget(budgets, chunked);
+      const auto got = sys.run_unchecked(budget);
+      const auto want = ref.run(budget);
+      expect_same_result(got, want);
+      expect_same_stats(sys.host().stats(), ref.stats);
+      expect_same_regs(sys.host(), ref);
+      if (HasFailure()) return;
+      if (got.reason != HaltReason::kMaxInstructions) break;
+    }
+    const auto& a = sys.llc().stats();
+    const auto& b = twin.llc().stats();
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    std::vector<std::uint8_t> got(init.size()), want(init.size());
+    sys.read_bytes(sys.data_base(), got);
+    twin.read_bytes(twin.data_base(), want);
+    EXPECT_EQ(got, want);
+  }
+}
+
+TEST(IssReferenceTest, FetchPastTheEndOfInstructionMemory) {
+  // Straight-line code that runs into the last halfword of imem, which
+  // holds the low half of a 32-bit op: a bus fault at that pc, with the
+  // op not counted, under every budget (so also entered mid-block).
+  // cpu_test covers a jump straight to the truncated op.
+  FlatRig rig(HostCpuKind::kCv32e40x);
+  const Addr end = rig.cfg.mem.imem_base + rig.cfg.mem.imem_bytes;
+  const std::uint32_t addi = enc::addi(10, 10, 5);
+  const std::vector<std::uint32_t> tail = {
+      enc::addi(10, 0, 1), enc::addi(10, 10, 2),
+      c_addi(10, 3) | ((addi & 0xFFFFu) << 16)};
+  const Addr tail_base = end - 4 * static_cast<Addr>(tail.size());
+  for (std::uint64_t budget : {1ull, 2ull, 3ull, 4ull, 100ull}) {
+    SCOPED_TRACE(::testing::Message() << "budget " << budget);
+    std::mt19937_64 rng(budget);
+    rig.load(tail, tail_base, rig.cfg.mem.data_base + 0x100);
+    const auto first = rig.iss->run(budget);
+    const auto want = rig.ref->run(budget);
+    expect_same_result(first, want);
+    rig.run_and_compare(rng, false);
+    EXPECT_EQ(rig.iss->pc(), end - 2);
+    EXPECT_EQ(rig.iss->stats().instructions, 3u);
+    EXPECT_EQ(rig.iss->reg(10), 6u);
+  }
+}
+
+}  // namespace
+}  // namespace arcane
