@@ -19,11 +19,13 @@
 #ifndef ARCANE_BENCH_BENCH_JSON_HPP_
 #define ARCANE_BENCH_BENCH_JSON_HPP_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,6 +50,23 @@ inline Cycle percentile(const std::vector<Cycle>& sorted, double q) {
   const auto idx =
       static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
   return sorted[idx];
+}
+
+struct LatencyPercentiles {
+  Cycle p50 = 0;
+  Cycle p99 = 0;
+};
+
+/// p50/p99 of the completed jobs' latencies (completion - arrival) in the
+/// scheduler's outcome log: every tenant's, or only `tenant`'s.
+inline LatencyPercentiles latency_percentiles(
+    const sched::Scheduler& sch, std::optional<unsigned> tenant = {}) {
+  std::vector<Cycle> v;
+  for (const sched::JobReport& r : sch.completed()) {
+    if (!tenant || r.tenant == *tenant) v.push_back(r.latency());
+  }
+  std::sort(v.begin(), v.end());
+  return {percentile(v, 0.50), percentile(v, 0.99)};
 }
 
 /// Wall-clock stopwatch for the informational `host_wall_ms` field every
@@ -78,7 +97,7 @@ class Row {
  public:
   Row& str(const std::string& key, const std::string& v) {
     std::string quoted = "\"";
-    quoted += escape(v);
+    quoted += json_escape(v);
     quoted += '"';
     fields_.emplace_back(key, std::move(quoted));
     return *this;
@@ -102,7 +121,7 @@ class Row {
     for (std::size_t i = 0; i < fields_.size(); ++i) {
       if (i > 0) out += ", ";
       out += '"';
-      out += escape(fields_[i].first);
+      out += json_escape(fields_[i].first);
       out += "\": ";
       out += fields_[i].second;
     }
@@ -125,7 +144,7 @@ class Report {
 
   void print() const {
     std::printf("{\"schema_version\": 2, \"bench\": \"%s\", \"rows\": [\n",
-                escape(bench_).c_str());
+                json_escape(bench_).c_str());
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       std::printf("  %s%s\n", rows_[i].json().c_str(),
                   i + 1 < rows_.size() ? "," : "");
@@ -170,7 +189,7 @@ class TelemetryCollector {
     if (tracing()) trace_.add_process(run, spans);
     if (!metrics_out_.empty()) {
       std::ostringstream os;
-      os << (first_run_ ? "" : ",\n") << "  {\"run\": \"" << escape(run)
+      os << (first_run_ ? "" : ",\n") << "  {\"run\": \"" << json_escape(run)
          << "\", \"metrics\": ";
       reg.write_json(os);
       os << ", \"flight\": ";
@@ -205,7 +224,7 @@ class TelemetryCollector {
     if (!metrics_out_.empty()) {
       std::ofstream out(metrics_out_);
       if (out) {
-        out << "{\"bench\": \"" << escape(bench) << "\", \"runs\": [\n"
+        out << "{\"bench\": \"" << json_escape(bench) << "\", \"runs\": [\n"
             << runs_ << "\n]}\n";
       }
       if (!out) {

@@ -148,7 +148,6 @@ struct RunResult {
   Cycle recovery_cycles = 0;
   std::uint64_t spans_recorded = 0;
   std::uint64_t spans_dropped = 0;
-  std::uint64_t series_truncated = 0;
   std::vector<TenantResult> tenants;
   TenantResult all;
   std::vector<sched::JobReport> completed;  // recovery_cycles input
@@ -198,8 +197,6 @@ RunResult run_load(const SystemConfig& cfg, unsigned jobs_per_tenant,
     r.faults_injected = sys.injector()->stats().injected;
   }
   r.tenants.resize(kTenants);
-  const telemetry::Series* lat_all =
-      sys.metrics().find_series("sched.job_latency");
   for (unsigned t = 0; t < kTenants; ++t) {
     TenantResult& tr = r.tenants[t];
     const auto& ts = sch.tenant_stats(t);
@@ -210,12 +207,11 @@ RunResult run_load(const SystemConfig& cfg, unsigned jobs_per_tenant,
     tr.on_time = ts.jobs_on_time;
     tr.retries = ts.retries;
     tr.failovers = ts.failovers;
-    const telemetry::Series* lat = sys.metrics().find_series(
-        "sched.tenant" + std::to_string(t) + ".job_latency");
-    tr.p50 = lat->percentile(0.5);
-    tr.p99 = lat->percentile(0.99);
+    const benchjson::LatencyPercentiles lat =
+        benchjson::latency_percentiles(sch, t);
+    tr.p50 = lat.p50;
+    tr.p99 = lat.p99;
     tr.stalls = sch.tenant_stalls(t);
-    r.series_truncated += lat->truncated();
 
     r.all.offered += tr.offered;
     r.all.completed += tr.completed;
@@ -225,10 +221,10 @@ RunResult run_load(const SystemConfig& cfg, unsigned jobs_per_tenant,
     r.all.retries += tr.retries;
     r.all.failovers += tr.failovers;
   }
-  r.all.p50 = lat_all->percentile(0.5);
-  r.all.p99 = lat_all->percentile(0.99);
+  const benchjson::LatencyPercentiles lat = benchjson::latency_percentiles(sch);
+  r.all.p50 = lat.p50;
+  r.all.p99 = lat.p99;
   r.all.stalls = sch.stall_totals();
-  r.series_truncated += lat_all->truncated();
   r.completed = sch.completed();
   r.spans_recorded = sys.spans().size();
   r.spans_dropped = sys.spans().dropped();
@@ -310,8 +306,7 @@ void emit(benchjson::Report& report, bool human, const std::string& scenario,
       .num("faults_injected", r.faults_injected)
       .num("host_wall_ms", r.host_wall_ms)
       .num("telemetry_spans_recorded", r.spans_recorded)
-      .num("telemetry_spans_dropped", r.spans_dropped)
-      .num("telemetry_series_truncated", r.series_truncated);
+      .num("telemetry_spans_dropped", r.spans_dropped);
   benchjson::add_stall_fields(row, tr.stalls);
   if (human) {
     std::printf(

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/json.hpp"
 #include "common/types.hpp"
 #include "mem/backend.hpp"
 
@@ -50,28 +51,6 @@ namespace arcane::benchjson {
 /// is on: WallTimer then reports 0.0 so every wall-clock trend field
 /// (host_wall_ms, *_per_host_sec) is byte-stable across machines and runs.
 inline bool g_deterministic = false;
-
-inline std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// One CLI knob: a bare flag (--json), a choice knob with an enumerated
 /// value set (--backend=ideal|psram|dram), or a free-form string knob
@@ -252,12 +231,12 @@ class KnobRegistry {
   /// docs/BENCHMARKS.md is generated from this via sweep_runner.py).
   std::string knobs_json(const std::string& bench) const {
     std::string out = "{\"schema_version\": 2, \"bench\": \"" +
-                      escape(bench) + "\", \"knobs\": [\n";
+                      json_escape(bench) + "\", \"knobs\": [\n";
     for (std::size_t i = 0; i < knobs_.size(); ++i) {
       const KnobSpec& k = knobs_[i];
-      out += "  {\"name\": \"" + escape(k.name) + "\", \"flag\": \"" +
-             escape(k.flag) + "\", \"env\": ";
-      out += k.env.empty() ? "null" : "\"" + escape(k.env) + "\"";
+      out += "  {\"name\": \"" + json_escape(k.name) + "\", \"flag\": \"" +
+             json_escape(k.flag) + "\", \"env\": ";
+      out += k.env.empty() ? "null" : "\"" + json_escape(k.env) + "\"";
       out += ", \"kind\": \"";
       out += k.kind == KnobSpec::Kind::kFlag     ? "flag"
              : k.kind == KnobSpec::Kind::kString ? "string"
@@ -269,11 +248,11 @@ class KnobRegistry {
         out += "[";
         for (std::size_t j = 0; j < k.values.size(); ++j) {
           if (j > 0) out += ", ";
-          out += "\"" + escape(k.values[j]) + "\"";
+          out += "\"" + json_escape(k.values[j]) + "\"";
         }
         out += "]";
       }
-      out += ", \"doc\": \"" + escape(k.doc) + "\"}";
+      out += ", \"doc\": \"" + json_escape(k.doc) + "\"}";
       out += i + 1 < knobs_.size() ? ",\n" : "\n";
     }
     out += "]}\n";
@@ -605,15 +584,16 @@ class Harness {
   /// the compatible cells, mirroring what a serial run would emit.
   std::string cells_json() const {
     std::string out = "{\"schema_version\": 2, \"bench\": \"" +
-                      escape(bench_) + "\", \"cells\": [\n";
+                      json_escape(bench_) + "\", \"cells\": [\n";
     for (std::size_t i = 0; i < cells_.size(); ++i) {
-      out += "  {\"id\": \"" + escape(cells_[i].id()) + "\", \"bindings\": {";
+      out += "  {\"id\": \"" + json_escape(cells_[i].id()) +
+             "\", \"bindings\": {";
       for (std::size_t j = 0; j < cells_[i].bindings.size(); ++j) {
         if (j > 0) out += ", ";
         out += '"';
-        out += escape(cells_[i].bindings[j].knob);
+        out += json_escape(cells_[i].bindings[j].knob);
         out += "\": \"";
-        out += escape(cells_[i].bindings[j].value);
+        out += json_escape(cells_[i].bindings[j].value);
         out += '"';
       }
       out += "}}";

@@ -40,7 +40,6 @@ struct RunResult {
   std::uint64_t hazard_deferrals = 0;
   std::uint64_t spans_recorded = 0;    // telemetry_* informational fields
   std::uint64_t spans_dropped = 0;
-  std::uint64_t series_truncated = 0;
   sim::OpStallBreakdown stalls{};      // stall_* informational fields
 };
 
@@ -97,14 +96,9 @@ RunResult run_config(Workload workload, unsigned instances, unsigned tenants,
   r.jobs = sch.stats().jobs_completed;
   r.makespan = sch.stats().makespan;
   r.hazard_deferrals = sch.stats().hazard_deferrals;
-  // Registry-derived percentiles: the scheduler's sched.job_latency series
-  // holds exactly the completed-job latencies under the bench's floor-index
-  // rule, so these match the historical hand-sorted values bit for bit.
-  const telemetry::Series* lat =
-      sys.metrics().find_series("sched.job_latency");
-  r.p50 = lat->percentile(0.5);
-  r.p99 = lat->percentile(0.99);
-  r.series_truncated = lat->truncated();
+  const benchjson::LatencyPercentiles lat = benchjson::latency_percentiles(sch);
+  r.p50 = lat.p50;
+  r.p99 = lat.p99;
   r.spans_recorded = sys.spans().size();
   r.spans_dropped = sys.spans().dropped();
   r.stalls = sch.stall_totals();
@@ -142,8 +136,7 @@ void emit(benchjson::Report& report, bool human, Workload w,
       .num("hazard_deferrals", r.hazard_deferrals)
       .num("host_wall_ms", r.host_wall_ms)
       .num("telemetry_spans_recorded", r.spans_recorded)
-      .num("telemetry_spans_dropped", r.spans_dropped)
-      .num("telemetry_series_truncated", r.series_truncated);
+      .num("telemetry_spans_dropped", r.spans_dropped);
   benchjson::add_stall_fields(row, r.stalls);
   if (human) {
     std::printf(

@@ -100,7 +100,6 @@ struct RunResult {
   double host_wall_ms = 0.0;  // host time spent simulating this section
   std::uint64_t spans_recorded = 0;    // telemetry_* informational fields
   std::uint64_t spans_dropped = 0;
-  std::uint64_t series_truncated = 0;
   std::vector<TenantResult> tenants;
   TenantResult all;
 };
@@ -209,13 +208,6 @@ RunResult run_section(Section section, bool admission_on, Mix mix,
   r.makespan = sch.stats().makespan;
   r.clock_mhz = cfg.clock_mhz;
   r.tenants.resize(kTenants);
-  // Percentiles come from the scheduler's registry series — the same
-  // sample set as iterating sch.completed() by hand (the scheduler records
-  // each completed job's latency where it logs the job's outcome),
-  // under the same floor-index rule, so the values are bit-identical to
-  // the historical hand-computed ones.
-  const telemetry::Series* lat_all =
-      sys.metrics().find_series("sched.job_latency");
   for (unsigned t = 0; t < kTenants; ++t) {
     TenantResult& tr = r.tenants[t];
     const auto& qs = adm.tenant_qos(t);
@@ -228,12 +220,11 @@ RunResult run_section(Section section, bool admission_on, Mix mix,
     tr.on_time = ts.jobs_on_time;
     tr.deadline_misses = ts.deadline_misses;
     tr.max_outstanding = qs.max_outstanding;
-    const telemetry::Series* lat = sys.metrics().find_series(
-        "sched.tenant" + std::to_string(t) + ".job_latency");
-    tr.p50 = lat->percentile(0.5);
-    tr.p99 = lat->percentile(0.99);
+    const benchjson::LatencyPercentiles lat =
+        benchjson::latency_percentiles(sch, t);
+    tr.p50 = lat.p50;
+    tr.p99 = lat.p99;
     tr.stalls = sch.tenant_stalls(t);
-    r.series_truncated += lat->truncated();
 
     r.all.offered += tr.offered;
     r.all.accepted += tr.accepted;
@@ -245,10 +236,10 @@ RunResult run_section(Section section, bool admission_on, Mix mix,
     r.all.max_outstanding =
         std::max(r.all.max_outstanding, tr.max_outstanding);
   }
-  r.all.p50 = lat_all->percentile(0.5);
-  r.all.p99 = lat_all->percentile(0.99);
+  const benchjson::LatencyPercentiles lat = benchjson::latency_percentiles(sch);
+  r.all.p50 = lat.p50;
+  r.all.p99 = lat.p99;
   r.all.stalls = sch.stall_totals();
-  r.series_truncated += lat_all->truncated();
   r.spans_recorded = sys.spans().size();
   r.spans_dropped = sys.spans().dropped();
   telem.collect(run_name, sys.spans(), sys.metrics(), sys.scheduler(),
@@ -304,8 +295,7 @@ void emit(benchjson::Report& report, bool human, Section section,
       .num("p99_latency_cycles", static_cast<std::uint64_t>(tr.p99))
       .num("host_wall_ms", r.host_wall_ms)
       .num("telemetry_spans_recorded", r.spans_recorded)
-      .num("telemetry_spans_dropped", r.spans_dropped)
-      .num("telemetry_series_truncated", r.series_truncated);
+      .num("telemetry_spans_dropped", r.spans_dropped);
   benchjson::add_stall_fields(row, tr.stalls);
   if (human) {
     std::printf(

@@ -159,9 +159,8 @@ def diff_metrics_docs(base_path, out_path):
     def runs_of(path):
         with open(path) as f:
             doc = json.load(f)
-        # Registry::write_json nests scalar counters/gauges under
-        # "scalars" (histograms/series carry distributions, not single
-        # comparable values).
+        # Registry::write_json puts every metric, a plain integer, under
+        # "scalars".
         return {run.get("run"): run.get("metrics", {}).get("scalars", {})
                 for run in doc.get("runs", [])}
 

@@ -33,24 +33,19 @@ System::System(SystemConfig cfg, crt::KernelLibrary library) : cfg_(cfg) {
   runtime_->set_spans(&spans_);
   bridge_->set_spans(&spans_);
   dma_->set_spans(&spans_);
-  llc_->register_metrics(metrics_);
-  runtime_->register_metrics(metrics_);
-  dma_->register_metrics(metrics_);
-  ext_->backend().register_metrics(metrics_);
-  sched_->set_telemetry(&metrics_);
   sched_->set_op_log(&op_log_);
-  qos_->set_telemetry(&metrics_, &spans_);
+  qos_->set_spans(&spans_);
   if (cfg_.fault.enabled) {
     injector_ = std::make_unique<fault::Injector>(cfg_.fault, events_);
     injector_->set_listener(sched_.get());
     injector_->set_spans(&spans_);
-    injector_->register_metrics(metrics_);
     sched_->set_injector(injector_.get());
     if (injector_->has_degrade_windows()) {
       ext_->backend().set_degrade(injector_.get());
     }
     injector_->arm();
   }
+  bind_metrics();
 }
 
 void System::load_program(const std::vector<std::uint32_t>& words) {

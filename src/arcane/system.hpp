@@ -115,7 +115,6 @@ class System final : public cpu::DataPort {
   dma::DmaEngine& dma() { return *dma_; }
   sim::EventQueue& events() { return events_; }
   /// Named metrics over every layer's stats (docs/OBSERVABILITY.md).
-  telemetry::Registry& metrics() { return metrics_; }
   const telemetry::Registry& metrics() const { return metrics_; }
   /// Sim-time span tracer (disabled by default; spans().enable() to record,
   /// telemetry::TraceFile to export for ui.perfetto.dev).
@@ -132,7 +131,6 @@ class System final : public cpu::DataPort {
     return sched_->stall_totals();
   }
   std::vector<vpu::VectorUnit>& vpus() { return vpus_; }
-  mem::MainMemory& external_memory() { return *ext_; }
   /// Timing model of the external memory (cfg.mem.backend selects it).
   mem::MemBackend& mem_backend() { return ext_->backend(); }
   const mem::MemBackend& mem_backend() const { return ext_->backend(); }
@@ -157,6 +155,8 @@ class System final : public cpu::DataPort {
   }
 
  private:
+  /// Bind every stats struct's field table into metrics_ (metrics.cpp).
+  void bind_metrics();
   /// MMIO (the bridge's registers) or a bus fault.
   Cycle read_outside_data(Addr addr, unsigned bytes, void* out, Cycle now);
   Cycle write_outside_data(Addr addr, unsigned bytes, Cycle now);

@@ -8,7 +8,6 @@
 #include "common/assert.hpp"
 #include "common/bits.hpp"
 #include "cpu/run_loop.hpp"
-#include "isa/disasm.hpp"
 
 namespace arcane::cpu {
 

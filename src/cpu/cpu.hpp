@@ -85,12 +85,8 @@ class HostCpu {
   RunResult run_on(Port& port, std::uint64_t max_instructions);
 
   std::uint32_t reg(unsigned idx) const { return regs_[idx & 31u]; }
-  void set_reg(unsigned idx, std::uint32_t v) {
-    if ((idx & 31u) != 0) regs_[idx & 31u] = v;
-  }
   Addr pc() const { return pc_; }
   Cycle time() const { return time_; }
-  void set_time(Cycle t) { time_ = t; }
 
   const sim::CpuStats& stats() const { return stats_; }
   /// Drop the decoded-instruction cache (after loading a new program).

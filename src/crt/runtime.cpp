@@ -38,24 +38,6 @@ Runtime::DecodeResult Runtime::decode_offload(const OffloadPayload& payload,
   return r;
 }
 
-void Runtime::register_metrics(telemetry::Registry& reg) {
-  auto bind = [&](const char* name, const std::uint64_t& field) {
-    reg.bind(name, [&field] { return field; });
-  };
-  bind("crt.preamble_cycles", ctx_.phases.preamble);
-  bind("crt.allocation_cycles", ctx_.phases.allocation);
-  bind("crt.compute_cycles", ctx_.phases.compute);
-  bind("crt.writeback_cycles", ctx_.phases.writeback);
-  bind("crt.scheduling_cycles", ctx_.phases.scheduling);
-  bind("crt.kernels_executed", ctx_.phases.kernels_executed);
-  bind("crt.xmr_executed", ctx_.phases.xmr_executed);
-  bind("crt.dma_descriptors", ctx_.phases.dma_descriptors);
-  bind("crt.renames", ctx_.phases.renames);
-  bind("crt.writebacks_elided", ctx_.phases.writebacks_elided);
-  bind("crt.full_elisions", ctx_.phases.full_elisions);
-  bind("crt.ecpu_busy_cycles", ctx_.phases.ecpu_busy);
-}
-
 Runtime::DecodeResult Runtime::decode_xmr(const OffloadPayload& p, Cycle start,
                                           Cycle cost) {
   const auto f = isa::xmnmc::unpack_xmr(p);

@@ -32,7 +32,6 @@
 #include "llc/llc.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
-#include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 #include "vpu/vector_unit.hpp"
 
@@ -97,8 +96,6 @@ class Runtime {
   CrtContext& context() { return ctx_; }
 
   void set_spans(telemetry::SpanTracer* spans) { ctx_.spans = spans; }
-  /// Bind the shared CrtPhaseStats fields as `crt.*` registry views.
-  void register_metrics(telemetry::Registry& reg);
 
  private:
   DecodeResult decode_xmr(const isa::xmnmc::OffloadPayload& p, Cycle start,

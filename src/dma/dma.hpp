@@ -14,7 +14,6 @@
 #include "common/types.hpp"
 #include "mem/backend.hpp"
 #include "sim/stats.hpp"
-#include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 
 namespace arcane::dma {
@@ -45,19 +44,6 @@ class DmaEngine {
   void set_backend(mem::MemBackend* backend) { backend_ = backend; }
 
   void set_spans(telemetry::SpanTracer* spans) { spans_ = spans; }
-
-  /// Bind this engine's DmaStats fields as `dma.*` registry views.
-  void register_metrics(telemetry::Registry& reg) {
-    auto bind = [&](const char* name, const std::uint64_t& field) {
-      reg.bind(name, [&field] { return field; });
-    };
-    bind("dma.descriptors", stats_.descriptors);
-    bind("dma.bytes_from_external", stats_.bytes_from_external);
-    bind("dma.bytes_from_cache", stats_.bytes_from_cache);
-    bind("dma.bytes_to_external", stats_.bytes_to_external);
-    bind("dma.bytes_to_cache", stats_.bytes_to_cache);
-    bind("dma.busy_cycles", stats_.busy_cycles);
-  }
 
   /// Cycles one descriptor takes to move the given bytes: setup, external
   /// bursts (per-burst access overhead per row, then ext bus width) and

@@ -18,19 +18,6 @@ Injector::Injector(const FaultConfig& cfg, sim::EventQueue& ev)
   }
 }
 
-void Injector::register_metrics(telemetry::Registry& reg) {
-  auto bind = [&](const char* name, const std::uint64_t& field) {
-    reg.bind(name, [&field] { return field; });
-  };
-  bind("fault.injected", stats_.injected);
-  bind("fault.instance_failures", stats_.instance_failures);
-  bind("fault.instance_recoveries", stats_.instance_recoveries);
-  bind("fault.op_hangs", stats_.op_hangs);
-  bind("fault.transient_errors", stats_.transient_errors);
-  bind("fault.dma_errors", stats_.dma_errors);
-  bind("fault.degrade_windows", stats_.degrade_windows);
-}
-
 void Injector::arm() {
   ARCANE_CHECK(!armed_, "fault plan armed twice");
   armed_ = true;
@@ -55,13 +42,11 @@ void Injector::arm() {
             },
             "fault.failstop");
         if (f.recover_at != 0) {
-          ++pending_recoveries_;
           ev_->schedule(
               f.recover_at,
               [this, inst] {
                 const Cycle t = ev_->now();
                 ++stats_.instance_recoveries;
-                --pending_recoveries_;
                 if (spans_ != nullptr) {
                   spans_->instant(telemetry::track_vpu(inst), "fault.recover",
                                   t, -1, -1, inst);

@@ -25,7 +25,6 @@
 #include "common/types.hpp"
 #include "mem/backend.hpp"
 #include "sim/event_queue.hpp"
-#include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 
 namespace arcane::fault {
@@ -69,8 +68,6 @@ class Injector final : public mem::DegradeView {
 
   void set_listener(Listener* l) { listener_ = l; }
   void set_spans(telemetry::SpanTracer* spans) { spans_ = spans; }
-  /// Bind FaultStats fields as `fault.*` registry views.
-  void register_metrics(telemetry::Registry& reg);
 
   /// Schedule every time-driven fault (fail-stop, recovery, degradation
   /// window markers) on the event queue. Call once, before any traffic.
@@ -89,10 +86,6 @@ class Injector final : public mem::DegradeView {
   unsigned multiplier_now() const override;
   bool has_degrade_windows() const;
 
-  /// Recoveries scheduled but not yet fired (liveness-guard input: a
-  /// starved scheduler with a recovery pending is not wedged).
-  unsigned pending_recoveries() const { return pending_recoveries_; }
-
   const FaultStats& stats() const { return stats_; }
   const FaultConfig& config() const { return *cfg_; }
 
@@ -109,7 +102,6 @@ class Injector final : public mem::DegradeView {
   Listener* listener_ = nullptr;
   telemetry::SpanTracer* spans_ = nullptr;
   std::vector<PendingOp> pending_;  // op faults, declaration order
-  unsigned pending_recoveries_ = 0;
   bool armed_ = false;
   FaultStats stats_;
 };

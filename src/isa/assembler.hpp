@@ -37,7 +37,6 @@ class Assembler {
   Addr base() const { return base_; }
   /// Address of the next emitted instruction.
   Addr pc() const { return base_ + static_cast<Addr>(code_.size() * 4); }
-  std::size_t size_words() const { return code_.size(); }
 
   Label label();            // create an unbound label
   Label here();             // create a label bound at the current pc

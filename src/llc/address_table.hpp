@@ -64,7 +64,6 @@ class AddressTable {
   }
 
   bool any_active() const { return active_count_ > 0; }
-  unsigned active_count() const { return active_count_; }
   const AtEntry& entry(unsigned idx) const { return entries_[idx]; }
 
   /// Entry blocking a host access, or nullptr. Reads of sources are legal;

@@ -25,28 +25,6 @@ Llc::Llc(const SystemConfig& cfg, sim::EventQueue& events,
       decay_countdown_(cfg.llc.lru_decay_period),
       policy_(make_replacement_strategy(cfg.llc, lines_)) {}
 
-void Llc::register_metrics(telemetry::Registry& reg) {
-  auto bind = [&](const char* name, const std::uint64_t& field) {
-    reg.bind(name, [&field] { return field; });
-  };
-  bind("llc.reads", stats_.reads);
-  bind("llc.writes", stats_.writes);
-  bind("llc.hits", stats_.hits);
-  bind("llc.misses", stats_.misses);
-  bind("llc.evictions", stats_.evictions);
-  bind("llc.writebacks", stats_.writebacks);
-  bind("llc.refills", stats_.refills);
-  bind("llc.kernel_line_claims", stats_.kernel_line_claims);
-  reg.bind("llc.stall.lock", [this] { return stats_.stalls.lock; });
-  reg.bind("llc.stall.at_source", [this] { return stats_.stalls.at_source; });
-  reg.bind("llc.stall.at_dest", [this] { return stats_.stalls.at_dest; });
-  reg.bind("llc.stall.busy_lines",
-           [this] { return stats_.stalls.busy_lines; });
-  reg.bind("llc.stall.miss", [this] { return stats_.stalls.miss; });
-  reg.bind("llc.stall.dma_contention",
-           [this] { return stats_.stalls.dma_contention; });
-}
-
 int Llc::find_victim(Addr incoming) {
   // Pass 1: any invalid line — free capacity beats any policy decision.
   for (unsigned i = 0; i < lines_.size(); ++i) {

@@ -35,7 +35,6 @@
 #include "mem/main_memory.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
-#include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 #include "vpu/line_storage.hpp"
 
@@ -87,7 +86,6 @@ class Llc {
 
   // --------------------- controller lock (allocator) -----------------
   void lock_until(Cycle t);
-  Cycle locked_until() const { return locked_until_; }
 
   // ------------------------- compute mode ----------------------------
   /// Claim the line backing (vpu, vreg) for kernel `uid`: evicts cached
@@ -133,8 +131,6 @@ class Llc {
   std::uint8_t line_age(unsigned idx) const { return policy_->age(idx); }
 
   void set_spans(telemetry::SpanTracer* spans) { spans_ = spans; }
-  /// Bind this controller's CacheStats fields as `llc.*` registry views.
-  void register_metrics(telemetry::Registry& reg);
 
   /// Sees host accesses before and after hazard resolution: the scheduler,
   /// while it keeps kernel results resident in VPU registers (null

@@ -29,7 +29,6 @@
 #include "common/bits.hpp"
 #include "common/config.hpp"
 #include "common/types.hpp"
-#include "telemetry/registry.hpp"
 
 namespace arcane::mem {
 
@@ -71,27 +70,10 @@ class MemBackend {
   /// used by the DMA descriptor model where only burst counts survive.
   virtual Cycle burst_overhead() const = 0;
 
-  /// Streaming cost of `bytes` at the external bus width (no overhead).
-  Cycle stream_cycles(std::uint64_t bytes) const {
-    return scaled(raw_stream(bytes));
-  }
-
   /// Install (or clear) the fault subsystem's degradation hook.
   void set_degrade(const DegradeView* view) { degrade_ = view; }
 
   const BackendStats& stats() const { return stats_; }
-
-  /// Bind this backend's BackendStats fields as `mem.*` registry views.
-  void register_metrics(telemetry::Registry& reg) {
-    auto bind = [&](const char* name, const std::uint64_t& field) {
-      reg.bind(name, [&field] { return field; });
-    };
-    bind("mem.bursts", stats_.bursts);
-    bind("mem.bytes", stats_.bytes);
-    bind("mem.row_hits", stats_.row_hits);
-    bind("mem.row_misses", stats_.row_misses);
-    bind("mem.refresh_stalls", stats_.refresh_stalls);
-  }
 
   /// Account external bursts priced off-band by the DMA descriptor model
   /// (which only carries burst counts, not addresses).

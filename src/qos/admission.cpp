@@ -29,35 +29,7 @@ unsigned AdmissionController::add_tenant(std::string name, TenantQos spec) {
   st.spec = spec;
   st.bucket = TokenBucket(spec.token_burst, spec.token_period);
   tenants_.push_back(std::move(st));
-  if (metrics_ != nullptr) register_tenant_metrics(id);
   return id;
-}
-
-void AdmissionController::set_telemetry(telemetry::Registry* reg,
-                                        telemetry::SpanTracer* spans) {
-  metrics_ = reg;
-  spans_ = spans;
-  if (metrics_ != nullptr) {
-    for (unsigned t = 0; t < num_tenants(); ++t) register_tenant_metrics(t);
-  }
-}
-
-void AdmissionController::register_tenant_metrics(unsigned tenant) {
-  // Bindings index through `this` at read time, so tenants_ growing
-  // (vector reallocation) cannot dangle them.
-  const std::string p = "qos.tenant" + std::to_string(tenant) + ".";
-  auto bind = [&](const char* name,
-                  std::uint64_t sim::QosTenantStats::* field) {
-    metrics_->bind(p + name, [this, tenant, field] {
-      return tenants_[tenant].stats.*field;
-    });
-  };
-  bind("jobs_offered", &sim::QosTenantStats::jobs_offered);
-  bind("jobs_accepted", &sim::QosTenantStats::jobs_accepted);
-  bind("rejected_queue_cap", &sim::QosTenantStats::rejected_queue_cap);
-  bind("rejected_rate", &sim::QosTenantStats::rejected_rate);
-  bind("rejected_deadline", &sim::QosTenantStats::rejected_deadline);
-  bind("max_outstanding", &sim::QosTenantStats::max_outstanding);
 }
 
 std::uint64_t AdmissionController::outstanding(unsigned tenant) const {

@@ -40,7 +40,6 @@
 #include "sched/scheduler.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
-#include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 
 namespace arcane::qos {
@@ -128,19 +127,15 @@ class AdmissionController {
   /// Run the event queue dry; every admitted job completes or is shed.
   void drain() { sch_->drain(); }
 
-  /// Wire into the System's telemetry: per-tenant QosTenantStats become
-  /// `qos.tenant<i>.*` registry views and every admit/reject decision is
-  /// recorded as an instant on the tenant's span track.
-  void set_telemetry(telemetry::Registry* reg, telemetry::SpanTracer* spans);
+  /// Record every admit/reject decision as an instant on the tenant's
+  /// span track.
+  void set_spans(telemetry::SpanTracer* spans) { spans_ = spans; }
 
   unsigned num_tenants() const {
     return static_cast<unsigned>(tenants_.size());
   }
   /// Jobs admitted but not yet completed or shed.
   std::uint64_t outstanding(unsigned tenant) const;
-  const TenantQos& tenant_spec(unsigned tenant) const {
-    return tenants_[tenant].spec;
-  }
   const sim::QosTenantStats& tenant_qos(unsigned tenant) const {
     return tenants_[tenant].stats;
   }
@@ -157,13 +152,11 @@ class AdmissionController {
   };
 
   void decide(unsigned tenant, sched::JobSpec job, Cycle now);
-  void register_tenant_metrics(unsigned tenant);
 
   sched::Scheduler* sch_;
   sim::EventQueue* ev_;
   const QosConfig* cfg_;
   std::vector<TenantState> tenants_;
-  telemetry::Registry* metrics_ = nullptr;
   telemetry::SpanTracer* spans_ = nullptr;
 };
 

@@ -86,9 +86,7 @@ unsigned Scheduler::add_tenant(std::string name, unsigned priority) {
   tenant_priority_.push_back(priority);
   tenant_stats_.emplace_back();
   tenant_stall_.emplace_back();
-  const auto t = static_cast<unsigned>(tenant_names_.size() - 1);
-  if (metrics_ != nullptr) register_tenant_metrics(t);
-  return t;
+  return static_cast<unsigned>(tenant_names_.size() - 1);
 }
 
 sim::SchedStats Scheduler::stats() const {
@@ -116,68 +114,6 @@ std::vector<JobReport> Scheduler::recent(unsigned tenant) const {
   }
   std::reverse(out.begin(), out.end());
   return out;
-}
-
-void Scheduler::set_telemetry(telemetry::Registry* reg) {
-  metrics_ = reg;
-  if (reg == nullptr) return;
-  auto bind = [&](const char* name, std::uint64_t sim::SchedStats::* field) {
-    reg->bind(name, [this, field] { return stats().*field; });
-  };
-  bind("sched.jobs_submitted", &sim::SchedStats::jobs_submitted);
-  bind("sched.jobs_completed", &sim::SchedStats::jobs_completed);
-  bind("sched.jobs_dropped", &sim::SchedStats::jobs_dropped);
-  bind("sched.ops_dispatched", &sim::SchedStats::ops_dispatched);
-  bind("sched.ops_completed", &sim::SchedStats::ops_completed);
-  bind("sched.ops_cancelled", &sim::SchedStats::ops_cancelled);
-  bind("sched.hazard_deferrals", &sim::SchedStats::hazard_deferrals);
-  bind("sched.deadline_misses", &sim::SchedStats::deadline_misses);
-  bind("sched.jobs_failed", &sim::SchedStats::jobs_failed);
-  bind("sched.retries", &sim::SchedStats::retries);
-  bind("sched.failovers", &sim::SchedStats::failovers);
-  bind("sched.watchdog_fires", &sim::SchedStats::watchdog_fires);
-  bind("sched.quarantines", &sim::SchedStats::quarantines);
-  bind("sched.total_queue_wait", &sim::SchedStats::total_queue_wait);
-  bind("sched.makespan", &sim::SchedStats::makespan);
-  for (unsigned i = 0; i < sim::kNumStallBuckets; ++i) {
-    const auto b = static_cast<sim::StallBucket>(i);
-    reg->bind(std::string("sched.stall.") + sim::stall_bucket_name(b),
-              [this, i] { return stall_totals_.cycles[i]; });
-  }
-  latency_all_ = &reg->series("sched.job_latency");
-  for (unsigned t = 0; t < num_tenants(); ++t) register_tenant_metrics(t);
-}
-
-void Scheduler::register_tenant_metrics(unsigned tenant) {
-  // Bindings index through `this` at read time, so tenant_stats_ growing
-  // (vector reallocation) cannot dangle them.
-  const std::string p = "sched.tenant" + std::to_string(tenant) + ".";
-  auto bind = [&](const char* name,
-                  std::uint64_t sim::TenantStats::* field) {
-    metrics_->bind(p + name, [this, tenant, field] {
-      return tenant_stats_[tenant].*field;
-    });
-  };
-  bind("jobs_submitted", &sim::TenantStats::jobs_submitted);
-  bind("jobs_completed", &sim::TenantStats::jobs_completed);
-  bind("jobs_dropped", &sim::TenantStats::jobs_dropped);
-  bind("jobs_on_time", &sim::TenantStats::jobs_on_time);
-  bind("deadline_misses", &sim::TenantStats::deadline_misses);
-  bind("ops_completed", &sim::TenantStats::ops_completed);
-  bind("jobs_failed", &sim::TenantStats::jobs_failed);
-  bind("retries", &sim::TenantStats::retries);
-  bind("failovers", &sim::TenantStats::failovers);
-  bind("total_job_latency", &sim::TenantStats::total_job_latency);
-  bind("total_queue_wait", &sim::TenantStats::total_queue_wait);
-  bind("last_completion", &sim::TenantStats::last_completion);
-  for (unsigned i = 0; i < sim::kNumStallBuckets; ++i) {
-    const auto b = static_cast<sim::StallBucket>(i);
-    metrics_->bind(p + "stall." + sim::stall_bucket_name(b), [this, tenant, i] {
-      return tenant_stall_[tenant].cycles[i];
-    });
-  }
-  if (latency_tenant_.size() <= tenant) latency_tenant_.resize(tenant + 1);
-  latency_tenant_[tenant] = &metrics_->series(p + "job_latency");
 }
 
 std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
@@ -706,10 +642,6 @@ void Scheduler::resolve_job(std::uint32_t job_idx, Cycle t, Outcome outcome) {
         ++ts.deadline_misses;
       } else {
         ++ts.jobs_on_time;
-      }
-      if (latency_all_ != nullptr) {
-        latency_all_->record(t - js.arrival);
-        latency_tenant_[js.tenant]->record(t - js.arrival);
       }
       break;
     case Outcome::kShed:

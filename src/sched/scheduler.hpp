@@ -48,7 +48,6 @@
 #include "sched/ready_queue.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/critical_path.hpp"
-#include "telemetry/registry.hpp"
 
 namespace arcane::sched {
 
@@ -180,12 +179,6 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// first — "what happened to tenant T's recent jobs" when its tail
   /// latency spikes.
   std::vector<JobReport> recent(unsigned tenant) const;
-
-  /// Wire the scheduler into the System's metrics registry: SchedStats
-  /// fields become `sched.*` registry views, and completed-job latencies
-  /// are recorded into `sched.job_latency` / `sched.tenant<i>.job_latency`
-  /// Series (the exact sample sets behind completed()).
-  void set_telemetry(telemetry::Registry* reg);
 
   /// Record one telemetry::OpTiming per retired op into `log` (owned by the
   /// System). The log is consulted only at completion events and only when
@@ -326,7 +319,7 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// waking waiters.
   void cancel_job(std::uint32_t job_idx, Cycle t, Outcome outcome);
   /// The one place a job is recorded as resolved: tenant totals, the
-  /// outcome log, the latency Series, the job span and on_job_done.
+  /// outcome log, the job span and on_job_done.
   void resolve_job(std::uint32_t job_idx, Cycle t, Outcome outcome);
   template <typename Pred>
   std::vector<JobReport> outcomes_if(Pred keep) const {
@@ -361,7 +354,6 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// An in-flight op's ranges overlap `spec`'s (WAW, WAR or RAW).
   bool conflicts(const OpSpec& spec) const;
   std::uint64_t estimate_cost(const OpSpec& spec) const;
-  void register_tenant_metrics(unsigned tenant);
   // ------------------- failure handling (src/fault/) -------------------
   /// Least-loaded healthy instance to park a ready op on (ties → lowest
   /// index). `avoid` >= 0 is skipped when another healthy instance exists
@@ -426,12 +418,6 @@ class Scheduler final : public crt::KernelExecutor::Client,
   std::vector<JobReport> outcomes_;
   std::function<void(const JobReport&)> on_job_done_;
   sim::SchedCounters counters_;
-
-  telemetry::Registry* metrics_ = nullptr;
-  // Series live in the registry's node-stable map; cached pointers keep the
-  // per-completion hot path to one indexed load.
-  telemetry::Series* latency_all_ = nullptr;
-  std::vector<telemetry::Series*> latency_tenant_;
 
   /// try_dispatch's flattened (seq, spec) view of every queued entry for
   /// the older-conflict eligibility check — reused across scans so the

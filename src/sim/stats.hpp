@@ -195,13 +195,6 @@ struct TenantStats {
   Cycle total_job_latency = 0;  // sum over jobs of (completion - arrival)
   Cycle total_queue_wait = 0;   // sum over ops of (dispatch - ready)
   Cycle last_completion = 0;
-
-  double mean_job_latency() const {
-    return jobs_completed
-               ? static_cast<double>(total_job_latency) /
-                     static_cast<double>(jobs_completed)
-               : 0.0;
-  }
 };
 
 /// Counters of the kernel-offload scheduler that no tenant owns — the part

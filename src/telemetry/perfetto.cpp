@@ -3,24 +3,9 @@
 #include <fstream>
 #include <set>
 
+#include "common/json.hpp"
+
 namespace arcane::telemetry {
-namespace {
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 std::string TraceFile::track_name(std::uint32_t track) {
   if (track == kTrackEcpu) return "eCPU";
@@ -50,7 +35,7 @@ int TraceFile::add_process(const std::string& name, const SpanTracer& spans) {
   emit([&] {
     events_ << R"({"ph": "M", "name": "process_name", "pid": )" << pid
             << R"(, "tid": 0, "args": {"name": )";
-    write_escaped(events_, name);
+    events_ << '"' << json_escape(name) << '"';
     events_ << "}}";
   });
   std::set<std::uint32_t> tracks;
@@ -59,7 +44,7 @@ int TraceFile::add_process(const std::string& name, const SpanTracer& spans) {
     emit([&] {
       events_ << R"({"ph": "M", "name": "thread_name", "pid": )" << pid
               << R"(, "tid": )" << track << R"(, "args": {"name": )";
-      write_escaped(events_, track_name(track));
+      events_ << '"' << json_escape(track_name(track)) << '"';
       events_ << "}}";
     });
   }
@@ -67,7 +52,7 @@ int TraceFile::add_process(const std::string& name, const SpanTracer& spans) {
   for (const auto& e : spans.events()) {
     emit([&] {
       events_ << "{\"name\": ";
-      write_escaped(events_, e.name);
+      events_ << '"' << json_escape(e.name) << '"';
       events_ << ", \"cat\": \"sim\", \"ph\": "
               << (e.kind == SpanKind::kInstant ? "\"i\"" : "\"X\"")
               << ", \"pid\": " << pid << ", \"tid\": " << e.track

@@ -1,73 +1,36 @@
 #include "telemetry/registry.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <ostream>
 
-namespace arcane::telemetry {
-namespace {
+#include "common/json.hpp"
 
-// Minimal JSON string escaping; metric names are plain dotted identifiers,
-// but callers may register arbitrary labels.
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
+namespace arcane::telemetry {
+
+Registry::Entries Registry::collect() const {
+  Entries out;
+  for (const Group& g : groups_) {
+    const unsigned n = g.count();
+    for (unsigned i = 0; i < n; ++i) {
+      std::string p = g.prefix;
+      if (const auto at = p.find("<i>"); at != std::string::npos) {
+        p.replace(at, 3, std::to_string(i));
+      }
+      g.read(i, p, out);
     }
   }
-  os << '"';
-}
-
-}  // namespace
-
-std::uint64_t Histogram::percentile(double q) const {
-  if (count_ == 0) return 0;
-  std::uint64_t rank =
-      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count_)));
-  if (rank == 0) rank = 1;
-  if (rank > count_) rank = count_;
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) return std::min(bucket_upper(i), max_);
-  }
-  return max_;
-}
-
-std::uint64_t Series::percentile(double q) const {
-  if (samples_.empty()) return 0;
-  std::vector<std::uint64_t> sorted(samples_);
-  std::sort(sorted.begin(), sorted.end());
-  const auto idx =
-      static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
+  return out;
 }
 
 std::uint64_t Registry::value(const std::string& name) const {
-  if (auto it = bound_.find(name); it != bound_.end()) return it->second();
-  if (auto it = counters_.find(name); it != counters_.end()) {
-    return it->second.value();
-  }
-  if (auto it = gauges_.find(name); it != gauges_.end()) {
-    return static_cast<std::uint64_t>(it->second.value());
+  for (const auto& [n, v] : collect()) {
+    if (n == name) return v;
   }
   return 0;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> Registry::snapshot() const {
-  // std::map iteration is already name-ordered; merge the three scalar maps
-  // into one sorted sequence (names are expected to be disjoint).
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(bound_.size() + counters_.size() + gauges_.size());
-  for (const auto& [name, get] : bound_) out.emplace_back(name, get());
-  for (const auto& [name, c] : counters_) out.emplace_back(name, c.value());
-  for (const auto& [name, g] : gauges_) {
-    out.emplace_back(name, static_cast<std::uint64_t>(g.value()));
-  }
+Registry::Entries Registry::snapshot() const {
+  Entries out = collect();
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
@@ -77,34 +40,9 @@ void Registry::write_json(std::ostream& os) const {
   os << "{\n  \"scalars\": {";
   bool first = true;
   for (const auto& [name, v] : snapshot()) {
-    os << (first ? "\n    " : ",\n    ");
+    os << (first ? "\n    " : ",\n    ") << '"' << json_escape(name)
+       << "\": " << v;
     first = false;
-    write_escaped(os, name);
-    os << ": " << v;
-  }
-  os << (first ? "}" : "\n  }");
-
-  os << ",\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_escaped(os, name);
-    os << ": {\"count\": " << h.count() << ", \"sum\": " << h.sum()
-       << ", \"min\": " << h.min() << ", \"max\": " << h.max()
-       << ", \"p50\": " << h.p50() << ", \"p90\": " << h.p90()
-       << ", \"p99\": " << h.p99() << "}";
-  }
-  os << (first ? "}" : "\n  }");
-
-  os << ",\n  \"series\": {";
-  first = true;
-  for (const auto& [name, s] : series_) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_escaped(os, name);
-    os << ": {\"count\": " << s.count() << ", \"truncated\": " << s.truncated()
-       << ", \"p50\": " << s.p50() << ", \"p99\": " << s.p99() << "}";
   }
   os << (first ? "}" : "\n  }") << "\n}\n";
 }

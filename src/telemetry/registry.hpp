@@ -1,189 +1,99 @@
-// Deterministic metrics registry: named counters, gauges, log2 histograms
-// and raw-sample series, owned by arcane::System and populated by every
-// simulated layer (sched/qos/crt/llc/mem/dma).
+// Deterministic metrics registry: a read-only, named index over the stats
+// structs the simulated layers already keep (sched/qos/crt/llc/mem/dma/
+// fault). The registry owns no counters. It holds *groups*, each made of
 //
-// Two flavours of entry coexist:
+//   * a prefix ("llc.", or "sched.tenant<i>." for one group per tenant),
+//   * a getter that reads the struct when the registry is read, and
+//   * a field table of {name, reader} entries for that struct.
 //
-//   * owned    — Counter/Gauge/Histogram/Series objects the registry
-//     allocates once at registration time; hot paths then mutate them
-//     through stable references (allocation-free in steady state).
-//   * bound    — read-only views over the existing `sim::*Stats` structs,
-//     registered as getter callbacks so the long-standing stats fields stay
-//     the single source of truth and the registry is the queryable, named
-//     index over them. Callbacks (rather than raw pointers) keep bindings
-//     safe when the owning container reallocates (e.g. per-tenant vectors).
+// The field tables and the one place that binds them (arcane::System) live
+// in src/arcane/metrics.cpp, so every metric name is written once. A group
+// with `<i>` in its prefix reads its instance count at snapshot time, so
+// tenants added after construction appear without any hook.
 //
-// Snapshots iterate entries in name order (std::map), so two identical runs
-// produce byte-identical metric dumps — the same determinism contract the
-// simulator itself is gated on.
+// Snapshots are name-sorted, so two identical runs produce byte-identical
+// metric dumps — the same determinism contract the simulator itself is
+// gated on.
 #ifndef ARCANE_TELEMETRY_REGISTRY_HPP_
 #define ARCANE_TELEMETRY_REGISTRY_HPP_
 
-#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <limits>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace arcane::telemetry {
 
-/// Monotonic event count.
-class Counter {
- public:
-  void inc() { ++value_; }
-  void add(std::uint64_t d) { value_ += d; }
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
+/// One named field of the stats struct S.
+template <class S>
+struct Field {
+  const char* name;
+  std::uint64_t (*read)(const S&);
 };
 
-/// Last-written level (queue depth, outstanding jobs, ...).
-class Gauge {
- public:
-  void set(std::int64_t v) { value_ = v; }
-  std::int64_t value() const { return value_; }
+/// Field reader of the integer data member M: `member<&CacheStats::hits>`.
+/// S is deduced from the Field it initializes, so a member inherited from
+/// a base struct reads through the derived one.
+template <auto M, class S>
+std::uint64_t member(const S& s) {
+  return s.*M;
+}
 
- private:
-  std::int64_t value_ = 0;
-};
-
-/// Fixed-bucket log2 histogram: bucket 0 holds the value 0, bucket i >= 1
-/// holds values in [2^(i-1), 2^i). 64 buckets cover the full uint64 range,
-/// so record() is branch-light and never allocates. Percentiles resolve to
-/// the *upper bound* of the bucket holding the requested rank — an
-/// intentionally cheap over-approximation (within 2x for nonzero values);
-/// use Series when a bench needs the exact order statistic.
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 64;
-
-  void record(std::uint64_t v) {
-    buckets_[bucket_of(v)] += 1;
-    ++count_;
-    sum_ += v;
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-
-  std::uint64_t count() const { return count_; }
-  std::uint64_t sum() const { return sum_; }
-  std::uint64_t min() const { return count_ == 0 ? 0 : min_; }
-  std::uint64_t max() const { return max_; }
-  const std::array<std::uint64_t, kBuckets>& buckets() const {
-    return buckets_;
-  }
-
-  /// Upper bound of the bucket containing the rank ceil(q * count).
-  std::uint64_t percentile(double q) const;
-  std::uint64_t p50() const { return percentile(0.50); }
-  std::uint64_t p90() const { return percentile(0.90); }
-  std::uint64_t p99() const { return percentile(0.99); }
-
-  static std::size_t bucket_of(std::uint64_t v) {
-    if (v == 0) return 0;
-    std::size_t b = 1;
-    while (b < kBuckets - 1 && (v >>= 1) != 0) ++b;
-    return b;
-  }
-  /// Largest value bucket `i` can hold (inclusive).
-  static std::uint64_t bucket_upper(std::size_t i) {
-    if (i == 0) return 0;
-    if (i >= kBuckets - 1) return std::numeric_limits<std::uint64_t>::max();
-    return (std::uint64_t{1} << i) - 1;
-  }
-
- private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max_ = 0;
-};
-
-/// Bounded raw-sample recorder for exact order statistics. percentile()
-/// replicates benchjson::percentile bit-for-bit — ascending sort, then the
-/// floor-index rule sorted[size_t(q * (n - 1))] — so bench rows derived
-/// from a Series match the historically hand-computed values exactly.
-class Series {
- public:
-  explicit Series(std::size_t capacity = 1 << 16) : capacity_(capacity) {
-    samples_.reserve(std::min<std::size_t>(capacity, 1024));
-  }
-
-  void record(std::uint64_t v) {
-    if (samples_.size() >= capacity_) {
-      ++truncated_;
-      return;
-    }
-    samples_.push_back(v);
-  }
-
-  std::size_t count() const { return samples_.size(); }
-  std::uint64_t truncated() const { return truncated_; }
-  const std::vector<std::uint64_t>& samples() const { return samples_; }
-
-  /// Exact order statistic under the bench percentile rule; 0 when empty.
-  std::uint64_t percentile(double q) const;
-  std::uint64_t p50() const { return percentile(0.50); }
-  std::uint64_t p99() const { return percentile(0.99); }
-
- private:
-  std::size_t capacity_;
-  std::uint64_t truncated_ = 0;
-  std::vector<std::uint64_t> samples_;
-};
-
-/// Name → entry index. Naming scheme (docs/OBSERVABILITY.md): dotted
-/// lowercase `layer.metric`, per-tenant entries as `layer.tenant<i>.metric`.
+/// Name → value index over bound groups. Naming scheme
+/// (docs/OBSERVABILITY.md): dotted lowercase `layer.metric`, per-tenant
+/// entries as `layer.tenant<i>.metric`.
 class Registry {
  public:
-  using Getter = std::function<std::uint64_t()>;
+  using Entries = std::vector<std::pair<std::string, std::uint64_t>>;
 
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Gauge& gauge(const std::string& name) { return gauges_[name]; }
-  Histogram& histogram(const std::string& name) { return histograms_[name]; }
-  Series& series(const std::string& name, std::size_t capacity = 1 << 16) {
-    auto it = series_.find(name);
-    if (it == series_.end()) {
-      it = series_.emplace(name, Series(capacity)).first;
-    }
-    return it->second;
+  /// Expose `table` under `prefix`, read from the struct `get()` returns
+  /// when the registry is read. The table must outlive the registry.
+  template <class Get, class S, std::size_t N>
+  void add(std::string prefix, Get get,
+           const std::array<Field<S>, N>& table) {
+    add_indexed(std::move(prefix), [] { return 1u; },
+                [get](unsigned) { return get(); }, table);
   }
 
-  /// Register a read-only view over an externally owned stat field.
-  void bind(const std::string& name, Getter getter) {
-    bound_[name] = std::move(getter);
+  /// One group instance per index in [0, count()), read from get(i); the
+  /// `<i>` in `prefix` is replaced by the index.
+  template <class Count, class Get, class S, std::size_t N>
+  void add_indexed(std::string prefix, Count count, Get get,
+                   const std::array<Field<S>, N>& table) {
+    groups_.push_back(
+        {std::move(prefix), std::move(count),
+         [get, &table](unsigned i, const std::string& p, Entries& out) {
+           const S& s = get(i);
+           for (const Field<S>& f : table) {
+             out.emplace_back(p + f.name, f.read(s));
+           }
+         }});
   }
 
-  const Series* find_series(const std::string& name) const {
-    auto it = series_.find(name);
-    return it == series_.end() ? nullptr : &it->second;
-  }
-  const Histogram* find_histogram(const std::string& name) const {
-    auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : &it->second;
-  }
-
-  /// Current value of a bound view or owned counter (0 when unknown).
+  /// Current value of `name` (0 when unknown).
   std::uint64_t value(const std::string& name) const;
 
-  /// All scalar entries (bound views, counters, gauges) in name order.
-  std::vector<std::pair<std::string, std::uint64_t>> snapshot() const;
+  /// Every entry in name order.
+  Entries snapshot() const;
 
-  /// Full deterministic JSON dump (scalars, histograms, series summaries).
+  /// Deterministic JSON dump: {"scalars": {name: value, ...}}.
   void write_json(std::ostream& os) const;
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
-  std::map<std::string, Series> series_;
-  std::map<std::string, Getter> bound_;
+  struct Group {
+    std::string prefix;
+    std::function<unsigned()> count;
+    std::function<void(unsigned, const std::string&, Entries&)> read;
+  };
+
+  /// Every entry, in group order.
+  Entries collect() const;
+
+  std::vector<Group> groups_;
 };
 
 }  // namespace arcane::telemetry

@@ -67,7 +67,7 @@ class SpanTracer {
 
   /// Record a closed interval [begin, end). Instrumentation sites in this
   /// simulator know both endpoints at record time (reservations return
-  /// their completion horizon), so this is the primary API.
+  /// their completion horizon), so no span is ever left open.
   void span(std::uint32_t track, const char* name, Cycle begin, Cycle end,
             std::int32_t tenant = -1, std::int64_t job = -1,
             std::int64_t arg = -1) {
@@ -83,39 +83,15 @@ class SpanTracer {
     push({t, t, name, track, SpanKind::kInstant, tenant, job, arg});
   }
 
-  /// Open-span API for callers that discover the end later. Returns a
-  /// token to pass to end_span(); kInvalidSpan when disabled or dropped.
-  static constexpr std::size_t kInvalidSpan = ~std::size_t{0};
-  std::size_t begin_span(std::uint32_t track, const char* name, Cycle begin,
-                         std::int32_t tenant = -1, std::int64_t job = -1) {
-    if (!enabled_) return kInvalidSpan;
-    if (events_.size() >= capacity_) {
-      ++dropped_;
-      return kInvalidSpan;
-    }
-    events_.push_back(
-        {begin, begin, name, track, SpanKind::kComplete, tenant, job, -1});
-    ++open_;
-    return events_.size() - 1;
-  }
-  void end_span(std::size_t token, Cycle end) {
-    if (token == kInvalidSpan) return;
-    events_[token].end = end;
-    --open_;
-  }
-
   const std::vector<SpanEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
   std::size_t capacity() const { return capacity_; }
   /// Events rejected because the bounded buffer was full.
   std::uint64_t dropped() const { return dropped_; }
-  /// Spans begun via begin_span() and not yet ended.
-  std::size_t open_spans() const { return open_; }
 
   void clear() {
     events_.clear();
     dropped_ = 0;
-    open_ = 0;
   }
 
  private:
@@ -132,7 +108,6 @@ class SpanTracer {
 
   bool enabled_ = false;
   std::size_t capacity_;
-  std::size_t open_ = 0;
   std::uint64_t dropped_ = 0;
   std::vector<SpanEvent> events_;
 };

@@ -1,18 +1,22 @@
-// Telemetry layer: histogram bucket math, exact Series percentiles,
-// registry determinism, and the Perfetto exporter's structural validity.
-// The flight recorder is a view of the scheduler's outcome log, covered in
-// sched_test.
+// Telemetry layer: the registry's table-bound views and their catalogue in
+// docs/OBSERVABILITY.md, registry determinism, the shared JSON escaper and
+// the Perfetto exporter's structural validity. The flight recorder is a
+// view of the scheduler's outcome log, covered in sched_test.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
+#include <array>
 #include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
+#include "common/json.hpp"
+#include "sched/pipelines.hpp"
 #include "telemetry/perfetto.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
@@ -21,105 +25,42 @@
 namespace arcane {
 namespace {
 
-using telemetry::Histogram;
 using telemetry::Registry;
-using telemetry::Series;
 using telemetry::SpanTracer;
 using telemetry::TraceFile;
 
-TEST(TelemetryTest, HistogramBucketBoundaries) {
-  // Bucket 0 holds exactly 0; bucket i >= 1 holds [2^(i-1), 2^i).
-  EXPECT_EQ(Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(Histogram::bucket_of(1), 1u);
-  EXPECT_EQ(Histogram::bucket_of(2), 2u);
-  EXPECT_EQ(Histogram::bucket_of(3), 2u);
-  EXPECT_EQ(Histogram::bucket_of(4), 3u);
-  EXPECT_EQ(Histogram::bucket_of(7), 3u);
-  EXPECT_EQ(Histogram::bucket_of(8), 4u);
-  EXPECT_EQ(Histogram::bucket_of(~0ull), Histogram::kBuckets - 1);
-  for (std::size_t i = 1; i + 1 < Histogram::kBuckets; ++i) {
-    const std::uint64_t lo = std::uint64_t{1} << (i - 1);
-    const std::uint64_t hi = Histogram::bucket_upper(i);
-    EXPECT_EQ(Histogram::bucket_of(lo), i);
-    EXPECT_EQ(Histogram::bucket_of(hi), i);
-    EXPECT_EQ(hi, (std::uint64_t{1} << i) - 1);
-  }
-}
+struct Probe {
+  std::uint64_t b = 0;
+  std::uint64_t a = 0;
+};
 
-TEST(TelemetryTest, HistogramPercentileMatchesSortedReference) {
-  // The histogram quotes the upper bound of the bucket containing the
-  // requested rank, clamped to the true max. Verify against the exact
-  // order statistic from a sorted copy.
-  std::vector<std::uint64_t> values;
-  std::uint64_t seed = 99;
-  for (int i = 0; i < 500; ++i) {
-    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-    values.push_back((seed >> 33) % 10000);
-  }
-  Histogram h;
-  for (auto v : values) h.record(v);
-  std::vector<std::uint64_t> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-
-  EXPECT_EQ(h.count(), values.size());
-  EXPECT_EQ(h.min(), sorted.front());
-  EXPECT_EQ(h.max(), sorted.back());
-  for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(values.size())));
-    rank = std::min(std::max<std::size_t>(rank, 1), values.size());
-    const std::uint64_t exact = sorted[rank - 1];
-    const std::uint64_t expected = std::min(
-        Histogram::bucket_upper(Histogram::bucket_of(exact)), h.max());
-    EXPECT_EQ(h.percentile(q), expected) << "q=" << q;
-    EXPECT_GE(h.percentile(q), exact);          // never under-reports
-    if (exact > 0) {
-      EXPECT_LT(h.percentile(q), 2 * exact + 1);  // within 2x
-    }
-  }
-}
-
-TEST(TelemetryTest, SeriesPercentileMatchesBenchRule) {
-  // Series::percentile must replicate benchjson::percentile exactly:
-  // ascending sort, then sorted[size_t(q * (n - 1))].
-  std::vector<std::uint64_t> values = {17, 3, 99, 3, 42, 7, 58, 1, 23, 88, 5};
-  Series s;
-  for (auto v : values) s.record(v);
-  std::vector<std::uint64_t> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    const auto idx =
-        static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-    EXPECT_EQ(s.percentile(q), sorted[idx]) << "q=" << q;
-  }
-  EXPECT_EQ(Series().percentile(0.5), 0u);  // empty -> 0, like the benches
-}
-
-TEST(TelemetryTest, SeriesTruncatesAtCapacity) {
-  Series s(4);
-  for (std::uint64_t v = 0; v < 10; ++v) s.record(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_EQ(s.truncated(), 6u);
-  EXPECT_EQ(s.samples().back(), 3u);  // keeps the earliest samples
-}
+constexpr auto kProbe = std::to_array<telemetry::Field<Probe>>({
+    {"b", telemetry::member<&Probe::b>},
+    {"a", telemetry::member<&Probe::a>},
+});
 
 TEST(TelemetryTest, RegistryValueAndSnapshotOrder) {
+  Probe live{7, 41};
+  std::vector<Probe> items(2);
   Registry reg;
-  reg.counter("b.count").add(7);
-  reg.gauge("c.level").set(3);
-  std::uint64_t external = 41;
-  reg.bind("a.bound", [&external] { return external; });
-  ++external;
+  reg.add("z.", [&] { return live; }, kProbe);
+  reg.add_indexed(
+      "x.item<i>.", [&] { return static_cast<unsigned>(items.size()); },
+      [&](unsigned i) { return items[i]; }, kProbe);
+  ++live.a;
 
-  EXPECT_EQ(reg.value("a.bound"), 42u);  // read-through, not a copy
-  EXPECT_EQ(reg.value("b.count"), 7u);
+  EXPECT_EQ(reg.value("z.a"), 42u);  // read-through, not a copy
+  EXPECT_EQ(reg.value("z.b"), 7u);
   EXPECT_EQ(reg.value("no.such.metric"), 0u);
+  items.push_back({5, 6});  // instances are counted when read
+  EXPECT_EQ(reg.value("x.item2.b"), 5u);
 
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].first, "a.bound");  // name-sorted, deterministic
-  EXPECT_EQ(snap[1].first, "b.count");
-  EXPECT_EQ(snap[2].first, "c.level");
+  std::vector<std::string> names;
+  for (const auto& [name, v] : reg.snapshot()) names.push_back(name);
+  const std::vector<std::string> want = {  // name-sorted, deterministic
+      "x.item0.a", "x.item0.b", "x.item1.a", "x.item1.b",
+      "x.item2.a", "x.item2.b", "z.a",       "z.b"};
+  EXPECT_EQ(names, want);
 }
 
 XProgram small_kernel_program(System& sys) {
@@ -183,6 +124,8 @@ void expect_balanced_json(std::string text) {
   bool escaped = false;
   for (char c : text) {
     if (in_string) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20)
+          << "raw control character inside a JSON string";
       if (escaped) {
         escaped = false;
       } else if (c == '\\') {
@@ -243,57 +186,67 @@ TEST(TelemetryTest, RegistryJsonIsStructurallyValid) {
   EXPECT_NE(os.str().find("\"llc.hits\""), std::string::npos);
 }
 
-// Metric names flow into the JSON dump verbatim; hostile characters
-// (quotes, backslashes, control chars from a future user-supplied tenant
-// label) must come out escaped, not as truncated/invalid JSON.
-TEST(TelemetryTest, RegistryJsonEscapesHostileNames) {
-  Registry reg;
-  reg.counter("evil\"name").add(1);
-  reg.counter("back\\slash").add(2);
-  reg.counter("multi\nline\ttab").add(3);
-  std::ostringstream os;
-  reg.write_json(os);
-  const std::string text = os.str();
-  expect_balanced_json(text);
-  EXPECT_NE(text.find("\"evil\\\"name\""), std::string::npos);
-  EXPECT_NE(text.find("\"back\\\\slash\""), std::string::npos);
-  EXPECT_NE(text.find("\"multi\\nline\\ttab\""), std::string::npos);
-  // The raw control characters themselves must not survive inside names
-  // (the dump's own pretty-printing newlines are outside strings).
-  EXPECT_EQ(text.find("multi\nline"), std::string::npos);
-  EXPECT_EQ(text.find('\t'), std::string::npos);
+// Every JSON writer (registry dump, trace exporter, bench harness) escapes
+// through json_escape: quotes, backslashes and every control character
+// must come out escaped, never as raw bytes that make the document invalid.
+TEST(TelemetryTest, JsonEscapeHandlesHostileNames) {
+  EXPECT_EQ(json_escape("evil\"name"), "evil\\\"name");
+  EXPECT_EQ(json_escape("back\\slash"), "back\\\\slash");
+  EXPECT_EQ(json_escape("multi\nline\ttab"), "multi\\nline\\ttab");
+  EXPECT_EQ(json_escape(std::string("cr\r soh\x01 nul") + '\0'),
+            "cr\\u000d soh\\u0001 nul\\u0000");
+  EXPECT_EQ(json_escape("caf\xc3\xa9"), "caf\xc3\xa9");  // UTF-8 untouched
 }
 
-// The histogram's percentile (upper bound of the rank's power-of-two
-// bucket, clamped to the true max) must agree with the Series' exact
-// order statistic to within bucket resolution: never below it, never
-// 2x-or-more above it.
-TEST(TelemetryTest, SeriesAndHistogramPercentilesAgreeWithinBucket) {
-  Series series;
-  Histogram hist;
-  std::uint64_t seed = 7;
-  for (int i = 0; i < 2000; ++i) {
-    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-    const std::uint64_t v = 1 + ((seed >> 33) % 100000);
-    series.record(v);
-    hist.record(v);
+TEST(TelemetryTest, TraceFileEscapesControlCharacters) {
+  SpanTracer spans;
+  spans.enable();
+  spans.instant(telemetry::kTrackEcpu, "offload.xmr", 10);
+  TraceFile trace;
+  trace.add_process("run\r\x01name", spans);
+  std::ostringstream os;
+  trace.write(os);
+  const std::string text = os.str();
+  expect_balanced_json(text);
+  EXPECT_NE(text.find("run\\u000d\\u0001name"), std::string::npos);
+}
+
+// The metric catalogue in docs/OBSERVABILITY.md names every registry entry
+// (tenant indices written as <i>). Every group is live here: a submitted
+// QoS tenant, the host tenant the first offload creates, and fault.*.
+TEST(TelemetryTest, EveryMetricIsInTheCatalogue) {
+  SystemConfig cfg = SystemConfig::paper(4);
+  cfg.fault.enabled = true;
+  System sys(cfg);
+  auto& adm = sys.admission();
+  const unsigned t = adm.add_tenant("t0");
+  workloads::Rng rng(5);
+  const sched::PipelineSlot slot(sys.data_base() + 0x10000);
+  sched::place_pipeline_data(sys, slot, sched::random_pipeline_data(rng));
+  adm.submit(t, sched::pipeline_job(slot), 0);
+  adm.drain();
+  auto prog = small_kernel_program(sys);
+  sys.load_program(prog.finish());
+  sys.run();
+  ASSERT_EQ(sys.scheduler().num_tenants(), 2u);  // t0 + the host tenant
+
+  std::ifstream in(ARCANE_OBSERVABILITY_MD);
+  ASSERT_TRUE(in) << ARCANE_OBSERVABILITY_MD;
+  const std::string doc{std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>()};
+  const auto snap = sys.metrics().snapshot();
+  EXPECT_GT(snap.size(), 100u);
+  for (const auto& [name, v] : snap) {
+    std::string entry = name;
+    if (const auto at = name.find(".tenant"); at != std::string::npos) {
+      const auto digits = at + std::strlen(".tenant");
+      entry.replace(digits, name.find('.', digits) - digits, "<i>");
+    }
+    entry.insert(entry.begin(), '`');
+    entry += '`';
+    EXPECT_NE(doc.find(entry), std::string::npos)
+        << entry << " is missing from docs/OBSERVABILITY.md";
   }
-  for (double q : {0.10, 0.50, 0.90, 0.99, 1.0}) {
-    const std::uint64_t exact = series.percentile(q);
-    const std::uint64_t bucketed = hist.percentile(q);
-    ASSERT_GT(exact, 0u);
-    EXPECT_GE(bucketed, exact) << "q=" << q;
-    EXPECT_LT(bucketed, 2 * exact) << "q=" << q;
-  }
-  // Degenerate distribution: both quote the exact value.
-  Series one_s;
-  Histogram one_h;
-  for (int i = 0; i < 32; ++i) {
-    one_s.record(4096);
-    one_h.record(4096);
-  }
-  EXPECT_EQ(one_s.percentile(0.5), 4096u);
-  EXPECT_EQ(one_h.percentile(0.5), 4096u);
 }
 
 }  // namespace

@@ -46,19 +46,6 @@ TEST(TraceTest, BoundedBufferDropsNewEventsAndCounts) {
   EXPECT_EQ(t.events().back().arg, 3);
 }
 
-TEST(TraceTest, BeginEndTokensBalance) {
-  SpanTracer t;
-  t.enable();
-  auto h = t.begin_span(telemetry::kTrackEcpu, "decode.kernel", 100);
-  EXPECT_EQ(t.open_spans(), 1u);
-  t.end_span(h, 140);
-  EXPECT_EQ(t.open_spans(), 0u);
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.events().front().begin, 100u);
-  EXPECT_EQ(t.events().front().end, 140u);
-  EXPECT_EQ(t.events().front().kind, SpanKind::kComplete);
-}
-
 TEST(TraceTest, EndToEndKernelSpansCaptured) {
   System sys(SystemConfig::paper(4));
   sys.spans().enable();
