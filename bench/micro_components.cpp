@@ -11,6 +11,7 @@
 #include "isa/encode.hpp"
 #include "isa/xmnmc.hpp"
 #include "sched/job.hpp"
+#include "sched/pipelines.hpp"
 #include "sched/ready_queue.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/event_queue.hpp"
@@ -227,7 +228,8 @@ BENCHMARK(BM_SchedReadyQueue)
     ->Arg(static_cast<int>(SchedPolicy::kRoundRobin))
     ->Arg(static_cast<int>(SchedPolicy::kSjf));
 
-/// DAG ready-set update: completing ops through a fan-out/fan-in DAG.
+/// DAG ready-set update: building a job's DagState (validation included)
+/// and completing ops through a fan-out/fan-in DAG.
 void BM_SchedDagReadyUpdate(benchmark::State& state) {
   sched::JobSpec job;
   constexpr unsigned kStages = 8, kWidth = 8;
@@ -240,14 +242,17 @@ void BM_SchedDagReadyUpdate(benchmark::State& state) {
     }
   }
   std::uint64_t ready_total = 0;
+  std::vector<unsigned> frontier;
   for (auto _ : state) {
-    sched::DagState dag(job);
-    std::vector<unsigned> frontier = dag.roots();
+    sched::DagState dag;
+    dag.build(job);
+    frontier.clear();
+    dag.for_each_root([&](unsigned r) { frontier.push_back(r); });
     while (!frontier.empty()) {
       const unsigned op = frontier.back();
       frontier.pop_back();
       ++ready_total;
-      for (unsigned r : dag.complete(op)) frontier.push_back(r);
+      dag.complete(op, [&](unsigned r) { frontier.push_back(r); });
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(ready_total));
@@ -285,6 +290,38 @@ void BM_SchedDispatchDecision(benchmark::State& state) {
   state.SetLabel("dispatches/s");
 }
 BENCHMARK(BM_SchedDispatchDecision)->Unit(benchmark::kMillisecond);
+
+/// The scheduled kernel path end to end: submit and drain 64 pipeline jobs
+/// (conv2d -> leaky_relu -> maxpool -> gemm) from 4 tenants on 4 serving
+/// instances — planning, DAG wake-ups, dispatch, tile stepping and
+/// retirement, without perfbench's arrival generator and verification.
+void BM_ServePipelineJobs(benchmark::State& state) {
+  SystemConfig cfg = SystemConfig::paper(4);
+  cfg.sched_instances = 4;
+  constexpr unsigned kJobs = 64;
+  std::uint64_t completed = 0;
+  std::unique_ptr<System> sys;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sys = std::make_unique<System>(cfg);  // the last one dies untimed
+    auto& sch = sys->scheduler();
+    for (const char* name : {"t0", "t1", "t2", "t3"}) sch.add_tenant(name);
+    std::vector<sched::JobSpec> jobs;
+    for (unsigned j = 0; j < kJobs; ++j) {
+      jobs.push_back(sched::pipeline_job(
+          sched::PipelineSlot(sys->data_base() + 0x10000 + j * 0x8000)));
+    }
+    state.ResumeTiming();
+    for (unsigned j = 0; j < kJobs; ++j) {
+      sch.submit(j % 4, std::move(jobs[j]), 400 * j);
+    }
+    sch.drain();
+    completed += sch.stats().jobs_completed;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(completed));
+  state.SetLabel("jobs/s");
+}
+BENCHMARK(BM_ServePipelineJobs)->Unit(benchmark::kMicrosecond);
 
 void BM_ConvLayerEndToEnd(benchmark::State& state) {
   baseline::ConvCase c;

@@ -39,8 +39,9 @@ crt::Plan plan_axpby(const crt::KernelOp& op, const SystemConfig& cfg) {
 
   crt::Chain chain;
   chain.tile_count = ceil_div(a.rows, rt);
-  chain.make_tile = [p](unsigned i) {
-    crt::Tile t;
+  // Tile i is built into the executor's reusable Tile: clear it, refill it.
+  chain.make_tile = [p](unsigned i, crt::Tile& t) {
+    t.clear();
     const auto& sh = p.op.ms1.shape;
     const std::uint32_t r0 = i * p.rt;
     const std::uint32_t rc = std::min(p.rt, sh.rows - r0);
@@ -61,7 +62,6 @@ crt::Plan plan_axpby(const crt::KernelOp& op, const SystemConfig& cfg) {
     }
     kernels::store_rows(t, p.op.md.addr, p.op.md.shape.stride * p.es, row_b,
                         r0, rc, static_cast<std::uint8_t>(2 * p.rt));
-    return t;
   };
   chain.vregs_used = kernels::vreg_range(0, 3 * rt);
 

@@ -10,6 +10,7 @@
 #define ARCANE_COMMON_CONFIG_HPP_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -170,9 +171,18 @@ struct VpuConfig {
   /// Elements processed per cycle for a given element width: each 32-bit
   /// lane packs 4 x int8, 2 x int16 or 1 x int32 (sub-word SIMD).
   constexpr unsigned elems_per_cycle(unsigned ebytes) const {
-    return lanes * (4u / ebytes);
+    return 1u << elems_per_cycle_log2(ebytes);
+  }
+  /// log2 of elems_per_cycle. Lanes and element sizes are powers of two
+  /// (SystemConfig::validate), so the issue path shifts instead of dividing.
+  constexpr unsigned elems_per_cycle_log2(unsigned ebytes) const {
+    return static_cast<unsigned>(std::countr_zero(lanes)) + 2u -
+           static_cast<unsigned>(std::countr_zero(ebytes));
   }
 };
+
+/// Most VPUs one LLC may carry (SystemConfig::validate).
+inline constexpr unsigned kMaxVpus = 16;
 
 /// The ARCANE smart LLC (cache + compute).
 struct LlcConfig {
@@ -344,7 +354,7 @@ struct SystemConfig {
   double clock_mhz = 250.0;        // for GOPS/reporting only
 
   void validate() const {
-    ARCANE_CHECK(llc.num_vpus >= 1 && llc.num_vpus <= 16,
+    ARCANE_CHECK(llc.num_vpus >= 1 && llc.num_vpus <= kMaxVpus,
                  "unsupported VPU count " << llc.num_vpus);
     ARCANE_CHECK(llc.vpu.lanes == 2 || llc.vpu.lanes == 4 ||
                      llc.vpu.lanes == 8 || llc.vpu.lanes == 1 ||

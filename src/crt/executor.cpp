@@ -34,15 +34,16 @@ void register_at_ranges(KernelOp& op, const Plan& plan,
     const Addr lo = o.addr;
     const Addr hi = o.addr + std::max<std::uint32_t>(o.footprint(op.et), 1u);
     if (lo >= plan.dest_lo && hi <= plan.dest_hi) return;  // covered by dest
-    op.src_at_entries.push_back(at.register_range(lo, hi, false, op.uid));
+    op.src_at[op.src_at_count++] = at.register_range(lo, hi, false, op.uid);
   };
   register_src(op.ms1);
   register_src(op.ms2);
   register_src(op.ms3);
 }
 
-void KernelExecutor::launch(KernelOp op, Plan plan, std::vector<unsigned> vpus,
-                            Cycle now, bool hung) {
+void KernelExecutor::launch(KernelOp op, Plan plan,
+                            std::span<const unsigned> vpus, Cycle now,
+                            bool hung) {
   ARCANE_ASSERT(!active_.valid, "launch on a busy executor");
   ARCANE_ASSERT(vpus.size() == plan.chains.size(),
                 "launch: one VPU per chain required");
@@ -61,11 +62,16 @@ void KernelExecutor::launch(KernelOp op, Plan plan, std::vector<unsigned> vpus,
     }
   }
   if (hung) return;  // the kernel sits here until abort_hung()
-  active_.chains.resize(active_.plan.chains.size());
-  active_.chains_left = static_cast<unsigned>(active_.plan.chains.size());
-  for (std::size_t i = 0; i < active_.plan.chains.size(); ++i) {
-    active_.chains[i].chain = active_.plan.chains[i];
-    active_.chains[i].vpu = vpus[i];
+  const std::size_t n = active_.plan.chains.size();
+  if (chains_.size() < n) chains_.resize(n);
+  active_.chains_left = static_cast<unsigned>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ChainState& cs = chains_[i];
+    cs.vpu = vpus[i];
+    cs.next_tile = 0;
+    cs.claimed = false;
+    cs.compute_end = 0;
+    cs.breakdown = {};
     const unsigned ci = static_cast<unsigned>(i);
     ctx_->events->schedule(ctx_->ecpu_free,
                            [this, ci] { chain_step(ci, ctx_->events->now()); },
@@ -83,11 +89,12 @@ KernelOp KernelExecutor::abort_hung() {
 
 void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   ARCANE_ASSERT(active_.valid, "chain_step without an active kernel");
-  ChainState& cs = active_.chains[chain_idx];
+  ChainState& cs = chains_[chain_idx];
+  const Chain& chain = active_.plan.chains[chain_idx];
   const KernelOp& op = active_.op;
-  ARCANE_ASSERT(cs.next_tile < cs.chain.tile_count, "chain overrun");
+  ARCANE_ASSERT(cs.next_tile < chain.tile_count, "chain overrun");
 
-  cs.tile = cs.chain.make_tile(cs.next_tile);
+  chain.make_tile(cs.next_tile, cs.tile);
   vpu::VectorUnit& vu = (*ctx_->vpus)[cs.vpu];
   Cycle ecpu = std::max(ctx_->ecpu_free, t);
   const Cycle ecpu_start = ecpu;
@@ -116,7 +123,7 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   if (!cs.claimed) {
     client_->before_claim(cs.vpu);
     dma::TransferCost claim_cost;
-    for (std::uint8_t v : cs.chain.vregs_used) {
+    for (std::uint8_t v : chain.vregs_used) {
       claim_cost += ctx_->llc->claim_line(cs.vpu, v, op.uid);
     }
     if (claim_cost.ext_bytes > 0) {
@@ -217,7 +224,8 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
 
 void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
   ARCANE_ASSERT(active_.valid, "chain_writeback without an active kernel");
-  ChainState& cs = active_.chains[chain_idx];
+  ChainState& cs = chains_[chain_idx];
+  const unsigned tile_count = active_.plan.chains[chain_idx].tile_count;
   vpu::VectorUnit& vu = (*ctx_->vpus)[cs.vpu];
   Cycle ecpu = std::max(ctx_->ecpu_free, t);
   const Cycle ecpu_start = ecpu;
@@ -226,7 +234,7 @@ void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
   // destination will be consumed whole by the next kernel, skip the
   // write-back and leave the result resident in the register file.
   const bool single_tile_chain =
-      active_.plan.chains.size() == 1 && cs.chain.tile_count == 1;
+      active_.plan.chains.size() == 1 && tile_count == 1;
   if (single_tile_chain && cs.tile.stores.size() == 1 &&
       cs.tile.stores[0].vreg_step == 1 && cs.tile.stores[0].vreg_offset == 0 &&
       client_->allow_writeback_elision(*this, active_.plan.dest_lo,
@@ -275,7 +283,7 @@ void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
   ctx_->ecpu_free = std::max(ctx_->ecpu_free, ecpu);
 
   ++cs.next_tile;
-  if (cs.next_tile < cs.chain.tile_count) {
+  if (cs.next_tile < tile_count) {
     ctx_->events->schedule(wb_end, [this, chain_idx] {
       chain_step(chain_idx, ctx_->events->now());
     }, "crt.chain_step");
@@ -292,8 +300,7 @@ void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
                          ctx_->costs.writeback_epilogue;
     // The critical chain's buckets tile [launch, finish_time]; the eCPU
     // wait and the epilogue extend them to the kernel's finish.
-    sim::OpStallBreakdown& bd =
-        active_.chains[active_.critical_chain].breakdown;
+    sim::OpStallBreakdown& bd = chains_[active_.critical_chain].breakdown;
     bd[sim::StallBucket::kDispatch] +=
         std::max(active_.finish_time, ctx_->ecpu_free) - active_.finish_time;
     bd[sim::StallBucket::kWriteback] += ctx_->costs.writeback_epilogue;
@@ -310,12 +317,11 @@ void KernelExecutor::finish_kernel(Cycle t) {
   FinishedKernel fin;
   fin.op = std::move(active_.op);
   fin.plan = std::move(active_.plan);
-  fin.vpus.reserve(active_.chains.size());
-  for (const ChainState& cs : active_.chains) fin.vpus.push_back(cs.vpu);
+  fin.vpu = chains_[0].vpu;
   fin.elided_writeback = active_.elided_writeback;
-  fin.breakdown = active_.chains[active_.critical_chain].breakdown;
+  fin.breakdown = chains_[active_.critical_chain].breakdown;
   if (ctx_->spans != nullptr) {
-    ctx_->spans->instant(telemetry::track_vpu(fin.vpus[0]), "kernel.done", t,
+    ctx_->spans->instant(telemetry::track_vpu(fin.vpu), "kernel.done", t,
                          /*tenant=*/-1,
                          /*job=*/static_cast<std::int64_t>(fin.op.uid),
                          /*arg=*/fin.elided_writeback ? 1 : 0);

@@ -15,6 +15,7 @@
 #define ARCANE_CRT_EXECUTOR_HPP_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/config.hpp"
@@ -48,12 +49,12 @@ struct CrtContext {
 
 /// Everything the owner needs to retire a completed kernel: the decoded op
 /// (AT entries, uid), its plan (destination range, chain/tile geometry for
-/// resident bookkeeping), the VPU each chain ran on, whether the write-back
-/// was elided, and the kernel's cycle accounting.
+/// resident bookkeeping), the VPU its first chain ran on, whether the
+/// write-back was elided, and the kernel's cycle accounting.
 struct FinishedKernel {
   KernelOp op;
   Plan plan;
-  std::vector<unsigned> vpus;  // VPU per chain
+  unsigned vpu = 0;  // VPU of chain 0 (the only chain of an elidable kernel)
   bool elided_writeback = false;
   /// Exclusive stall-bucket decomposition of the kernel's in-executor
   /// lifetime: the segments tile [launch event, finish] exactly. Chains
@@ -121,8 +122,8 @@ class KernelExecutor {
   /// (fault injection, src/fault/ OpVerdict::kHang) the kernel occupies the
   /// executor but its chains are never scheduled: no lines are claimed, no
   /// DMA runs, and only abort_hung() frees the executor.
-  void launch(KernelOp op, Plan plan, std::vector<unsigned> vpus, Cycle now,
-              bool hung = false);
+  void launch(KernelOp op, Plan plan, std::span<const unsigned> vpus,
+              Cycle now, bool hung = false);
   /// Abort a hung kernel: the executor becomes free and the kernel is NOT
   /// retired through Client::on_kernel_finish (it never finished). Returns
   /// it so the owner can release what it registered.
@@ -135,8 +136,10 @@ class KernelExecutor {
   const KernelOp& op() const { return active_.op; }
 
  private:
+  /// One chain slot. Slots outlive kernels: a launch resets the counters of
+  /// the slots its plan uses and keeps each slot's Tile, whose capacity the
+  /// next tile is built into. The chain itself is read from active_.plan.
   struct ChainState {
-    Chain chain;
     unsigned vpu = 0;
     unsigned next_tile = 0;
     bool claimed = false;
@@ -149,7 +152,6 @@ class KernelExecutor {
   struct ActiveKernel {
     KernelOp op;
     Plan plan;
-    std::vector<ChainState> chains;
     unsigned chains_left = 0;
     Cycle finish_time = 0;
     unsigned critical_chain = 0;  // the chain that set finish_time
@@ -166,6 +168,7 @@ class KernelExecutor {
   Client* client_;
   unsigned id_;
   ActiveKernel active_{};
+  std::vector<ChainState> chains_;  // slots [0, plan.chains.size()) in use
   // Per-tile forwarding scratch (parallel to the tile's loads): reused
   // buffers + validity flags, so chain stepping allocates nothing steady
   // state no matter how many tiles a kernel walks.

@@ -5,12 +5,16 @@
 // each a sequence of *tiles*. A tile bundles the 2D-DMA loads that bring
 // operand rows into vector registers, the vector micro-program that computes
 // on them, and the 2D-DMA stores that write results back to memory through
-// the cache. Tiles are generated lazily (make_tile) to bound memory.
+// the cache. Tiles are generated lazily (make_tile), one at a time into a
+// Tile the executor reuses, so walking a kernel neither holds every tile in
+// memory nor allocates per tile.
 #ifndef ARCANE_CRT_KERNEL_OP_HPP_
 #define ARCANE_CRT_KERNEL_OP_HPP_
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,12 +56,26 @@ struct Tile {
   std::vector<DmaXfer> loads;
   std::vector<vpu::VInsn> prog;
   std::vector<DmaXfer> stores;
+
+  /// Empty every list, keeping the capacity for the next tile.
+  void clear() {
+    loads.clear();
+    prog.clear();
+    stores.clear();
+  }
 };
 
 /// A sequence of tiles executing on one VPU.
 struct Chain {
   unsigned tile_count = 0;
-  std::function<Tile(unsigned)> make_tile;
+  /// make_tile(i, out) writes tile i into `out`. The contract: the planner
+  /// must clear `out` (Tile::clear) and then refill it. `out` is a Tile the
+  /// executor owns per chain slot and reuses across tiles and kernels, so it
+  /// arrives holding an earlier tile, possibly of another kernel, and its
+  /// capacity is what keeps tile stepping allocation-free. Tile i must be a
+  /// pure function of i and the plan: a retry or an elided write-back
+  /// rebuilds it.
+  std::function<void(unsigned, Tile&)> make_tile;
   std::vector<std::uint8_t> vregs_used;  // claimed busy for the chain's life
 };
 
@@ -83,8 +101,15 @@ struct KernelOp {
   isa::xmnmc::XmkFields f{};
   Operand md, ms1, ms2, ms3;
 
-  std::vector<unsigned> src_at_entries;  // AT ids registered at decode
+  /// AT ids of the source ranges registered at decode: at most one per
+  /// source operand (ms1..ms3), so a fixed array holds them.
+  std::array<unsigned, 3> src_at{};
+  std::uint8_t src_at_count = 0;
   int dest_at_entry = -1;
+
+  std::span<const unsigned> src_at_entries() const {
+    return {src_at.data(), src_at_count};
+  }
 };
 
 }  // namespace arcane::crt

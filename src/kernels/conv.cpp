@@ -35,8 +35,8 @@ struct Conv2dParams {
   std::uint8_t ring_base, filt_v, acc_base, tmp_v;
 };
 
-Tile conv2d_tile(const Conv2dParams& p, unsigned i) {
-  Tile t;
+void conv2d_tile(const Conv2dParams& p, unsigned i, Tile& t) {
+  t.clear();
   const std::uint32_t r0 = i * p.P;
   const std::uint32_t pc = std::min(p.P, p.Hc - r0);
   const std::uint32_t row_bytes = p.W * p.es;
@@ -70,7 +70,6 @@ Tile conv2d_tile(const Conv2dParams& p, unsigned i) {
     }
   }
   store_rows(t, p.out_addr, p.out_stride_b, p.Wc * p.es, r0, pc, p.acc_base);
-  return t;
 }
 
 Plan plan_conv2d(const KernelOp& op, const SystemConfig& cfg) {
@@ -117,7 +116,7 @@ Plan plan_conv2d(const KernelOp& op, const SystemConfig& cfg) {
 
   crt::Chain chain;
   chain.tile_count = ceil_div(Hc, P);
-  chain.make_tile = [p](unsigned i) { return conv2d_tile(p, i); };
+  chain.make_tile = [p](unsigned i, Tile& t) { conv2d_tile(p, i, t); };
   chain.vregs_used = vreg_range(0, p.tmp_v + 1u);
 
   Plan plan;
@@ -142,8 +141,8 @@ struct ConvLayerParams {
   std::uint8_t filt_v, acc_base, out_base, tmp_v;
 };
 
-Tile conv_layer_tile(const ConvLayerParams& p, unsigned j) {
-  Tile t;
+void conv_layer_tile(const ConvLayerParams& p, unsigned j, Tile& t) {
+  t.clear();
   const std::uint32_t conv_r0 = 2 * p.q0 + j * p.P;      // global conv row
   const std::uint32_t conv_left = 2 * p.qc - j * p.P;
   const std::uint32_t pc = std::min(p.P, conv_left);     // even by design
@@ -200,7 +199,6 @@ Tile conv_layer_tile(const ConvLayerParams& p, unsigned j) {
 
   store_rows(t, p.out_addr, p.out_stride_b, p.Wo * p.es,
              p.q0 + j * p.P / 2, pc / 2, p.out_base);
-  return t;
 }
 
 Plan plan_conv_layer(const KernelOp& op, const SystemConfig& cfg) {
@@ -275,7 +273,7 @@ Plan plan_conv_layer(const KernelOp& op, const SystemConfig& cfg) {
     p.qc = std::min(rows_per_chain, Ho - q0);
     crt::Chain chain;
     chain.tile_count = ceil_div<std::uint32_t>(2 * p.qc, P);
-    chain.make_tile = [p](unsigned j) { return conv_layer_tile(p, j); };
+    chain.make_tile = [p](unsigned j, Tile& t) { conv_layer_tile(p, j, t); };
     chain.vregs_used = vreg_range(0, base.tmp_v + 1u);
     plan.chains.push_back(std::move(chain));
     q0 += p.qc;

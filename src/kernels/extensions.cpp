@@ -33,8 +33,8 @@ struct TransposeParams {
   std::uint32_t nt;  // output rows (input columns) per tile
 };
 
-Tile transpose_tile(const TransposeParams& p, unsigned i) {
-  Tile t;
+void transpose_tile(const TransposeParams& p, unsigned i, Tile& t) {
+  t.clear();
   const std::uint32_t c0 = i * p.nt;
   const std::uint32_t cc = std::min(p.nt, p.N - c0);
   for (std::uint32_t c = 0; c < cc; ++c) {
@@ -54,7 +54,6 @@ Tile transpose_tile(const TransposeParams& p, unsigned i) {
     t.prog.push_back(vop(VOpc::kMvVV, c, c, 0, p.et, p.M));
   }
   store_rows(t, p.out_addr, p.out_stride_b, p.M * p.es, c0, cc, 0);
-  return t;
 }
 
 Plan plan_transpose(const KernelOp& op, const SystemConfig& cfg) {
@@ -79,7 +78,7 @@ Plan plan_transpose(const KernelOp& op, const SystemConfig& cfg) {
 
   crt::Chain chain;
   chain.tile_count = ceil_div(p.N, p.nt);
-  chain.make_tile = [p](unsigned i) { return transpose_tile(p, i); };
+  chain.make_tile = [p](unsigned i, Tile& t) { transpose_tile(p, i, t); };
   chain.vregs_used = vreg_range(0, p.nt);
 
   Plan plan;
@@ -100,8 +99,8 @@ struct HadamardParams {
   std::uint32_t rt;
 };
 
-Tile hadamard_tile(const HadamardParams& p, unsigned i) {
-  Tile t;
+void hadamard_tile(const HadamardParams& p, unsigned i, Tile& t) {
+  t.clear();
   const std::uint32_t r0 = i * p.rt;
   const std::uint32_t rc = std::min(p.rt, p.rows - r0);
   const std::uint32_t row_b = p.cols * p.es;
@@ -114,7 +113,6 @@ Tile hadamard_tile(const HadamardParams& p, unsigned i) {
   }
   store_rows(t, p.d_addr, p.d_stride_b, row_b, r0, rc,
              static_cast<std::uint8_t>(2 * p.rt));
-  return t;
 }
 
 Plan plan_hadamard(const KernelOp& op, const SystemConfig& cfg) {
@@ -142,7 +140,7 @@ Plan plan_hadamard(const KernelOp& op, const SystemConfig& cfg) {
 
   crt::Chain chain;
   chain.tile_count = ceil_div(p.rows, p.rt);
-  chain.make_tile = [p](unsigned i) { return hadamard_tile(p, i); };
+  chain.make_tile = [p](unsigned i, Tile& t) { hadamard_tile(p, i, t); };
   chain.vregs_used = vreg_range(0, 3 * p.rt);
 
   Plan plan;

@@ -32,8 +32,8 @@ struct GemmParams {
   std::uint8_t b_base, a_base, acc_base;
 };
 
-Tile gemm_tile(const GemmParams& p, unsigned idx) {
-  Tile t;
+void gemm_tile(const GemmParams& p, unsigned idx, Tile& t) {
+  t.clear();
   const unsigned ni = idx / p.tiles_per_n;
   const unsigned rem = idx % p.tiles_per_n;
   const unsigned mi = rem / p.tiles_per_m;
@@ -108,7 +108,6 @@ Tile gemm_tile(const GemmParams& p, unsigned idx) {
     s.first_vreg = p.acc_base;
     t.stores.push_back(s);
   }
-  return t;
 }
 
 Plan plan_gemm(const KernelOp& op, const SystemConfig& cfg) {
@@ -156,7 +155,7 @@ Plan plan_gemm(const KernelOp& op, const SystemConfig& cfg) {
 
   crt::Chain chain;
   chain.tile_count = ceil_div(p.N, p.nc) * p.tiles_per_n;
-  chain.make_tile = [p](unsigned i) { return gemm_tile(p, i); };
+  chain.make_tile = [p](unsigned i, Tile& t) { gemm_tile(p, i, t); };
   chain.vregs_used = vreg_range(0, p.kb + 2 * p.mt);
 
   Plan plan;

@@ -24,8 +24,8 @@ struct LreluParams {
   std::uint8_t in_base, out_base, tmp_v;
 };
 
-Tile lrelu_tile(const LreluParams& p, unsigned i) {
-  Tile t;
+void lrelu_tile(const LreluParams& p, unsigned i, Tile& t) {
+  t.clear();
   const std::uint32_t r0 = i * p.rt;
   const std::uint32_t rc = std::min(p.rt, p.rows - r0);
   load_rows(t, p.in_addr, p.in_stride_b, p.cols * p.es, r0, rc, p.in_base);
@@ -42,7 +42,6 @@ Tile lrelu_tile(const LreluParams& p, unsigned i) {
     }
   }
   store_rows(t, p.out_addr, p.out_stride_b, p.cols * p.es, r0, rc, p.out_base);
-  return t;
 }
 
 Plan plan_leaky_relu(const KernelOp& op, const SystemConfig& cfg) {
@@ -73,7 +72,7 @@ Plan plan_leaky_relu(const KernelOp& op, const SystemConfig& cfg) {
 
   crt::Chain chain;
   chain.tile_count = ceil_div(p.rows, p.rt);
-  chain.make_tile = [p](unsigned i) { return lrelu_tile(p, i); };
+  chain.make_tile = [p](unsigned i, Tile& t) { lrelu_tile(p, i, t); };
   chain.vregs_used = vreg_range(0, 2 * p.rt + 1);
 
   Plan plan;

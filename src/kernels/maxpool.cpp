@@ -25,8 +25,8 @@ struct PoolParams {
   std::uint8_t in_base, out_base, tmp1, tmp2;
 };
 
-Tile pool_tile(const PoolParams& p, unsigned i) {
-  Tile t;
+void pool_tile(const PoolParams& p, unsigned i, Tile& t) {
+  t.clear();
   const std::uint32_t o0 = i * p.po;
   const std::uint32_t oc = std::min(p.po, p.Ho - o0);
   const std::uint32_t in_r0 = o0 * p.stride;
@@ -53,7 +53,6 @@ Tile pool_tile(const PoolParams& p, unsigned i) {
     }
   }
   store_rows(t, p.out_addr, p.out_stride_b, p.Wo * p.es, o0, oc, p.out_base);
-  return t;
 }
 
 Plan plan_maxpool(const KernelOp& op, const SystemConfig& cfg) {
@@ -103,7 +102,7 @@ Plan plan_maxpool(const KernelOp& op, const SystemConfig& cfg) {
 
   crt::Chain chain;
   chain.tile_count = ceil_div(Ho, po);
-  chain.make_tile = [p](unsigned i) { return pool_tile(p, i); };
+  chain.make_tile = [p](unsigned i, Tile& t) { pool_tile(p, i, t); };
   chain.vregs_used = vreg_range(0, in_rows_max + po + 2);
 
   Plan plan;

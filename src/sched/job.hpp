@@ -53,69 +53,89 @@ struct JobSpec {
 };
 
 /// Tracks readiness of a job DAG: remaining-dependency counts per op and
-/// the reverse edges used to wake waiters on completion. Separate from the
-/// scheduler so the ready-set update is microbenchmarkable on its own.
+/// the reverse edges used to wake waiters on completion, flattened into an
+/// offsets array and one waiters array (op i's waiters are
+/// waiters_[first_[i], first_[i+1])). Separate from the scheduler so the
+/// ready-set update is microbenchmarkable on its own.
 class DagState {
  public:
-  explicit DagState(const JobSpec& job) {
+  /// Check `job` (every dep in range, no self-deps, acyclic), build the
+  /// state from its deps with a Kahn pass over itself, then reset the
+  /// counters for execution. Returns an empty string when well-formed; on
+  /// an error the state is unusable.
+  std::string build(const JobSpec& job) {
     const std::size_t n = job.ops.size();
-    deps_left_.resize(n, 0);
-    waiters_.resize(n);
+    if (n == 0) return "job has no ops";
+    if (n > 0xFFFF) return "job too large (op indices are 16-bit)";
     for (std::size_t i = 0; i < n; ++i) {
-      deps_left_[i] = static_cast<unsigned>(job.ops[i].deps.size());
       for (unsigned d : job.ops[i].deps) {
-        waiters_[d].push_back(static_cast<unsigned>(i));
+        if (d >= n) return "op dependency out of range";
+        if (d == i) return "op depends on itself";
       }
     }
+    deps_left_.assign(n, 0);
+    first_.assign(n + 1, 0);
+    for (const OpSpec& op : job.ops) {
+      for (unsigned d : op.deps) ++first_[d + 1];
+    }
+    for (std::size_t i = 0; i < n; ++i) first_[i + 1] += first_[i];
+    waiters_.resize(first_[n]);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (unsigned d : job.ops[i].deps) {
+        // deps_left_[d] counts d's waiters placed so far.
+        waiters_[first_[d] + deps_left_[d]++] = static_cast<unsigned>(i);
+      }
+    }
+    reset(job);
+    std::vector<unsigned> frontier;
+    for_each_root([&](unsigned r) { frontier.push_back(r); });
+    std::size_t visited = 0;
+    while (!frontier.empty()) {
+      const unsigned i = frontier.back();
+      frontier.pop_back();
+      ++visited;
+      complete(i, [&](unsigned w) { frontier.push_back(w); });
+    }
+    if (visited != n) return "job DAG has a dependency cycle";
+    reset(job);
+    return {};
   }
 
-  /// Ops with no dependencies (ready at job arrival).
-  std::vector<unsigned> roots() const {
-    std::vector<unsigned> r;
+  /// Call `fn(op)` for every op with no dependencies (ready at arrival).
+  template <typename Fn>
+  void for_each_root(Fn&& fn) const {
     for (unsigned i = 0; i < deps_left_.size(); ++i) {
-      if (deps_left_[i] == 0) r.push_back(i);
+      if (deps_left_[i] == 0) fn(i);
     }
-    return r;
   }
 
-  /// Mark op `i` complete; returns the ops that just became ready.
-  std::vector<unsigned> complete(unsigned i) {
-    std::vector<unsigned> ready;
-    for (unsigned w : waiters_[i]) {
-      if (--deps_left_[w] == 0) ready.push_back(w);
+  /// Mark op `i` complete and call `fn(op)` for every op that just became
+  /// ready, in dependency-list order.
+  template <typename Fn>
+  void complete(unsigned i, Fn&& fn) {
+    for (unsigned k = first_[i]; k < first_[i + 1]; ++k) {
+      const unsigned w = waiters_[k];
+      if (--deps_left_[w] == 0) fn(w);
     }
-    return ready;
   }
 
  private:
-  std::vector<unsigned> deps_left_;
-  std::vector<std::vector<unsigned>> waiters_;
-};
-
-/// Validate a job: every dep in range, no self-deps, acyclic. Reuses
-/// DagState for the Kahn traversal so validation and execution share one
-/// dependency-graph definition. Returns an empty string when well-formed.
-inline std::string validate(const JobSpec& job) {
-  const std::size_t n = job.ops.size();
-  if (n == 0) return "job has no ops";
-  if (n > 0xFFFF) return "job too large (op indices are 16-bit)";
-  for (std::size_t i = 0; i < n; ++i) {
-    for (unsigned d : job.ops[i].deps) {
-      if (d >= n) return "op dependency out of range";
-      if (d == i) return "op depends on itself";
+  void reset(const JobSpec& job) {
+    for (std::size_t i = 0; i < job.ops.size(); ++i) {
+      deps_left_[i] = static_cast<unsigned>(job.ops[i].deps.size());
     }
   }
-  DagState dag(job);
-  std::vector<unsigned> frontier = dag.roots();
-  std::size_t visited = 0;
-  while (!frontier.empty()) {
-    const unsigned i = frontier.back();
-    frontier.pop_back();
-    ++visited;
-    for (unsigned w : dag.complete(i)) frontier.push_back(w);
-  }
-  if (visited != n) return "job DAG has a dependency cycle";
-  return {};
+
+  std::vector<unsigned> deps_left_;
+  std::vector<unsigned> first_;
+  std::vector<unsigned> waiters_;
+};
+
+/// Validate a job: every dep in range, no self-deps, acyclic. Returns an
+/// empty string when well-formed. The scheduler validates on the DagState
+/// it keeps for the job (DagState::build); this builds a throwaway one.
+inline std::string validate(const JobSpec& job) {
+  return DagState().build(job);
 }
 
 }  // namespace arcane::sched

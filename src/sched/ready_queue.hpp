@@ -8,8 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <span>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/config.hpp"
@@ -28,12 +28,11 @@ struct ReadyEntry {
 class ReadyQueue {
  public:
   static constexpr std::size_t kNone = ~std::size_t{0};
-  using Eligible = std::function<bool(const ReadyEntry&)>;
 
   void push(const ReadyEntry& e) { q_.push_back(e); }
   bool empty() const { return q_.empty(); }
   std::size_t size() const { return q_.size(); }
-  const std::deque<ReadyEntry>& entries() const { return q_; }
+  std::span<const ReadyEntry> entries() const { return q_; }
 
   /// Index of the entry `policy` dispatches next among eligible entries
   /// (kNone when none is eligible). `rr_last` is the tenant served last:
@@ -44,8 +43,11 @@ class ReadyQueue {
   ///  * kSjf: smallest est_cost, ties by priority class then seq.
   ///  * kPriority: highest priority class (smallest value), ties by seq —
   ///    QoS dispatch order (src/qos/).
+  /// `eligible(entry)` is any bool predicate, called in place (no type
+  /// erasure on the dispatch path).
+  template <typename Eligible>
   std::size_t pick(SchedPolicy policy, unsigned num_tenants,
-                   unsigned rr_last, const Eligible& eligible) const {
+                   unsigned rr_last, Eligible&& eligible) const {
     switch (policy) {
       case SchedPolicy::kFifo:
         for (std::size_t i = 0; i < q_.size(); ++i) {
@@ -111,7 +113,9 @@ class ReadyQueue {
     return a.seq < b.seq;
   }
 
-  std::deque<ReadyEntry> q_;
+  // A vector, not a deque: a deque used as a FIFO allocates and frees a
+  // block every few entries; the vector's capacity is recycled.
+  std::vector<ReadyEntry> q_;
 };
 
 }  // namespace arcane::sched

@@ -118,13 +118,14 @@ std::vector<JobReport> Scheduler::recent(unsigned tenant) const {
 
 std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
   ARCANE_CHECK(tenant < num_tenants(), "submit for unknown tenant " << tenant);
-  const std::string why = validate(job);
+  JobState js;
+  const std::string why = js.dag.build(job);
   ARCANE_CHECK(why.empty(), "malformed job: " << why);
   // Plan every op now: malformed shapes are rejected at submit, and the
   // validated plan (pure function of spec + cfg) is kept for dispatch.
-  std::vector<crt::Plan> plans;
-  plans.reserve(job.ops.size());
-  for (const OpSpec& s : job.ops) {
+  js.ops.resize(job.ops.size());
+  for (std::size_t i = 0; i < job.ops.size(); ++i) {
+    const OpSpec& s = job.ops[i];
     const crt::KernelInfo* info = rt_->library().find(s.func5);
     ARCANE_CHECK(info != nullptr,
                  "job uses unknown kernel id " << unsigned(s.func5));
@@ -135,15 +136,15 @@ std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
                  info->name << ": ms2 operand missing");
     ARCANE_CHECK(!info->uses_ms3 || s.ms3.valid,
                  info->name << ": ms3 operand missing");
-    crt::Plan plan = info->planner(make_kernel_op(s), *cfg_);
+    crt::Plan& plan = js.ops[i].plan;
+    plan = info->planner(make_kernel_op(s), *cfg_);
     ARCANE_CHECK(plan.ok(), info->name << ": " << plan.error);
     ARCANE_CHECK(plan.chains.size() == 1,
                  info->name << ": multi-chain plans cannot be pinned to one "
                                "instance (disable multi_vpu_kernels)");
-    plans.push_back(std::move(plan));
   }
   const std::uint32_t job_idx =
-      open_job(tenant, std::move(job), std::move(plans), arrival);
+      open_job(tenant, std::move(job), std::move(js), arrival);
 
   const Cycle when = std::max(arrival, ctx_->events->now());
   if (ctx_->spans != nullptr) {
@@ -158,10 +159,8 @@ std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
   return jobs_.back().id;
 }
 
-std::uint32_t Scheduler::open_job(unsigned tenant, JobSpec job,
-                                  std::vector<crt::Plan> plans,
+std::uint32_t Scheduler::open_job(unsigned tenant, JobSpec job, JobState js,
                                   Cycle arrival) {
-  JobState js;
   js.id = next_job_id_++;
   js.tenant = tenant;
   js.arrival = arrival;
@@ -169,13 +168,8 @@ std::uint32_t Scheduler::open_job(unsigned tenant, JobSpec job,
   js.shed_on_expiry = job.shed_on_expiry && job.deadline != 0;
   js.tag = job.tag;
   js.ops_left = static_cast<unsigned>(job.ops.size());
-  js.dag = std::make_unique<DagState>(job);  // reads deps: build before moves
-  js.ops.reserve(job.ops.size());
   for (std::size_t i = 0; i < job.ops.size(); ++i) {
-    OpState os;
-    os.spec = std::move(job.ops[i]);
-    os.plan = std::move(plans[i]);
-    js.ops.push_back(std::move(os));
+    js.ops[i].spec = std::move(job.ops[i]);
   }
   const auto job_idx = static_cast<std::uint32_t>(jobs_.size());
   if (js.shed_on_expiry) ++shed_armed_;
@@ -207,7 +201,8 @@ std::string Scheduler::queue_dump() const {
 void Scheduler::arrive(std::uint32_t job_idx, Cycle t) {
   ARCANE_ASSERT(pending_arrivals_ > 0, "arrival accounting underflow");
   --pending_arrivals_;
-  for (unsigned r : jobs_[job_idx].dag->roots()) op_ready(job_idx, r, t);
+  jobs_[job_idx].dag.for_each_root(
+      [&](unsigned r) { op_ready(job_idx, r, t); });
   try_dispatch(t);
 }
 
@@ -429,10 +424,15 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   // stalls coherently.
   if (!predecoded) crt::register_at_ranges(op, plan, ctx_->llc->at());
 
-  std::vector<unsigned> vpus =
-      is_host(inst)
-          ? assign_vpus(op, static_cast<unsigned>(plan.chains.size()))
-          : std::vector<unsigned>{inst};
+  // One VPU per chain: a serving instance is its own VPU, the host
+  // instance selects among all of them.
+  unsigned vpu_buf[kMaxVpus];
+  const std::span<unsigned> vpus(vpu_buf, plan.chains.size());
+  if (is_host(inst)) {
+    assign_vpus(op, vpus);
+  } else {
+    vpus[0] = inst;
+  }
 
   InFlight fl;
   fl.valid = true;
@@ -493,12 +493,12 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
         "sched.watchdog");
   }
 
-  execs_[inst]->launch(std::move(op), std::move(plan), std::move(vpus), t,
+  execs_[inst]->launch(std::move(op), std::move(plan), vpus, t,
                        verdict == fault::OpVerdict::kHang);
 }
 
 void Scheduler::release_at(const crt::KernelOp& op, bool elided_writeback) {
-  for (unsigned at : op.src_at_entries) ctx_->llc->at().release(at);
+  for (unsigned at : op.src_at_entries()) ctx_->llc->at().release(at);
   if (op.dest_at_entry >= 0 && !elided_writeback) {
     ctx_->llc->at().release(static_cast<unsigned>(op.dest_at_entry));
   }
@@ -592,7 +592,7 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
   }
   ++tenant_stats_[js.tenant].ops_completed;
 
-  for (unsigned w : js.dag->complete(fl.op)) op_ready(fl.job, w, t);
+  js.dag.complete(fl.op, [&](unsigned w) { op_ready(fl.job, w, t); });
 
   ARCANE_ASSERT(js.ops_left > 0, "job op accounting underflow");
   if (--js.ops_left == 0) resolve_job(fl.job, t, Outcome::kCompleted);
@@ -870,12 +870,13 @@ void Scheduler::push_kernel(crt::KernelOp op, crt::Plan plan, Cycle done) {
   JobSpec job;
   job.ops.push_back(spec_of(op));
   job.tag = op.uid;
-  std::vector<crt::Plan> plans;
-  plans.push_back(std::move(plan));
+  JobState js;
+  js.dag.build(job);  // one op, no deps: always well-formed
+  js.ops.resize(1);
+  js.ops[0].plan = std::move(plan);
+  js.ops[0].decoded = std::make_unique<crt::KernelOp>(std::move(op));
   const std::uint32_t job_idx =
-      open_job(host_tenant_, std::move(job), std::move(plans), done);
-  jobs_[job_idx].ops[0].decoded =
-      std::make_unique<crt::KernelOp>(std::move(op));
+      open_job(host_tenant_, std::move(job), std::move(js), done);
   op_ready(job_idx, 0, done);
   if (!inflight_[serving_].valid) {
     ctx_->events->schedule(done, [this] { try_dispatch(ctx_->events->now()); },
@@ -907,12 +908,12 @@ bool Scheduler::group_held(unsigned inst) const {
   return false;
 }
 
-std::vector<unsigned> Scheduler::assign_vpus(const crt::KernelOp& op,
-                                             unsigned count) {
+void Scheduler::assign_vpus(const crt::KernelOp& op,
+                            std::span<unsigned> out) {
   const unsigned n = cfg_->llc.num_vpus;
-  ARCANE_CHECK(count <= n, "plan has more chains than VPUs");
-  std::vector<unsigned> order(n);
-  std::iota(order.begin(), order.end(), 0u);
+  ARCANE_CHECK(out.size() <= n, "plan has more chains than VPUs");
+  unsigned order[kMaxVpus];
+  std::iota(order, order + n, 0u);
 
   // Prefer a VPU holding a resident (forwardable) copy of a source operand.
   auto resident_vpu = [&]() -> int {
@@ -927,25 +928,30 @@ std::vector<unsigned> Scheduler::assign_vpus(const crt::KernelOp& op,
   }();
 
   switch (cfg_->vpu_select) {
-    case VpuSelectPolicy::kFewestDirty:
-      // Paper policy (§IV-B2): prioritise VPUs with the fewest dirty lines.
-      std::stable_sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
-        return ctx_->llc->dirty_lines_in_vpu(a) <
-               ctx_->llc->dirty_lines_in_vpu(b);
+    case VpuSelectPolicy::kFewestDirty: {
+      // Paper policy (§IV-B2): prioritise VPUs with the fewest dirty lines,
+      // ties in index order (a stable order without std::stable_sort's
+      // scratch buffer).
+      unsigned dirty[kMaxVpus];
+      for (unsigned v = 0; v < n; ++v) {
+        dirty[v] = ctx_->llc->dirty_lines_in_vpu(v);
+      }
+      std::sort(order, order + n, [&](unsigned a, unsigned b) {
+        return dirty[a] != dirty[b] ? dirty[a] < dirty[b] : a < b;
       });
       break;
+    }
     case VpuSelectPolicy::kRoundRobin:
-      std::rotate(order.begin(), order.begin() + (rr_next_ % n), order.end());
-      rr_next_ += count;
+      std::rotate(order, order + (rr_next_ % n), order + n);
+      rr_next_ += static_cast<unsigned>(out.size());
       break;
   }
   if (resident_vpu >= 0) {
-    auto it = std::find(order.begin(), order.end(),
-                        static_cast<unsigned>(resident_vpu));
-    if (it != order.end()) std::rotate(order.begin(), it, it + 1);
+    unsigned* it =
+        std::find(order, order + n, static_cast<unsigned>(resident_vpu));
+    if (it != order + n) std::rotate(order, it, it + 1);
   }
-  order.resize(count);
-  return order;
+  std::copy_n(order, out.size(), out.begin());
 }
 
 // ------------------------------ residents ------------------------------
@@ -1019,14 +1025,15 @@ void Scheduler::keep_resident(const crt::FinishedKernel& fin) {
   ARCANE_ASSERT(fin.plan.chains.size() == 1 &&
                     fin.plan.chains[0].tile_count == 1,
                 "elided write-back of a multi-tile kernel");
-  const crt::Tile tile = fin.plan.chains[0].make_tile(0);
+  crt::Tile tile;
+  fin.plan.chains[0].make_tile(0, tile);
   ARCANE_ASSERT(tile.stores.size() == 1 && tile.stores[0].vreg_step == 1 &&
                     tile.stores[0].vreg_offset == 0,
                 "elided write-back of a strided store");
   const crt::DmaXfer& s = tile.stores[0];
   residents_.push_back({s.mem_addr,
                         s.mem_addr + (s.rows - 1) * s.mem_stride + s.row_bytes,
-                        fin.vpus[0], s.first_vreg, s.rows, s.row_bytes,
+                        fin.vpu, s.first_vreg, s.rows, s.row_bytes,
                         s.mem_stride, fin.op.uid, fin.op.dest_at_entry});
   ++ctx_->phases.full_elisions;
   ctx_->llc->host_observer = this;

@@ -36,6 +36,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -264,7 +265,7 @@ class Scheduler final : public crt::KernelExecutor::Client,
     unsigned retries = 0;     // op re-dispatches across this job
     unsigned failovers = 0;   // retries that landed on another instance
     std::vector<OpState> ops;
-    std::unique_ptr<DagState> dag;
+    DagState dag;
   };
   /// What an instance is currently executing (for hazard checks and the
   /// uid -> op mapping at completion).
@@ -303,9 +304,11 @@ class Scheduler final : public crt::KernelExecutor::Client,
     int deferred_at_entry = -1;  // >= 0: write-back was elided
   };
 
-  /// Record a job whose ops were validated and planned; returns its index.
-  std::uint32_t open_job(unsigned tenant, JobSpec job,
-                         std::vector<crt::Plan> plans, Cycle arrival);
+  /// Record a job whose DAG was built into `js.dag` and whose ops were
+  /// planned into `js.ops[i].plan`: the specs move from `job`, the rest of
+  /// `js` is filled here. Returns the job's index.
+  std::uint32_t open_job(unsigned tenant, JobSpec job, JobState js,
+                         Cycle arrival);
   void arrive(std::uint32_t job_idx, Cycle t);
   void op_ready(std::uint32_t job_idx, unsigned op_idx, Cycle t);
   /// Append a ready entry for the op to instance `inst`'s queue.
@@ -338,8 +341,9 @@ class Scheduler final : public crt::KernelExecutor::Client,
   void add_instance();
   /// Another in-flight kernel holds a VPU of `inst`'s group.
   bool group_held(unsigned inst) const;
-  /// Paper VPU selection (§IV-B2) for a host kernel's `count` chains.
-  std::vector<unsigned> assign_vpus(const crt::KernelOp& op, unsigned count);
+  /// Paper VPU selection (§IV-B2) for a host kernel's chains: writes one
+  /// VPU per chain to `out` (out.size() chains).
+  void assign_vpus(const crt::KernelOp& op, std::span<unsigned> out);
   // ----------------------------- residents -----------------------------
   /// Keep the destination of a kernel whose write-back was elided resident.
   void keep_resident(const crt::FinishedKernel& fin);

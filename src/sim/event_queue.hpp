@@ -19,15 +19,22 @@
 //    linear walk — no per-event heap sift, no allocation after warm-up.
 //    Same-cycle events run in scheduling order because appends are already
 //    in `seq` order (the calendar never reorders within a cycle).
-//  * Far events overflow into a small binary heap ordered by (when, seq).
-//    Whenever the calendar window advances, events that fell inside it
-//    migrate into their buckets — heap pop order is (when, seq), so
-//    migration preserves the same-cycle FIFO invariant.
+//  * Far events are parked in a slab: the callback goes into a free slot of
+//    a recycled array (a free list of slot indices), and a binary heap
+//    orders plain (when, seq, slot) keys. Sifting moves 24-byte keys, never
+//    a Callback. Whenever the calendar window advances, events that fell
+//    inside it migrate into their buckets and free their slots — heap pop
+//    order is (when, seq), so migration preserves the same-cycle FIFO
+//    invariant. Far events are the common case: a kernel phase or an
+//    open-loop arrival usually lands more than a window ahead.
 //
 // A 256-bit occupancy bitmap (one bit per bucket) finds the next populated
 // cycle with word scans instead of probing empty buckets, and `run_until`
 // drains whole buckets per `now_` update. Callbacks are sim::Callback —
-// inline storage, no heap per event (see callback.hpp).
+// inline storage, no heap per event (see callback.hpp). Buckets, the key
+// heap, the slab and its free list only ever grow, so once their capacities
+// cover the simulation's peak, scheduling and running events allocate
+// nothing.
 //
 // Ordering is exactly (when, seq) ascending — identical to the previous
 // std::priority_queue kernel, so every simulated result is bit-identical
@@ -66,8 +73,7 @@ class EventQueue {
     if (when - base_ < kSpan) {
       push_bucket(when, std::move(fn));
     } else {
-      far_.push_back(FarEvent{when, seq, std::move(fn)});
-      std::push_heap(far_.begin(), far_.end(), FarLater{});
+      park_far(when, seq, std::move(fn));
     }
   }
 
@@ -154,13 +160,14 @@ class EventQueue {
     std::vector<Callback> events;
     std::size_t head = 0;  // events [head, size) are still pending
   };
-  struct FarEvent {
+  /// A parked far event: its order key and the slab slot of its callback.
+  struct FarKey {
     Cycle when;
     std::uint64_t seq;
-    Callback fn;
+    std::uint32_t slot;
   };
   struct FarLater {
-    bool operator()(const FarEvent& a, const FarEvent& b) const {
+    bool operator()(const FarKey& a, const FarKey& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;  // FIFO among same-cycle events
     }
@@ -202,6 +209,21 @@ class EventQueue {
     return base_ + (idx + kSpan - s);
   }
 
+  /// Park a far event: its callback in a free slab slot, its key in the heap.
+  void park_far(Cycle when, std::uint64_t seq, Callback fn) {
+    std::uint32_t slot;
+    if (far_free_.empty()) {
+      slot = static_cast<std::uint32_t>(far_slab_.size());
+      far_slab_.push_back(std::move(fn));
+    } else {
+      slot = far_free_.back();
+      far_free_.pop_back();
+      far_slab_[slot] = std::move(fn);
+    }
+    far_.push_back(FarKey{when, seq, slot});
+    std::push_heap(far_.begin(), far_.end(), FarLater{});
+  }
+
   /// Move the calendar window start to `c` (<= every pending event) and pull
   /// far events that now fall inside [c, c + kSpan) into their buckets.
   void advance_base(Cycle c) {
@@ -209,16 +231,19 @@ class EventQueue {
     base_ = c;
     while (!far_.empty() && far_.front().when - base_ < kSpan) {
       std::pop_heap(far_.begin(), far_.end(), FarLater{});
-      FarEvent fe = std::move(far_.back());
+      const FarKey k = far_.back();
       far_.pop_back();
-      push_bucket(fe.when, std::move(fe.fn));
+      push_bucket(k.when, std::move(far_slab_[k.slot]));
+      far_free_.push_back(k.slot);
     }
   }
 
   Bucket buckets_[kSpan];
   std::uint64_t occ_[kWords] = {};
-  std::vector<FarEvent> far_;  // min-heap on (when, seq) via FarLater
-  Cycle base_ = 0;             // calendar window is [base_, base_ + kSpan)
+  std::vector<FarKey> far_;  // min-heap on (when, seq) via FarLater
+  std::vector<Callback> far_slab_;       // parked far callbacks, by slot
+  std::vector<std::uint32_t> far_free_;  // free slots of far_slab_
+  Cycle base_ = 0;  // calendar window is [base_, base_ + kSpan)
   std::size_t ring_count_ = 0;
   std::size_t pending_ = 0;
   std::uint64_t seq_ = 0;

@@ -1,6 +1,7 @@
 #include "vpu/vector_unit.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -115,7 +116,9 @@ void exec_typed(const VInsn& insn, T* d, const T* a, const T* b,
 
 void VectorUnit::execute(const VInsn& insn) {
   const unsigned ebytes = elem_bytes(insn.et);
-  const unsigned capacity = cfg_.vlen_bytes / ebytes;
+  // VLEN and element sizes are powers of two: shift, do not divide.
+  const unsigned capacity =
+      cfg_.vlen_bytes >> static_cast<unsigned>(std::countr_zero(ebytes));
   ARCANE_CHECK(insn.vl <= capacity, "vl " << insn.vl << " exceeds VLEN/"
                                           << ebytes << " capacity");
   ARCANE_CHECK(insn.vd < cfg_.num_vregs && insn.vs1 < cfg_.num_vregs &&

@@ -40,8 +40,11 @@ const char* vopc_name(VOpc op) {
 }
 
 Cycle vinsn_cycles(const VInsn& insn, const VpuConfig& cfg) {
-  const unsigned epc = cfg.elems_per_cycle(elem_bytes(insn.et));
-  Cycle beats = ceil_div<std::uint32_t>(insn.vl == 0 ? 1 : insn.vl, epc);
+  // ceil(vl / elems_per_cycle) with a shift; the uint32 sum wraps exactly
+  // like ceil_div's (a + b - 1) / b.
+  const unsigned shift = cfg.elems_per_cycle_log2(elem_bytes(insn.et));
+  const std::uint32_t vl = insn.vl == 0 ? 1 : insn.vl;
+  Cycle beats = (vl + ((1u << shift) - 1u)) >> shift;
   if (insn.op == VOpc::kGatherStride) beats *= cfg.gather_penalty;
   Cycle cycles = cfg.pipe_fill + beats;
   if (insn.op == VOpc::kMaccEs) cycles += 1;  // element-scalar read port

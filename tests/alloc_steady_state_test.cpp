@@ -1,0 +1,215 @@
+// Steady-state allocation guard for the scheduled kernel path. This suite
+// is its own executable because it replaces the global operator new with a
+// counting one:
+//
+//  * stepping tiles on a warm executor (allocation DMA, micro-program,
+//    write-back, every builtin planner) allocates nothing;
+//  * submitting and draining pipeline jobs allocates only per-job state,
+//    within the bound stated at kPerJobAllocs.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "arcane/system.hpp"
+#include "crt/executor.hpp"
+#include "isa/xmnmc.hpp"
+#include "sched/pipelines.hpp"
+
+namespace {
+
+// The simulator is single-threaded; gtest's own allocations happen outside
+// the measured windows.
+std::uint64_t g_allocs = 0;
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace arcane {
+namespace {
+
+/// Allocations since construction.
+class AllocCounter {
+ public:
+  AllocCounter() : start_(g_allocs) {}
+  std::uint64_t count() const { return g_allocs - start_; }
+
+ private:
+  std::uint64_t start_;
+};
+
+/// The calendar's 256 buckets, the far-event heap and its slab grow on
+/// first use. Give every bucket room for a few same-cycle events and park
+/// some far events, so the measurements below see only the kernel path.
+void warm_event_queue(sim::EventQueue& q) {
+  const Cycle now = q.now();
+  for (Cycle c = 0; c < 256; ++c) {
+    for (int k = 0; k < 8; ++k) q.schedule(now + c, [] {});
+  }
+  for (Cycle c = 0; c < 64; ++c) q.schedule(now + 100000 + c, [] {});
+  q.run_all();
+}
+
+/// Executor owner with no cross-kernel policy: it frees the kernel's lines
+/// and counts completions.
+class PlainClient final : public crt::KernelExecutor::Client {
+ public:
+  explicit PlainClient(llc::Llc& llc) : llc_(&llc) {}
+  bool forward_load(const crt::KernelExecutor&, const crt::DmaXfer&,
+                    std::vector<std::uint8_t>&) override {
+    return false;
+  }
+  void before_claim(unsigned) override {}
+  void materialize_deferred(Addr, Addr) override {}
+  bool allow_writeback_elision(const crt::KernelExecutor&, Addr,
+                               Addr) override {
+    return false;
+  }
+  void on_kernel_finish(crt::KernelExecutor&, crt::FinishedKernel fin,
+                        Cycle) override {
+    llc_->release_kernel_lines(fin.op.uid);
+    ++finished;
+  }
+  unsigned finished = 0;
+
+ private:
+  llc::Llc* llc_;
+};
+
+crt::KernelOp kernel_op(std::uint8_t func5, crt::Operand md, crt::Operand ms1,
+                        crt::Operand ms2 = {}, crt::Operand ms3 = {},
+                        std::uint16_t alpha = 0, std::uint16_t beta = 0) {
+  crt::KernelOp op;
+  op.func5 = func5;
+  op.f.alpha = alpha;
+  op.f.beta = beta;
+  op.md = md;
+  op.ms1 = ms1;
+  op.ms2 = ms2;
+  op.ms3 = ms3;
+  return op;
+}
+
+crt::Operand mat(Addr addr, std::uint32_t rows, std::uint32_t cols) {
+  return crt::Operand{addr, {rows, cols, cols}, true};
+}
+
+TEST(AllocSteadyStateTest, TileSteppingOnAWarmExecutorAllocatesNothing) {
+  namespace x = isa::xmnmc;
+  System sys(SystemConfig::paper(4));
+  crt::CrtContext& ctx = sys.runtime().context();
+  PlainClient client(sys.llc());
+  crt::KernelExecutor ex(ctx, client, /*id=*/0);
+
+  // Multi-tile kernels of every builtin planner (word elements).
+  const Addr a = sys.data_base() + 0x10000;
+  const Addr b = a + 0x20000;
+  const Addr c = b + 0x20000;
+  const Addr d = c + 0x20000;
+  const std::vector<crt::KernelOp> ops = {
+      kernel_op(x::kConv2d, mat(d, 62, 62), mat(a, 64, 64), mat(b, 3, 3)),
+      kernel_op(x::kLeakyRelu, mat(d, 64, 64), mat(a, 64, 64), {}, {}, 1),
+      kernel_op(x::kMaxPool, mat(d, 32, 32), mat(a, 64, 64), {}, {}, 2, 2),
+      kernel_op(x::kGemm, mat(d, 20, 300), mat(a, 20, 30), mat(b, 30, 300),
+                mat(c, 20, 300), 1, 1),
+      kernel_op(x::kConvLayer, mat(d, 31, 31), mat(a, 3 * 64, 64),
+                mat(b, 3 * 3, 3)),
+  };
+  std::vector<crt::Plan> plans;
+  for (const crt::KernelOp& op : ops) {
+    plans.push_back(
+        sys.runtime().library().find(op.func5)->planner(op, sys.config()));
+    ASSERT_TRUE(plans.back().ok()) << plans.back().error;
+    ASSERT_EQ(plans.back().chains.size(), 1u);
+    ASSERT_GT(plans.back().chains[0].tile_count, 1u);
+  }
+
+  // Run every kernel once; return the allocations made from launch to
+  // finish. The op and plan copies are made before the window opens.
+  const std::vector<unsigned> vpu0 = {0};
+  auto run_all_kernels = [&] {
+    std::uint64_t allocs = 0;
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+      crt::KernelOp op = ops[k];
+      op.uid = ctx.next_uid++;
+      crt::Plan plan = plans[k];
+      std::vector<unsigned> vpus = vpu0;
+      const unsigned before = client.finished;
+      ctx.ecpu_free = std::max(ctx.ecpu_free, sys.events().now());
+      const AllocCounter window;
+      ex.launch(std::move(op), std::move(plan), std::move(vpus),
+                sys.events().now());
+      sys.events().run_all();
+      allocs += window.count();
+      EXPECT_EQ(client.finished, before + 1);
+    }
+    return allocs;
+  };
+
+  warm_event_queue(sys.events());
+  run_all_kernels();  // warm-up: the executor's tile and scratch capacity
+  warm_event_queue(sys.events());
+  EXPECT_EQ(run_all_kernels(), 0u);
+}
+
+// Heap allocations one pipeline job (4 single-chain ops) may make between
+// submit and retirement: its DAG (pending-dependency counts, waiter
+// offsets, waiters and the Kahn frontier of validation: 4), its op table
+// (1), and per op the plan's chain list, tile generator and claimed-register
+// list (4 x 3). One more per job covers the amortized growth of the job
+// table, the outcome log and the event queue. Dispatch, tile stepping and
+// retirement add nothing.
+constexpr std::uint64_t kPerJobAllocs = 4 + 1 + 4 * 3 + 1;
+
+TEST(AllocSteadyStateTest, PipelineJobsAllocateOnlyPerJobState) {
+  SystemConfig cfg = SystemConfig::paper(4);
+  cfg.sched_instances = 4;
+  System sys(cfg);
+  auto& sch = sys.scheduler();
+  for (const char* name : {"t0", "t1", "t2", "t3"}) sch.add_tenant(name);
+
+  constexpr unsigned kJobs = 64;
+  workloads::Rng rng(7);
+  auto slot = [&](unsigned j) {
+    return sched::PipelineSlot(sys.data_base() + 0x10000 + j * 0x8000);
+  };
+  for (unsigned j = 0; j < kJobs; ++j) {
+    sched::place_pipeline_data(sys, slot(j),
+                               sched::random_pipeline_data(rng));
+  }
+  // Submit and drain kJobs jobs, 4 tenants interleaved, arrivals spaced so
+  // the 4 instances overlap; returns the allocations of submit + drain.
+  auto batch = [&] {
+    std::vector<sched::JobSpec> jobs;
+    for (unsigned j = 0; j < kJobs; ++j) {
+      jobs.push_back(sched::pipeline_job(slot(j)));
+    }
+    const Cycle t0 = sys.events().now();
+    const AllocCounter window;
+    for (unsigned j = 0; j < kJobs; ++j) {
+      sch.submit(j % 4, std::move(jobs[j]), t0 + 400 * j);
+    }
+    sch.drain();
+    return window.count();
+  };
+
+  warm_event_queue(sys.events());
+  batch();  // warm-up: executor, queue and scratch capacity
+  const std::uint64_t allocs = batch();
+  EXPECT_EQ(sch.stats().jobs_completed, 2u * kJobs);
+  EXPECT_LE(allocs, kJobs * kPerJobAllocs)
+      << allocs / static_cast<double>(kJobs) << " allocations per job";
+}
+
+}  // namespace
+}  // namespace arcane

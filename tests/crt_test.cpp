@@ -226,8 +226,8 @@ TEST(CrtTest, CustomKernelRegistration) {
     crt::Chain chain;
     chain.tile_count = 1;
     const auto self = op;  // snapshot
-    chain.make_tile = [self, es](unsigned) {
-      crt::Tile t;
+    chain.make_tile = [self, es](unsigned, crt::Tile& t) {
+      t.clear();
       crt::DmaXfer load;
       load.mem_addr = self.ms1.addr;
       load.rows = self.ms1.shape.rows;
@@ -250,7 +250,6 @@ TEST(CrtTest, CustomKernelRegistration) {
       store.mem_stride = self.md.shape.stride * es;
       store.first_vreg = 16;
       t.stores.push_back(store);
-      return t;
     };
     for (unsigned v = 0; v < 16 + in.rows; ++v) {
       chain.vregs_used.push_back(static_cast<std::uint8_t>(v));

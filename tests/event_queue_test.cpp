@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <queue>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -183,6 +186,148 @@ TEST(EventQueue, QuietGapThenBurst) {
   q.schedule(1000300, [&] { order.push_back(2); });  // beyond the new window
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// ---- seeded stress against a std::priority_queue reference ----
+
+std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+/// A delta mix spanning the same cycle, the calendar window, just past it
+/// (far events that migrate soon) and far beyond it.
+Cycle pick_delta(std::uint64_t r) {
+  switch (r % 8) {
+    case 0: return 0;
+    case 1: case 2: case 3: return (r >> 8) % 256;
+    case 4: case 5: case 6: return 256 + (r >> 8) % 1500;
+    default: return 5000 + (r >> 8) % 50000;
+  }
+}
+
+/// The (when, seq) priority-queue kernel the calendar queue must match.
+/// Events are ids; running one calls on_run(id).
+class ReferenceQueue {
+ public:
+  std::function<void(std::uint64_t)> on_run;
+
+  void schedule(Cycle when, std::uint64_t id) {
+    heap_.emplace(when, seq_++, id);
+  }
+  void run_until(Cycle t) {
+    while (!heap_.empty() && std::get<0>(heap_.top()) <= t) run_top();
+    now_ = std::max(now_, t);
+  }
+  void run_one() { run_top(); }
+  void run_all() {
+    while (!heap_.empty()) run_top();
+  }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
+  Cycle now() const { return now_; }
+
+ private:
+  using Key = std::tuple<Cycle, std::uint64_t, std::uint64_t>;  // when, seq, id
+  void run_top() {
+    const auto [when, seq, id] = heap_.top();
+    heap_.pop();
+    now_ = std::max(now_, when);
+    on_run(id);
+  }
+  std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heap_;
+  std::uint64_t seq_ = 0;
+  Cycle now_ = 0;
+};
+
+/// EventQueue behind the same id interface.
+class CalendarQueue {
+ public:
+  std::function<void(std::uint64_t)> on_run;
+
+  void schedule(Cycle when, std::uint64_t id) {
+    q_.schedule(when, [this, id] { on_run(id); });
+  }
+  void run_until(Cycle t) { q_.run_until(t); }
+  void run_one() { q_.run_one(); }
+  void run_all() { q_.run_all(); }
+  bool empty() const { return q_.empty(); }
+  std::size_t pending() const { return q_.pending(); }
+  Cycle now() const { return q_.now(); }
+
+ private:
+  EventQueue q_;
+};
+
+struct StressTrace {
+  std::vector<std::pair<std::uint64_t, Cycle>> ran;  // (event id, now)
+  std::vector<std::pair<Cycle, std::size_t>> steps;  // (now, pending)
+  std::uint64_t far_scheduled = 0;
+  std::size_t peak_pending = 0;
+};
+
+/// Replay the seeded workload on `Queue`. The sequence of external
+/// schedule and run calls comes from `seed`; event k (the k-th scheduled)
+/// spawns up to two children as a pure function of (seed, k) while the
+/// event budget lasts.
+template <typename Queue>
+StressTrace replay_stress(std::uint64_t seed) {
+  constexpr std::uint64_t kBudget = 20000;
+  Queue q;
+  StressTrace tr;
+  std::uint64_t scheduled = 0;
+  auto schedule = [&](Cycle when) {
+    if (when >= q.now() + 256) ++tr.far_scheduled;
+    q.schedule(when, scheduled++);
+    tr.peak_pending = std::max(tr.peak_pending, q.pending());
+  };
+  q.on_run = [&](std::uint64_t k) {
+    tr.ran.emplace_back(k, q.now());
+    const std::uint64_t h = splitmix64(seed ^ (k * 0x100000001B3ull));
+    for (unsigned i = 0; i < h % 3 && scheduled < kBudget; ++i) {
+      schedule(q.now() + pick_delta(splitmix64(h + i)));
+    }
+  };
+  std::uint64_t r = seed;
+  for (int step = 0; step < 4000; ++step) {
+    r = splitmix64(r);
+    switch (r % 3) {
+      case 0:
+        for (unsigned i = 0; i <= (r >> 8) % 4 && scheduled < kBudget; ++i) {
+          schedule(q.now() + pick_delta(splitmix64(r + i)));
+        }
+        break;
+      case 1:
+        if (!q.empty()) q.run_one();
+        break;
+      default:
+        q.run_until(q.now() + (r >> 8) % 3000);
+        break;
+    }
+    tr.steps.emplace_back(q.now(), q.pending());
+  }
+  q.run_all();
+  tr.steps.emplace_back(q.now(), q.pending());
+  return tr;
+}
+
+// Callbacks schedule events while far events migrate, and a seeded script
+// interleaves external schedules, run_one and run_until. The calendar
+// queue must run the same events in the same order at the same times as a
+// std::priority_queue on (when, seq). Far events come and go in waves: the
+// workload parks several times more far events than are ever pending at
+// once, so slab slots freed by migration are reused over and over.
+TEST(EventQueue, SeededStressMatchesPriorityQueueReference) {
+  for (const std::uint64_t seed : {1ull, 2ull, 7ull, 1013ull}) {
+    const StressTrace got = replay_stress<CalendarQueue>(seed);
+    const StressTrace want = replay_stress<ReferenceQueue>(seed);
+    EXPECT_EQ(got.ran, want.ran) << "seed " << seed;
+    EXPECT_EQ(got.steps, want.steps) << "seed " << seed;
+    EXPECT_EQ(got.ran.size(), 20000u) << "seed " << seed;
+    EXPECT_GT(got.far_scheduled, 3 * got.peak_pending) << "seed " << seed;
+  }
 }
 
 }  // namespace

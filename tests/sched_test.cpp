@@ -53,9 +53,7 @@ sched::ReadyEntry entry(std::uint64_t seq, std::uint16_t tenant,
   return e;
 }
 
-const sched::ReadyQueue::Eligible kAll = [](const sched::ReadyEntry&) {
-  return true;
-};
+const auto kAll = [](const sched::ReadyEntry&) { return true; };
 
 /// Drain `q` under `policy` and return the seq order of dispatch.
 std::vector<std::uint64_t> drain_order(sched::ReadyQueue& q,

@@ -62,6 +62,40 @@ TEST(VpuTiming, ZeroVlStillCostsOneBeat) {
             c.pipe_fill + 1u);
 }
 
+// vinsn_cycles shifts where it used to divide; it must agree with the
+// division formula for every supported lane count, element type and
+// opcode class at each vl edge: 0, around one beat, around the register
+// capacity, and where the uint32 rounding sum wraps.
+TEST(VpuTiming, ShiftedBeatsMatchTheDivisionFormula) {
+  const VpuConfig base{};
+  for (unsigned lanes : {1u, 2u, 4u, 8u, 16u}) {
+    VpuConfig c = base;
+    c.lanes = lanes;
+    for (ElemType et : {ElemType::kWord, ElemType::kHalf, ElemType::kByte}) {
+      const unsigned eb = elem_bytes(et);
+      const std::uint32_t epc = lanes * (4u / eb);
+      const std::uint32_t cap = c.vlen_bytes / eb;
+      EXPECT_EQ(c.elems_per_cycle(eb), epc);
+      for (std::uint32_t vl :
+           {0u, 1u, epc - 1, epc, epc + 1, 2 * epc - 1, 2 * epc + 1, cap - 1,
+            cap, cap + 1, 0xFFFFFFFFu - epc, 0xFFFFFFFFu - epc + 1,
+            0xFFFFFFFFu - epc + 2, 0xFFFFFFFFu}) {
+        for (VOpc op : {VOpc::kAddVV, VOpc::kMaccEs, VOpc::kGatherStride}) {
+          // The division formula, with its 32-bit rounding sum.
+          Cycle beats = ceil_div<std::uint32_t>(vl == 0 ? 1 : vl, epc);
+          if (op == VOpc::kGatherStride) beats *= c.gather_penalty;
+          Cycle want = c.pipe_fill + beats;
+          if (op == VOpc::kMaccEs) want += 1;
+          const VInsn i = insn(op, et, vl);
+          EXPECT_EQ(vinsn_cycles(i, c), want)
+              << "lanes " << lanes << " ebytes " << eb << " vl " << vl
+              << " " << vopc_name(op);
+        }
+      }
+    }
+  }
+}
+
 TEST(VpuTiming, ProgramLongVectorsHideDispatch) {
   LlcConfig cfg{};
   LineStorage storage(cfg);
