@@ -48,9 +48,10 @@ std::vector<std::uint32_t> alu_loop_program(int iters) {
   return a.finish();
 }
 
-void BM_IssAluLoop(benchmark::State& state) {
-  System sys(SystemConfig::paper(4));
-  const auto prog = alu_loop_program(100000);
+/// Runs `prog` on `sys` once per iteration (the LLC stays warm across
+/// iterations) and reports simulated instructions/s.
+void run_iss_bench(benchmark::State& state, System& sys,
+                   const std::vector<std::uint32_t>& prog) {
   std::uint64_t instructions = 0;
   for (auto _ : state) {
     sys.load_program(prog);  // also resets the CPU
@@ -59,7 +60,73 @@ void BM_IssAluLoop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
   state.SetLabel("simulated instructions/s");
 }
+
+void BM_IssAluLoop(benchmark::State& state) {
+  System sys(SystemConfig::paper(4));
+  run_iss_bench(state, sys, alu_loop_program(100000));
+}
 BENCHMARK(BM_IssAluLoop)->Unit(benchmark::kMillisecond);
+
+/// The scalar conv's kx loop (two lb, mul, add, three addi, bnez), run 64
+/// taps at a time over two 64-byte rows: every load an LLC hit.
+void BM_IssConvTapLoop(benchmark::State& state) {
+  System sys(SystemConfig::paper(4));
+  const auto data = static_cast<std::int32_t>(sys.data_base());
+  Assembler a;
+  a.li(Reg::kS0, 1000);
+  auto rows = a.here();
+  a.li(Reg::kA1, data);
+  a.li(Reg::kA2, data + 64);
+  a.li(Reg::kT4, 64);
+  auto kx = a.here();
+  a.lb(Reg::kA3, Reg::kA1, 0);
+  a.lb(Reg::kA4, Reg::kA2, 0);
+  a.mul(Reg::kA3, Reg::kA3, Reg::kA4);
+  a.add(Reg::kA0, Reg::kA0, Reg::kA3);
+  a.addi(Reg::kA1, Reg::kA1, 1);
+  a.addi(Reg::kA2, Reg::kA2, 1);
+  a.addi(Reg::kT4, Reg::kT4, -1);
+  a.bnez(Reg::kT4, kx);
+  a.addi(Reg::kS0, Reg::kS0, -1);
+  a.bnez(Reg::kS0, rows);
+  a.ecall();
+  run_iss_bench(state, sys, a.finish());
+}
+BENCHMARK(BM_IssConvTapLoop)->Unit(benchmark::kMillisecond);
+
+/// The XCVPULP int8 k=7 conv window (fig4's shape): hardware loop 1 over 7
+/// rows around hardware loop 0 over 2 words, whose body is two cv.lw
+/// post-increment loads and pv.sdotsp.b; 1000 windows over a warm LLC.
+void BM_IssHwLoopBody(benchmark::State& state) {
+  SystemConfig cfg = SystemConfig::paper(4);
+  cfg.host_cpu = HostCpuKind::kCv32e40px;
+  System sys(cfg);
+  const auto data = static_cast<std::int32_t>(sys.data_base());
+  Assembler a;
+  a.li(Reg::kS4, 32);   // window row bytes
+  a.li(Reg::kS9, 7);    // rows (K)
+  a.li(Reg::kS10, 2);   // words per filter row
+  a.li(Reg::kS0, 1000);
+  auto window = a.here();
+  a.li(Reg::kA6, data);        // window row pointer
+  a.li(Reg::kA2, data + 256);  // filter walker
+  auto ky_end = a.label();
+  a.cv_setup(1, Reg::kS9, ky_end);
+  a.mv(Reg::kA1, Reg::kA6);
+  auto kx_end = a.label();
+  a.cv_setup(0, Reg::kS10, kx_end);
+  a.cv_lw_post(Reg::kA3, Reg::kA1, 4);
+  a.cv_lw_post(Reg::kA4, Reg::kA2, 4);
+  a.pv_sdotsp_b(Reg::kA0, Reg::kA3, Reg::kA4);
+  a.bind(kx_end);
+  a.add(Reg::kA6, Reg::kA6, Reg::kS4);
+  a.bind(ky_end);
+  a.addi(Reg::kS0, Reg::kS0, -1);
+  a.bnez(Reg::kS0, window);
+  a.ecall();
+  run_iss_bench(state, sys, a.finish());
+}
+BENCHMARK(BM_IssHwLoopBody)->Unit(benchmark::kMillisecond);
 
 void BM_CacheHitPort(benchmark::State& state) {
   System sys(SystemConfig::paper(4));

@@ -1,12 +1,22 @@
 // The host ISS run loop: a block-threaded interpreter over the decode cache.
 //
-// Every opcode has a handler label. A handler executes its instruction and
-// jumps straight to the next instruction's handler (labels as values, a
-// GCC/Clang extension), so straight-line code pays one indirect jump per
-// instruction and no loop overhead. Bounds, decode generation, instruction
-// budget and hardware-loop ends are checked once per straight-line block
-// (cpu.hpp, HostCpu::Slot), at `enter`, which also shortens the block to
-// the budget and to the first active hardware-loop end inside it.
+// Every opcode has a handler label (labels as values, a GCC/Clang
+// extension). A handler executes its instruction, steps the slot cursor
+// and pc (`step`), and dispatches on the next slot's opcode through the
+// handler table (ARCANE_ISS_NEXT): no loop overhead and no per-instruction
+// checks. The compiler merges the handlers' identical dispatch tails: GCC
+// 12 at -O3 leaves four indirect jumps in run_on<System> (the block
+// entry's and three shared tails), reached by direct jumps. The loop is
+// bound by latency, not by jump sites: each instruction waits for the
+// load of its opcode and then of its handler address. (Un-duplicating the
+// tails with GCC's -fno-crossjumping -fno-gcse and a larger
+// max-goto-duplication-insns measured no faster.)
+//
+// Bounds, decode generation, instruction budget and hardware-loop ends are
+// checked once per straight-line block (cpu.hpp, HostCpu::Slot), at
+// `enter`, which also shortens the block to the budget and to the first
+// active hardware-loop end inside it: computed from the end's distance
+// when the block holds no RVC op, else by walking the block.
 //
 // Included by the two translation units that instantiate HostCpu::run_on:
 // cpu.cpp (the DataPort interface, for HostCpu::run) and arcane/system.cpp
@@ -82,13 +92,16 @@ inline Addr HostCpu::close_hw_loop(Addr next) {
   return next;
 }
 
-// Executes the current instruction's successor: advances pc, ends the
-// block after its last instruction, else jumps to the next handler.
+// Executes the current instruction's successor: ends the block after its
+// last instruction, else steps e and pc to the next instruction (`step`
+// in run_on) and jumps to its handler.
 #define ARCANE_ISS_NEXT()                              \
   do {                                                 \
-    pc += d.size;                                      \
-    if (--n == 0) goto fell_through;                   \
-    e += d.size >> 1;                                  \
+    if (--n == 0) {                                    \
+      pc += d.size;                                    \
+      goto fell_through;                               \
+    }                                                  \
+    pc += step(e);                                     \
     goto* ops[static_cast<unsigned>(e->inst.op)];      \
   } while (false)
 
@@ -174,6 +187,19 @@ HostCpu::RunResult HostCpu::run_on(Port& port,
   unsigned n = 0;  // instructions left in the block, the executing one too
   Addr fall = 0;   // fall-through pc of a block-ending branch or jump
 
+  // Steps a slot cursor past one instruction and returns its size in
+  // bytes: 2 slots and 4 bytes for a 32-bit op, 1 and 2 for an RVC op. A
+  // branch on the size rather than `s += size >> 1`: the branch is
+  // predicted, so the next slot's address, and with it the next handler,
+  // does not wait for the load of this slot's size.
+  auto step = [](const Slot*& s) __attribute__((always_inline)) -> Addr {
+    if (s->inst.size == 4) [[likely]] {
+      s += 2;
+      return 4;
+    }
+    s += 1;
+    return 2;
+  };
   auto halt = [this](HaltReason why, Addr at, Cycle t) {
     pc_ = at;
     time_ = t;
@@ -182,10 +208,10 @@ HostCpu::RunResult HostCpu::run_on(Port& port,
   };
   // A halt inside a block: `enter` counted the whole block, but only the
   // halting instruction retires its count.
-  auto halt_in_block = [this, &halt](HaltReason why, const Slot* s,
-                                     unsigned left, Addr at, Cycle t) {
+  auto halt_in_block = [this, &halt, &step](HaltReason why, const Slot* s,
+                                            unsigned left, Addr at, Cycle t) {
     for (; left > 1; --left) {
-      s += s->inst.size >> 1;
+      step(s);
       --stats_.instructions;
       stats_.compressed_instructions -= s->inst.is_compressed() ? 1 : 0;
     }
@@ -351,7 +377,20 @@ enter : {
   const HwLoop& l0 = hwloop_[0];
   const HwLoop& l1 = hwloop_[1];
   const bool looping = (l0.count | l1.count) != 0;
-  if (n > budget || looping) {
+  if (rvc == 0) {
+    // No RVC op: the i-th instruction ends at pc + 4i, so a loop end cuts
+    // the block only at a positive multiple of 4 bytes from pc (an end
+    // that falls mid-instruction never fires).
+    if (n > budget) n = static_cast<unsigned>(budget);
+    if (looping) {
+      for (const HwLoop* l : {&l0, &l1}) {
+        const Addr span = l->end - pc;
+        if (l->count != 0 && span != 0 && span % 4 == 0 && span / 4 < n) {
+          n = span / 4;
+        }
+      }
+    }
+  } else if (n > budget || looping) {
     const unsigned limit = n > budget ? static_cast<unsigned>(budget) : n;
     const Slot* s = e;
     Addr next = pc;
@@ -360,12 +399,11 @@ enter : {
     while (n < limit) {
       ++n;
       rvc += s->inst.is_compressed() ? 1 : 0;
-      next += s->inst.size;
+      next += step(s);
       if (looping && ((l0.count != 0 && next == l0.end) ||
                       (l1.count != 0 && next == l1.end))) {
         break;
       }
-      s += s->inst.size >> 1;
     }
   }
   budget -= n;

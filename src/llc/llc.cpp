@@ -23,7 +23,8 @@ Llc::Llc(const SystemConfig& cfg, sim::EventQueue& events,
       lines_(cfg.llc.num_lines()),
       index_(data_bytes_ >> line_shift_, -1),
       decay_countdown_(cfg.llc.lru_decay_period),
-      policy_(make_replacement_strategy(cfg.llc, lines_)) {}
+      policy_(make_replacement_strategy(cfg.llc, lines_)),
+      stamps_(policy_->stamps()) {}
 
 int Llc::find_victim(Addr incoming) {
   // Pass 1: any invalid line — free capacity beats any policy decision.

@@ -79,7 +79,12 @@ class Llc {
     --decay_countdown_;
     ++(is_write ? stats_.writes : stats_.reads);
     ++stats_.hits;
-    policy_->touch(static_cast<unsigned>(idx), base);
+    if (stamps_.ages != nullptr) {  // a legacy strategy's touch, in place
+      stamps_.ages[idx] = 255;
+      lines_[idx].lru_seq = ++*stamps_.seq;
+    } else {
+      policy_->touch(static_cast<unsigned>(idx), base);
+    }
     move_datum(static_cast<unsigned>(idx), addr - base, bytes, is_write, data);
     return now + cfg_.llc.hit_latency;
   }
@@ -209,6 +214,7 @@ class Llc {
   /// Replacement bookkeeping (victim ranking, recency/ghost state) lives in
   /// the strategy; the controller only reports touch/fill/evict events.
   std::unique_ptr<ReplacementStrategy> policy_;
+  RecencyStamps stamps_;  // policy_->stamps(), for host_port's hit
   AddressTable at_;
   Cycle locked_until_ = 0;
   telemetry::SpanTracer* spans_ = nullptr;

@@ -47,6 +47,7 @@ class LegacyStrategy : public ReplacementStrategy {
   explicit LegacyStrategy(std::vector<Line>& lines)
       : lines_(lines), ages_(lines.size(), 0) {}
 
+  // Llc::host_port's hit writes the same two stamps in place (stamps()).
   void touch(unsigned idx, Addr) override {
     ages_[idx] = 255;
     lines_[idx].lru_seq = ++lru_counter_;
@@ -57,6 +58,8 @@ class LegacyStrategy : public ReplacementStrategy {
   // reset(): invalidate_all never rewound it in the pre-strategy controller.
   void reset() override { std::fill(ages_.begin(), ages_.end(), 0); }
   std::uint8_t age(unsigned idx) const override { return ages_[idx]; }
+  // ages_ is never resized, so its data pointer stays valid.
+  RecencyStamps stamps() override { return {ages_.data(), &lru_counter_}; }
 
  protected:
   std::vector<Line>& lines_;

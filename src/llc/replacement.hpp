@@ -29,6 +29,11 @@
 //                      all state.
 //  * age(idx)        — read-only introspection of the approximate-LRU age
 //                      the legacy strategies keep per line (0 elsewhere).
+//  * stamps()        — asked once, at construction: the recency state a
+//                      legacy strategy's touch() writes, which the
+//                      controller's inline hit path then stamps itself
+//                      instead of calling touch(). Null under the adaptive
+//                      strategies, which keep the virtual touch().
 //
 // Determinism rules: strategies may consult only their own state and the
 // shared line array — no wall clock, no address-dependent hashing with
@@ -53,6 +58,13 @@
 
 namespace arcane::llc {
 
+/// What a legacy touch(idx) writes: `ages[idx] = 255`, then
+/// `lines[idx].lru_seq = ++*seq` (lines: the controller's own array).
+struct RecencyStamps {
+  std::uint8_t* ages = nullptr;
+  std::uint64_t* seq = nullptr;
+};
+
 class ReplacementStrategy {
  public:
   virtual ~ReplacementStrategy() = default;
@@ -63,6 +75,7 @@ class ReplacementStrategy {
   virtual int find_victim(Addr incoming) = 0;
   virtual void reset() {}
   virtual std::uint8_t age(unsigned /*idx*/) const { return 0; }
+  virtual RecencyStamps stamps() { return {}; }
 };
 
 /// Builds the strategy selected by `cfg.replacement`. `lines` is the

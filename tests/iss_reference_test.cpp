@@ -3,11 +3,13 @@
 // model: one decode and one dispatch per instruction, the straightforward
 // switch-loop semantics the block interpreter must reproduce exactly.
 //
-// Seeded generated programs cover hardware loops (nested, counts 0 and 1,
-// branch/jump to pc+size at a loop end), post-increment with rd == rs1,
-// cycle/instret CSR reads, instruction budgets that cut blocks, misaligned
-// split accesses, bus faults and illegal ops inside blocks, fetches past
-// the end of instruction memory and program reloads. Every comparison
+// Seeded generated programs, with and without RVC ops, cover hardware
+// loops (nested, counts 0 and 1, branch/jump to pc+size at a loop end),
+// post-increment with rd == rs1, cycle/instret CSR reads, instruction
+// budgets that cut blocks, misaligned split accesses, bus faults and
+// illegal ops inside blocks, fetches past the end of instruction memory
+// and program reloads; directed cases cover loop ends that the ISS's
+// arithmetic cut of RVC-free blocks must skip or order. Every comparison
 // covers the RunResult, every CpuStats field, all registers and memory.
 #include <gtest/gtest.h>
 
@@ -548,6 +550,9 @@ struct GenOptions {
   Addr unmapped = 0;   // an address the port faults on
   bool abnormal_ends = true;
   bool xmnmc = true;  // may end in an xmnmc op (no coprocessor attached)
+  /// May emit RVC ops; else each becomes its 32-bit expansion, so every
+  /// block is RVC-free (the ISS computes hardware-loop cuts there).
+  bool rvc = true;
 };
 
 class Generator {
@@ -576,6 +581,24 @@ class Generator {
     return kRegs[pick(sizeof(kRegs) / sizeof(kRegs[0]))];
   }
   unsigned any_src() { return pick(4) == 0 ? pick(32) : scratch(); }
+  /// An RVC op, or its 32-bit expansion when the options exclude RVC.
+  void op16(Program& p, std::uint16_t h) const {
+    if (opt_.rvc) {
+      p.op16(h);
+    } else {
+      p.op32(isa::expand_rvc(h));
+    }
+  }
+  /// A label-relative RVC op, or the 32-bit op it expands to (`wide`, at
+  /// its full displacement range).
+  void op16_to(Program& p, int l, std::function<std::uint32_t(std::int32_t)> rvc,
+               std::function<std::uint32_t(std::int32_t)> wide) const {
+    if (opt_.rvc) {
+      p.op16_to(l, std::move(rvc));
+    } else {
+      p.op32_to(l, std::move(wide));
+    }
+  }
   static void li(Program& p, unsigned rd, std::uint32_t v) {
     const std::int32_t lo = sign_extend(v, 12);
     p.op32(enc::lui(rd, static_cast<std::int32_t>(
@@ -613,7 +636,7 @@ class Generator {
       default: {  // RVC
         const unsigned rd = 8 + pick(8);
         const auto imm = static_cast<std::int32_t>(pick(64)) - 32;
-        p.op16(pick(3) == 0 ? kCNop : pick(2) ? c_li(rd, imm) : c_addi(rd, imm));
+        op16(p, pick(3) == 0 ? kCNop : pick(2) ? c_li(rd, imm) : c_addi(rd, imm));
         break;
       }
     }
@@ -744,10 +767,12 @@ class Generator {
       }
       case 3:
         if (pick(2)) {
-          p.op16_to(skip, [](std::int32_t off) { return c_j(off); });
+          op16_to(p, skip, [](std::int32_t off) { return c_j(off); },
+                  [](std::int32_t off) { return enc::jal(0, off); });
         } else {
           const unsigned rs = pick(8);
-          p.op16_to(skip, [=](std::int32_t off) { return c_bnez(rs, off); });
+          op16_to(p, skip, [=](std::int32_t off) { return c_bnez(rs, off); },
+                  [=](std::int32_t off) { return enc::bne(8 + rs, 0, off); });
         }
         break;
       default: {
@@ -788,9 +813,9 @@ class Generator {
       case 0: p.op32(enc::jal(0, 4)); break;
       case 1: p.op32(enc::beq(0, 0, 4)); break;
       case 2: p.op32(enc::bne(0, 0, 4)); break;
-      case 3: p.op16(c_j(2)); break;
+      case 3: op16(p, c_j(2)); break;
       case 4: csr(p); break;
-      case 5: p.op16(kCNop); break;
+      case 5: op16(p, kCNop); break;
       default: break;
     }
     p.bind(end);
@@ -863,10 +888,12 @@ struct FlatRig {
     ref->reset(base, sp);
   }
 
-  /// Runs both to a halt other than the budget, comparing after each run.
-  void run_and_compare(std::mt19937_64& rng, bool chunked) {
+  /// Runs both to a halt other than the budget, comparing after each run;
+  /// `next()` gives each run's instruction budget.
+  template <typename Budget>
+  void run_and_compare(Budget next) {
     for (int guard = 0; guard < 100'000; ++guard) {
-      const std::uint64_t budget = next_budget(rng, chunked);
+      const std::uint64_t budget = next();
       const auto got = iss->run(budget);
       const auto want = ref->run(budget);
       expect_same_result(got, want);
@@ -876,6 +903,9 @@ struct FlatRig {
       if (got.reason != HaltReason::kMaxInstructions) break;
     }
     EXPECT_EQ(port->bytes(), ref_port->bytes());
+  }
+  void run_and_compare(std::mt19937_64& rng, bool chunked) {
+    run_and_compare([&] { return next_budget(rng, chunked); });
   }
 
   SystemConfig cfg;
@@ -888,6 +918,7 @@ struct FlatRig {
 struct Case {
   HostCpuKind kind;
   bool chunked;
+  bool rvc;  // GenOptions::rvc
 };
 
 class IssFlatTest : public ::testing::TestWithParam<Case> {};
@@ -899,12 +930,15 @@ TEST_P(IssFlatTest, MatchesReferenceOnGeneratedPrograms) {
   opt.pulp = c.kind == HostCpuKind::kCv32e40px;
   opt.data = rig.cfg.mem.data_base;
   opt.unmapped = kUnmapped;
+  opt.rvc = c.rvc;
   std::mt19937_64 budgets(99);
   // Consecutive programs reuse the CPU: each load invalidates the decode
   // cache of the previous program at the same addresses.
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
-    Program p = Generator(seed * 7919 + (opt.pulp ? 1 : 0), opt).make();
+    Program p =
+        Generator(seed * 7919 + (opt.pulp ? 1 : 0) + (opt.rvc ? 0 : 2), opt)
+            .make();
     rig.load(p.words(), rig.cfg.mem.imem_base, rig.cfg.mem.data_base + 0x3000);
     rig.run_and_compare(budgets, c.chunked);
     if (HasFailure()) return;
@@ -913,15 +947,20 @@ TEST_P(IssFlatTest, MatchesReferenceOnGeneratedPrograms) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cores, IssFlatTest,
-    ::testing::Values(Case{HostCpuKind::kCv32e40x, false},
-                      Case{HostCpuKind::kCv32e40x, true},
-                      Case{HostCpuKind::kCv32e40px, false},
-                      Case{HostCpuKind::kCv32e40px, true}),
+    ::testing::Values(Case{HostCpuKind::kCv32e40x, false, true},
+                      Case{HostCpuKind::kCv32e40x, true, true},
+                      Case{HostCpuKind::kCv32e40px, false, true},
+                      Case{HostCpuKind::kCv32e40px, true, true},
+                      Case{HostCpuKind::kCv32e40x, false, false},
+                      Case{HostCpuKind::kCv32e40x, true, false},
+                      Case{HostCpuKind::kCv32e40px, false, false},
+                      Case{HostCpuKind::kCv32e40px, true, false}),
     [](const ::testing::TestParamInfo<Case>& info) {
       return std::string(info.param.kind == HostCpuKind::kCv32e40px
                              ? "pulp"
                              : "scalar") +
-             (info.param.chunked ? "_chunked" : "_whole");
+             (info.param.chunked ? "_chunked" : "_whole") +
+             (info.param.rvc ? "" : "_rvc_free");
     });
 
 TEST(IssReferenceTest, MatchesReferenceThroughTheSystemPort) {
@@ -999,6 +1038,64 @@ TEST(IssReferenceTest, FetchPastTheEndOfInstructionMemory) {
     EXPECT_EQ(rig.iss->pc(), end - 2);
     EXPECT_EQ(rig.iss->stats().instructions, 3u);
     EXPECT_EQ(rig.iss->reg(10), 6u);
+  }
+}
+
+TEST(IssReferenceTest, HardwareLoopEndInsideAnRvcFreeOpNeverFires) {
+  // A loop end 1, 2, 6 or 10 bytes into the RVC-free block after cv.setup
+  // (inside its first, second or third op): no sequential pc reaches it, so
+  // the loop never fires and the block runs whole. The block starts at a
+  // word boundary, or past one RVC op at a halfword boundary.
+  FlatRig rig(HostCpuKind::kCv32e40px);
+  for (bool shifted : {false, true}) {
+    for (std::int32_t into : {1, 2, 6, 10}) {
+      Program p;
+      if (shifted) p.op16(kCNop);
+      p.op32(enc::addi(30, 0, 3));
+      p.op32(enc::cv_setup(0, 30, into));  // the end: `into` bytes past it
+      for (std::int32_t i = 1; i <= 6; ++i) p.op32(enc::addi(10, 10, i));
+      p.op32(enc::ecall());
+      const auto words = p.words();
+      for (std::uint64_t budget : {1, 2, 3, 4, 5, 100}) {
+        SCOPED_TRACE(::testing::Message() << "shifted " << shifted << " into "
+                                          << into << " budget " << budget);
+        rig.load(words, rig.cfg.mem.imem_base, rig.cfg.mem.data_base + 0x100);
+        rig.run_and_compare([budget] { return budget; });
+        EXPECT_EQ(rig.iss->stats().hw_loop_iterations, 0u);
+        EXPECT_EQ(rig.iss->stats().instructions, shifted ? 10u : 9u);
+        EXPECT_EQ(rig.iss->reg(10), 21u);
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(IssReferenceTest, BothLoopEndsInOneBlockUnderSmallBudgets) {
+  // Loop 1 re-arms loop 0 on every pass; the RVC-free block after loop 0's
+  // cv.setup (bytes 16..40) holds both loop ends: loop 0's before loop 1's,
+  // after it, or at the same address. Budgets of 1-5 instructions per run
+  // enter that block with less budget than its loop cut.
+  FlatRig rig(HostCpuKind::kCv32e40px);
+  struct Ends {
+    Addr end0, end1;
+  };
+  for (const Ends ends : {Ends{24, 28}, Ends{28, 24}, Ends{24, 24}}) {
+    Program p;
+    p.op32(enc::addi(31, 0, 3));
+    p.op32(enc::cv_setup(1, 31, static_cast<std::int32_t>(ends.end1) - 8));
+    p.op32(enc::addi(30, 0, 2));                                    // 8
+    p.op32(enc::cv_setup(0, 30, static_cast<std::int32_t>(ends.end0) - 16));
+    for (unsigned r = 10; r <= 14; ++r) p.op32(enc::addi(r, r, 1));  // 16
+    p.op32(enc::ecall());                                           // 36
+    const auto words = p.words();
+    for (std::uint64_t budget : {1, 2, 3, 4, 5, 200'000}) {
+      SCOPED_TRACE(::testing::Message() << "ends " << ends.end0 << "/"
+                                        << ends.end1 << " budget " << budget);
+      rig.load(words, rig.cfg.mem.imem_base, rig.cfg.mem.data_base + 0x100);
+      rig.run_and_compare([budget] { return budget; });
+      EXPECT_GE(rig.iss->stats().hw_loop_iterations, 2u);
+      if (HasFailure()) return;
+    }
   }
 }
 

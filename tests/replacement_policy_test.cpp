@@ -11,17 +11,20 @@
 // Also here: scenario regression tests pinning hit-rate orderings and
 // golden hit counts (ARC >= LRU after a hot-set shift, LRU-K scan
 // resistance, CLOCK ~ approx-LRU on uniform random, ARC and LRU-2 each
-// winning one workload by 20+ points), and negative tests
-// for the policy-name/config validation path.
+// winning one workload by 20+ points), the equivalence of the host port's
+// inline hit with the strategy's touch(), and negative tests for the
+// policy-name/config validation path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "arcane/system.hpp"
 #include "common/assert.hpp"
 #include "dma/dma.hpp"
 #include "llc/llc.hpp"
@@ -694,6 +697,55 @@ TEST(ReplacementScenarioTest, Lru2KeepsFrequencySetThatArcLosesToLoop) {
   // Golden counts over the three 20% phases (60,000 accesses).
   EXPECT_EQ(arc_low, 12386u);
   EXPECT_EQ(lru2_low, 46507u);
+}
+
+// =====================================================================
+// The inline host-port hit (Llc::host_port) against touch().
+// =====================================================================
+
+TEST(ReplacementTouchTest, InlineHostPortHitMatchesTheStrategyTouch) {
+  // System::read/write reach Llc::host_port, whose hit writes a legacy
+  // strategy's recency stamps in place; Llc::host_access on a twin System
+  // calls the strategy's virtual touch(). A seeded stream of reads and
+  // writes, three in four to a hot set that fits the cache, must leave both
+  // with the same data, times, hits, lines, ages and lru_seq stamps.
+  for (ReplacementPolicy pol : kAllReplacementPolicies) {
+    SCOPED_TRACE(replacement_name(pol));
+    SystemConfig cfg = SystemConfig::paper(4);
+    cfg.llc.replacement = pol;
+    System port(cfg), twin(cfg);
+    const std::uint32_t lines = port.llc().num_lines();
+    const std::uint32_t line_bytes = cfg.llc.line_bytes();
+    std::mt19937 rng(17 + static_cast<unsigned>(pol));
+    Cycle t_port = 0, t_twin = 0;
+    unsigned quiet = 0;  // accesses with no event pending (inline-eligible)
+    for (int i = 0; i < 20'000; ++i) {
+      const bool hot = rng() % 4 != 0;
+      const std::uint32_t span = (hot ? lines / 2 : 3 * lines) * line_bytes;
+      const Addr addr = port.data_base() + ((rng() % span) & ~3u);
+      const bool write = rng() % 3 == 0;
+      std::uint32_t v = rng(), w = v;
+      quiet += port.events().empty() ? 1 : 0;
+      t_port = write ? port.write(addr, 4, &v, t_port)
+                     : port.read(addr, 4, &v, t_port);
+      t_twin = twin.llc().host_access(addr, 4, write, &w, t_twin).complete_at;
+      ASSERT_EQ(v, w) << "access " << i;
+      ASSERT_EQ(t_port, t_twin) << "access " << i;
+    }
+    EXPECT_GT(quiet, 10'000u);
+    const auto& a = port.llc().stats();
+    const auto& b = twin.llc().stats();
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_GT(a.hits, 10'000u);
+    EXPECT_GT(a.misses, 1'000u);
+    for (unsigned i = 0; i < lines; ++i) {
+      EXPECT_EQ(port.llc().line(i).tag, twin.llc().line(i).tag) << i;
+      EXPECT_EQ(port.llc().line(i).state, twin.llc().line(i).state) << i;
+      EXPECT_EQ(port.llc().line_age(i), twin.llc().line_age(i)) << i;
+      EXPECT_EQ(port.llc().line(i).lru_seq, twin.llc().line(i).lru_seq) << i;
+    }
+  }
 }
 
 // =====================================================================
