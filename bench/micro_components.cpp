@@ -10,6 +10,7 @@
 #include "isa/decode.hpp"
 #include "isa/encode.hpp"
 #include "isa/xmnmc.hpp"
+#include "kernels/planners.hpp"
 #include "sched/job.hpp"
 #include "sched/pipelines.hpp"
 #include "sched/ready_queue.hpp"
@@ -212,6 +213,43 @@ void BM_VpuTap(benchmark::State& state) {
   state.SetLabel("elements/s");
 }
 BENCHMARK(BM_VpuTap)->Arg(1)->Arg(4);
+
+/// One whole conv-layer tile program (xmk4: 3 channels of 256-wide rows,
+/// k=3, then ReLU and 2x2 max-pooling), as the conv-layer planner builds
+/// its first tile, through run_program on a warm unit: the functional lane
+/// pass plus the issue-queue timing loop, per program. Arg is the element
+/// width in bytes (1 = int8, 4 = int32).
+void BM_VpuTileProgram(benchmark::State& state) {
+  SystemConfig cfg{};
+  const auto et = state.range(0) == 1 ? ElemType::kByte : ElemType::kWord;
+  const std::uint32_t w = 256, k = 3, h = 16;
+  crt::KernelOp op;
+  op.et = et;
+  op.ms1 = {0x1000, {3 * h, w, w}, true};
+  op.ms2 = {0x100000, {3 * k, k, k}, true};
+  op.md = {0x200000, {(h - k + 1) / 2, (w - k + 1) / 2, (w - k + 1) / 2}, true};
+  const crt::Plan plan = kernels::conv_layer_planner()(op, cfg);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.error.c_str());
+    return;
+  }
+  crt::Tile tile;
+  plan.chains.front().make_tile(0, tile);
+
+  vpu::LineStorage storage(cfg.llc);
+  vpu::VectorUnit vu(cfg.llc.vpu, 0, storage);
+  Cycle t = 0;
+  for (auto _ : state) {
+    t = vu.run_program(tile.prog, t, 4);
+    benchmark::DoNotOptimize(vu.vreg(0).data());
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(t);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tile.prog.size()));
+  state.SetLabel(std::to_string(tile.prog.size()) + " vinsns/program");
+}
+BENCHMARK(BM_VpuTileProgram)->Arg(1)->Arg(4);
 
 /// The schedule+drain micro: a burst of near-future events drained through
 /// run_until — the simulator's dominant event pattern, and the number to

@@ -13,6 +13,24 @@
 
 namespace arcane::vpu {
 
+class VectorUnit;
+
+namespace detail {
+
+/// The two builds of the functional lane pass: execute `prog` in order on
+/// `vu`'s registers and count each instruction in its stats. The simulator
+/// picks one build per process (host_has_avx2(), once at static init);
+/// tests call each directly to check both against the reference model.
+void lane_pass_portable(VectorUnit& vu, std::span<const VInsn> prog);
+/// Requires host_has_avx2(); the portable build on non-x86 hosts.
+void lane_pass_avx2(VectorUnit& vu, std::span<const VInsn> prog);
+
+/// CPUID leaf 7 reports AVX2 and the OS saves YMM state (OSXSAVE, XGETBV).
+/// Always false on non-x86 or non-GNU builds.
+bool host_has_avx2();
+
+}  // namespace detail
+
 class VectorUnit {
  public:
   VectorUnit(const VpuConfig& cfg, unsigned id, LineStorage& storage)
@@ -33,7 +51,9 @@ class VectorUnit {
   /// instruction every `dispatch_gap` cycles into an `issue_queue`-deep
   /// queue, so dispatch overlaps execution for long vectors but dominates
   /// for short ones. Returns the completion time. Functional effects are
-  /// applied immediately (see DESIGN.md on event-atomic kernel phases).
+  /// applied immediately (see DESIGN.md on event-atomic kernel phases), in
+  /// one pass over the program before the timing loop. An invalid
+  /// instruction throws with every earlier one executed and counted.
   Cycle run_program(std::span<const VInsn> prog, Cycle start,
                     unsigned dispatch_gap);
 
@@ -41,14 +61,20 @@ class VectorUnit {
   sim::VpuStats& stats() { return stats_; }
 
  private:
+  friend void detail::lane_pass_portable(VectorUnit&, std::span<const VInsn>);
+  friend void detail::lane_pass_avx2(VectorUnit&, std::span<const VInsn>);
+
+  /// The lane pass both builds inline.
+  inline void functional_pass(std::span<const VInsn> prog);
+
   VpuConfig cfg_;
   unsigned id_;
   LineStorage* storage_;
   sim::VpuStats stats_;
-  // Reused hot-path scratch: source snapshots (only taken when a source
-  // register aliases vd) and the per-instruction completion times of
-  // run_program's issue-queue model. Member storage keeps the lane loop
-  // allocation-free across kernels.
+  // Reused hot-path scratch, each sized once at first use: two VLEN source
+  // snapshots (taken only when a source register aliases vd) and the ring
+  // of the last `issue_queue` completion times in run_program's
+  // issue-queue model. A unit that never runs a program allocates neither.
   std::vector<std::uint8_t> snap1_, snap2_;
   std::vector<Cycle> complete_;
 };

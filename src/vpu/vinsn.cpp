@@ -39,18 +39,6 @@ const char* vopc_name(VOpc op) {
   return "?";
 }
 
-Cycle vinsn_cycles(const VInsn& insn, const VpuConfig& cfg) {
-  // ceil(vl / elems_per_cycle) with a shift; the uint32 sum wraps exactly
-  // like ceil_div's (a + b - 1) / b.
-  const unsigned shift = cfg.elems_per_cycle_log2(elem_bytes(insn.et));
-  const std::uint32_t vl = insn.vl == 0 ? 1 : insn.vl;
-  Cycle beats = (vl + ((1u << shift) - 1u)) >> shift;
-  if (insn.op == VOpc::kGatherStride) beats *= cfg.gather_penalty;
-  Cycle cycles = cfg.pipe_fill + beats;
-  if (insn.op == VOpc::kMaccEs) cycles += 1;  // element-scalar read port
-  return cycles;
-}
-
 std::uint32_t encode_vinsn(const VInsn& insn) {
   const std::uint32_t vl8 = ceil_div<std::uint32_t>(insn.vl, 8u) & 0x1FFu;
   return place(static_cast<std::uint32_t>(insn.op), 31, 26) |

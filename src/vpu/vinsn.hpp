@@ -78,8 +78,19 @@ constexpr bool vinsn_is_mac(VOpc op) {
 /// Execution cycles on a VPU with the given configuration: pipeline fill +
 /// one beat per `lanes * (4/elem_bytes)` elements (sub-word SIMD within each
 /// 32-bit lane), with a bank-conflict penalty for strided gathers and one
-/// extra cycle for the element-scalar read of .es forms.
-Cycle vinsn_cycles(const VInsn& insn, const VpuConfig& cfg);
+/// extra cycle for the element-scalar read of .es forms. Inline: the VPU
+/// timing loop calls it once per instruction.
+inline Cycle vinsn_cycles(const VInsn& insn, const VpuConfig& cfg) {
+  // ceil(vl / elems_per_cycle) with a shift; the uint32 sum wraps exactly
+  // like ceil_div's (a + b - 1) / b.
+  const unsigned shift = cfg.elems_per_cycle_log2(elem_bytes(insn.et));
+  const std::uint32_t vl = insn.vl == 0 ? 1 : insn.vl;
+  Cycle beats = (vl + ((1u << shift) - 1u)) >> shift;
+  if (insn.op == VOpc::kGatherStride) beats *= cfg.gather_penalty;
+  Cycle cycles = cfg.pipe_fill + beats;
+  if (insn.op == VOpc::kMaccEs) cycles += 1;  // element-scalar read port
+  return cycles;
+}
 
 // ---- binary encoding -------------------------------------------------------
 // The eCPU dispatches vector instructions as 32-bit words (plus a 32-bit

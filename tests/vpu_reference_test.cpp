@@ -15,6 +15,11 @@
 // strides 0-3 with offsets up to and past capacity; then a seeded random
 // instruction stream on a minimum-VLEN unit, where capacity edges are hit
 // often.
+//
+// Both builds of the lane pass run both sweeps: the portable one and the
+// AVX2 one (skipped on hosts without AVX2), each reached directly through
+// vpu::detail rather than the build the process picked. The seeded stream
+// goes through the pass in short multi-instruction programs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +28,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -141,10 +147,13 @@ class RefVpu {
 // Harness: the real unit and the reference side by side.
 // =====================================================================
 
+using LanePass = void (*)(VectorUnit&, std::span<const VInsn>);
+
 class Pair {
  public:
-  explicit Pair(unsigned vlen_bytes)
-      : cfg_(make_cfg(vlen_bytes)),
+  explicit Pair(unsigned vlen_bytes, LanePass pass = detail::lane_pass_portable)
+      : pass_(pass),
+        cfg_(make_cfg(vlen_bytes)),
         storage_(cfg_),
         vu_(cfg_.vpu, 0, storage_),
         ref_(cfg_.vpu.num_vregs, vlen_bytes) {}
@@ -178,11 +187,13 @@ class Pair {
     ref_.reg(r) = pristine_[r];
   }
 
-  /// Runs `insn` on both sides; returns an empty string when every register
-  /// matches, else a description of the first mismatching byte.
-  std::string step(const VInsn& insn) {
-    vu_.execute(insn);
-    ref_.execute(insn);
+  /// Runs `prog` through the unit's lane pass in one call and through the
+  /// reference one instruction at a time; returns an empty string when
+  /// every register matches, else a description of the first mismatching
+  /// byte.
+  std::string step(std::span<const VInsn> prog) {
+    pass_(vu_, prog);
+    for (const VInsn& insn : prog) ref_.execute(insn);
     for (unsigned r = 0; r < num_vregs(); ++r) {
       const auto got = vu_.vreg(r);
       const Reg& want = ref_.reg(r);
@@ -190,13 +201,14 @@ class Pair {
       unsigned byte = 0;
       while (got[byte] == want[byte]) ++byte;
       std::ostringstream os;
-      os << vinsn_to_string(insn) << ": v" << r
-         << " byte " << byte << " is " << unsigned{got[byte]}
+      for (const VInsn& insn : prog) os << vinsn_to_string(insn) << "; ";
+      os << "v" << r << " byte " << byte << " is " << unsigned{got[byte]}
          << ", reference " << unsigned{want[byte]};
       return os.str();
     }
     return {};
   }
+  std::string step(const VInsn& insn) { return step({&insn, 1}); }
 
   VectorUnit& unit() { return vu_; }
 
@@ -215,6 +227,7 @@ class Pair {
       put<T>(bytes, i, pattern[(i + phase) % 5]);
   }
 
+  LanePass pass_;
   LlcConfig cfg_;
   LineStorage storage_;
   VectorUnit vu_;
@@ -261,8 +274,25 @@ constexpr std::array<std::array<std::uint8_t, 3>, 6> kAliasing = {{
     {8, 0, 1}, {9, 10, 2}, {3, 3, 11}, {12, 2, 12}, {1, 1, 1}, {13, 13, 13},
 }};
 
-TEST(VpuReferenceTest, EveryOpcodeWidthAndEdgeMatchesReference) {
-  Pair p(1024);
+// One build of the lane pass under test.
+struct LaneBuild {
+  const char* name;
+  LanePass pass;
+  bool needs_avx2;
+};
+
+void PrintTo(const LaneBuild& b, std::ostream* os) { *os << b.name; }
+
+class VpuLaneBuildTest : public ::testing::TestWithParam<LaneBuild> {
+ protected:
+  void SetUp() override {
+    if (GetParam().needs_avx2 && !detail::host_has_avx2())
+      GTEST_SKIP() << "host has no AVX2";
+  }
+};
+
+TEST_P(VpuLaneBuildTest, EveryOpcodeWidthAndEdgeMatchesReference) {
+  Pair p(1024, GetParam().pass);
   std::mt19937 rng(0xA5C4E);
   unsigned checked = 0;
   for (ElemType et : kWidths) {
@@ -294,40 +324,54 @@ TEST(VpuReferenceTest, EveryOpcodeWidthAndEdgeMatchesReference) {
   EXPECT_GT(checked, 28u * 3u * 4u * 6u);
 }
 
-TEST(VpuReferenceTest, RandomStreamMatchesReference) {
+TEST_P(VpuLaneBuildTest, RandomStreamMatchesReference) {
   // Minimum VLEN: 16 int32 elements, so random slide amounts, gather
   // offsets and vl values land on and past capacity often.
-  Pair p(64);
+  Pair p(64, GetParam().pass);
   std::mt19937 rng(1009);
   p.fill(rng, ElemType::kByte, 8);
   const std::uint32_t edges[] = {0u, 1u, 0x7Fu, 0x80u, 0x7FFFu, 0x8000u,
                                  0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu};
-  for (int n = 0; n < 4000; ++n) {
-    VInsn insn;
-    insn.op = static_cast<VOpc>(rng() % static_cast<unsigned>(VOpc::kOpcCount));
-    insn.et = kWidths[rng() % 3];
-    const unsigned cap = p.vlen() / elem_bytes(insn.et);
-    // Few registers, so the operands alias often.
-    insn.vd = static_cast<std::uint8_t>(rng() % 6);
-    insn.vs1 = static_cast<std::uint8_t>(rng() % 6);
-    insn.vs2 = static_cast<std::uint8_t>(rng() % 6);
-    insn.vl = rng() % (cap + 1);
-    switch (insn.op) {
-      case VOpc::kMaccEs: insn.scalar = rng() % cap; break;
-      case VOpc::kGatherStride:
-        insn.scalar = pack16(rng() % 4, rng() % (cap + 4));
-        break;
-      case VOpc::kSlideDownVX:
-      case VOpc::kSlideUpVX: insn.scalar = rng() % (cap + 4); break;
-      default:
-        insn.scalar = rng() % 2 ? edges[rng() % std::size(edges)]
-                                : static_cast<std::uint32_t>(rng());
+  // Programs of 1-8 instructions, so later instructions read what earlier
+  // ones of the same pass wrote.
+  std::vector<VInsn> prog;
+  for (int n = 0; n < 4000; n += static_cast<int>(prog.size())) {
+    prog.resize(std::min<std::size_t>(1 + rng() % 8, 4000 - n));
+    for (VInsn& insn : prog) {
+      insn.op = static_cast<VOpc>(rng() % static_cast<unsigned>(VOpc::kOpcCount));
+      insn.et = kWidths[rng() % 3];
+      const unsigned cap = p.vlen() / elem_bytes(insn.et);
+      // Few registers, so the operands alias often.
+      insn.vd = static_cast<std::uint8_t>(rng() % 6);
+      insn.vs1 = static_cast<std::uint8_t>(rng() % 6);
+      insn.vs2 = static_cast<std::uint8_t>(rng() % 6);
+      insn.vl = rng() % (cap + 1);
+      switch (insn.op) {
+        case VOpc::kMaccEs: insn.scalar = rng() % cap; break;
+        case VOpc::kGatherStride:
+          insn.scalar = pack16(rng() % 4, rng() % (cap + 4));
+          break;
+        case VOpc::kSlideDownVX:
+        case VOpc::kSlideUpVX: insn.scalar = rng() % (cap + 4); break;
+        default:
+          insn.scalar = rng() % 2 ? edges[rng() % std::size(edges)]
+                                  : static_cast<std::uint32_t>(rng());
+      }
     }
-    const std::string diff = p.step(insn);
-    ASSERT_TRUE(diff.empty()) << "instruction " << n << ": " << diff;
+    const std::string diff = p.step(prog);
+    ASSERT_TRUE(diff.empty()) << "program at instruction " << n << ": "
+                              << diff;
   }
   EXPECT_EQ(p.unit().stats().instructions, 4000u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    LaneBuilds, VpuLaneBuildTest,
+    ::testing::Values(LaneBuild{"Portable", detail::lane_pass_portable, false},
+                      LaneBuild{"Avx2", detail::lane_pass_avx2, true}),
+    [](const ::testing::TestParamInfo<LaneBuild>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(VpuReferenceTest, MaccEsIndexPastCapacityStillAsserts) {
   Pair p(64);
