@@ -214,13 +214,11 @@ void BM_VpuTap(benchmark::State& state) {
 }
 BENCHMARK(BM_VpuTap)->Arg(1)->Arg(4);
 
-/// One whole conv-layer tile program (xmk4: 3 channels of 256-wide rows,
-/// k=3, then ReLU and 2x2 max-pooling), as the conv-layer planner builds
-/// its first tile, through run_program on a warm unit: the functional lane
-/// pass plus the issue-queue timing loop, per program. Arg is the element
-/// width in bytes (1 = int8, 4 = int32).
-void BM_VpuTileProgram(benchmark::State& state) {
-  SystemConfig cfg{};
+/// The first tile of a conv-layer plan (xmk4: 3 channels of 256-wide rows,
+/// k=3, then ReLU and 2x2 max-pooling) at the element width of `state`'s
+/// first Arg, in bytes (1 = int8, 4 = int32).
+crt::Tile conv_layer_first_tile(const SystemConfig& cfg,
+                                benchmark::State& state) {
   const auto et = state.range(0) == 1 ? ElemType::kByte : ElemType::kWord;
   const std::uint32_t w = 256, k = 3, h = 16;
   crt::KernelOp op;
@@ -228,13 +226,22 @@ void BM_VpuTileProgram(benchmark::State& state) {
   op.ms1 = {0x1000, {3 * h, w, w}, true};
   op.ms2 = {0x100000, {3 * k, k, k}, true};
   op.md = {0x200000, {(h - k + 1) / 2, (w - k + 1) / 2, (w - k + 1) / 2}, true};
+  crt::Tile tile;
   const crt::Plan plan = kernels::conv_layer_planner()(op, cfg);
   if (!plan.ok()) {
     state.SkipWithError(plan.error.c_str());
-    return;
+    return tile;
   }
-  crt::Tile tile;
   plan.chains.front().make_tile(0, tile);
+  return tile;
+}
+
+/// One whole conv-layer tile program through run_program on a warm unit:
+/// prepared (validated, timed, slides folded) and run, per program.
+void BM_VpuTileProgram(benchmark::State& state) {
+  SystemConfig cfg{};
+  const crt::Tile tile = conv_layer_first_tile(cfg, state);
+  if (tile.prog.empty()) return;
 
   vpu::LineStorage storage(cfg.llc);
   vpu::VectorUnit vu(cfg.llc.vpu, 0, storage);
@@ -250,6 +257,31 @@ void BM_VpuTileProgram(benchmark::State& state) {
   state.SetLabel(std::to_string(tile.prog.size()) + " vinsns/program");
 }
 BENCHMARK(BM_VpuTileProgram)->Arg(1)->Arg(4);
+
+/// The same program prepared once and replayed, as the executor replays a
+/// program that later tiles of a chain repeat: the lane pass alone.
+void BM_VpuTileProgramReplay(benchmark::State& state) {
+  SystemConfig cfg{};
+  const crt::Tile tile = conv_layer_first_tile(cfg, state);
+  if (tile.prog.empty()) return;
+
+  vpu::LineStorage storage(cfg.llc);
+  vpu::VectorUnit vu(cfg.llc.vpu, 0, storage);
+  vpu::Program prog;
+  prog.prepare(tile.prog, cfg.llc.vpu, 4);
+  Cycle t = 0;
+  for (auto _ : state) {
+    t = vu.run(prog, t);
+    benchmark::DoNotOptimize(vu.vreg(0).data());
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(t);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tile.prog.size()));
+  state.SetLabel(std::to_string(tile.prog.size()) + " vinsns/program, " +
+                 std::to_string(prog.steps().size()) + " steps");
+}
+BENCHMARK(BM_VpuTileProgramReplay)->Arg(1)->Arg(4);
 
 /// The schedule+drain micro: a burst of near-future events drained through
 /// run_until — the simulator's dominant event pattern, and the number to

@@ -63,7 +63,7 @@ crt::Plan plan_axpby(const crt::KernelOp& op, const SystemConfig& cfg) {
     kernels::store_rows(t, p.op.md.addr, p.op.md.shape.stride * p.es, row_b,
                         r0, rc, static_cast<std::uint8_t>(2 * p.rt));
   };
-  chain.vregs_used = kernels::vreg_range(0, 3 * rt);
+  chain.vregs_claimed = 3 * rt;
 
   crt::Plan plan;
   plan.chains.push_back(std::move(chain));

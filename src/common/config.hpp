@@ -165,7 +165,6 @@ struct VpuConfig {
   unsigned vlen_bytes = 1024;   // vector register length == cache line size
   unsigned num_vregs = 32;      // vector registers per VPU
   unsigned pipe_fill = 4;       // per-instruction pipeline fill cycles
-  unsigned issue_queue = 2;     // instruction queue depth (dispatch overlap)
   unsigned gather_penalty = 2;  // bank-conflict factor for strided gathers
 
   /// Elements processed per cycle for a given element width: each 32-bit

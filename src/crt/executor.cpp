@@ -70,6 +70,7 @@ void KernelExecutor::launch(KernelOp op, Plan plan,
     cs.vpu = vpus[i];
     cs.next_tile = 0;
     cs.claimed = false;
+    cs.kept = 0;
     cs.compute_end = 0;
     cs.breakdown = {};
     const unsigned ci = static_cast<unsigned>(i);
@@ -85,6 +86,25 @@ KernelOp KernelExecutor::abort_hung() {
   KernelOp op = std::move(active_.op);
   active_ = ActiveKernel{};
   return op;
+}
+
+const vpu::Program& KernelExecutor::tile_program(ChainState& cs) {
+  const unsigned i = cs.next_tile;
+  const unsigned r = cs.tile.repeats;
+  if (r < i) {
+    for (unsigned k = 0; k < cs.kept; ++k) {
+      if (cs.progs[k].tile == r) return cs.progs[k].prog;
+    }
+    ARCANE_ASSERT(false, "tile " << i << " repeats tile " << r
+                                 << ", which no earlier tile kept");
+  }
+  if (cs.progs.size() == cs.kept) cs.progs.emplace_back();
+  PreparedTile& p = cs.progs[cs.kept];
+  p.tile = i;
+  p.prog.prepare(cs.tile.prog, (*ctx_->vpus)[cs.vpu].config(),
+                 ctx_->costs.vinsn_dispatch);
+  if (r == i) ++cs.kept;
+  return p.prog;
 }
 
 void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
@@ -123,7 +143,7 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   if (!cs.claimed) {
     client_->before_claim(cs.vpu);
     dma::TransferCost claim_cost;
-    for (std::uint8_t v : chain.vregs_used) {
+    for (unsigned v = 0; v < chain.vregs_claimed; ++v) {
       claim_cost += ctx_->llc->claim_line(cs.vpu, v, op.uid);
     }
     if (claim_cost.ext_bytes > 0) {
@@ -202,8 +222,8 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   ctx_->phases.ecpu_busy += ecpu - ecpu_start;
   ctx_->ecpu_free = std::max(ctx_->ecpu_free, ecpu);
   const Cycle compute_start = std::max(alloc_end, ecpu);
-  cs.compute_end =
-      vu.run_program(cs.tile.prog, compute_start, ctx_->costs.vinsn_dispatch);
+  const vpu::Program& prog = tile_program(cs);
+  cs.compute_end = vu.run(prog, compute_start);
   ctx_->phases.compute += cs.compute_end - alloc_end;
   // [alloc_end, compute_start) waited for the eCPU to issue the launch.
   bd[sim::StallBucket::kDispatch] += compute_start - alloc_end;
@@ -213,7 +233,7 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
     ctx_->spans->span(telemetry::track_vpu(cs.vpu), "compute", compute_start,
                       cs.compute_end, /*tenant=*/-1,
                       /*job=*/static_cast<std::int64_t>(op.uid),
-                      /*arg=*/static_cast<std::int64_t>(cs.tile.prog.size()));
+                      /*arg=*/static_cast<std::int64_t>(prog.size()));
   }
   // The write-back (and its DMA reservation) happens in its own event at
   // compute_end, so concurrent chains reserve the shared DMA in time order.

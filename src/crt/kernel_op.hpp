@@ -7,7 +7,8 @@
 // on them, and the 2D-DMA stores that write results back to memory through
 // the cache. Tiles are generated lazily (make_tile), one at a time into a
 // Tile the executor reuses, so walking a kernel neither holds every tile in
-// memory nor allocates per tile.
+// memory nor allocates per tile. A tile whose program repeats an earlier
+// tile's names that tile (Tile::repeats) instead of emitting it again.
 #ifndef ARCANE_CRT_KERNEL_OP_HPP_
 #define ARCANE_CRT_KERNEL_OP_HPP_
 
@@ -53,15 +54,29 @@ struct DmaXfer {
 };
 
 struct Tile {
+  /// `repeats` of a tile whose program no later tile of the chain repeats.
+  static constexpr unsigned kOnce = ~0u;
+
   std::vector<DmaXfer> loads;
   std::vector<vpu::VInsn> prog;
   std::vector<DmaXfer> stores;
+  /// The tile of the same chain whose micro-program tile i runs, so an
+  /// executor prepares each distinct program once (vpu::Program) and
+  /// replays it. Tile i sets one of:
+  ///  * kOnce: `prog` holds the program and no later tile repeats it;
+  ///  * i: `prog` holds the program and later tiles may repeat it;
+  ///  * r < i: `prog` stays empty and the tile runs tile r's program. Tile
+  ///    r must have set repeats = r and emitted exactly the program tile i
+  ///    would emit; only the loads and stores differ.
+  unsigned repeats = kOnce;
 
-  /// Empty every list, keeping the capacity for the next tile.
+  /// Empty every list and reset `repeats`, keeping the capacity for the
+  /// next tile.
   void clear() {
     loads.clear();
     prog.clear();
     stores.clear();
+    repeats = kOnce;
   }
 };
 
@@ -76,7 +91,9 @@ struct Chain {
   /// pure function of i and the plan: a retry or an elided write-back
   /// rebuilds it.
   std::function<void(unsigned, Tile&)> make_tile;
-  std::vector<std::uint8_t> vregs_used;  // claimed busy for the chain's life
+  /// Vector registers [0, vregs_claimed) are claimed busy for the chain's
+  /// life.
+  unsigned vregs_claimed = 0;
 };
 
 struct Plan {

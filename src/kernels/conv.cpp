@@ -7,7 +7,12 @@
 // exactly once per chain (halo rows are *reused*, not reloaded). Each filter
 // tap costs one vslidedown (skipped for kx = 0) plus one vmacc.es that pulls
 // the coefficient straight out of the packed filter register.
+//
+// A tile's micro-program depends only on the ring slot its first row lands
+// in and on its row count, so tiles repeat the program of an earlier tile
+// (crt::Tile::repeats) and emit only their loads and stores.
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "kernels/planner_util.hpp"
@@ -35,6 +40,35 @@ struct Conv2dParams {
   std::uint8_t ring_base, filt_v, acc_base, tmp_v;
 };
 
+// Which earlier tile's program tile i runs (crt::Tile::repeats). A tile
+// that starts at row r0 with pc rows reads ring slot (r0 + q + ky) % R, so
+// its program is a function of r0 % R and pc. Every tile but the last has
+// the full P rows and starts at i * P, which repeats modulo R with period
+// R / gcd(P, R): the earliest tile of i's class is i modulo that period. A
+// short last tile is the only one with its row count.
+unsigned ring_repeats(unsigned i, std::uint32_t pc, std::uint32_t P,
+                      std::uint32_t R) {
+  if (pc != P) return Tile::kOnce;
+  return i % (R / std::gcd(P, R));
+}
+
+// The program of the conv2d tile that computes output rows [r0, r0 + pc).
+void conv2d_program(const Conv2dParams& p, std::uint32_t r0, std::uint32_t pc,
+                    std::vector<VInsn>& prog) {
+  for (std::uint32_t q = 0; q < pc; ++q) {
+    const unsigned acc = p.acc_base + q;
+    emit_zero(prog, acc, p.et, p.Wc);
+    const std::uint32_t r = r0 + q;
+    for (std::uint32_t ky = 0; ky < p.K; ++ky) {
+      const unsigned in_v = p.ring_base + (r + ky) % p.R;
+      for (std::uint32_t kx = 0; kx < p.K; ++kx) {
+        emit_tap(prog, acc, p.filt_v, ky * p.K + kx, in_v, p.tmp_v, kx, p.et,
+                 p.Wc);
+      }
+    }
+  }
+}
+
 void conv2d_tile(const Conv2dParams& p, unsigned i, Tile& t) {
   t.clear();
   const std::uint32_t r0 = i * p.P;
@@ -57,44 +91,34 @@ void conv2d_tile(const Conv2dParams& p, unsigned i, Tile& t) {
     t.loads.push_back(f);
   }
 
-  for (std::uint32_t q = 0; q < pc; ++q) {
-    const unsigned acc = p.acc_base + q;
-    emit_zero(t.prog, acc, p.et, p.Wc);
-    const std::uint32_t r = r0 + q;
-    for (std::uint32_t ky = 0; ky < p.K; ++ky) {
-      const unsigned in_v = p.ring_base + (r + ky) % p.R;
-      for (std::uint32_t kx = 0; kx < p.K; ++kx) {
-        emit_tap(t.prog, acc, p.filt_v, ky * p.K + kx, in_v, p.tmp_v, kx,
-                 p.et, p.Wc);
-      }
-    }
-  }
+  t.repeats = ring_repeats(i, pc, p.P, p.R);
+  if (t.repeats >= i) conv2d_program(p, r0, pc, t.prog);
   store_rows(t, p.out_addr, p.out_stride_b, p.Wc * p.es, r0, pc, p.acc_base);
 }
 
-Plan plan_conv2d(const KernelOp& op, const SystemConfig& cfg) {
+// Lay out a conv2d over one VPU's registers; the error text, or empty.
+std::string conv2d_layout(const KernelOp& op, const SystemConfig& cfg,
+                          Conv2dParams& p) {
   Geometry g(op.et, cfg);
   const auto& in = op.ms1.shape;
   const auto& f = op.ms2.shape;
   const auto& out = op.md.shape;
 
   const std::uint32_t K = f.rows;
-  if (K == 0 || f.cols != K) return Plan::fail("conv2d: filter must be square");
-  if (in.rows < K || in.cols < K)
-    return Plan::fail("conv2d: input smaller than filter");
-  if (in.cols > g.cap) return Plan::fail("conv2d: input row exceeds VLEN");
-  if (K * K > g.cap) return Plan::fail("conv2d: filter exceeds VLEN");
+  if (K == 0 || f.cols != K) return "conv2d: filter must be square";
+  if (in.rows < K || in.cols < K) return "conv2d: input smaller than filter";
+  if (in.cols > g.cap) return "conv2d: input row exceeds VLEN";
+  if (K * K > g.cap) return "conv2d: filter exceeds VLEN";
   const std::uint32_t Hc = in.rows - K + 1;
   const std::uint32_t Wc = in.cols - K + 1;
   if (out.rows != Hc || out.cols != Wc)
-    return Plan::fail("conv2d: destination shape mismatch");
+    return "conv2d: destination shape mismatch";
 
   // Budget: ring(P+K-1) + filter(1) + acc(P) + temp(1) <= num_vregs.
-  if (g.nv < K + 4) return Plan::fail("conv2d: filter too tall for registers");
+  if (g.nv < K + 4) return "conv2d: filter too tall for registers";
   std::uint32_t P = (g.nv - K - 2) / 2;
   P = std::min(P, Hc);
 
-  Conv2dParams p;
   p.in_addr = op.ms1.addr;
   p.f_addr = op.ms2.addr;
   p.out_addr = op.md.addr;
@@ -113,16 +137,23 @@ Plan plan_conv2d(const KernelOp& op, const SystemConfig& cfg) {
   p.filt_v = static_cast<std::uint8_t>(p.R);
   p.acc_base = static_cast<std::uint8_t>(p.R + 1);
   p.tmp_v = static_cast<std::uint8_t>(p.R + 1 + P);
+  return {};
+}
+
+Plan plan_conv2d(const KernelOp& op, const SystemConfig& cfg) {
+  Conv2dParams p;
+  if (std::string err = conv2d_layout(op, cfg, p); !err.empty())
+    return Plan::fail(std::move(err));
 
   crt::Chain chain;
-  chain.tile_count = ceil_div(Hc, P);
+  chain.tile_count = ceil_div(p.Hc, p.P);
   chain.make_tile = [p](unsigned i, Tile& t) { conv2d_tile(p, i, t); };
-  chain.vregs_used = vreg_range(0, p.tmp_v + 1u);
+  chain.vregs_claimed = p.tmp_v + 1u;
 
   Plan plan;
   plan.chains.push_back(std::move(chain));
   plan.dest_lo = op.md.addr;
-  plan.dest_hi = op.md.addr + mat_footprint_bytes(out, op.et);
+  plan.dest_hi = op.md.addr + mat_footprint_bytes(op.md.shape, op.et);
   return plan;
 }
 
@@ -140,6 +171,40 @@ struct ConvLayerParams {
   std::uint32_t P, R;
   std::uint8_t filt_v, acc_base, out_base, tmp_v;
 };
+
+// The program of the conv-layer tile that computes conv rows
+// [conv_r0, conv_r0 + pc) and pools them into pc / 2 output rows.
+void conv_layer_program(const ConvLayerParams& p, std::uint32_t conv_r0,
+                        std::uint32_t pc, std::vector<VInsn>& prog) {
+  // Convolution + ReLU on pc rows.
+  for (std::uint32_t q = 0; q < pc; ++q) {
+    const unsigned acc = p.acc_base + q;
+    emit_zero(prog, acc, p.et, p.Wc);
+    const std::uint32_t r = conv_r0 + q;
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      for (std::uint32_t ky = 0; ky < p.K; ++ky) {
+        const unsigned in_v = c * p.R + (r + ky) % p.R;
+        for (std::uint32_t kx = 0; kx < p.K; ++kx) {
+          emit_tap(prog, acc, p.filt_v, (c * p.K + ky) * p.K + kx, in_v,
+                   p.tmp_v, kx, p.et, p.Wc);
+        }
+      }
+    }
+    prog.push_back(vop(VOpc::kMaxVX, acc, acc, 0, p.et, p.Wc, 0));  // ReLU
+  }
+
+  // 2x2/2 max-pooling: vertical max of row pairs, then strided gathers.
+  for (std::uint32_t q = 0; q < pc / 2; ++q) {
+    const unsigned a = p.acc_base + 2 * q;
+    const unsigned b = a + 1;
+    prog.push_back(vop(VOpc::kMaxVV, p.tmp_v, a, b, p.et, p.Wc));
+    prog.push_back(vop(VOpc::kGatherStride, a, p.tmp_v, 0, p.et, p.Wo,
+                       pack16(2, 0)));
+    prog.push_back(vop(VOpc::kGatherStride, b, p.tmp_v, 0, p.et, p.Wo,
+                       pack16(2, 1)));
+    prog.push_back(vop(VOpc::kMaxVV, p.out_base + q, a, b, p.et, p.Wo));
+  }
+}
 
 void conv_layer_tile(const ConvLayerParams& p, unsigned j, Tile& t) {
   t.clear();
@@ -168,61 +233,40 @@ void conv_layer_tile(const ConvLayerParams& p, unsigned j, Tile& t) {
     t.loads.push_back(f);
   }
 
-  // Convolution + ReLU on pc rows.
-  for (std::uint32_t q = 0; q < pc; ++q) {
-    const unsigned acc = p.acc_base + q;
-    emit_zero(t.prog, acc, p.et, p.Wc);
-    const std::uint32_t r = conv_r0 + q;
-    for (std::uint32_t c = 0; c < 3; ++c) {
-      for (std::uint32_t ky = 0; ky < p.K; ++ky) {
-        const unsigned in_v = c * p.R + (r + ky) % p.R;
-        for (std::uint32_t kx = 0; kx < p.K; ++kx) {
-          emit_tap(t.prog, acc, p.filt_v, (c * p.K + ky) * p.K + kx, in_v,
-                   p.tmp_v, kx, p.et, p.Wc);
-        }
-      }
-    }
-    t.prog.push_back(vop(VOpc::kMaxVX, acc, acc, 0, p.et, p.Wc, 0));  // ReLU
-  }
-
-  // 2x2/2 max-pooling: vertical max of row pairs, then strided gathers.
-  for (std::uint32_t q = 0; q < pc / 2; ++q) {
-    const unsigned a = p.acc_base + 2 * q;
-    const unsigned b = a + 1;
-    t.prog.push_back(vop(VOpc::kMaxVV, p.tmp_v, a, b, p.et, p.Wc));
-    t.prog.push_back(vop(VOpc::kGatherStride, a, p.tmp_v, 0, p.et, p.Wo,
-                         pack16(2, 0)));
-    t.prog.push_back(vop(VOpc::kGatherStride, b, p.tmp_v, 0, p.et, p.Wo,
-                         pack16(2, 1)));
-    t.prog.push_back(vop(VOpc::kMaxVV, p.out_base + q, a, b, p.et, p.Wo));
-  }
+  // The chain's first conv row 2 * q0 shifts every tile's ring slot alike.
+  t.repeats = ring_repeats(j, pc, p.P, p.R);
+  if (t.repeats >= j) conv_layer_program(p, conv_r0, pc, t.prog);
 
   store_rows(t, p.out_addr, p.out_stride_b, p.Wo * p.es,
              p.q0 + j * p.P / 2, pc / 2, p.out_base);
 }
 
-Plan plan_conv_layer(const KernelOp& op, const SystemConfig& cfg) {
+// Lay out a conv layer over one VPU's registers (q0/qc unset) and pick
+// how many pooled rows each chain takes; the error text, or empty.
+std::string conv_layer_layout(const KernelOp& op, const SystemConfig& cfg,
+                              ConvLayerParams& base,
+                              std::uint32_t& rows_per_chain) {
   Geometry g(op.et, cfg);
   const auto& in = op.ms1.shape;
   const auto& f = op.ms2.shape;
   const auto& out = op.md.shape;
 
-  if (in.rows % 3 != 0) return Plan::fail("conv_layer: input rows not 3*H");
+  if (in.rows % 3 != 0) return "conv_layer: input rows not 3*H";
   if (f.rows % 3 != 0 || f.rows / 3 != f.cols)
-    return Plan::fail("conv_layer: filter must be 3 stacked KxK");
+    return "conv_layer: filter must be 3 stacked KxK";
   const std::uint32_t H = in.rows / 3;
   const std::uint32_t W = in.cols;
   const std::uint32_t K = f.cols;
-  if (H < K || W < K) return Plan::fail("conv_layer: input smaller than filter");
-  if (W > g.cap) return Plan::fail("conv_layer: input row exceeds VLEN");
-  if (3 * K * K > g.cap) return Plan::fail("conv_layer: filter exceeds VLEN");
+  if (H < K || W < K) return "conv_layer: input smaller than filter";
+  if (W > g.cap) return "conv_layer: input row exceeds VLEN";
+  if (3 * K * K > g.cap) return "conv_layer: filter exceeds VLEN";
   const std::uint32_t Hc = H - K + 1;
   const std::uint32_t Wc = W - K + 1;
   const std::uint32_t Ho = Hc / 2;
   const std::uint32_t Wo = Wc / 2;
-  if (Ho == 0 || Wo == 0) return Plan::fail("conv_layer: output too small");
+  if (Ho == 0 || Wo == 0) return "conv_layer: output too small";
   if (out.rows != Ho || out.cols != Wo)
-    return Plan::fail("conv_layer: destination shape mismatch");
+    return "conv_layer: destination shape mismatch";
 
   // Budget: 3 rings (P+K-1 each) + filter + acc(P) + pooled(P/2) + temp.
   std::uint32_t P = 2;
@@ -233,10 +277,9 @@ Plan plan_conv_layer(const KernelOp& op, const SystemConfig& cfg) {
     P = next;
   }
   if (3 * (P + K - 1) + 1 + P + P / 2 + 1 > g.nv) {
-    return Plan::fail("conv_layer: filter too tall for register budget");
+    return "conv_layer: filter too tall for register budget";
   }
 
-  ConvLayerParams base;
   base.in_addr = op.ms1.addr;
   base.f_addr = op.ms2.addr;
   base.out_addr = op.md.addr;
@@ -258,23 +301,34 @@ Plan plan_conv_layer(const KernelOp& op, const SystemConfig& cfg) {
   base.out_base = static_cast<std::uint8_t>(3 * base.R + 1 + P);
   base.tmp_v = static_cast<std::uint8_t>(3 * base.R + 1 + P + P / 2);
 
-  Plan plan;
-  plan.dest_lo = op.md.addr;
-  plan.dest_hi = op.md.addr + mat_footprint_bytes(out, op.et);
-
   // Multi-instance mode (§V-C): split pooled output rows across all VPUs.
   const unsigned want_chains =
       cfg.multi_vpu_kernels ? std::min<unsigned>(cfg.llc.num_vpus, Ho) : 1u;
-  const std::uint32_t rows_per_chain = ceil_div<std::uint32_t>(Ho, want_chains);
+  rows_per_chain = ceil_div<std::uint32_t>(Ho, want_chains);
+  return {};
+}
+
+Plan plan_conv_layer(const KernelOp& op, const SystemConfig& cfg) {
+  ConvLayerParams base;
+  std::uint32_t rows_per_chain = 0;
+  if (std::string err = conv_layer_layout(op, cfg, base, rows_per_chain);
+      !err.empty())
+    return Plan::fail(std::move(err));
+
+  Plan plan;
+  plan.dest_lo = op.md.addr;
+  plan.dest_hi = op.md.addr + mat_footprint_bytes(op.md.shape, op.et);
+
+  const std::uint32_t Ho = op.md.shape.rows;
   std::uint32_t q0 = 0;
   while (q0 < Ho) {
     ConvLayerParams p = base;
     p.q0 = q0;
     p.qc = std::min(rows_per_chain, Ho - q0);
     crt::Chain chain;
-    chain.tile_count = ceil_div<std::uint32_t>(2 * p.qc, P);
+    chain.tile_count = ceil_div<std::uint32_t>(2 * p.qc, p.P);
     chain.make_tile = [p](unsigned j, Tile& t) { conv_layer_tile(p, j, t); };
-    chain.vregs_used = vreg_range(0, base.tmp_v + 1u);
+    chain.vregs_claimed = base.tmp_v + 1u;
     plan.chains.push_back(std::move(chain));
     q0 += p.qc;
   }
@@ -293,6 +347,32 @@ crt::PlannerFn conv_layer_planner() {
   return [](const KernelOp& op, const SystemConfig& cfg) {
     return plan_conv_layer(op, cfg);
   };
+}
+
+void conv2d_tile_program(const KernelOp& op, const SystemConfig& cfg,
+                         unsigned i, std::vector<VInsn>& prog) {
+  Conv2dParams p;
+  const std::string err = conv2d_layout(op, cfg, p);
+  ARCANE_CHECK(err.empty(), err);
+  const std::uint32_t r0 = i * p.P;
+  ARCANE_CHECK(r0 < p.Hc, "conv2d: no tile " << i);
+  conv2d_program(p, r0, std::min(p.P, p.Hc - r0), prog);
+}
+
+void conv_layer_tile_program(const KernelOp& op, const SystemConfig& cfg,
+                             unsigned chain, unsigned j,
+                             std::vector<VInsn>& prog) {
+  ConvLayerParams p;
+  std::uint32_t rows_per_chain = 0;
+  const std::string err = conv_layer_layout(op, cfg, p, rows_per_chain);
+  ARCANE_CHECK(err.empty(), err);
+  // Chain c pools rows [c * rows_per_chain, ...), as plan_conv_layer splits.
+  const std::uint32_t q0 = chain * rows_per_chain;
+  ARCANE_CHECK(q0 < op.md.shape.rows, "conv_layer: no chain " << chain);
+  const std::uint32_t qc = std::min(rows_per_chain, op.md.shape.rows - q0);
+  ARCANE_CHECK(j * p.P < 2 * qc, "conv_layer: no tile " << j);
+  conv_layer_program(p, 2 * q0 + j * p.P, std::min(p.P, 2 * qc - j * p.P),
+                     prog);
 }
 
 }  // namespace arcane::kernels

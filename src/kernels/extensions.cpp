@@ -79,7 +79,7 @@ Plan plan_transpose(const KernelOp& op, const SystemConfig& cfg) {
   crt::Chain chain;
   chain.tile_count = ceil_div(p.N, p.nt);
   chain.make_tile = [p](unsigned i, Tile& t) { transpose_tile(p, i, t); };
-  chain.vregs_used = vreg_range(0, p.nt);
+  chain.vregs_claimed = p.nt;
 
   Plan plan;
   plan.chains.push_back(std::move(chain));
@@ -141,7 +141,7 @@ Plan plan_hadamard(const KernelOp& op, const SystemConfig& cfg) {
   crt::Chain chain;
   chain.tile_count = ceil_div(p.rows, p.rt);
   chain.make_tile = [p](unsigned i, Tile& t) { hadamard_tile(p, i, t); };
-  chain.vregs_used = vreg_range(0, 3 * p.rt);
+  chain.vregs_claimed = 3 * p.rt;
 
   Plan plan;
   plan.chains.push_back(std::move(chain));

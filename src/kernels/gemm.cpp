@@ -156,7 +156,7 @@ Plan plan_gemm(const KernelOp& op, const SystemConfig& cfg) {
   crt::Chain chain;
   chain.tile_count = ceil_div(p.N, p.nc) * p.tiles_per_n;
   chain.make_tile = [p](unsigned i, Tile& t) { gemm_tile(p, i, t); };
-  chain.vregs_used = vreg_range(0, p.kb + 2 * p.mt);
+  chain.vregs_claimed = p.kb + 2 * p.mt;
 
   Plan plan;
   plan.chains.push_back(std::move(chain));

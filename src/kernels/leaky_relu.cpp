@@ -73,7 +73,7 @@ Plan plan_leaky_relu(const KernelOp& op, const SystemConfig& cfg) {
   crt::Chain chain;
   chain.tile_count = ceil_div(p.rows, p.rt);
   chain.make_tile = [p](unsigned i, Tile& t) { lrelu_tile(p, i, t); };
-  chain.vregs_used = vreg_range(0, 2 * p.rt + 1);
+  chain.vregs_claimed = 2 * p.rt + 1;
 
   Plan plan;
   plan.chains.push_back(std::move(chain));

@@ -103,7 +103,7 @@ Plan plan_maxpool(const KernelOp& op, const SystemConfig& cfg) {
   crt::Chain chain;
   chain.tile_count = ceil_div(Ho, po);
   chain.make_tile = [p](unsigned i, Tile& t) { pool_tile(p, i, t); };
-  chain.vregs_used = vreg_range(0, in_rows_max + po + 2);
+  chain.vregs_claimed = in_rows_max + po + 2;
 
   Plan plan;
   plan.chains.push_back(std::move(chain));

@@ -28,14 +28,6 @@ constexpr std::int32_t sx16(std::uint16_t v) {
   return static_cast<std::int32_t>(static_cast<std::int16_t>(v));
 }
 
-inline std::vector<std::uint8_t> vreg_range(unsigned first, unsigned count) {
-  std::vector<std::uint8_t> v;
-  v.reserve(count);
-  for (unsigned i = 0; i < count; ++i)
-    v.push_back(static_cast<std::uint8_t>(first + i));
-  return v;
-}
-
 /// Emit a load of matrix rows [row0, row0+nrows) into consecutive vregs.
 inline void load_rows(crt::Tile& t, Addr mat_addr, std::uint32_t stride_bytes,
                       std::uint32_t row_bytes, std::uint32_t row0,

@@ -9,6 +9,8 @@
 #ifndef ARCANE_KERNELS_PLANNERS_HPP_
 #define ARCANE_KERNELS_PLANNERS_HPP_
 
+#include <vector>
+
 #include "crt/kernel_library.hpp"
 
 namespace arcane::kernels {
@@ -31,6 +33,18 @@ crt::PlannerFn conv2d_planner();
 /// 3*H rows of W columns; the filter ms2 has 3*K rows of K columns.
 /// Splits across all VPUs when SystemConfig::multi_vpu_kernels is set.
 crt::PlannerFn conv_layer_planner();
+
+/// Append the micro-program tile `i` of a conv2d plan for `op` computes,
+/// emitted in full even when make_tile leaves it to an earlier tile
+/// (crt::Tile::repeats). make_tile emits through the same code, so tests
+/// check the repeats contract against it.
+void conv2d_tile_program(const crt::KernelOp& op, const SystemConfig& cfg,
+                         unsigned i, std::vector<vpu::VInsn>& prog);
+
+/// The same for tile `j` of chain `chain` of a conv-layer plan.
+void conv_layer_tile_program(const crt::KernelOp& op, const SystemConfig& cfg,
+                             unsigned chain, unsigned j,
+                             std::vector<vpu::VInsn>& prog);
 
 // ---- extension kernels (KernelLibrary::with_extensions) ----
 

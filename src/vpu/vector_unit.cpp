@@ -50,7 +50,7 @@ template <typename T>
     case VOpc::kMaccVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(d[i]) + lane(a[i]) * lane(b[i])); break;
     case VOpc::kMaccVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(d[i]) + ux * lane(b[i])); break;
     case VOpc::kMaccEs: {
-      // The pass has checked scalar < capacity.
+      // Validation has checked scalar < capacity.
       const std::uint32_t e = lane(a[insn.scalar]);
       for (std::uint32_t i = 0; i < vl; ++i)
         d[i] = static_cast<T>(lane(d[i]) + e * lane(b[i]));
@@ -144,45 +144,132 @@ template <typename T>
   ARCANE_ASSERT(false, "no check failed for " << text);
 }
 
-// A lane pass's instruction counts, kept in locals (the lanes store through
-// byte pointers, which may alias stats fields) and added to the unit's stats
-// on every exit. On a throw that leaves exactly the instructions before the
-// rejected one counted.
-struct Tally {
-  sim::VpuStats& stats;
-  std::uint64_t instructions = 0;
-  std::uint64_t elements = 0;
-  std::uint64_t macs = 0;
+// Elements per register at a valid instruction's width.
+unsigned capacity_of(const VInsn& insn, const VpuConfig& cfg) {
+  return cfg.vlen_bytes >> (2u - static_cast<unsigned>(insn.et));
+}
 
-  ~Tally() {
-    stats.instructions += instructions;
-    stats.elements += elements;
-    stats.macs += macs;
-  }
-};
+// The checks reject_insn spells out, as plain compares: element type, vl,
+// registers, opcode and the vmacc.es element index. An element is 4 >> et
+// bytes and VLEN a power of two: shift, do not divide.
+bool valid_insn(const VInsn& insn, const VpuConfig& cfg) {
+  const unsigned et = static_cast<unsigned>(insn.et);
+  if (et > kLastElemType) return false;
+  const unsigned capacity = capacity_of(insn, cfg);
+  const unsigned nregs = cfg.num_vregs;
+  return insn.vl <= capacity && insn.vd < nregs && insn.vs1 < nregs &&
+         insn.vs2 < nregs && insn.op < VOpc::kOpcCount &&
+         (insn.op != VOpc::kMaccEs || insn.scalar < capacity);
+}
+
+void count_insn(sim::VpuStats& stats, const VInsn& insn) {
+  ++stats.instructions;
+  stats.elements += insn.vl;
+  if (vinsn_is_mac(insn.op)) stats.macs += insn.vl;
+}
+
+// True when `slide` + `mac` may run as one MAC reading the slide's source
+// at the slide amount: the MAC's only use of the slide's result is its
+// vector operand, the source is not written in between, and the amount is
+// in range, so the in-range elements are k..cap-1 and the zero-filled tail
+// adds nothing. Whether the slide's own write may be dropped is the
+// caller's question.
+bool foldable(const VInsn& slide, const VInsn& mac, unsigned cap) {
+  const unsigned tmp = slide.vd, in = slide.vs1;
+  return slide.op == VOpc::kSlideDownVX && mac.op == VOpc::kMaccEs &&
+         mac.vs2 == tmp && slide.et == mac.et && slide.vl == mac.vl &&
+         tmp != in && tmp != mac.vd && tmp != mac.vs1 && in != mac.vd &&
+         slide.scalar > 0 && slide.scalar < cap;
+}
 
 }  // namespace
 
+void Program::prepare(std::span<const VInsn> prog, const VpuConfig& cfg,
+                      unsigned dispatch_gap) {
+  cfg_ = cfg;
+  size_ = prog.size();
+  valid_ = true;
+  steps_.resize(prog.size());
+  detail::Step* const first = steps_.data();
+  detail::Step* out = first;
+
+  // The slide of the last folded pair, while its own write may still be
+  // needed. The first later instruction that names its register decides:
+  // one that overwrites the slide's vl elements without reading the
+  // register drops the slide's step; any other keeps it, and so does the
+  // next fold or the end of the valid prefix. A MAC or a vslideup keeps
+  // old elements, so it reads its destination.
+  detail::Step* slide_step = nullptr;
+  unsigned tmp = 0;
+  std::uint32_t tmp_bytes = 0;
+  std::size_t dropped = 0;
+
+  // Validate, time, count and copy the valid prefix; the first invalid
+  // instruction throws after it. Issue model: instruction i is dispatched
+  // at (i+1) * gap after the start and executes after instruction i-1
+  // completes, so the duration does not depend on the start time.
+  sim::VpuStats delta;
+  Cycle done = 0;
+  for (std::size_t i = 0; i < prog.size(); ++i) {
+    const VInsn& insn = prog[i];
+    if (!valid_insn(insn, cfg)) [[unlikely]] {
+      valid_ = false;
+      bad_ = insn;
+      break;
+    }
+    const Cycle lat = vinsn_cycles(insn, cfg);
+    done = std::max<Cycle>((i + 1) * Cycle{dispatch_gap}, done) + lat;
+    delta.busy_cycles += lat;
+    count_insn(delta, insn);
+
+    if (slide_step != nullptr &&
+        (insn.vd == tmp || insn.vs1 == tmp || insn.vs2 == tmp)) {
+      if (insn.vs1 != tmp && insn.vs2 != tmp && !vinsn_is_mac(insn.op) &&
+          insn.op != VOpc::kSlideUpVX &&
+          insn.vl * elem_bytes(insn.et) >= tmp_bytes) {
+        slide_step->src_off = kDropped;
+        ++dropped;
+      }
+      slide_step = nullptr;
+    }
+    *out++ = {insn, 0};
+
+    // A vmacc.es reading the slide just before it reads the slide's source
+    // at the slide amount instead: the in-range elements k..cap-1, since
+    // the zero-filled tail adds nothing.
+    const unsigned cap = capacity_of(insn, cfg);
+    if (i > 0 && foldable(prog[i - 1], insn, cap)) {
+      const VInsn& slide = prog[i - 1];
+      detail::Step& mac = out[-1];
+      mac.src_off = slide.scalar * elem_bytes(slide.et);
+      mac.insn.vs2 = slide.vs1;
+      mac.insn.vl = std::min(slide.vl, cap - slide.scalar);
+      slide_step = out - 2;
+      tmp = slide.vd;
+      tmp_bytes = slide.vl * elem_bytes(slide.et);
+    }
+  }
+  if (!valid_) delta.busy_cycles = 0;
+  delta_ = delta;
+  duration_ = done;
+  steps_.resize(static_cast<std::size_t>(out - first));
+  if (dropped != 0) {
+    std::erase_if(steps_, [](const detail::Step& s) {
+      return s.src_off == kDropped;
+    });
+  }
+}
+
 [[gnu::always_inline]] inline void VectorUnit::functional_pass(
-    std::span<const VInsn> prog) {
+    std::span<const detail::Step> steps) {
   // A VPU's registers are consecutive lines of the storage: register v
-  // starts at regs + v * VLEN.
+  // starts at regs + v * VLEN. Program::prepare validated every step.
   std::uint8_t* const regs = vreg(0).data();
   const std::size_t vlen = cfg_.vlen_bytes;
-  const unsigned nregs = cfg_.num_vregs;
-  Tally tally{stats_};
 
-  for (const VInsn& insn : prog) {
-    // An element is 4 >> et bytes and VLEN a power of two: shift, do not
-    // divide. An invalid element type gets capacity 0 and is rejected below.
-    const unsigned et = static_cast<unsigned>(insn.et);
-    const unsigned capacity =
-        et <= kLastElemType ? cfg_.vlen_bytes >> (2u - et) : 0u;
-    if (et > kLastElemType || insn.vl > capacity || insn.vd >= nregs ||
-        insn.vs1 >= nregs || insn.vs2 >= nregs ||
-        insn.op >= VOpc::kOpcCount ||
-        (insn.op == VOpc::kMaccEs && insn.scalar >= capacity)) [[unlikely]]
-      reject_insn(insn, cfg_);
+  for (const detail::Step& step : steps) {
+    const VInsn& insn = step.insn;
+    const unsigned capacity = capacity_of(insn, cfg_);
 
     // Snapshot a source only when it aliases the destination register, so
     // overlapping writes cannot corrupt reads (the hardware streams through
@@ -201,23 +288,20 @@ struct Tally {
       std::memcpy(snap2_.data(), s2, vlen);
       s2 = snap2_.data();
     }
+    s2 += step.src_off;
 
     switch (insn.et) {
       case ElemType::kWord: exec_typed<std::int32_t>(insn, d, s1, s2, capacity); break;
       case ElemType::kHalf: exec_typed<std::int16_t>(insn, d, s1, s2, capacity); break;
       case ElemType::kByte: exec_typed<std::int8_t>(insn, d, s1, s2, capacity); break;
     }
-
-    ++tally.instructions;
-    tally.elements += insn.vl;
-    if (vinsn_is_mac(insn.op)) tally.macs += insn.vl;
   }
 }
 
 namespace detail {
 
-void lane_pass_portable(VectorUnit& vu, std::span<const VInsn> prog) {
-  vu.functional_pass(prog);
+void lane_pass_portable(VectorUnit& vu, std::span<const Step> steps) {
+  vu.functional_pass(steps);
 }
 
 #ifdef ARCANE_VPU_X86_BUILDS
@@ -227,8 +311,8 @@ void lane_pass_portable(VectorUnit& vu, std::span<const VInsn> prog) {
 // lane arithmetic is exact integer math, so both builds write identical
 // bytes.
 [[gnu::target("avx2")]] void lane_pass_avx2(VectorUnit& vu,
-                                            std::span<const VInsn> prog) {
-  vu.functional_pass(prog);
+                                            std::span<const Step> steps) {
+  vu.functional_pass(steps);
 }
 
 bool host_has_avx2() {
@@ -248,58 +332,57 @@ bool host_has_avx2() {
 
 #else
 
-void lane_pass_avx2(VectorUnit& vu, std::span<const VInsn> prog) {
-  vu.functional_pass(prog);
+void lane_pass_avx2(VectorUnit& vu, std::span<const Step> steps) {
+  vu.functional_pass(steps);
 }
 
 bool host_has_avx2() { return false; }
 
 #endif
 
+Cycle run_with(VectorUnit& vu, const Program& prog, Cycle start,
+               LanePass pass) {
+  const VpuConfig& cfg = vu.config();
+  ARCANE_ASSERT(prog.cfg_.vlen_bytes == cfg.vlen_bytes &&
+                    prog.cfg_.num_vregs == cfg.num_vregs,
+                "program prepared for another VPU geometry");
+  pass(vu, prog.steps_);
+  sim::VpuStats& stats = vu.stats();
+  stats.instructions += prog.delta_.instructions;
+  stats.elements += prog.delta_.elements;
+  stats.macs += prog.delta_.macs;
+  stats.busy_cycles += prog.delta_.busy_cycles;
+  if (!prog.valid_) reject_insn(prog.bad_, cfg);
+  return start + prog.duration_;
+}
+
 }  // namespace detail
 
 namespace {
 
 // The lane pass build this process runs, picked once at static init.
-void (*const g_lane_pass)(VectorUnit&, std::span<const VInsn>) =
-    detail::host_has_avx2() ? detail::lane_pass_avx2
-                            : detail::lane_pass_portable;
+const detail::LanePass g_lane_pass = detail::host_has_avx2()
+                                         ? detail::lane_pass_avx2
+                                         : detail::lane_pass_portable;
 
 }  // namespace
 
-void VectorUnit::execute(const VInsn& insn) { g_lane_pass(*this, {&insn, 1}); }
+void VectorUnit::execute(const VInsn& insn) {
+  if (!valid_insn(insn, cfg_)) [[unlikely]]
+    reject_insn(insn, cfg_);
+  const detail::Step step{insn, 0};
+  g_lane_pass(*this, {&step, 1});
+  count_insn(stats_, insn);
+}
+
+Cycle VectorUnit::run(const Program& prog, Cycle start) {
+  return detail::run_with(*this, prog, start, g_lane_pass);
+}
 
 Cycle VectorUnit::run_program(std::span<const VInsn> prog, Cycle start,
                               unsigned dispatch_gap) {
-  g_lane_pass(*this, prog);
-
-  // Bounded-queue pipeline: instruction i enters the issue queue when the
-  // eCPU has dispatched it AND a queue slot is free, i.e. instruction
-  // i - depth has completed; it executes after its predecessor completes
-  // (in-order single execution pipe). complete_[slot] holds instruction
-  // i - depth's completion time when instruction i reads it. Seeded with
-  // `start`, which no dispatch time precedes, so the first `depth`
-  // instructions see a free slot.
-  if (complete_.empty()) complete_.resize(std::max(1u, cfg_.issue_queue));
-  std::fill(complete_.begin(), complete_.end(), start);
-  const std::size_t depth = complete_.size();
-  std::size_t slot = 0;
-  Cycle dispatch_ready = start;
-  Cycle prev_complete = start;
-  Cycle busy = 0;
-
-  for (const VInsn& insn : prog) {
-    dispatch_ready += dispatch_gap;
-    const Cycle enqueue = std::max(dispatch_ready, complete_[slot]);
-    const Cycle exec_start = std::max(enqueue, prev_complete);
-    const Cycle lat = vinsn_cycles(insn, cfg_);
-    prev_complete = exec_start + lat;
-    complete_[slot] = prev_complete;
-    if (++slot == depth) slot = 0;
-    busy += lat;
-  }
-  stats_.busy_cycles += busy;
-  return prev_complete;
+  scratch_.prepare(prog, cfg_, dispatch_gap);
+  return run(scratch_, start);
 }
 
 }  // namespace arcane::vpu

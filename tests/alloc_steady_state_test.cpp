@@ -165,11 +165,11 @@ TEST(AllocSteadyStateTest, TileSteppingOnAWarmExecutorAllocatesNothing) {
 // Heap allocations one pipeline job (4 single-chain ops) may make between
 // submit and retirement: its DAG (pending-dependency counts, waiter
 // offsets, waiters and the Kahn frontier of validation: 4), its op table
-// (1), and per op the plan's chain list, tile generator and claimed-register
-// list (4 x 3). One more per job covers the amortized growth of the job
-// table, the outcome log and the event queue. Dispatch, tile stepping and
-// retirement add nothing.
-constexpr std::uint64_t kPerJobAllocs = 4 + 1 + 4 * 3 + 1;
+// (1), and per op the plan's chain list and tile generator (4 x 2). One
+// more per job covers the amortized growth of the job table, the outcome
+// log and the event queue. Dispatch, tile stepping and retirement add
+// nothing.
+constexpr std::uint64_t kPerJobAllocs = 4 + 1 + 4 * 2 + 1;
 
 TEST(AllocSteadyStateTest, PipelineJobsAllocateOnlyPerJobState) {
   SystemConfig cfg = SystemConfig::paper(4);

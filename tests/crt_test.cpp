@@ -251,9 +251,7 @@ TEST(CrtTest, CustomKernelRegistration) {
       store.first_vreg = 16;
       t.stores.push_back(store);
     };
-    for (unsigned v = 0; v < 16 + in.rows; ++v) {
-      chain.vregs_used.push_back(static_cast<std::uint8_t>(v));
-    }
+    chain.vregs_claimed = 16 + in.rows;
     plan.chains.push_back(std::move(chain));
     return plan;
   };

@@ -5,6 +5,8 @@
 
 #include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
+#include "crt/kernel_op.hpp"
+#include "kernels/planners.hpp"
 #include "workloads/golden.hpp"
 #include "workloads/tensors.hpp"
 
@@ -168,6 +170,78 @@ TEST(ConvLayerKernelTest, InputLargerThanCacheStreams) {
   // buffers must stream it correctly.
   check_conv_layer<std::int32_t>(ConvParam{160, 256, 3, ElemType::kWord},
                                  false);
+}
+
+// The Tile::repeats contract of both conv planners: a tile that repeats
+// another names an earlier tile of its own chain, which emitted its program
+// and kept it (repeats == itself), and whose program is exactly the one the
+// repeating tile would emit. Every tile that emits a program emits its own.
+TEST(ConvTileRepeats, EveryRepeatNamesAnEarlierTileWithTheSameProgram) {
+  std::uint64_t tiles = 0, replayed = 0;
+  for (const bool multi_vpu : {false, true}) {
+    SystemConfig cfg = SystemConfig::paper(4);
+    cfg.multi_vpu_kernels = multi_vpu;
+    for (const ElemType et :
+         {ElemType::kWord, ElemType::kHalf, ElemType::kByte}) {
+      for (const std::uint32_t n : {16u, 23u, 32u, 64u, 100u, 128u, 256u}) {
+        for (const std::uint32_t k : {3u, 5u, 7u}) {
+          for (const bool layer : {false, true}) {
+            crt::KernelOp op;
+            op.et = et;
+            std::uint32_t ho = n - k + 1, wo = n - k + 1;
+            if (layer) {
+              ho /= 2;
+              wo /= 2;
+            }
+            op.ms1 = {0x1000, {layer ? 3 * n : n, n, n}, true};
+            op.ms2 = {0x400000, {layer ? 3 * k : k, k, k}, true};
+            op.md = {0x500000, {ho, wo, wo}, true};
+            const crt::Plan plan =
+                layer ? kernels::conv_layer_planner()(op, cfg)
+                      : kernels::conv2d_planner()(op, cfg);
+            SCOPED_TRACE(::testing::Message()
+                         << (layer ? "conv layer " : "conv2d ") << n << "x"
+                         << n << " k" << k << elem_suffix(et)
+                         << " multi=" << multi_vpu);
+            ASSERT_TRUE(plan.ok()) << plan.error;
+
+            auto full = [&](unsigned c, unsigned i) {
+              std::vector<vpu::VInsn> prog;
+              if (layer) {
+                kernels::conv_layer_tile_program(op, cfg, c, i, prog);
+              } else {
+                kernels::conv2d_tile_program(op, cfg, i, prog);
+              }
+              return prog;
+            };
+            for (unsigned c = 0; c < plan.chains.size(); ++c) {
+              const crt::Chain& chain = plan.chains[c];
+              crt::Tile tile, target;
+              for (unsigned i = 0; i < chain.tile_count; ++i) {
+                chain.make_tile(i, tile);
+                ++tiles;
+                if (tile.repeats == crt::Tile::kOnce || tile.repeats == i) {
+                  EXPECT_EQ(tile.prog, full(c, i))
+                      << "chain " << c << " tile " << i;
+                  continue;
+                }
+                ++replayed;
+                ASSERT_LT(tile.repeats, i) << "chain " << c << " tile " << i;
+                EXPECT_TRUE(tile.prog.empty());
+                chain.make_tile(tile.repeats, target);
+                EXPECT_EQ(target.repeats, tile.repeats);
+                EXPECT_EQ(target.prog, full(c, i))
+                    << "chain " << c << " tile " << i << " repeats "
+                    << tile.repeats;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Most tiles of the larger shapes replay an earlier program.
+  EXPECT_GT(replayed * 2, tiles);
 }
 
 }  // namespace

@@ -19,7 +19,9 @@
 // Both builds of the lane pass run both sweeps: the portable one and the
 // AVX2 one (skipped on hosts without AVX2), each reached directly through
 // vpu::detail rather than the build the process picked. The seeded stream
-// goes through the pass in short multi-instruction programs.
+// goes through the pass in short multi-instruction programs, prepared as
+// vpu::Program (so a slide that only feeds the next vmacc.es runs folded
+// into it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,7 +149,7 @@ class RefVpu {
 // Harness: the real unit and the reference side by side.
 // =====================================================================
 
-using LanePass = void (*)(VectorUnit&, std::span<const VInsn>);
+using detail::LanePass;
 
 class Pair {
  public:
@@ -187,12 +189,14 @@ class Pair {
     ref_.reg(r) = pristine_[r];
   }
 
-  /// Runs `prog` through the unit's lane pass in one call and through the
-  /// reference one instruction at a time; returns an empty string when
+  /// Runs `prog` through the unit's lane pass in one call (prepared as one
+  /// vpu::Program) and through the reference one instruction at a time;
+  /// returns an empty string when
   /// every register matches, else a description of the first mismatching
   /// byte.
   std::string step(std::span<const VInsn> prog) {
-    pass_(vu_, prog);
+    program_.prepare(prog, cfg_.vpu, /*dispatch_gap=*/0);
+    detail::run_with(vu_, program_, 0, pass_);
     for (const VInsn& insn : prog) ref_.execute(insn);
     for (unsigned r = 0; r < num_vregs(); ++r) {
       const auto got = vu_.vreg(r);
@@ -228,6 +232,7 @@ class Pair {
   }
 
   LanePass pass_;
+  Program program_;
   LlcConfig cfg_;
   LineStorage storage_;
   VectorUnit vu_;

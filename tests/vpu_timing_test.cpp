@@ -1,10 +1,13 @@
-// Vector unit timing model: lane/element-width scaling, pipeline overlap,
-// issue-queue behaviour, and run_program against a per-instruction model.
+// Vector unit timing model: lane/element-width scaling, pipeline overlap and
+// dispatch, run_program against a per-instruction model, and prepared
+// programs (vpu::Program: run once and replayed, slides folded into their
+// MACs) against per-instruction execute() on both lane pass builds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -143,22 +146,19 @@ TEST(VpuTiming, EmptyProgramCompletesImmediately) {
 
 // ---------------------------------------------------------------------
 // run_program against a per-instruction twin: the same program executed one
-// execute() at a time, timed by a test-local issue-queue model that keeps
-// every completion time.
+// execute() at a time, timed by a test-local issue model that keeps every
+// completion time.
 // ---------------------------------------------------------------------
 
 /// Completion time of every instruction of `prog`: instruction i is
-/// dispatched at start + (i+1)*gap, enters the queue once instruction
-/// i - depth has completed, and executes after instruction i - 1.
+/// dispatched at start + (i+1)*gap and executes after instruction i - 1.
 std::vector<Cycle> model_completions(const std::vector<VInsn>& prog,
                                      const VpuConfig& cfg, Cycle start,
                                      unsigned gap) {
-  const std::size_t depth = std::max(1u, cfg.issue_queue);
   std::vector<Cycle> done(prog.size());
   for (std::size_t i = 0; i < prog.size(); ++i) {
-    Cycle enqueue = start + (i + 1) * gap;
-    if (i >= depth) enqueue = std::max(enqueue, done[i - depth]);
-    const Cycle exec_start = std::max(enqueue, i == 0 ? start : done[i - 1]);
+    const Cycle dispatched = start + (i + 1) * gap;
+    const Cycle exec_start = std::max(dispatched, i == 0 ? start : done[i - 1]);
     done[i] = exec_start + vinsn_cycles(prog[i], cfg);
   }
   return done;
@@ -224,38 +224,35 @@ void expect_same_counts(const sim::VpuStats& got, const sim::VpuStats& want) {
 }
 
 TEST(VpuTiming, ProgramMatchesPerInstructionModel) {
-  for (unsigned depth : {1u, 2u, 3u, 8u}) {
-    for (unsigned gap : {0u, 1u, 4u, 40u}) {
-      LlcConfig cfg{};
-      cfg.vpu.vlen_bytes = 128;
-      cfg.vpu.issue_queue = depth;
-      std::mt19937 rng(depth * 100 + gap);
-      const std::vector<VInsn> prog = random_program(rng, cfg.vpu, 120);
-      const Cycle start = 1000;
+  for (unsigned gap : {0u, 1u, 4u, 40u}) {
+    LlcConfig cfg{};
+    cfg.vpu.vlen_bytes = 128;
+    std::mt19937 rng(200 + gap);
+    const std::vector<VInsn> prog = random_program(rng, cfg.vpu, 120);
+    const Cycle start = 1000;
 
-      Unit real(cfg, 7), twin(cfg, 7);
-      const Cycle end = real.vu.run_program(prog, start, gap);
-      for (const VInsn& i : prog) twin.vu.execute(i);
-      const std::vector<Cycle> done =
-          model_completions(prog, cfg.vpu, start, gap);
+    Unit real(cfg, 7), twin(cfg, 7);
+    const Cycle end = real.vu.run_program(prog, start, gap);
+    for (const VInsn& i : prog) twin.vu.execute(i);
+    const std::vector<Cycle> done =
+        model_completions(prog, cfg.vpu, start, gap);
 
-      SCOPED_TRACE(::testing::Message() << "depth " << depth << " gap " << gap);
-      EXPECT_TRUE(real.same_registers(twin));
-      expect_same_counts(real.vu.stats(), twin.vu.stats());
-      Cycle busy = 0;
-      for (const VInsn& i : prog) busy += vinsn_cycles(i, cfg.vpu);
-      EXPECT_EQ(real.vu.stats().busy_cycles, busy);
-      EXPECT_EQ(end, done.back());
+    SCOPED_TRACE(::testing::Message() << "gap " << gap);
+    EXPECT_TRUE(real.same_registers(twin));
+    expect_same_counts(real.vu.stats(), twin.vu.stats());
+    Cycle busy = 0;
+    for (const VInsn& i : prog) busy += vinsn_cycles(i, cfg.vpu);
+    EXPECT_EQ(real.vu.stats().busy_cycles, busy);
+    EXPECT_EQ(end, done.back());
 
-      // Completion time of every instruction: a prefix of the program
-      // completes when its last instruction does. One warm unit runs every
-      // prefix, so each run also reuses the completion ring.
-      Unit timing(cfg, 7);
-      for (std::size_t k = 1; k <= prog.size(); ++k) {
-        ASSERT_EQ(timing.vu.run_program({prog.data(), k}, start, gap),
-                  done[k - 1])
-            << "instruction " << k - 1;
-      }
+    // Completion time of every instruction: a prefix of the program
+    // completes when its last instruction does. One warm unit runs every
+    // prefix, so each run also reuses the unit's scratch program.
+    Unit timing(cfg, 7);
+    for (std::size_t k = 1; k <= prog.size(); ++k) {
+      ASSERT_EQ(timing.vu.run_program({prog.data(), k}, start, gap),
+                done[k - 1])
+          << "instruction " << k - 1;
     }
   }
 }
@@ -288,6 +285,276 @@ TEST(VpuTiming, ProgramThatThrowsLeavesItsPrefixExecuted) {
     }
   }
 }
+
+// ---------------------------------------------------------------------
+// A prepared program, run and then replayed on the changed registers, against
+// per-instruction execute() plus the issue model: every register byte, all
+// VpuStats fields and the completion time, through each lane pass build.
+// ---------------------------------------------------------------------
+
+/// A seeded mixed program in which about half the instructions come as
+/// `vslidedown.vx` + `vmacc.es` pairs over few registers, so some pairs fold
+/// and others fail one of the fold conditions or have a live slide.
+std::vector<VInsn> random_tap_program(std::mt19937& rng, const VpuConfig& cfg,
+                                      std::size_t n) {
+  std::vector<VInsn> prog;
+  while (prog.size() < n) {
+    if (rng() % 2 != 0) {
+      const std::vector<VInsn> one = random_program(rng, cfg, 1);
+      prog.push_back(one[0]);
+      continue;
+    }
+    constexpr ElemType kWidths[] = {ElemType::kWord, ElemType::kHalf,
+                                    ElemType::kByte};
+    VInsn slide;
+    slide.op = VOpc::kSlideDownVX;
+    slide.et = kWidths[rng() % 3];
+    const unsigned cap = cfg.vlen_bytes / elem_bytes(slide.et);
+    slide.vd = static_cast<std::uint8_t>(rng() % 5);
+    slide.vs1 = static_cast<std::uint8_t>(rng() % 5);
+    slide.vl = rng() % (cap + 1);
+    slide.scalar = rng() % (cap + 2);
+    VInsn mac = slide;
+    mac.op = VOpc::kMaccEs;
+    mac.vd = static_cast<std::uint8_t>(rng() % 5);
+    mac.vs1 = static_cast<std::uint8_t>(rng() % 5);
+    mac.vs2 = rng() % 4 != 0 ? slide.vd : static_cast<std::uint8_t>(rng() % 5);
+    mac.scalar = rng() % cap;
+    if (rng() % 8 == 0) mac.vl = rng() % (cap + 1);
+    prog.push_back(slide);
+    prog.push_back(mac);
+  }
+  return prog;
+}
+
+/// The exception a call throws, as "<type>: <what>", or empty.
+template <typename F>
+std::string thrown_by(F&& f) {
+  try {
+    f();
+  } catch (const AssertionError& e) {
+    return std::string("AssertionError: ") + e.what();
+  } catch (const Error& e) {
+    return std::string("Error: ") + e.what();
+  }
+  return {};
+}
+
+struct LaneBuild {
+  const char* name;
+  detail::LanePass pass;
+  bool needs_avx2;
+};
+
+class VpuProgramTest : public ::testing::TestWithParam<LaneBuild> {
+ protected:
+  void SetUp() override {
+    if (GetParam().needs_avx2 && !detail::host_has_avx2())
+      GTEST_SKIP() << "host has no AVX2";
+  }
+
+  /// Prepares `prog` once and runs it three times on one unit, each from a
+  /// different start; a twin executes it instruction by instruction as
+  /// often. Returns the prepared program's step count.
+  std::size_t check(const std::vector<VInsn>& prog, const LlcConfig& cfg,
+                    unsigned gap, std::uint32_t seed) {
+    Program program;
+    program.prepare(prog, cfg.vpu, gap);
+    EXPECT_EQ(program.size(), prog.size());
+    Unit real(cfg, seed), twin(cfg, seed);
+
+    // The valid prefix, and the error its first invalid instruction raises.
+    std::size_t valid = 0;
+    std::string error;
+    Unit probe(cfg, seed);
+    for (; valid < prog.size(); ++valid) {
+      error = thrown_by([&] { probe.vu.execute(prog[valid]); });
+      if (!error.empty()) break;
+    }
+    const std::vector<VInsn> prefix(prog.begin(), prog.begin() + valid);
+    Cycle busy = 0;
+    for (const VInsn& i : prefix) busy += vinsn_cycles(i, cfg.vpu);
+
+    for (unsigned run = 0; run < 3; ++run) {
+      SCOPED_TRACE(::testing::Message() << "run " << run);
+      const Cycle start = 1000 + 7919 * run;
+      Cycle end = 0;
+      EXPECT_EQ(thrown_by([&] {
+                  end = detail::run_with(real.vu, program, start,
+                                         GetParam().pass);
+                }),
+                error);
+      for (const VInsn& i : prefix) twin.vu.execute(i);
+      EXPECT_TRUE(real.same_registers(twin));
+
+      sim::VpuStats want = twin.vu.stats();
+      want.busy_cycles = error.empty() ? (run + 1) * busy : 0;
+      const sim::VpuStats& got = real.vu.stats();
+      EXPECT_EQ(got.instructions, want.instructions);
+      EXPECT_EQ(got.elements, want.elements);
+      EXPECT_EQ(got.macs, want.macs);
+      EXPECT_EQ(got.busy_cycles, want.busy_cycles);
+      EXPECT_EQ(got.kernels, want.kernels);
+      if (error.empty()) {
+        const std::vector<Cycle> done =
+            model_completions(prog, cfg.vpu, start, gap);
+        EXPECT_EQ(end, done.empty() ? start : done.back());
+      }
+    }
+    return program.steps().size();
+  }
+};
+
+TEST_P(VpuProgramTest, SeededProgramsMatchPerInstructionExecution) {
+  for (unsigned gap : {0u, 1u, 4u, 40u}) {
+    for (std::uint32_t seed = 1; seed <= 6; ++seed) {
+      LlcConfig cfg{};
+      cfg.vpu.vlen_bytes = 128;
+      std::mt19937 rng(seed * 1000 + gap);
+      const std::vector<VInsn> prog =
+          seed % 2 != 0 ? random_tap_program(rng, cfg.vpu, 150)
+                        : random_program(rng, cfg.vpu, 150);
+      SCOPED_TRACE(::testing::Message() << "gap " << gap << " seed " << seed);
+      check(prog, cfg, gap, seed);
+    }
+  }
+  LlcConfig cfg{};
+  check({}, cfg, 4, 1);
+}
+
+/// vslidedown.vx v2, v1, 3 then vmacc.es v3, v4[5], v2: a foldable tap
+/// (tmp v2, in v1, acc v3, filter v4) at half the register's capacity.
+struct Tap {
+  VInsn slide, mac;
+  std::uint32_t cap;
+  explicit Tap(const VpuConfig& cfg, ElemType et = ElemType::kWord) {
+    cap = cfg.vlen_bytes / elem_bytes(et);
+    slide = VInsn{VOpc::kSlideDownVX, 2, 1, 0, et, cap / 2, 3};
+    mac = VInsn{VOpc::kMaccEs, 3, 4, 2, et, cap / 2, 5};
+  }
+  /// Overwrites tmp's vl elements without reading it.
+  VInsn kill(std::uint32_t vl) const {
+    return VInsn{VOpc::kMvVX, 2, 6, 6, slide.et, vl, 9};
+  }
+  VInsn kill() const { return kill(slide.vl); }
+};
+
+TEST_P(VpuProgramTest, FoldCasesMatchPerInstructionExecution) {
+  LlcConfig cfg{};
+  cfg.vpu.vlen_bytes = 128;
+  const Tap t(cfg.vpu);
+  const VInsn add_from_tmp{VOpc::kAddVV, 5, 2, 1, ElemType::kWord, 4, 0};
+  const VInsn other{VOpc::kAddVV, 5, 1, 4, ElemType::kWord, t.cap, 0};
+  VInsn invalid = other;
+  invalid.vs2 = static_cast<std::uint8_t>(cfg.vpu.num_vregs);
+
+  struct Case {
+    const char* name;
+    std::vector<VInsn> prog;
+    // One step per instruction of the valid prefix, one fewer per
+    // dropped slide.
+    std::size_t steps;
+  };
+  std::vector<Case> cases;
+  auto with = [&](const char* name, VInsn slide, VInsn mac,
+                  std::vector<VInsn> after, bool drops_slide) {
+    std::vector<VInsn> prog = {slide, mac};
+    prog.insert(prog.end(), after.begin(), after.end());
+    const std::size_t valid = static_cast<std::size_t>(
+        std::find(prog.begin(), prog.end(), invalid) - prog.begin());
+    cases.push_back({name, std::move(prog), drops_slide ? valid - 1 : valid});
+  };
+  auto slide_with = [&](std::uint8_t vd, std::uint8_t vs1, std::uint32_t k) {
+    VInsn s = t.slide;
+    s.vd = vd;
+    s.vs1 = vs1;
+    s.scalar = k;
+    return s;
+  };
+  auto mac_with = [&](std::uint8_t vd, std::uint8_t vs1, std::uint8_t vs2) {
+    VInsn m = t.mac;
+    m.vd = vd;
+    m.vs1 = vs1;
+    m.vs2 = vs2;
+    return m;
+  };
+
+  with("folds", t.slide, t.mac, {t.kill()}, true);
+  with("folds past an unrelated instruction", t.slide, t.mac,
+       {other, t.kill()}, true);
+  with("folds with the filter in the input", t.slide, mac_with(3, 1, 2),
+       {t.kill()}, true);
+  with("folds with the filter in the accumulator", t.slide, mac_with(3, 3, 2),
+       {t.kill()}, true);
+  with("folds at the last in-range amount", slide_with(2, 1, t.cap - 1),
+       t.mac, {t.kill()}, true);
+  {
+    VInsn wide = t.kill(t.slide.vl * 4);
+    wide.et = ElemType::kByte;
+    with("folds under a wider byte overwrite", t.slide, t.mac, {wide}, true);
+  }
+  with("tmp aliases in", slide_with(1, 1, 3), mac_with(3, 4, 1), {t.kill()},
+       false);
+  with("tmp aliases acc", t.slide, mac_with(2, 4, 2), {t.kill()}, false);
+  with("tmp aliases f", t.slide, mac_with(3, 2, 2), {t.kill()}, false);
+  with("in aliases acc", slide_with(2, 3, 3), t.mac, {t.kill()}, false);
+  {
+    VInsn half = t.mac;
+    half.et = ElemType::kHalf;
+    with("element types differ", t.slide, half, {t.kill(t.cap)}, false);
+    VInsn shorter = t.mac;
+    shorter.vl = t.slide.vl - 1;
+    with("vl differs", t.slide, shorter, {t.kill()}, false);
+  }
+  with("amount at capacity", slide_with(2, 1, t.cap), t.mac, {t.kill()},
+       false);
+  with("amount past capacity", slide_with(2, 1, t.cap + 5), t.mac,
+       {t.kill()}, false);
+  with("amount zero", slide_with(2, 1, 0), t.mac, {t.kill()}, false);
+  with("a later instruction reads tmp", t.slide, t.mac,
+       {add_from_tmp, t.kill()}, false);
+  with("a later vslideup writes part of tmp", t.slide, t.mac,
+       {VInsn{VOpc::kSlideUpVX, 2, 1, 0, ElemType::kWord, t.slide.vl, 1},
+        t.kill()},
+       false);
+  with("a later MAC accumulates into tmp", t.slide, t.mac,
+       {VInsn{VOpc::kMaccVX, 2, 0, 1, ElemType::kWord, t.slide.vl, 7},
+        t.kill()},
+       false);
+  with("a shorter overwrite", t.slide, t.mac, {t.kill(t.slide.vl - 1)},
+       false);
+  with("the final slide stays live", t.slide, t.mac, {}, false);
+  with("an invalid instruction ends the prefix with tmp live", t.slide, t.mac,
+       {invalid, t.kill()}, false);
+  with("a fold before an invalid instruction", t.slide, t.mac,
+       {t.kill(), invalid}, true);
+  {
+    // A row of taps: each slide dies at the next one, the last at the
+    // overwrite.
+    std::vector<VInsn> row;
+    for (std::uint32_t k = 1; k <= 4; ++k) {
+      row.push_back(slide_with(2, 1, k));
+      VInsn m = t.mac;
+      m.scalar = k;
+      row.push_back(m);
+    }
+    row.push_back(t.kill());
+    cases.push_back({"a row of taps", row, 5});
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(check(c.prog, cfg, 4, 11), c.steps);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LaneBuilds, VpuProgramTest,
+    ::testing::Values(LaneBuild{"Portable", detail::lane_pass_portable, false},
+                      LaneBuild{"Avx2", detail::lane_pass_avx2, true}),
+    [](const ::testing::TestParamInfo<LaneBuild>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace arcane::vpu
