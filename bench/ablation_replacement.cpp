@@ -14,9 +14,8 @@
 // timing, so both sections run on one backend (psram unless --backend
 // picks another) instead of sweeping all three. --replacement restricts
 // the policy axis (this bench sweeps the policy, so the knob is a sweep
-// filter here, not a config override). --json emits schema-v2 rows;
-// --fast shortens the scenario traces (CI gates run fast mode; the shapes
-// are identical). Grid cells: section (looping / scenarios) x replacement.
+// filter here, not a config override). --json emits schema-v2 rows.
+// Grid cells: section (looping / scenarios) x replacement.
 #include <cstdio>
 #include <vector>
 
@@ -137,7 +136,7 @@ int main(int argc, char** argv) {
   // The cache holds 128 lines; every scenario is sized against that.
   const SystemConfig scen_cfg = SystemConfig::paper(4);
   const std::uint32_t line_bytes = scen_cfg.llc.line_bytes();
-  const std::uint64_t n = opt.fast ? 12000 : 48000;
+  const std::uint64_t n = 48000;
   using workloads::hot_data_access;
   using workloads::looping;
   using workloads::workload_shift;
@@ -149,7 +148,7 @@ int main(int argc, char** argv) {
                       /*cold_lines=*/2048, line_bytes, /*seed=*/0xA11CE);
   // loop-pattern: cyclic loop at 1.25x capacity — the LRU worst case.
   const std::vector<Addr> loop_trace =
-      looping(/*loop_lines=*/160, /*laps=*/opt.fast ? 60 : 240, line_bytes);
+      looping(/*loop_lines=*/160, /*laps=*/240, line_bytes);
   // workload-shift: the hot region jumps to a disjoint range mid-trace.
   const std::vector<Addr> shift_trace =
       workload_shift(/*accesses_per_phase=*/n, /*hot_lines=*/96,
@@ -185,9 +184,8 @@ int main(int argc, char** argv) {
   // ------------------ adaptive-replacement scenarios ------------------
   if (h.is("section", "scenarios")) {
     if (!opt.json) {
-      std::printf("\nAdaptive scenarios (direct LLC replay, %s traces, "
-                  "backend: %s)\n",
-                  opt.fast ? "fast" : "full", backend_name(g_backend));
+      std::printf("\nAdaptive scenarios (direct LLC replay, backend: %s)\n",
+                  backend_name(g_backend));
       std::printf("%-22s %14s %12s %22s\n", "policy", "hot-data", "loop",
                   "shift (ph1 / ph2)");
     }

@@ -334,7 +334,7 @@ int main(int argc, char** argv) {
   const unsigned instances = h.is("instances", "4") ? 4 : 2;
   const SchedPolicy policy = opt.sched_policy.value_or(SchedPolicy::kPriority);
   const unsigned lanes = opt.lanes.value_or(4);
-  const unsigned jobs_per_tenant = opt.fast ? 10 : 24;
+  const unsigned jobs_per_tenant = 24;
   const bool human = !opt.json;
   benchjson::Report report("fault_recovery");
   benchjson::TelemetryCollector telem(opt);

@@ -7,7 +7,6 @@
 // backend (default: all three). Grid cells: backend x lanes.
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 
 #include "baseline/runner.hpp"
 #include "bench_json.hpp"
@@ -25,11 +24,7 @@ int main(int argc, char** argv) {
         "Figure 3: non-compute phase overhead, 3-ch conv layer, 3x3, "
         "int32\n\n");
   }
-  const unsigned full_sizes[] = {6, 8, 16, 32, 64, 128, 256};
-  const unsigned fast_sizes[] = {6, 16, 64};
-  const auto* sizes = opt.fast ? fast_sizes : full_sizes;
-  const auto num_sizes = static_cast<unsigned>(
-      opt.fast ? std::size(fast_sizes) : std::size(full_sizes));
+  const unsigned sizes[] = {6, 8, 16, 32, 64, 128, 256};
   for (const MemBackendKind backend : benchjson::backend_sweep(opt)) {
     if (!opt.json) {
       std::printf("== external memory backend: %s ==\n", backend_name(backend));
@@ -38,8 +33,7 @@ int main(int argc, char** argv) {
     }
     for (unsigned lanes : {2u, 4u, 8u}) {
       if (opt.lanes && lanes != *opt.lanes) continue;
-      for (unsigned i = 0; i < num_sizes; ++i) {
-        const unsigned size = sizes[i];
+      for (const unsigned size : sizes) {
         baseline::ConvCase c;
         c.size = size;
         c.k = 3;

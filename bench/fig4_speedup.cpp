@@ -6,11 +6,8 @@
 // Flags (see bench/grid.hpp): --json emits schema-v2 rows; --backend
 // restricts the sweep to one backend (default: all three); --dtype
 // restricts the data-type sweep; --lanes restricts the ARCANE lane sweep.
-// ARCANE_FIG4_FAST=1 / ARCANE_BENCH_FAST=1 / --fast sweep a reduced grid
-// (CI-friendly).
 // Grid cells: backend x dtype.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,14 +32,10 @@ int main(int argc, char** argv) {
   h.add_choice("dtype", "--dtype", "", {"int8", "int16", "int32"},
                "restrict the data-type sweep");
   h.grid().add_product({{"backend", {}}, {"dtype", {}}});
-  benchjson::Options opt = h.parse(argc, argv);
-  if (std::getenv("ARCANE_FIG4_FAST") != nullptr) opt.fast = true;
+  const benchjson::Options opt = h.parse(argc, argv);
 
-  const std::vector<unsigned> sizes =
-      opt.fast ? std::vector<unsigned>{16, 64}
-               : std::vector<unsigned>{16, 32, 64, 128, 256};
-  const std::vector<unsigned> filters =
-      opt.fast ? std::vector<unsigned>{3} : std::vector<unsigned>{3, 5, 7};
+  const unsigned sizes[] = {16, 32, 64, 128, 256};
+  const unsigned filters[] = {3, 5, 7};
   const ElemType dtypes[] = {ElemType::kByte, ElemType::kHalf,
                              ElemType::kWord};
   const std::vector<unsigned> lane_cfgs =

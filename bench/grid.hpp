@@ -405,7 +405,6 @@ class GridSpec {
 /// knobs are read through Harness::get / Harness::is instead.
 struct Options {
   bool json = false;
-  bool fast = false;
   bool deterministic = false;
   std::optional<MemBackendKind> backend;  // unset => bench default / sweep
   std::optional<unsigned> lanes;          // unset => bench's own lane sweep
@@ -432,8 +431,6 @@ class Harness {
   explicit Harness(std::string bench) : bench_(std::move(bench)) {
     reg_.add_flag("json", "--json", "",
                   "emit one schema-v2 JSON document on stdout");
-    reg_.add_flag("fast", "--fast", "ARCANE_BENCH_FAST",
-                  "reduced (CI-friendly) sweep grids");
     reg_.add_flag("deterministic", "--deterministic",
                   "ARCANE_BENCH_DETERMINISTIC",
                   "zero the wall-clock trend fields (host_wall_ms, "
@@ -608,7 +605,6 @@ class Harness {
  private:
   bool build_options(Options* opt, std::string* err) {
     opt->json = is_on("json");
-    opt->fast = is_on("fast");
     opt->deterministic = is_on("deterministic");
     g_deterministic = opt->deterministic;
     if (auto v = get("backend")) {

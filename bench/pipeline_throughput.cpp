@@ -10,8 +10,7 @@
 // The job shapes are the canonical ones in src/sched/pipelines.hpp, shared
 // with tests/sched_test.cpp. A third section ("policies") sweeps the
 // dispatch policy (fifo / rr / sjf) at the full 4-instance, 4-tenant
-// point. --json emits schema-v2 rows; --fast shrinks the per-tenant job
-// count for CI. Grid cells: backend x section.
+// point. --json emits schema-v2 rows. Grid cells: backend x section.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -166,7 +165,7 @@ int main(int argc, char** argv) {
   const SchedPolicy base_policy =
       opt.sched_policy.value_or(SchedPolicy::kFifo);
   const unsigned lanes = opt.lanes.value_or(4);
-  const unsigned jobs_per_tenant = opt.fast ? 6 : 24;
+  const unsigned jobs_per_tenant = 24;
   const bool human = !opt.json;
   benchjson::Report report("pipeline_throughput");
   benchjson::TelemetryCollector telem(opt);

@@ -24,8 +24,8 @@
 // defaults to SchedPolicy::kPriority (--sched-policy overrides).
 // --admission=off / ARCANE_BENCH_ADMISSION=off runs the open/qos section
 // with admission disabled (the nightly caps-on/off axis). --json emits
-// schema-v2 rows; --fast shrinks the job counts. Grid cells:
-// backend x section (open-ref / open-qos / closed).
+// schema-v2 rows. Grid cells: backend x section (open-ref / open-qos /
+// closed).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -326,7 +326,7 @@ int main(int argc, char** argv) {
   const SchedPolicy policy =
       opt.sched_policy.value_or(SchedPolicy::kPriority);
   const unsigned lanes = opt.lanes.value_or(4);
-  const unsigned jobs_per_tenant = opt.fast ? 24 : 48;
+  const unsigned jobs_per_tenant = 48;
   const bool human = !opt.json;
   benchjson::Report report("qos_slo");
   benchjson::TelemetryCollector telem(opt);

@@ -2,9 +2,8 @@
 // multi-instance (4 VPUs x 8 lanes) mode, and the BLADE / Intel CNC
 // state-of-the-art table. --json emits schema-v2 rows; the analytic rows
 // price the paper's burst-PSRAM system, the conv rows sweep the external
-// memory backends (--backend restricts the sweep); --fast shrinks the
-// headline conv from 256x256 to 96x96. Grid cells: the analytic section
-// plus one conv cell per backend.
+// memory backends (--backend restricts the sweep). Grid cells: the
+// analytic section plus one conv cell per backend.
 #include <cstdio>
 
 #include "area/soa.hpp"
@@ -93,7 +92,7 @@ int main(int argc, char** argv) {
     for (const MemBackendKind backend : benchjson::backend_sweep(opt)) {
       const SystemConfig cfg8 = config(backend);
       baseline::ConvCase c;
-      c.size = opt.fast ? 96 : 256;
+      c.size = 256;
       c.k = 3;
       c.et = ElemType::kByte;
       c.verify = false;

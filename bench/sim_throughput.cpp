@@ -15,13 +15,12 @@
 //                scheduler across VPU instance counts (the event-heaviest
 //                path: dispatch, hazard scan, chain stepping per instance).
 //
-// Every row carries the *simulated* metrics (bit-stable, gated by the ±2%
-// CI check) plus the wall-clock trend fields `host_wall_ms`,
+// Every row carries the *simulated* metrics (bit-stable, gated exactly by
+// the CI check) plus the wall-clock trend fields `host_wall_ms`,
 // `sim_cycles_per_host_sec`, ... which check_bench_regression.py reports
-// informationally and never gates on (machine-dependent). --fast shrinks
-// repetitions and grid for CI. Grid cells: the iss cell, the cpu cell (on
-// the paper's PSRAM unless --backend picks another), plus one conv and
-// sched cell per backend.
+// informationally and never gates on (machine-dependent). Grid cells: the
+// iss cell, the cpu cell (on the paper's PSRAM unless --backend picks
+// another), plus one conv and sched cell per backend.
 #include <cstdio>
 #include <string>
 
@@ -219,11 +218,11 @@ int main(int argc, char** argv) {
   const bool human = !opt.json;
   benchjson::Report report("sim_throughput");
 
-  const unsigned reps = opt.fast ? 3 : 10;
-  const unsigned iss_iters = opt.fast ? 50000 : 200000;
-  const std::uint32_t cpu_size = opt.fast ? 64 : 256;
-  const std::uint32_t conv_size = opt.fast ? 32 : 128;
-  const unsigned sched_jobs = opt.fast ? 12 : 48;
+  const unsigned reps = 10;
+  const unsigned iss_iters = 200000;
+  const std::uint32_t cpu_size = 256;
+  const std::uint32_t conv_size = 128;
+  const unsigned sched_jobs = 48;
 
   if (human) {
     std::printf("Host-simulator throughput (%u reps)\n\n", reps);

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Diff bench JSON artifacts against the blessed baselines.
 
-The perf-regression CI gate runs the fast bench sweep
-(`ARCANE_BENCH_FAST=1 scripts/run_benches.sh --parallel build bench-out`)
+The perf-regression CI gate runs the full bench sweep, sharded and
+checked byte-identical to a serial run
+(`scripts/sweep_runner.py --build-dir build --out-dir bench-out --verify`),
 and then:
 
-    scripts/check_bench_regression.py --out-dir bench-out
+    scripts/check_bench_regression.py --out-dir bench-out --tolerance 0
 
 Serial and sharded (scripts/sweep_runner.py) artifacts are
 interchangeable here: rows are matched by identity, not position, and a
@@ -35,9 +36,10 @@ behaviour. Simulated metrics in the same rows stay fully gated.
 (informational drift must pass, gated drift must fail) and exits nonzero on
 any deviation; CI runs it so the never-gated list cannot silently regress.
 
-Blessing new baselines (after a deliberate perf change):
+Blessing new baselines (after a deliberate perf change), from the same
+deterministic sweep CI runs:
 
-    ARCANE_BENCH_FAST=1 scripts/run_benches.sh build bench-out
+    scripts/sweep_runner.py --build-dir build --out-dir bench-out --verify
     scripts/check_bench_regression.py --out-dir bench-out --bless
 
 which rewrites bench/baselines/ from bench-out/, dropping volatile fields

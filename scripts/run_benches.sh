@@ -20,11 +20,12 @@
 #   OUT_DIR         where to write <bench>.json artifacts (default:
 #                   bench-out)
 #
+# micro_components always runs with --benchmark_min_time=0.01 (a smoke run,
+# as in CI); run it by hand for stable timings.
+#
 # Env knobs — one list, forwarded to the benches natively (the registry in
 # bench/grid.hpp reads them; run `<bench> --help` or --list-knobs for the
 # value sets):
-#   ARCANE_BENCH_FAST=1            CI-friendly reduced sweeps (also sets
-#                                  micro_components' --benchmark_min_time)
 #   ARCANE_BENCH_BACKEND=name      ideal|psram|dram (default: each bench's
 #                                  sweep/default)
 #   ARCANE_BENCH_LANES=n           2|4|8: restrict the lane sweep
@@ -47,7 +48,6 @@ esac
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-bench-out}"
-FAST="${ARCANE_BENCH_FAST:-0}"
 
 if ! command -v python3 >/dev/null 2>&1; then
   echo "error: python3 is required for JSON assembly" >&2
@@ -88,9 +88,6 @@ if [ -n "${PARALLEL}" ]; then
   # shot (it writes the same artifact envelope this script does).
   sweep_args=(--build-dir "${BUILD_DIR}" --out-dir "${OUT_DIR}"
               --jobs "${PARALLEL}")
-  if [ "${FAST}" = "1" ]; then
-    sweep_args+=(--fast)
-  fi
   echo "run: sharded sweep (${PARALLEL} workers)"
   if python3 "$(dirname "$0")/sweep_runner.py" "${sweep_args[@]}"; then
     ran=12
@@ -117,29 +114,24 @@ for entry in "${benches[@]}"; do
     continue
   fi
 
-  args=()
   native_json=1
+  arg=--json
   if [ "${name}" = "micro_components" ]; then
     native_json=0
-    if [ "${FAST}" = "1" ]; then
-      args=(--benchmark_min_time=0.01)
-    fi
-  else
-    args=(--json)
+    arg=--benchmark_min_time=0.01
   fi
 
   echo "run: ${name}"
   stdout_file="$(mktemp)"
-  # time via python: BSD date lacks %N, and bash 3.2 + set -u rejects
-  # empty-array expansion, hence the ${arr[@]+...} guards below.
+  # time via python: BSD date lacks %N.
   start="$(python3 -c 'import time; print(time.time())')"
-  "${bin}" ${args[@]+"${args[@]}"} >"${stdout_file}" 2>&1
+  "${bin}" "${arg}" >"${stdout_file}" 2>&1
   exit_code=$?
   end="$(python3 -c 'import time; print(time.time())')"
 
   if ! BENCH_NAME="${name}" BENCH_REPRODUCES="${reproduces}" \
        BENCH_EXIT="${exit_code}" BENCH_START="${start}" BENCH_END="${end}" \
-       BENCH_STDOUT="${stdout_file}" BENCH_FAST="${FAST}" \
+       BENCH_STDOUT="${stdout_file}" \
        BENCH_NATIVE_JSON="${native_json}" \
        BENCH_BACKEND="${ARCANE_BENCH_BACKEND:-}" \
        BENCH_LANES="${ARCANE_BENCH_LANES:-}" \
@@ -154,7 +146,6 @@ envelope = {
     "schema_version": 2,
     "bench": os.environ["BENCH_NAME"],
     "reproduces": os.environ["BENCH_REPRODUCES"],
-    "fast_mode": os.environ["BENCH_FAST"] == "1",
     "backend": os.environ["BENCH_BACKEND"] or None,
     "lanes": os.environ["BENCH_LANES"] or None,
     "replacement": os.environ["BENCH_REPLACEMENT"] or None,

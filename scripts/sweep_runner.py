@@ -20,7 +20,7 @@ serial vs sharded wall-clock.
 
 Usage:
     scripts/sweep_runner.py --build-dir build --out-dir bench-out \\
-        [--jobs N] [--benches a,b] [--fast] [--deterministic] [--verify]
+        [--jobs N] [--benches a,b] [--deterministic] [--verify]
 
 ARCANE_BENCH_* env knobs (backend, lanes, replacement, sched-policy,
 ...) are inherited by the bench subprocesses and restrict each grid
@@ -113,12 +113,7 @@ def merge_fragments(fragments):
 
 
 def bench_args(args):
-    extra = []
-    if args.fast:
-        extra.append("--fast")
-    if args.deterministic:
-        extra.append("--deterministic")
-    return extra
+    return ["--deterministic"] if args.deterministic else []
 
 
 def envelope_base(name, reproduces, args):
@@ -126,8 +121,6 @@ def envelope_base(name, reproduces, args):
         "schema_version": 2,
         "bench": name,
         "reproduces": reproduces,
-        "fast_mode": bool(args.fast or os.environ.get("ARCANE_BENCH_FAST")
-                          == "1"),
     }
     for field, var in ENV_KNOBS:
         env[field] = os.environ.get(var) or None
@@ -245,8 +238,6 @@ def main():
                         help="worker processes (default: nproc)")
     parser.add_argument("--benches", default=None,
                         help="comma-separated bench subset (default: all)")
-    parser.add_argument("--fast", action="store_true",
-                        help="pass --fast to every bench")
     parser.add_argument("--deterministic", action="store_true",
                         help="pass --deterministic to every bench (implied "
                              "by --verify)")

@@ -28,7 +28,7 @@ them from span events.
 
 CI mode:
 
-    <bench> --fast --trace-out=t.json && scripts/trace_summary.py t.json \
+    <bench> --trace-out=t.json && scripts/trace_summary.py t.json \
         --check --require-span job --require-span compute
 
 `--check` validates the file structurally — parseable JSON, a non-empty

@@ -17,9 +17,9 @@ namespace {
 // Env vars the standard registry reads; cleared around every test so a
 // polluted CI environment cannot leak into the expectations.
 const char* const kEnvVars[] = {
-    "ARCANE_BENCH_FAST",    "ARCANE_BENCH_DETERMINISTIC",
-    "ARCANE_BENCH_BACKEND", "ARCANE_BENCH_LANES",
-    "ARCANE_BENCH_REPLACEMENT", "ARCANE_BENCH_SCHED_POLICY"};
+    "ARCANE_BENCH_DETERMINISTIC", "ARCANE_BENCH_BACKEND",
+    "ARCANE_BENCH_LANES", "ARCANE_BENCH_REPLACEMENT",
+    "ARCANE_BENCH_SCHED_POLICY"};
 
 class BenchGridTest : public ::testing::Test {
  protected:
@@ -56,7 +56,6 @@ TEST_F(BenchGridTest, DefaultsMatchLegacyOptions) {
   Harness h("t");
   const Options opt = parse_ok(h, {});
   EXPECT_FALSE(opt.json);
-  EXPECT_FALSE(opt.fast);
   EXPECT_FALSE(opt.deterministic);
   EXPECT_FALSE(opt.backend.has_value());
   EXPECT_FALSE(opt.lanes.has_value());
@@ -66,9 +65,9 @@ TEST_F(BenchGridTest, DefaultsMatchLegacyOptions) {
 
 TEST_F(BenchGridTest, FlagsParse) {
   Harness h("t");
-  const Options opt = parse_ok(h, {"--json", "--fast"});
+  const Options opt = parse_ok(h, {"--json", "--deterministic"});
   EXPECT_TRUE(opt.json);
-  EXPECT_TRUE(opt.fast);
+  EXPECT_TRUE(opt.deterministic);
 }
 
 TEST_F(BenchGridTest, ChoiceKnobsParseIntoTypedOptions) {
@@ -101,21 +100,21 @@ TEST_F(BenchGridTest, InvalidChoiceValueIsHardError) {
 
 TEST_F(BenchGridTest, EnvFallbackBindsChoices) {
   setenv("ARCANE_BENCH_BACKEND", "dram", 1);
-  setenv("ARCANE_BENCH_FAST", "1", 1);
+  setenv("ARCANE_BENCH_DETERMINISTIC", "1", 1);
   Harness h("t");
   const Options opt = parse_ok(h, {});
   ASSERT_TRUE(opt.backend.has_value());
   EXPECT_EQ(*opt.backend, MemBackendKind::kDramTiming);
-  EXPECT_TRUE(opt.fast);
+  EXPECT_TRUE(opt.deterministic);
 }
 
 TEST_F(BenchGridTest, EnvFlagLooseTruthiness) {
-  setenv("ARCANE_BENCH_FAST", "0", 1);
+  setenv("ARCANE_BENCH_DETERMINISTIC", "0", 1);
   Harness h("t");
-  EXPECT_FALSE(parse_ok(h, {}).fast);
-  setenv("ARCANE_BENCH_FAST", "false", 1);
+  EXPECT_FALSE(parse_ok(h, {}).deterministic);
+  setenv("ARCANE_BENCH_DETERMINISTIC", "false", 1);
   Harness h2("t");
-  EXPECT_FALSE(parse_ok(h2, {}).fast);
+  EXPECT_FALSE(parse_ok(h2, {}).deterministic);
 }
 
 TEST_F(BenchGridTest, InvalidEnvChoiceIsHardError) {
@@ -258,7 +257,7 @@ TEST_F(BenchGridTest, UsageTextListsEveryKnobAndEnvVar) {
   h.add_choice("dtype", "--dtype", "", {"int8"}, "restrict dtype");
   const std::string usage = h.knobs().usage_text("bench");
   for (const char* needle :
-       {"--json", "--fast", "--deterministic", "--backend=ideal|psram|dram",
+       {"--json", "--deterministic", "--backend=ideal|psram|dram",
         "--dtype=int8", "ARCANE_BENCH_BACKEND", "--list-cells", "--cell="}) {
     EXPECT_NE(usage.find(needle), std::string::npos) << needle;
   }
