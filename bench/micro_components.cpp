@@ -215,12 +215,15 @@ void BM_VpuTap(benchmark::State& state) {
 BENCHMARK(BM_VpuTap)->Arg(1)->Arg(4);
 
 /// The first tile of a conv-layer plan (xmk4: 3 channels of 256-wide rows,
-/// k=3, then ReLU and 2x2 max-pooling) at the element width of `state`'s
-/// first Arg, in bytes (1 = int8, 4 = int32).
+/// k x k filters, then ReLU and 2x2 max-pooling) at the element width of
+/// `state`'s first Arg, in bytes (1 = int8, 2 = int16, 4 = int32).
 crt::Tile conv_layer_first_tile(const SystemConfig& cfg,
-                                benchmark::State& state) {
-  const auto et = state.range(0) == 1 ? ElemType::kByte : ElemType::kWord;
-  const std::uint32_t w = 256, k = 3, h = 16;
+                                benchmark::State& state,
+                                std::uint32_t k = 3) {
+  const auto et = state.range(0) == 1   ? ElemType::kByte
+                  : state.range(0) == 2 ? ElemType::kHalf
+                                        : ElemType::kWord;
+  const std::uint32_t w = 256, h = 16;
   crt::KernelOp op;
   op.et = et;
   op.ms1 = {0x1000, {3 * h, w, w}, true};
@@ -259,10 +262,12 @@ void BM_VpuTileProgram(benchmark::State& state) {
 BENCHMARK(BM_VpuTileProgram)->Arg(1)->Arg(4);
 
 /// The same program prepared once and replayed, as the executor replays a
-/// program that later tiles of a chain repeat: the lane pass alone.
+/// program that later tiles of a chain repeat: the lane pass alone. Args:
+/// element bytes and k (each conv row is one MAC run of 3 k^2 taps).
 void BM_VpuTileProgramReplay(benchmark::State& state) {
   SystemConfig cfg{};
-  const crt::Tile tile = conv_layer_first_tile(cfg, state);
+  const crt::Tile tile = conv_layer_first_tile(
+      cfg, state, static_cast<std::uint32_t>(state.range(1)));
   if (tile.prog.empty()) return;
 
   vpu::LineStorage storage(cfg.llc);
@@ -281,7 +286,7 @@ void BM_VpuTileProgramReplay(benchmark::State& state) {
   state.SetLabel(std::to_string(tile.prog.size()) + " vinsns/program, " +
                  std::to_string(prog.steps().size()) + " steps");
 }
-BENCHMARK(BM_VpuTileProgramReplay)->Arg(1)->Arg(4);
+BENCHMARK(BM_VpuTileProgramReplay)->ArgsProduct({{1, 2, 4}, {3, 7}});
 
 /// The schedule+drain micro: a burst of near-future events drained through
 /// run_until — the simulator's dominant event pattern, and the number to

@@ -150,7 +150,9 @@ envelope = {
     "lanes": os.environ["BENCH_LANES"] or None,
     "replacement": os.environ["BENCH_REPLACEMENT"] or None,
     "sched_policy": os.environ["BENCH_SCHED_POLICY"] or None,
-    "deterministic": bool(os.environ["BENCH_DETERMINISTIC"]),
+    # The bench registry's truthiness (bench/grid.hpp).
+    "deterministic": os.environ["BENCH_DETERMINISTIC"] not in ("", "0",
+                                                               "false"),
     "exit_code": int(os.environ["BENCH_EXIT"]),
     "wall_seconds": round(
         float(os.environ["BENCH_END"]) - float(os.environ["BENCH_START"]), 3),

@@ -15,8 +15,10 @@ bench/grid.hpp), so splicing the per-cell row lines in `--list-cells`
 order reproduces the serial `--json` document byte for byte, including
 the C `%.10g` float rendering. `--verify` additionally runs each bench
 serially and asserts that byte-identity (forcing `--deterministic` so the
-machine-dependent wall-clock trend fields are zeroed), and reports the
-serial vs sharded wall-clock.
+machine-dependent wall-clock trend fields are zeroed). The serial runs go
+on the same worker pool, ahead of the cells and fig4_speedup's first, and
+the report gives their summed time next to the wall-clock of the whole
+sweep.
 
 Usage:
     scripts/sweep_runner.py --build-dir build --out-dir bench-out \\
@@ -112,6 +114,12 @@ def merge_fragments(fragments):
     return header + "\n" + (body + "\n" if rows else "") + "]}\n"
 
 
+def env_flag(var):
+    """An on/off env knob read as the bench registry reads it
+    (bench/grid.hpp): unset, empty, "0" and "false" are off."""
+    return os.environ.get(var, "") not in ("", "0", "false")
+
+
 def bench_args(args):
     return ["--deterministic"] if args.deterministic else []
 
@@ -124,8 +132,8 @@ def envelope_base(name, reproduces, args):
     }
     for field, var in ENV_KNOBS:
         env[field] = os.environ.get(var) or None
-    env["deterministic"] = bool(
-        args.deterministic or os.environ.get("ARCANE_BENCH_DETERMINISTIC"))
+    env["deterministic"] = (args.deterministic
+                            or env_flag("ARCANE_BENCH_DETERMINISTIC"))
     return env
 
 
@@ -164,10 +172,10 @@ def run_bench_sharded(name, reproduces, binary, pool, args):
     return envelope, merged
 
 
-def verify_bench(name, binary, merged, args):
-    """Byte-compare the merged document against a serial --json run."""
-    cmd = [str(binary), "--json", *bench_args(args)]
-    code, serial, seconds = run(cmd)
+def verify_bench(name, merged, serial_run):
+    """Byte-compare the merged document against a serial --json run's
+    (exit code, stdout, seconds)."""
+    code, serial, seconds = serial_run
     if code != 0:
         print(f"FAIL: {name} serial --json exited {code}", file=sys.stderr)
         return None
@@ -280,9 +288,18 @@ def main():
     args.out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
     total_cells = 0
-    sharded_start = time.time()
+    start = time.time()
     merged_docs = {}
     with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
+        # The serial byte-identity runs share the pool with the cells, queued
+        # ahead of them and the longest (fig4's) first, so that it overlaps
+        # the rest of the sweep instead of following it.
+        serial_runs = {}
+        if args.verify:
+            for name, _ in sorted(selected,
+                                  key=lambda b: b[0] != "fig4_speedup"):
+                serial_runs[name] = pool.submit(
+                    run, [str(bench_dir / name), "--json", *bench_args(args)])
         for name, reproduces in selected:
             binary = bench_dir / name
             envelope, merged = run_bench_sharded(name, reproduces, binary,
@@ -298,22 +315,23 @@ def main():
             with open(args.out_dir / f"{name}.json", "w") as f:
                 json.dump(envelope, f, indent=2)
                 f.write("\n")
-    sharded_wall = time.time() - sharded_start
 
-    if args.verify and failures == 0:
-        serial_wall = 0.0
-        for name, _ in selected:
-            seconds = verify_bench(name, bench_dir / name, merged_docs[name],
-                                   args)
-            if seconds is None:
-                failures += 1
-            else:
-                serial_wall += seconds
-        if failures == 0:
-            speedup = serial_wall / sharded_wall if sharded_wall > 0 else 0.0
-            print(f"verify: serial sweep {serial_wall:.1f}s vs sharded "
-                  f"{sharded_wall:.1f}s ({args.jobs} workers, "
-                  f"{speedup:.2f}x)")
+        if args.verify and failures == 0:
+            serial_wall = 0.0
+            for name, _ in selected:
+                seconds = verify_bench(name, merged_docs[name],
+                                       serial_runs[name].result())
+                if seconds is None:
+                    failures += 1
+                else:
+                    serial_wall += seconds
+            if failures == 0:
+                # The serial figure sums the per-bench runs: they overlapped
+                # the sharded sweep, so no wall clock spans them alone.
+                print(f"verify: serial sweep {serial_wall:.1f}s (sum of "
+                      f"per-bench runs) vs sharded sweep and verify "
+                      f"{time.time() - start:.1f}s ({args.jobs} "
+                      f"workers)")
 
     print(f"\nwrote {len(selected)} artifacts to {args.out_dir}/ "
           f"({total_cells} cells, {args.jobs} workers, {failures} failures)")

@@ -15,11 +15,17 @@ namespace arcane::vpu {
 
 class LineStorage {
  public:
+  /// Zero bytes past the last line that the VPU lane pass may read but never
+  /// writes: a `vmacc.es` sweep loads whole 64-byte blocks, so the last
+  /// block of a register can reach up to 63 bytes past the register's end.
+  static constexpr std::size_t kReadPad = 64;
+
   explicit LineStorage(const LlcConfig& cfg)
       : num_lines_(cfg.num_lines()),
         line_bytes_(cfg.line_bytes()),
         vregs_per_vpu_(cfg.vpu.num_vregs),
-        data_(static_cast<std::size_t>(num_lines_) * line_bytes_, 0) {}
+        data_(static_cast<std::size_t>(num_lines_) * line_bytes_ + kReadPad,
+              0) {}
 
   unsigned num_lines() const { return num_lines_; }
   unsigned line_bytes() const { return line_bytes_; }
@@ -36,7 +42,7 @@ class LineStorage {
   }
 
   unsigned line_of(unsigned vpu, unsigned vreg) const {
-    ARCANE_ASSERT(vreg < vregs_per_vpu_, "vreg " << vreg << " out of range");
+    if (vreg >= vregs_per_vpu_) [[unlikely]] reject_vreg(vreg);
     return vpu * vregs_per_vpu_ + vreg;
   }
 
@@ -48,13 +54,18 @@ class LineStorage {
   }
 
  private:
-  // The assertion message is built out of line, so line() stays small
-  // enough to inline into the LLC host port's hit path.
+  // The assertion messages are built out of line, so line() stays small
+  // enough to inline into the LLC host port's hit path, and line_of()
+  // leaves no message-building cleanup in its callers (the VPU lane pass
+  // among them).
   void check_line(unsigned idx) const {
     if (idx >= num_lines_) [[unlikely]] reject_line(idx);
   }
   [[gnu::noinline]] void reject_line(unsigned idx) const {
     ARCANE_ASSERT(idx < num_lines_, "line index " << idx << " out of range");
+  }
+  [[gnu::noinline]] void reject_vreg(unsigned vreg) const {
+    ARCANE_ASSERT(vreg < vregs_per_vpu_, "vreg " << vreg << " out of range");
   }
 
   unsigned num_lines_;

@@ -49,13 +49,6 @@ template <typename T>
     case VOpc::kMulVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(a[i]) * ux); break;
     case VOpc::kMaccVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(d[i]) + lane(a[i]) * lane(b[i])); break;
     case VOpc::kMaccVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = static_cast<T>(lane(d[i]) + ux * lane(b[i])); break;
-    case VOpc::kMaccEs: {
-      // Validation has checked scalar < capacity.
-      const std::uint32_t e = lane(a[insn.scalar]);
-      for (std::uint32_t i = 0; i < vl; ++i)
-        d[i] = static_cast<T>(lane(d[i]) + e * lane(b[i]));
-      break;
-    }
     case VOpc::kMinVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = std::min(a[i], b[i]); break;
     case VOpc::kMinVX: for (std::uint32_t i = 0; i < vl; ++i) d[i] = std::min(a[i], x); break;
     case VOpc::kMaxVV: for (std::uint32_t i = 0; i < vl; ++i) d[i] = std::max(a[i], b[i]); break;
@@ -118,8 +111,99 @@ template <typename T>
       std::memset(d + n, 0, (vl - n) * sizeof(T));
       break;
     }
+    case VOpc::kMaccEs:    // swept by mac_run
     case VOpc::kOpcCount:  // rejected by the pass
       break;
+  }
+}
+
+// Bytes of the accumulator a MAC run sweep keeps in registers at a time, and
+// the most terms it gathers per pass over the accumulator.
+constexpr std::uint32_t kBlock = 64;
+constexpr unsigned kRunChunk = 32;
+
+// acc += e * w over one VB-byte sub-vector of lanes, with w read at `p`.
+// Bytes multiply as the two halves of 16-bit lanes: the low byte of w * e is
+// the low product, and (w & 0xFF00) * e has the high one in its high byte.
+template <typename T, typename UV, typename MV, typename M>
+[[gnu::always_inline]] inline void mac_lanes(UV& acc, const std::uint8_t* p,
+                                             M e) {
+  MV w;
+  std::memcpy(&w, p, sizeof w);
+  if constexpr (sizeof(T) == 1) {
+    acc += reinterpret_cast<UV>(((w * e) & 0x00FF) | ((w & 0xFF00) * e));
+  } else {
+    acc += w * e;
+  }
+}
+
+// Executes the MAC run of `n` validated vmacc.es steps starting at `run`:
+// vd[i] += e_j * src_j[i + off_j] for every term j, with e_j = vs1_j[idx_j]
+// and src_j the term's vs2 read at its `src_off`. One 64-byte block of vd at
+// a time stays in registers, as 64 / VB sub-vectors of VB bytes, while every
+// term adds into it. The arithmetic is in T's own unsigned width, where the
+// sum is exact modulo 2^w in any order. The last partial block is computed
+// whole, reading up to 63 bytes past vl (LineStorage::kReadPad covers the
+// last register), and stored only up to vl. Each e_j is read before the
+// sweep writes vd, and a term's vs2 that is vd (single-term runs only) is
+// read at offset 0, each block before it is stored, so reads behave as if
+// they all happen first.
+template <typename T, unsigned VB>
+[[gnu::always_inline]] inline void mac_run(const detail::Step* run, unsigned n,
+                                           std::uint8_t* regs,
+                                           std::size_t vlen) {
+  using U = std::make_unsigned_t<T>;
+  using M = std::conditional_t<sizeof(T) == 1, std::uint16_t, U>;
+  typedef U UV __attribute__((vector_size(VB)));
+  typedef M MV __attribute__((vector_size(VB)));
+  static_assert(kBlock == 2 * VB || kBlock == 4 * VB);
+  constexpr bool kFour = kBlock == 4 * VB;
+
+  const VInsn& head = run->insn;
+  std::uint8_t* const d = regs + head.vd * vlen;
+  const std::uint32_t bytes = head.vl * static_cast<std::uint32_t>(sizeof(T));
+  M e[kRunChunk];
+  const std::uint8_t* src[kRunChunk];
+  for (unsigned c = 0; c < n; c += kRunChunk) {
+    const unsigned m = std::min(n - c, kRunChunk);
+    for (unsigned j = 0; j < m; ++j) {
+      const detail::Step& s = run[c + j];
+      const T* const a = reinterpret_cast<const T*>(regs + s.insn.vs1 * vlen);
+      e[j] = static_cast<U>(a[s.insn.scalar]);
+      src[j] = regs + s.insn.vs2 * vlen + s.src_off;
+    }
+    for (std::uint32_t b = 0; b < bytes; b += kBlock) {
+      // The block as named sub-vectors, not an array, so that they stay in
+      // registers across the terms.
+      std::uint8_t* const q = d + b;
+      UV a0, a1, a2{}, a3{};
+      std::memcpy(&a0, q, VB);
+      std::memcpy(&a1, q + VB, VB);
+      if constexpr (kFour) {
+        std::memcpy(&a2, q + 2 * VB, VB);
+        std::memcpy(&a3, q + 3 * VB, VB);
+      }
+      for (unsigned j = 0; j < m; ++j) {
+        const std::uint8_t* const p = src[j] + b;
+        mac_lanes<T, UV, MV>(a0, p, e[j]);
+        mac_lanes<T, UV, MV>(a1, p + VB, e[j]);
+        if constexpr (kFour) {
+          mac_lanes<T, UV, MV>(a2, p + 2 * VB, e[j]);
+          mac_lanes<T, UV, MV>(a3, p + 3 * VB, e[j]);
+        }
+      }
+      if (bytes - b >= kBlock) {
+        std::memcpy(q, &a0, VB);
+        std::memcpy(q + VB, &a1, VB);
+        if constexpr (kFour) {
+          std::memcpy(q + 2 * VB, &a2, VB);
+          std::memcpy(q + 3 * VB, &a3, VB);
+        }
+      } else {
+        const UV acc[4] = {a0, a1, a2, a3};
+        std::memcpy(q, acc, bytes - b);
+      }
+    }
   }
 }
 
@@ -182,6 +266,25 @@ bool foldable(const VInsn& slide, const VInsn& mac, unsigned cap) {
          slide.scalar > 0 && slide.scalar < cap;
 }
 
+// True when `insn` overwrites register `reg`'s first `bytes` bytes without
+// reading it. A MAC or a vslideup keeps old elements, so it reads its
+// destination.
+bool overwrites(const VInsn& insn, unsigned reg, std::uint32_t bytes) {
+  return insn.vd == reg && insn.vs1 != reg && insn.vs2 != reg &&
+         !vinsn_is_mac(insn.op) && insn.op != VOpc::kSlideUpVX &&
+         insn.vl * elem_bytes(insn.et) >= bytes;
+}
+
+// True when the vmacc.es `term` may join the MAC run `head` starts: the same
+// accumulator, element type and vl, and no source of either is the
+// accumulator, so no term reads the block the sweep holds in registers.
+bool joins(const VInsn& head, const VInsn& term) {
+  const unsigned acc = head.vd;
+  return term.vd == acc && term.et == head.et && term.vl == head.vl &&
+         head.vs1 != acc && head.vs2 != acc && term.vs1 != acc &&
+         term.vs2 != acc;
+}
+
 }  // namespace
 
 void Program::prepare(std::span<const VInsn> prog, const VpuConfig& cfg,
@@ -193,16 +296,19 @@ void Program::prepare(std::span<const VInsn> prog, const VpuConfig& cfg,
   detail::Step* const first = steps_.data();
   detail::Step* out = first;
 
-  // The slide of the last folded pair, while its own write may still be
-  // needed. The first later instruction that names its register decides:
-  // one that overwrites the slide's vl elements without reading the
-  // register drops the slide's step; any other keeps it, and so does the
-  // next fold or the end of the valid prefix. A MAC or a vslideup keeps
-  // old elements, so it reads its destination.
-  detail::Step* slide_step = nullptr;
-  unsigned tmp = 0;
+  // The slide of the last folded pair, held out of the steps while its own
+  // write may still be needed. The first later instruction that names its
+  // register decides: one that overwrites the slide's vl elements without
+  // reading the register drops the slide; any other keeps it, and so do an
+  // instruction that writes the slide's source, the next vslidedown and the
+  // end of the valid prefix. A kept slide's step goes just before the
+  // instruction that decided: the ones it moves past neither name its
+  // register nor write its source, so every read sees the same bytes.
+  bool held = false;
+  VInsn slide;
   std::uint32_t tmp_bytes = 0;
-  std::size_t dropped = 0;
+  // The first step of the open MAC run.
+  detail::Step* head = nullptr;
 
   // Validate, time, count and copy the valid prefix; the first invalid
   // instruction throws after it. Issue model: instruction i is dispatched
@@ -222,44 +328,49 @@ void Program::prepare(std::span<const VInsn> prog, const VpuConfig& cfg,
     delta.busy_cycles += lat;
     count_insn(delta, insn);
 
-    if (slide_step != nullptr &&
-        (insn.vd == tmp || insn.vs1 == tmp || insn.vs2 == tmp)) {
-      if (insn.vs1 != tmp && insn.vs2 != tmp && !vinsn_is_mac(insn.op) &&
-          insn.op != VOpc::kSlideUpVX &&
-          insn.vl * elem_bytes(insn.et) >= tmp_bytes) {
-        slide_step->src_off = kDropped;
-        ++dropped;
+    if (held) {
+      const unsigned tmp = slide.vd;
+      const bool names = insn.vd == tmp || insn.vs1 == tmp || insn.vs2 == tmp;
+      if (names || insn.vd == slide.vs1 || insn.op == VOpc::kSlideDownVX) {
+        held = false;
+        if (!names || !overwrites(insn, tmp, tmp_bytes)) *out++ = {slide};
       }
-      slide_step = nullptr;
     }
-    *out++ = {insn, 0};
 
     // A vmacc.es reading the slide just before it reads the slide's source
     // at the slide amount instead: the in-range elements k..cap-1, since
-    // the zero-filled tail adds nothing.
+    // the zero-filled tail adds nothing. The MAC's step replaces the
+    // slide's, the last one (a vslidedown decides any slide held before
+    // it), and the slide is held.
     const unsigned cap = capacity_of(insn, cfg);
     if (i > 0 && foldable(prog[i - 1], insn, cap)) {
-      const VInsn& slide = prog[i - 1];
-      detail::Step& mac = out[-1];
-      mac.src_off = slide.scalar * elem_bytes(slide.et);
-      mac.insn.vs2 = slide.vs1;
-      mac.insn.vl = std::min(slide.vl, cap - slide.scalar);
-      slide_step = out - 2;
-      tmp = slide.vd;
+      slide = prog[i - 1];
+      held = true;
       tmp_bytes = slide.vl * elem_bytes(slide.et);
+      out[-1] = {insn, slide.scalar * elem_bytes(slide.et)};
+      out[-1].insn.vs2 = slide.vs1;
+      out[-1].insn.vl = std::min(slide.vl, cap - slide.scalar);
+    } else {
+      *out++ = {insn};
+    }
+
+    if (insn.op == VOpc::kMaccEs) {
+      detail::Step* const mac = out - 1;
+      if (head != nullptr && head + head->run == mac &&
+          joins(head->insn, mac->insn))
+        ++head->run;
+      else
+        head = mac;
     }
   }
+  if (held) *out++ = {slide};
   if (!valid_) delta.busy_cycles = 0;
   delta_ = delta;
   duration_ = done;
   steps_.resize(static_cast<std::size_t>(out - first));
-  if (dropped != 0) {
-    std::erase_if(steps_, [](const detail::Step& s) {
-      return s.src_off == kDropped;
-    });
-  }
 }
 
+template <unsigned VB>
 [[gnu::always_inline]] inline void VectorUnit::functional_pass(
     std::span<const detail::Step> steps) {
   // A VPU's registers are consecutive lines of the storage: register v
@@ -267,8 +378,18 @@ void Program::prepare(std::span<const VInsn> prog, const VpuConfig& cfg,
   std::uint8_t* const regs = vreg(0).data();
   const std::size_t vlen = cfg_.vlen_bytes;
 
-  for (const detail::Step& step : steps) {
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const detail::Step& step = steps[i];
     const VInsn& insn = step.insn;
+    if (insn.op == VOpc::kMaccEs) {
+      switch (insn.et) {
+        case ElemType::kWord: mac_run<std::int32_t, VB>(&step, step.run, regs, vlen); break;
+        case ElemType::kHalf: mac_run<std::int16_t, VB>(&step, step.run, regs, vlen); break;
+        case ElemType::kByte: mac_run<std::int8_t, VB>(&step, step.run, regs, vlen); break;
+      }
+      i += step.run - 1;
+      continue;
+    }
     const unsigned capacity = capacity_of(insn, cfg_);
 
     // Snapshot a source only when it aliases the destination register, so
@@ -301,7 +422,7 @@ void Program::prepare(std::span<const VInsn> prog, const VpuConfig& cfg,
 namespace detail {
 
 void lane_pass_portable(VectorUnit& vu, std::span<const Step> steps) {
-  vu.functional_pass(steps);
+  vu.functional_pass<16>(steps);
 }
 
 #ifdef ARCANE_VPU_X86_BUILDS
@@ -312,7 +433,7 @@ void lane_pass_portable(VectorUnit& vu, std::span<const Step> steps) {
 // bytes.
 [[gnu::target("avx2")]] void lane_pass_avx2(VectorUnit& vu,
                                             std::span<const Step> steps) {
-  vu.functional_pass(steps);
+  vu.functional_pass<32>(steps);
 }
 
 bool host_has_avx2() {
@@ -333,7 +454,7 @@ bool host_has_avx2() {
 #else
 
 void lane_pass_avx2(VectorUnit& vu, std::span<const Step> steps) {
-  vu.functional_pass(steps);
+  vu.functional_pass<16>(steps);
 }
 
 bool host_has_avx2() { return false; }

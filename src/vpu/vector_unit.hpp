@@ -25,6 +25,9 @@ namespace detail {
 struct Step {
   VInsn insn;
   std::uint32_t src_off = 0;  // byte offset of the vs2 read
+  // On the first `vmacc.es` of a MAC run: its terms, this step and the
+  // run - 1 `vmacc.es` steps after it, which the lane pass sweeps at once.
+  std::uint32_t run = 1;
 };
 
 /// The two builds of the functional lane pass: run prepared, validated
@@ -49,11 +52,14 @@ bool host_has_avx2();
 
 /// A micro-program prepared for any number of runs on units of one
 /// VpuConfig: each instruction validated once, the issue-model duration
-/// and the stats delta computed once, and each slide that only feeds the
-/// next `vmacc.es` folded into it. Running it has the effect of running
-/// the original instructions: the same register bytes, the same
-/// VpuStats and the same completion time. prepare() reuses the capacity
-/// of an earlier program, so a warm Program allocates nothing.
+/// and the stats delta computed once, each slide that only feeds the
+/// next `vmacc.es` folded into it, and each maximal run of consecutive
+/// `vmacc.es` steps into one accumulator (same vd, element type and vl; in
+/// a run of more than one term no source is vd) marked for one sweep.
+/// Running it has the effect of running the original instructions: the
+/// same register bytes, the same VpuStats and the same completion time.
+/// prepare() reuses the capacity of an earlier program, so a warm Program
+/// allocates nothing.
 class Program {
  public:
   /// Prepare `prog`, dispatched one instruction every `dispatch_gap`
@@ -69,9 +75,6 @@ class Program {
  private:
   friend Cycle detail::run_with(VectorUnit&, const Program&, Cycle,
                                 detail::LanePass);
-
-  /// `src_off` of a slide step whose write prepare() drops.
-  static constexpr std::uint32_t kDropped = ~0u;
 
   std::vector<detail::Step> steps_;
   // What a run adds to the unit's stats (busy cycles only when the whole
@@ -125,7 +128,8 @@ class VectorUnit {
   friend void detail::lane_pass_avx2(VectorUnit&,
                                      std::span<const detail::Step>);
 
-  /// The lane pass both builds inline.
+  /// The lane pass both builds inline, over sub-vectors of VB bytes.
+  template <unsigned VB>
   inline void functional_pass(std::span<const detail::Step> steps);
 
   VpuConfig cfg_;

@@ -1,12 +1,14 @@
 // Vector unit timing model: lane/element-width scaling, pipeline overlap and
 // dispatch, run_program against a per-instruction model, and prepared
 // programs (vpu::Program: run once and replayed, slides folded into their
-// MACs) against per-instruction execute() on both lane pass builds.
+// MACs, vmacc.es runs swept at once) against per-instruction execute() on
+// both lane pass builds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -194,14 +196,14 @@ std::vector<VInsn> random_program(std::mt19937& rng, const VpuConfig& cfg,
   return prog;
 }
 
-/// One VPU with its own line storage, registers seeded from `seed`.
+/// VPU `id` of its own line storage, its registers seeded from `seed`.
 struct Unit {
   LlcConfig cfg;
   LineStorage storage;
   VectorUnit vu;
 
-  Unit(const LlcConfig& c, std::uint32_t seed)
-      : cfg(c), storage(cfg), vu(cfg.vpu, 0, storage) {
+  Unit(const LlcConfig& c, std::uint32_t seed, unsigned id = 0)
+      : cfg(c), storage(cfg), vu(cfg.vpu, id, storage) {
     std::mt19937 rng(seed);
     for (unsigned r = 0; r < cfg.vpu.num_vregs; ++r)
       for (auto& b : vu.vreg(r)) b = static_cast<std::uint8_t>(rng());
@@ -353,20 +355,20 @@ class VpuProgramTest : public ::testing::TestWithParam<LaneBuild> {
       GTEST_SKIP() << "host has no AVX2";
   }
 
-  /// Prepares `prog` once and runs it three times on one unit, each from a
-  /// different start; a twin executes it instruction by instruction as
-  /// often. Returns the prepared program's step count.
+  /// Prepares `prog` once and runs it three times on VPU `vpu` of one
+  /// storage, each from a different start; a twin executes it instruction
+  /// by instruction as often. Returns the prepared program's step count.
   std::size_t check(const std::vector<VInsn>& prog, const LlcConfig& cfg,
-                    unsigned gap, std::uint32_t seed) {
+                    unsigned gap, std::uint32_t seed, unsigned vpu = 0) {
     Program program;
     program.prepare(prog, cfg.vpu, gap);
     EXPECT_EQ(program.size(), prog.size());
-    Unit real(cfg, seed), twin(cfg, seed);
+    Unit real(cfg, seed, vpu), twin(cfg, seed, vpu);
 
     // The valid prefix, and the error its first invalid instruction raises.
     std::size_t valid = 0;
     std::string error;
-    Unit probe(cfg, seed);
+    Unit probe(cfg, seed, vpu);
     for (; valid < prog.size(); ++valid) {
       error = thrown_by([&] { probe.vu.execute(prog[valid]); });
       if (!error.empty()) break;
@@ -545,6 +547,168 @@ TEST_P(VpuProgramTest, FoldCasesMatchPerInstructionExecution) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     EXPECT_EQ(check(c.prog, cfg, 4, 11), c.steps);
+  }
+}
+
+// ---------------------------------------------------------------------
+// MAC runs: consecutive vmacc.es steps into one accumulator, which the lane
+// pass sweeps one 64-byte block at a time, against per-instruction execute().
+// ---------------------------------------------------------------------
+
+/// The term counts of the MAC runs a prepared program marks, in order.
+std::vector<std::uint32_t> mac_runs(const Program& p) {
+  std::vector<std::uint32_t> runs;
+  const std::span<const detail::Step> steps = p.steps();
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    if (steps[i].insn.op != VOpc::kMaccEs) continue;
+    runs.push_back(steps[i].run);
+    i += steps[i].run - 1;
+  }
+  return runs;
+}
+
+std::vector<std::uint32_t> runs_of(const std::vector<VInsn>& prog,
+                                   const VpuConfig& cfg) {
+  Program p;
+  p.prepare(prog, cfg, 4);
+  return mac_runs(p);
+}
+
+/// `n` vmacc.es terms into v3 at width `et` and length `vl`, filter elements
+/// from v4 and inputs from v8..v15. Every other term reads its input
+/// through a vslidedown.vx into v2, by an amount that keeps vl in range so
+/// that the pair folds, as a conv row's taps do.
+std::vector<VInsn> mac_terms(unsigned n, ElemType et, std::uint32_t vl,
+                             const VpuConfig& cfg) {
+  const std::uint32_t cap = cfg.vlen_bytes / elem_bytes(et);
+  const std::uint32_t room = std::min(cap - vl, cap - 1);
+  std::vector<VInsn> prog;
+  for (unsigned j = 0; j < n; ++j) {
+    const auto in = static_cast<std::uint8_t>(8 + j % 8);
+    VInsn mac{VOpc::kMaccEs, 3, 4, in, et, vl, j % cap};
+    if (j % 2 == 1 && room != 0) {
+      prog.push_back(
+          VInsn{VOpc::kSlideDownVX, 2, in, 0, et, vl, 1 + j % room});
+      mac.vs2 = 2;
+    }
+    prog.push_back(mac);
+  }
+  return prog;
+}
+
+constexpr ElemType kWidths[] = {ElemType::kWord, ElemType::kHalf,
+                                ElemType::kByte};
+
+TEST_P(VpuProgramTest, MacRunsMatchPerInstructionExecution) {
+  LlcConfig cfg{};
+  cfg.vpu.vlen_bytes = 256;
+  std::uint32_t seed = 0;
+  for (ElemType et : kWidths) {
+    const std::uint32_t cap = cfg.vpu.vlen_bytes / elem_bytes(et);
+    const std::uint32_t block = 64 / elem_bytes(et);  // elements per block
+    for (std::uint32_t vl : {0u, 1u, block - 1, 2 * block - 1, 2 * block,
+                             2 * block + 1, cap}) {
+      // 31..33 straddle the sweep's 32-term chunk; 147 = 3 * 7 * 7 is a k=7
+      // conv-layer row.
+      for (unsigned n : {1u, 2u, 31u, 32u, 33u, 147u}) {
+        SCOPED_TRACE(::testing::Message() << "et " << static_cast<int>(et)
+                                          << " vl " << vl << " terms " << n);
+        const std::vector<VInsn> prog = mac_terms(n, et, vl, cfg.vpu);
+        EXPECT_EQ(runs_of(prog, cfg.vpu), std::vector<std::uint32_t>{n});
+        check(prog, cfg, 4, ++seed);
+      }
+    }
+  }
+}
+
+TEST_P(VpuProgramTest, MacRunsReadFoldedSourcesAtTheLastElements) {
+  LlcConfig cfg{};
+  cfg.vpu.vlen_bytes = 256;
+  for (ElemType et : kWidths) {
+    const std::uint32_t cap = cfg.vpu.vlen_bytes / elem_bytes(et);
+    for (std::uint32_t k : {cap - 1, cap - 2, cap - 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "et " << static_cast<int>(et) << " k " << k);
+      const std::uint32_t vl = cap - k;
+      const std::vector<VInsn> prog = {
+          VInsn{VOpc::kMaccEs, 3, 4, 9, et, vl, 1},
+          VInsn{VOpc::kSlideDownVX, 2, 8, 0, et, vl, k},
+          VInsn{VOpc::kMaccEs, 3, 4, 2, et, vl, cap - 1},
+          VInsn{VOpc::kSlideDownVX, 2, 10, 0, et, vl, k},
+          VInsn{VOpc::kMaccEs, 3, 5, 2, et, vl, 0}};
+      EXPECT_EQ(runs_of(prog, cfg.vpu), std::vector<std::uint32_t>{3});
+      check(prog, cfg, 4, k);
+    }
+  }
+}
+
+TEST_P(VpuProgramTest, MacRunBreakersMatchPerInstructionExecution) {
+  LlcConfig cfg{};
+  cfg.vpu.vlen_bytes = 256;
+  const VInsn t{VOpc::kMaccEs, 3, 4, 8, ElemType::kHalf, 100, 5};
+  auto with = [&](auto change) {
+    VInsn i = t;
+    change(i);
+    return i;
+  };
+  const VInsn t2 = with([](VInsn& i) { i.vs2 = 9; i.scalar = 6; });
+  struct Case {
+    const char* name;
+    std::vector<VInsn> prog;
+    std::vector<std::uint32_t> runs;
+  };
+  const std::vector<Case> cases = {
+      {"one run", {t, t2, t}, {3}},
+      {"vs1 is vd mid-run",
+       {t, t2, with([](VInsn& i) { i.vs1 = 3; }), t}, {2, 1, 1}},
+      {"vs2 is vd mid-run",
+       {t, t2, with([](VInsn& i) { i.vs2 = 3; }), t}, {2, 1, 1}},
+      {"the first term reads vd", {with([](VInsn& i) { i.vs1 = 3; }), t, t2},
+       {1, 2}},
+      {"the element type changes",
+       {t, t2, with([](VInsn& i) { i.et = ElemType::kByte; }), t},
+       {2, 1, 1}},
+      {"vl changes", {t, t2, with([](VInsn& i) { i.vl = 99; }), t},
+       {2, 1, 1}},
+      {"the accumulator changes",
+       {t, t2, with([](VInsn& i) { i.vd = 6; }), t}, {2, 1, 1}},
+      {"a non-MAC between terms",
+       {t, t2, VInsn{VOpc::kAddVV, 6, 8, 9, ElemType::kHalf, 100, 0}, t, t2},
+       {2, 2}},
+      {"a vmacc.vx into the accumulator between terms",
+       {t, with([](VInsn& i) { i.op = VOpc::kMaccVX; }), t2}, {1, 1}},
+      {"a slide that does not fold between terms",
+       {t, VInsn{VOpc::kSlideDownVX, 2, 8, 0, ElemType::kHalf, 100, 1},
+        with([](VInsn& i) { i.vs1 = 2; }), t2},
+       {1, 2}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(runs_of(c.prog, cfg.vpu), c.runs);
+    check(c.prog, cfg, 4, 21);
+  }
+}
+
+TEST_P(VpuProgramTest, MacRunsReadTheLastRegisterOfTheLastVpu) {
+  // The sweep reads whole 64-byte blocks: a source read from its last
+  // element reaches past the register, which for the last register of the
+  // last VPU is past the storage's lines (an over-read fails under ASan
+  // without LineStorage::kReadPad).
+  LlcConfig cfg{};
+  const auto last = static_cast<std::uint8_t>(cfg.vpu.num_vregs - 1);
+  for (ElemType et : kWidths) {
+    SCOPED_TRACE(::testing::Message() << "et " << static_cast<int>(et));
+    const std::uint32_t cap = cfg.vpu.vlen_bytes / elem_bytes(et);
+    const std::vector<VInsn> prog = {
+        VInsn{VOpc::kMaccEs, 29, 28, last, et, cap - 1, 3},
+        VInsn{VOpc::kSlideDownVX, 27, last, 0, et, cap - 1, 1},
+        VInsn{VOpc::kMaccEs, 29, 28, 27, et, cap - 1, 4},
+        VInsn{VOpc::kSlideDownVX, 27, last, 0, et, 1, cap - 1},
+        VInsn{VOpc::kMaccEs, 25, 28, 27, et, 1, 5},
+        VInsn{VOpc::kMaccEs, 25, 28, 26, et, 1, cap - 1},
+        VInsn{VOpc::kMaccEs, last, 28, 26, et, cap - 1, 2}};
+    EXPECT_EQ(runs_of(prog, cfg.vpu), (std::vector<std::uint32_t>{2, 2, 1}));
+    check(prog, cfg, 4, 5, cfg.num_vpus - 1);
   }
 }
 
