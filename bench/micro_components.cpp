@@ -288,6 +288,45 @@ void BM_VpuTileProgramReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_VpuTileProgramReplay)->ArgsProduct({{1, 2, 4}, {3, 7}});
 
+/// The conv2d tile every serve-pipeline job runs first (pipeline_job: a
+/// 10x12 word input, 3x3 filter).
+crt::Tile serve_conv_tile(const SystemConfig& cfg) {
+  const sched::JobSpec job = sched::pipeline_job(sched::PipelineSlot(0x10000));
+  const sched::OpSpec& s = job.ops.front();
+  crt::KernelOp op;
+  op.et = s.et;
+  op.md = s.md;
+  op.ms1 = s.ms1;
+  op.ms2 = s.ms2;
+  crt::Tile tile;
+  kernels::conv2d_planner()(op, cfg).chains.front().make_tile(0, tile);
+  return tile;
+}
+
+/// Program::prepare alone (validate, time, fold slides, mark MAC runs),
+/// into a warm Program: what a tile pays whose program its executor does
+/// not hold prepared. Arg 0: the serve-pipeline conv2d tile; 1 or 4: the
+/// conv-layer first tile at that element width (k = 3), which the
+/// arcane-conv workload prepares once per kernel.
+void BM_VpuProgramPrepare(benchmark::State& state) {
+  SystemConfig cfg{};
+  const crt::Tile tile = state.range(0) == 0
+                             ? serve_conv_tile(cfg)
+                             : conv_layer_first_tile(cfg, state);
+  if (tile.prog.empty()) return;
+
+  vpu::Program prog;
+  for (auto _ : state) {
+    prog.prepare(tile.prog, cfg.llc.vpu, 4);
+    benchmark::DoNotOptimize(prog.steps().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tile.prog.size()));
+  state.SetLabel(std::to_string(tile.prog.size()) + " vinsns/program");
+}
+BENCHMARK(BM_VpuProgramPrepare)->Arg(0)->Arg(1)->Arg(4);
+
 /// The schedule+drain micro: a burst of near-future events drained through
 /// run_until — the simulator's dominant event pattern, and the number to
 /// watch when touching the calendar-queue kernel (no automated gate: CI

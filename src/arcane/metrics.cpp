@@ -63,6 +63,7 @@ constexpr auto kCrt = std::to_array<Field<sim::CrtPhaseStats>>({
     {"writebacks_elided", member<&sim::CrtPhaseStats::writebacks_elided>},
     {"full_elisions", member<&sim::CrtPhaseStats::full_elisions>},
     {"ecpu_busy_cycles", member<&sim::CrtPhaseStats::ecpu_busy>},
+    {"programs_prepared", member<&sim::CrtPhaseStats::programs_prepared>},
 });
 
 constexpr auto kSched = std::to_array<Field<sim::SchedStats>>({

@@ -167,6 +167,8 @@ struct VpuConfig {
   unsigned pipe_fill = 4;       // per-instruction pipeline fill cycles
   unsigned gather_penalty = 2;  // bank-conflict factor for strided gathers
 
+  bool operator==(const VpuConfig&) const = default;
+
   /// Elements processed per cycle for a given element width: each 32-bit
   /// lane packs 4 x int8, 2 x int16 or 1 x int32 (sub-word SIMD).
   constexpr unsigned elems_per_cycle(unsigned ebytes) const {

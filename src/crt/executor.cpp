@@ -70,7 +70,8 @@ void KernelExecutor::launch(KernelOp op, Plan plan,
     cs.vpu = vpus[i];
     cs.next_tile = 0;
     cs.claimed = false;
-    cs.kept = 0;
+    cs.progs.unpin_all();
+    cs.kept.clear();
     cs.compute_end = 0;
     cs.breakdown = {};
     const unsigned ci = static_cast<unsigned>(i);
@@ -92,19 +93,18 @@ const vpu::Program& KernelExecutor::tile_program(ChainState& cs) {
   const unsigned i = cs.next_tile;
   const unsigned r = cs.tile.repeats;
   if (r < i) {
-    for (unsigned k = 0; k < cs.kept; ++k) {
-      if (cs.progs[k].tile == r) return cs.progs[k].prog;
+    for (const auto& [tile, entry] : cs.kept) {
+      if (tile == r) return cs.progs.program(entry);
     }
     ARCANE_ASSERT(false, "tile " << i << " repeats tile " << r
                                  << ", which no earlier tile kept");
   }
-  if (cs.progs.size() == cs.kept) cs.progs.emplace_back();
-  PreparedTile& p = cs.progs[cs.kept];
-  p.tile = i;
-  p.prog.prepare(cs.tile.prog, (*ctx_->vpus)[cs.vpu].config(),
-                 ctx_->costs.vinsn_dispatch);
-  if (r == i) ++cs.kept;
-  return p.prog;
+  const std::size_t entry = cs.progs.acquire(
+      cs.tile.prog, (*ctx_->vpus)[cs.vpu].config(),
+      ctx_->costs.vinsn_dispatch, /*pin=*/r == i,
+      ctx_->phases.programs_prepared);
+  if (r == i) cs.kept.emplace_back(i, entry);
+  return cs.progs.program(entry);
 }
 
 void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -25,6 +26,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/span.hpp"
+#include "vpu/program_cache.hpp"
 #include "vpu/vector_unit.hpp"
 
 namespace arcane::crt {
@@ -136,26 +138,21 @@ class KernelExecutor {
   const KernelOp& op() const { return active_.op; }
 
  private:
-  /// A tile's micro-program prepared for its VPU, and the tile it was
-  /// built from.
-  struct PreparedTile {
-    unsigned tile = 0;
-    vpu::Program prog;
-  };
   /// One chain slot. Slots outlive kernels: a launch resets the counters of
-  /// the slots its plan uses and keeps each slot's Tile and programs, whose
-  /// capacity the next tiles are built into. The chain itself is read from
-  /// active_.plan.
+  /// the slots its plan uses and keeps each slot's Tile and prepared
+  /// programs. The Tile's capacity is what the next tiles are built into;
+  /// the programs are replayed by any later tile, of this kernel or
+  /// another, that issues an equal instruction list. The chain itself is
+  /// read from active_.plan.
   struct ChainState {
     unsigned vpu = 0;
     unsigned next_tile = 0;
     bool claimed = false;
     Tile tile;  // tile currently in flight (between events)
-    /// progs[0, kept) hold the programs of this kernel's tiles that later
-    /// tiles repeat (Tile::repeats); progs[kept] is prepared for a tile no
-    /// later tile repeats.
-    std::vector<PreparedTile> progs;
-    unsigned kept = 0;
+    vpu::ProgramCache progs;
+    /// (tile, progs entry) of this kernel's tiles that later tiles repeat
+    /// (Tile::repeats); those entries stay pinned until the next launch.
+    std::vector<std::pair<unsigned, std::size_t>> kept;
     Cycle compute_end = 0;
     /// Stall buckets of this chain: they tile [launch event, its latest
     /// write-back end].
@@ -172,8 +169,9 @@ class KernelExecutor {
     bool elided_writeback = false;
   };
 
-  /// The prepared program of chain slot `cs`'s current tile: replayed
-  /// when the tile repeats an earlier one, else prepared from its `prog`.
+  /// The prepared program of chain slot `cs`'s current tile: the one of
+  /// the earlier tile it repeats, else the slot's program of an equal
+  /// instruction list, else its `prog` prepared now.
   const vpu::Program& tile_program(ChainState& cs);
   void chain_step(unsigned chain_idx, Cycle t);       // alloc + compute
   void chain_writeback(unsigned chain_idx, Cycle t);  // write-back + advance

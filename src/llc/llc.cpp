@@ -213,6 +213,20 @@ void Llc::release_kernel_lines(std::uint64_t uid) {
   }
 }
 
+void Llc::release_kernel_lines(std::uint64_t uid, std::uint32_t vpus,
+                               unsigned vregs) {
+  for (; vpus != 0; vpus &= vpus - 1) {
+    const auto vpu = static_cast<unsigned>(std::countr_zero(vpus));
+    for (unsigned v = 0; v < vregs; ++v) {
+      Line& l = lines_[storage_->line_of(vpu, v)];
+      if (l.state == LineState::kBusy && l.owner_uid == uid) {
+        l.state = LineState::kInvalid;
+        l.owner_uid = 0;
+      }
+    }
+  }
+}
+
 bool Llc::line_is_busy(unsigned vpu, unsigned vreg) const {
   return lines_[storage_->line_of(vpu, vreg)].state == LineState::kBusy;
 }

@@ -99,6 +99,11 @@ class Llc {
   dma::TransferCost claim_line(unsigned vpu, unsigned vreg, std::uint64_t uid);
   /// Free every line owned by kernel `uid` (post write-back).
   void release_kernel_lines(std::uint64_t uid);
+  /// The same, walking only where a kernel claims lines: registers
+  /// [0, vregs) of each VPU in the bit mask `vpus`. Equal to the full walk
+  /// when `uid` holds no line outside them.
+  void release_kernel_lines(std::uint64_t uid, std::uint32_t vpus,
+                            unsigned vregs);
   bool line_is_busy(unsigned vpu, unsigned vreg) const;
   unsigned dirty_lines_in_vpu(unsigned vpu) const {
     return lines_in_vpu(vpu, LineState::kDirty);

@@ -23,6 +23,14 @@ crt::KernelOp make_kernel_op(const OpSpec& s) {
   return op;
 }
 
+/// The registers a kernel of `plan` claims on each of its VPUs, [0, n): the
+/// most any of its chains claims.
+unsigned vregs_claimed(const crt::Plan& plan) {
+  unsigned n = 0;
+  for (const crt::Chain& c : plan.chains) n = std::max(n, c.vregs_claimed);
+  return n;
+}
+
 /// The inverse translation, for kernels the bridge decoder already decoded:
 /// the spec the hazard checks and the cost estimate read.
 OpSpec spec_of(const crt::KernelOp& op) {
@@ -515,7 +523,8 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
   if (fin.elided_writeback) {
     keep_resident(fin);
   } else {
-    ctx_->llc->release_kernel_lines(fin.op.uid);
+    ctx_->llc->release_kernel_lines(fin.op.uid, fl.vpus,
+                                    vregs_claimed(fin.plan));
   }
   counters_.instance_occupied[inst] += t - fl.dispatch_at;
 
@@ -693,10 +702,11 @@ void Scheduler::abort_hung_inflight(unsigned inst, Cycle t) {
   inflight_[inst] = InFlight{};
   // The hung kernel registered AT ranges at dispatch but never claimed
   // lines or ran DMA; release what it held so a retry re-registers
-  // cleanly (idempotent re-dispatch).
+  // cleanly (idempotent re-dispatch). No line can be its own outside its
+  // VPUs' registers.
   const crt::KernelOp op = execs_[inst]->abort_hung();
   release_at(op, /*elided_writeback=*/false);
-  ctx_->llc->release_kernel_lines(op.uid);
+  ctx_->llc->release_kernel_lines(op.uid, fl.vpus, cfg_->llc.vpu.num_vregs);
   counters_.instance_occupied[inst] += t - fl.dispatch_at;
   JobState& js = jobs_[fl.job];
   OpState& os = js.ops[fl.op];
@@ -1033,7 +1043,8 @@ void Scheduler::keep_resident(const crt::FinishedKernel& fin) {
   const crt::DmaXfer& s = tile.stores[0];
   residents_.push_back({s.mem_addr,
                         s.mem_addr + (s.rows - 1) * s.mem_stride + s.row_bytes,
-                        fin.vpu, s.first_vreg, s.rows, s.row_bytes,
+                        fin.vpu, s.first_vreg,
+                        fin.plan.chains[0].vregs_claimed, s.rows, s.row_bytes,
                         s.mem_stride, fin.op.uid, fin.op.dest_at_entry});
   ++ctx_->phases.full_elisions;
   ctx_->llc->host_observer = this;
@@ -1044,7 +1055,7 @@ void Scheduler::drop_residents(const Pred& pred) {
   for (auto it = residents_.begin(); it != residents_.end();) {
     if (pred(*it)) {
       if (it->deferred_at_entry >= 0) materialize(*it);
-      ctx_->llc->release_kernel_lines(it->uid);
+      ctx_->llc->release_kernel_lines(it->uid, 1u << it->vpu, it->vregs);
       it = residents_.erase(it);
     } else {
       ++it;

@@ -299,6 +299,7 @@ class Scheduler final : public crt::KernelExecutor::Client,
     Addr lo = 0, hi = 0;
     unsigned vpu = 0;
     std::uint8_t first_vreg = 0;
+    unsigned vregs = 0;  // the kernel claimed registers [0, vregs)
     std::uint32_t rows = 0, row_bytes = 0, mem_stride = 0;
     std::uint64_t uid = 0;
     int deferred_at_entry = -1;  // >= 0: write-back was elided

@@ -174,6 +174,9 @@ struct CrtPhaseStats {
   std::uint64_t writebacks_elided = 0;  // rows forwarded from elided results
   std::uint64_t full_elisions = 0;      // write-backs skipped entirely
   Cycle ecpu_busy = 0;  // eCPU active cycles (rest = C-RT deep-sleep)
+  /// VPU micro-programs prepared (validated, timed, copied) by executors;
+  /// a tile whose program an executor already holds replays it instead.
+  std::uint64_t programs_prepared = 0;
 
   Cycle pipeline_total() const {
     return allocation + compute + writeback + scheduling;

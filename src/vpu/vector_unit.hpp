@@ -67,6 +67,9 @@ class Program {
   /// program executes and counts the instructions before it, then throws.
   void prepare(std::span<const VInsn> prog, const VpuConfig& cfg,
                unsigned dispatch_gap);
+  /// Make room for programs of up to `insns` instructions, so preparing
+  /// one allocates nothing.
+  void reserve(std::size_t insns) { steps_.reserve(insns); }
 
   /// Instructions of the original program.
   std::size_t size() const { return size_; }

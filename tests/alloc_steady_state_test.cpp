@@ -3,7 +3,8 @@
 // counting one:
 //
 //  * stepping tiles on a warm executor (allocation DMA, micro-program,
-//    write-back, every builtin planner) allocates nothing;
+//    write-back, every builtin planner) allocates nothing, also when its
+//    tiles cycle through more programs than the executor keeps prepared;
 //  * submitting and draining pipeline jobs allocates only per-job state,
 //    within the bound stated at kPerJobAllocs.
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "crt/executor.hpp"
 #include "isa/xmnmc.hpp"
 #include "sched/pipelines.hpp"
+#include "vpu/program_cache.hpp"
 
 namespace {
 
@@ -160,6 +162,62 @@ TEST(AllocSteadyStateTest, TileSteppingOnAWarmExecutorAllocatesNothing) {
   run_all_kernels();  // warm-up: the executor's tile and scratch capacity
   warm_event_queue(sys.events());
   EXPECT_EQ(run_all_kernels(), 0u);
+}
+
+// A chain whose tiles each run a program of their own, more of them than an
+// executor slot keeps: every tile misses and is prepared into a recycled
+// entry, which still allocates nothing once the slot has seen the longest
+// program.
+TEST(AllocSteadyStateTest, CyclingMoreProgramsThanTheCacheHoldsAllocatesNothing) {
+  System sys(SystemConfig::paper(4));
+  crt::CrtContext& ctx = sys.runtime().context();
+  PlainClient client(sys.llc());
+  crt::KernelExecutor ex(ctx, client, /*id=*/0);
+
+  // Tile i runs `vadd.vx v1, v0, i` repeated 1 + (7 i mod 23) times: every
+  // program differs from the others, and their lengths vary.
+  constexpr unsigned kTiles = 2 * vpu::ProgramCache::kCapacity + 3;
+  crt::Plan plan;
+  crt::Chain chain;
+  chain.tile_count = kTiles;
+  chain.vregs_claimed = 2;
+  chain.make_tile = [](unsigned i, crt::Tile& t) {
+    t.clear();
+    vpu::VInsn add;
+    add.op = vpu::VOpc::kAddVX;
+    add.vd = 1;
+    add.et = ElemType::kWord;
+    add.vl = 64;
+    add.scalar = i;
+    t.prog.assign(1 + (7 * i) % 23, add);
+  };
+  plan.chains.push_back(std::move(chain));
+  crt::KernelOp op;
+  op.func5 = isa::xmnmc::kLeakyRelu;
+
+  const std::vector<unsigned> vpu0 = {0};
+  auto run_kernel = [&] {
+    crt::KernelOp o = op;
+    o.uid = ctx.next_uid++;
+    crt::Plan p = plan;
+    std::vector<unsigned> vpus = vpu0;
+    const unsigned before = client.finished;
+    const std::uint64_t prepared = ctx.phases.programs_prepared;
+    ctx.ecpu_free = std::max(ctx.ecpu_free, sys.events().now());
+    const AllocCounter window;
+    ex.launch(std::move(o), std::move(p), std::move(vpus),
+              sys.events().now());
+    sys.events().run_all();
+    const std::uint64_t allocs = window.count();
+    EXPECT_EQ(client.finished, before + 1);
+    EXPECT_EQ(ctx.phases.programs_prepared - prepared, kTiles);  // no hits
+    return allocs;
+  };
+
+  warm_event_queue(sys.events());
+  run_kernel();  // warm-up: the slot's entries and their room
+  warm_event_queue(sys.events());
+  EXPECT_EQ(run_kernel(), 0u);
 }
 
 // Heap allocations one pipeline job (4 single-chain ops) may make between

@@ -1,12 +1,20 @@
 // C-RT runtime unit tests: decoder, matrix map, hazard renaming, kernel
-// queue, scheduler policy, kernel library extensibility.
+// queue, scheduler policy, kernel library extensibility, and the prepared
+// programs a kernel executor keeps across kernels.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
+#include "crt/executor.hpp"
 #include "crt/kernel_library.hpp"
 #include "crt/matrix_map.hpp"
 #include "isa/xmnmc.hpp"
+#include "vpu/program_cache.hpp"
 #include "workloads/golden.hpp"
 #include "workloads/tensors.hpp"
 
@@ -297,6 +305,313 @@ TEST(CrtTest, PhaseAccountingMonotone) {
   EXPECT_GT(ph.writeback, 0u);
   EXPECT_LE(ph.pipeline_total(), res.cycles * 2);  // sanity
   EXPECT_GT(ph.dma_descriptors, 0u);
+}
+
+// ------------------- prepared programs across kernels -------------------
+// A kernel executor keeps each slot's prepared programs keyed by their
+// instruction lists and replays them for any later tile, of any kernel,
+// that issues an equal list. Replaying must be indistinguishable from
+// preparing afresh.
+
+/// Executor owner without cross-kernel policy: frees the kernel's lines
+/// and records when it finished.
+class FinishClient final : public crt::KernelExecutor::Client {
+ public:
+  explicit FinishClient(llc::Llc& llc) : llc_(&llc) {}
+  bool forward_load(const crt::KernelExecutor&, const crt::DmaXfer&,
+                    std::vector<std::uint8_t>&) override {
+    return false;
+  }
+  void before_claim(unsigned) override {}
+  void materialize_deferred(Addr, Addr) override {}
+  bool allow_writeback_elision(const crt::KernelExecutor&, Addr,
+                               Addr) override {
+    return false;
+  }
+  void on_kernel_finish(crt::KernelExecutor&, crt::FinishedKernel fin,
+                        Cycle t) override {
+    llc_->release_kernel_lines(fin.op.uid);
+    finish = t;
+  }
+  Cycle finish = 0;
+
+ private:
+  llc::Llc* llc_;
+};
+
+constexpr Addr kRegionBytes = 0x20000;
+
+/// A System whose kernels run on VPU 0, launched by hand: on one executor
+/// kept for every kernel, or on a fresh executor per kernel.
+struct ExecRig {
+  explicit ExecRig(bool fresh_per_kernel) : fresh(fresh_per_kernel) {
+    Rng rng(77);
+    std::vector<std::uint8_t> bytes(4 * kRegionBytes);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+    sys.write_bytes(region(0), bytes);
+  }
+  Addr region(unsigned i) const {
+    return sys.data_base() + 0x10000 + i * kRegionBytes;
+  }
+  /// Run `op` with `plan` to completion; returns its finish time.
+  Cycle run(crt::KernelOp op, crt::Plan plan) {
+    crt::CrtContext& ctx = sys.runtime().context();
+    if (fresh || !ex) ex = std::make_unique<crt::KernelExecutor>(ctx, client, 0);
+    op.uid = ctx.next_uid++;
+    ctx.ecpu_free = std::max(ctx.ecpu_free, sys.events().now());
+    const unsigned vpu0[] = {0};
+    ex->launch(std::move(op), std::move(plan), vpu0, sys.events().now());
+    sys.events().run_all();
+    EXPECT_FALSE(ex->busy());
+    return client.finish;
+  }
+  std::uint64_t prepared() {
+    return sys.runtime().context().phases.programs_prepared;
+  }
+
+  bool fresh;
+  System sys{SystemConfig::paper(4)};
+  FinishClient client{sys.llc()};
+  std::unique_ptr<crt::KernelExecutor> ex;
+};
+
+/// Every register byte and every VpuStats field of every VPU are equal.
+void expect_same_vpus(System& a, System& b, const std::string& what) {
+  for (unsigned v = 0; v < a.vpus().size(); ++v) {
+    const sim::VpuStats& sa = a.vpus()[v].stats();
+    const sim::VpuStats& sb = b.vpus()[v].stats();
+    EXPECT_EQ(sa.instructions, sb.instructions) << what << " VPU " << v;
+    EXPECT_EQ(sa.elements, sb.elements) << what << " VPU " << v;
+    EXPECT_EQ(sa.macs, sb.macs) << what << " VPU " << v;
+    EXPECT_EQ(sa.busy_cycles, sb.busy_cycles) << what << " VPU " << v;
+    EXPECT_EQ(sa.kernels, sb.kernels) << what << " VPU " << v;
+    for (unsigned r = 0; r < a.config().llc.vpu.num_vregs; ++r) {
+      const auto ra = a.vpus()[v].vreg(r);
+      const auto rb = b.vpus()[v].vreg(r);
+      ASSERT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin()))
+          << what << " VPU " << v << " v" << r;
+    }
+  }
+}
+
+crt::Operand mat(Addr addr, std::uint32_t rows, std::uint32_t cols) {
+  return crt::Operand{addr, {rows, cols, cols}, true};
+}
+
+/// A random kernel of one of the five builtin planners, from a few shapes
+/// per planner so that programs repeat across kernels.
+crt::KernelOp random_kernel(Rng& rng, const ExecRig& rig) {
+  const Addr a = rig.region(0), b = rig.region(1), c = rig.region(2),
+             d = rig.region(3);
+  crt::KernelOp op;
+  static constexpr ElemType kTypes[] = {ElemType::kWord, ElemType::kHalf,
+                                        ElemType::kByte};
+  op.et = kTypes[rng.uniform(0, 2)];
+  const auto h = static_cast<std::uint32_t>(8 * rng.uniform(2, 5));
+  const auto w = static_cast<std::uint32_t>(16 * rng.uniform(1, 3));
+  const auto k = static_cast<std::uint32_t>(rng.uniform(1, 2) * 2 + 1);
+  switch (rng.uniform(0, 4)) {
+    case 0:
+      op.func5 = x::kConv2d;
+      op.md = mat(d, h - k + 1, w - k + 1);
+      op.ms1 = mat(a, h, w);
+      op.ms2 = mat(b, k, k);
+      break;
+    case 1:
+      op.func5 = x::kLeakyRelu;
+      op.f.alpha = static_cast<std::uint16_t>(rng.uniform(1, 2));
+      op.md = mat(d, h, w);
+      op.ms1 = mat(a, h, w);
+      break;
+    case 2:
+      op.func5 = x::kMaxPool;
+      op.f.alpha = 2;
+      op.f.beta = 2;
+      op.md = mat(d, h / 2, w / 2);
+      op.ms1 = mat(a, h, w);
+      break;
+    case 3:
+      op.func5 = x::kGemm;
+      op.f.alpha = 1;
+      op.f.beta = static_cast<std::uint16_t>(rng.uniform(0, 1));
+      op.md = mat(d, h / 2, w);
+      op.ms1 = mat(a, h / 2, k * 4);
+      op.ms2 = mat(b, k * 4, w);
+      op.ms3 = mat(c, h / 2, w);
+      break;
+    default:
+      op.func5 = x::kConvLayer;
+      op.md = mat(d, (h - k + 1) / 2, (w - k + 1) / 2);
+      op.ms1 = mat(a, 3 * h, w);
+      op.ms2 = mat(b, 3 * k, k);
+      break;
+  }
+  return op;
+}
+
+TEST(ProgramReuseTest, WarmExecutorMatchesFreshExecutorsKernelByKernel) {
+  ExecRig warm(/*fresh_per_kernel=*/false);
+  ExecRig fresh(/*fresh_per_kernel=*/true);
+  Rng rng(1234);
+  unsigned kernels = 0;
+  bool planners[5] = {};
+  while (kernels < 60) {
+    const crt::KernelOp op = random_kernel(rng, warm);
+    crt::Plan plan =
+        warm.sys.runtime().library().find(op.func5)->planner(op,
+                                                             warm.sys.config());
+    if (!plan.ok()) continue;
+    ASSERT_EQ(plan.chains.size(), 1u);
+    planners[op.func5] = true;
+    const std::string what = "kernel " + std::to_string(kernels) + " (xmk" +
+                             std::to_string(op.func5) + ")";
+    const Cycle tw = warm.run(op, plan);
+    const Cycle tf = fresh.run(op, std::move(plan));
+    EXPECT_EQ(tw, tf) << what;
+    expect_same_vpus(warm.sys, fresh.sys, what);
+    ++kernels;
+  }
+  for (bool used : planners) EXPECT_TRUE(used);
+  // The warm executor replayed programs the fresh ones prepared again.
+  EXPECT_LT(warm.prepared(), fresh.prepared());
+}
+
+/// A one-tile kernel running `prog` on VPU 0 after loading 16 rows of 256
+/// bytes into v0..v15.
+crt::Plan program_plan(const ExecRig& rig, std::vector<vpu::VInsn> prog) {
+  crt::Plan plan;
+  crt::Chain chain;
+  chain.tile_count = 1;
+  chain.vregs_claimed = 24;
+  crt::DmaXfer load;
+  load.mem_addr = rig.region(0);
+  load.rows = 16;
+  load.row_bytes = 256;
+  load.mem_stride = 256;
+  chain.make_tile = [load, prog](unsigned, crt::Tile& t) {
+    t.clear();
+    t.loads.push_back(load);
+    t.prog = prog;
+  };
+  plan.chains.push_back(std::move(chain));
+  return plan;
+}
+
+TEST(ProgramReuseTest, ProgramsOneFieldAwayFromACachedOneDoNotHit) {
+  using vpu::VInsn;
+  using vpu::VOpc;
+  const std::vector<VInsn> base = {
+      {VOpc::kAddVX, 16, 0, 0, ElemType::kWord, 64, 3},
+      {VOpc::kMulVV, 17, 16, 1, ElemType::kWord, 64, 0},
+      {VOpc::kMaccEs, 18, 2, 17, ElemType::kWord, 64, 5},
+      {VOpc::kSlideDownVX, 19, 18, 0, ElemType::kWord, 64, 2},
+  };
+  // Each variant changes one field of instruction 1 or 2, or the length.
+  std::vector<std::pair<std::string, std::vector<VInsn>>> variants;
+  auto with = [&](const char* name, unsigned i, auto change) {
+    std::vector<VInsn> p = base;
+    change(p[i]);
+    variants.emplace_back(name, std::move(p));
+  };
+  with("op", 1, [](VInsn& v) { v.op = VOpc::kAddVV; });
+  with("vd", 1, [](VInsn& v) { v.vd = 20; });
+  with("vs1", 1, [](VInsn& v) { v.vs1 = 3; });
+  with("vs2", 1, [](VInsn& v) { v.vs2 = 4; });
+  with("et", 1, [](VInsn& v) { v.et = ElemType::kHalf; });
+  with("vl", 1, [](VInsn& v) { v.vl = 63; });
+  with("scalar", 2, [](VInsn& v) { v.scalar = 6; });
+  variants.emplace_back("shorter",
+                        std::vector<VInsn>(base.begin(), base.end() - 1));
+  std::vector<VInsn> longer = base;
+  longer.push_back(base[0]);
+  variants.emplace_back("longer", std::move(longer));
+
+  ExecRig warm(/*fresh_per_kernel=*/false);
+  ExecRig fresh(/*fresh_per_kernel=*/true);
+  crt::KernelOp op;
+  op.func5 = x::kLeakyRelu;
+  auto run_both = [&](const std::vector<VInsn>& prog, const std::string& what) {
+    const Cycle tw = warm.run(op, program_plan(warm, prog));
+    const Cycle tf = fresh.run(op, program_plan(fresh, prog));
+    EXPECT_EQ(tw, tf) << what;
+    expect_same_vpus(warm.sys, fresh.sys, what);
+  };
+  run_both(base, "base");
+  for (const auto& [name, prog] : variants) {
+    const std::uint64_t before = warm.prepared();
+    run_both(prog, name);
+    EXPECT_EQ(warm.prepared(), before + 1) << name << " hit the cache";
+  }
+  // The base and every variant replay now.
+  const std::uint64_t before = warm.prepared();
+  run_both(base, "base again");
+  for (const auto& [name, prog] : variants) run_both(prog, name + " again");
+  EXPECT_EQ(warm.prepared(), before);
+}
+
+TEST(ProgramReuseTest, InvalidProgramReplaysItsPrefixAndError) {
+  const SystemConfig cfg = SystemConfig::paper(4);
+  vpu::LineStorage storage(cfg.llc);
+  vpu::VectorUnit vu(cfg.llc.vpu, 0, storage);
+  Rng rng(5);
+  for (unsigned r = 0; r < cfg.llc.vpu.num_vregs; ++r) {
+    for (auto& b : vu.vreg(r)) b = static_cast<std::uint8_t>(rng.next());
+  }
+  const auto regs = [&] {
+    std::vector<std::uint8_t> all;
+    for (unsigned r = 0; r < cfg.llc.vpu.num_vregs; ++r) {
+      all.insert(all.end(), vu.vreg(r).begin(), vu.vreg(r).end());
+    }
+    return all;
+  };
+  const auto restore = [&](const std::vector<std::uint8_t>& all) {
+    for (unsigned r = 0; r < cfg.llc.vpu.num_vregs; ++r) {
+      std::copy_n(all.begin() + r * cfg.llc.vpu.vlen_bytes,
+                  cfg.llc.vpu.vlen_bytes, vu.vreg(r).begin());
+    }
+  };
+  using vpu::VInsn;
+  using vpu::VOpc;
+  const std::vector<VInsn> prog = {
+      {VOpc::kAddVX, 4, 0, 0, ElemType::kWord, 64, 3},
+      {VOpc::kMaccEs, 5, 1, 4, ElemType::kWord, 64, 7},
+      {VOpc::kMulVX, 6, 5, 0, ElemType::kWord, 999, 2},  // vl > VLEN/4
+      {VOpc::kAddVX, 7, 6, 0, ElemType::kWord, 64, 1},
+  };
+  vpu::ProgramCache cache;
+  std::uint64_t prepared = 0;
+  const std::vector<std::uint8_t> start = regs();
+  struct Outcome {
+    std::vector<std::uint8_t> regs;
+    std::uint64_t instructions, busy;
+    std::string error;
+  };
+  auto attempt = [&] {
+    restore(start);
+    const sim::VpuStats before = vu.stats();
+    const std::size_t e = cache.acquire(prog, cfg.llc.vpu, 4, false, prepared);
+    Outcome o;
+    try {
+      vu.run(cache.program(e), 0);
+      ADD_FAILURE() << "the invalid program ran through";
+    } catch (const Error& err) {
+      o.error = err.what();
+    }
+    o.regs = regs();
+    o.instructions = vu.stats().instructions - before.instructions;
+    o.busy = vu.stats().busy_cycles - before.busy_cycles;
+    return o;
+  };
+  const Outcome first = attempt();
+  const Outcome again = attempt();
+  EXPECT_EQ(prepared, 1u);  // the second attempt replayed
+  EXPECT_NE(first.error.find("vl exceeds"), std::string::npos) << first.error;
+  EXPECT_EQ(again.error, first.error);
+  EXPECT_EQ(first.instructions, 2u);
+  EXPECT_EQ(again.instructions, first.instructions);
+  EXPECT_EQ(again.busy, first.busy);
+  EXPECT_NE(first.regs, start);  // the valid prefix ran
+  EXPECT_EQ(again.regs, first.regs);
 }
 
 }  // namespace

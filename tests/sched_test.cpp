@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "arcane/program_builder.hpp"
@@ -16,6 +18,7 @@
 #include "sched/pipelines.hpp"
 #include "sched/ready_queue.hpp"
 #include "sched/scheduler.hpp"
+#include "vpu/program_cache.hpp"
 #include "workloads/golden.hpp"
 #include "workloads/tensors.hpp"
 
@@ -508,6 +511,223 @@ TEST(SchedBackendTest, CrossBackendFunctionalEquivalence) {
   EXPECT_EQ(psram, dram);
   EXPECT_LE(ideal_span, psram_span);
   EXPECT_LE(psram_span, dram_span);
+}
+
+// A pipeline job's tile programs do not depend on its buffers' addresses,
+// so N identical jobs on one instance prepare each distinct program of a
+// job once: every later tile replays the executor's prepared copy.
+TEST(SchedProgramReuseTest, IdenticalJobsPrepareEachDistinctProgramOnce) {
+  System sys(sched_config(MemBackendKind::kDramTiming, 1));
+  auto& sch = sys.scheduler();
+  const unsigned t0 = sch.add_tenant("a");
+
+  // The distinct programs one job's tiles emit, from its plans.
+  std::vector<std::vector<vpu::VInsn>> distinct;
+  const PipelineSlot first(sys.data_base() + 0x20000);
+  for (const sched::OpSpec& s : sched::pipeline_job(first).ops) {
+    crt::KernelOp op;
+    op.func5 = s.func5;
+    op.et = s.et;
+    op.f.alpha = s.alpha;
+    op.f.beta = s.beta;
+    op.md = s.md;
+    op.ms1 = s.ms1;
+    op.ms2 = s.ms2;
+    op.ms3 = s.ms3;
+    const crt::Plan plan =
+        sys.runtime().library().find(s.func5)->planner(op, sys.config());
+    ASSERT_TRUE(plan.ok()) << plan.error;
+    for (const crt::Chain& chain : plan.chains) {
+      crt::Tile t;
+      for (unsigned i = 0; i < chain.tile_count; ++i) {
+        chain.make_tile(i, t);
+        if (t.repeats < i) continue;  // runs an earlier tile's program
+        if (std::find(distinct.begin(), distinct.end(), t.prog) ==
+            distinct.end()) {
+          distinct.push_back(t.prog);
+        }
+      }
+    }
+  }
+  ASSERT_LE(distinct.size(), vpu::ProgramCache::kCapacity);
+
+  constexpr unsigned kJobs = 12;
+  Rng rng(31);
+  for (unsigned j = 0; j < kJobs; ++j) {
+    const PipelineSlot slot(sys.data_base() + 0x20000 + j * 0x8000);
+    sched::place_pipeline_data(sys, slot, sched::random_pipeline_data(rng));
+    sch.submit(t0, sched::pipeline_job(slot), j * 300);
+  }
+  sch.drain();
+  EXPECT_EQ(sch.stats().jobs_completed, kJobs);
+  EXPECT_EQ(sys.runtime().phases().programs_prepared, distinct.size());
+}
+
+// The scheduler frees a kernel's lines by walking only its VPUs' claimed
+// registers. Run every event of a scenario one at a time; after each, for
+// every kernel whose busy lines just went free, the full scan over all
+// lines (Llc::release_kernel_lines(uid)) must find nothing left to free.
+class LineReleaseCheck {
+ public:
+  explicit LineReleaseCheck(System& sys) : sys_(&sys), before_(owners()) {}
+
+  /// Runs the queue dry; returns the releases seen.
+  unsigned run() {
+    unsigned releases = 0;
+    while (!sys_->events().empty()) {
+      sys_->events().run_one();
+      std::map<std::uint64_t, unsigned> now = owners();
+      for (const auto& [uid, lines] : before_) {
+        const auto it = now.find(uid);
+        if (it != now.end() && it->second >= lines) continue;
+        ++releases;
+        const auto states = line_states();
+        sys_->llc().release_kernel_lines(uid);
+        EXPECT_EQ(line_states(), states)
+            << "kernel " << uid << " kept lines the full scan frees";
+      }
+      before_ = std::move(now);
+    }
+    return releases;
+  }
+
+ private:
+  std::map<std::uint64_t, unsigned> owners() const {
+    std::map<std::uint64_t, unsigned> busy;
+    const llc::Llc& llc = sys_->llc();
+    for (unsigned i = 0; i < llc.num_lines(); ++i) {
+      if (llc.line(i).state == llc::LineState::kBusy) {
+        ++busy[llc.line(i).owner_uid];
+      }
+    }
+    return busy;
+  }
+  std::vector<std::pair<llc::LineState, std::uint64_t>> line_states() const {
+    std::vector<std::pair<llc::LineState, std::uint64_t>> s;
+    for (unsigned i = 0; i < sys_->llc().num_lines(); ++i) {
+      s.emplace_back(sys_->llc().line(i).state, sys_->llc().line(i).owner_uid);
+    }
+    return s;
+  }
+
+  System* sys_;
+  std::map<std::uint64_t, unsigned> before_;
+};
+
+/// Submit `jobs` pipeline jobs across two tenants, run them through a
+/// LineReleaseCheck and return the releases it saw.
+unsigned checked_pipelines(System& sys, unsigned jobs, Cycle spacing) {
+  auto& sch = sys.scheduler();
+  const unsigned t0 = sch.add_tenant("a");
+  const unsigned t1 = sch.add_tenant("b");
+  Rng rng(41);
+  for (unsigned j = 0; j < jobs; ++j) {
+    // Four slots, reused: later jobs overwrite earlier destinations.
+    const PipelineSlot slot(sys.data_base() + 0x20000 + (j % 4) * 0x8000);
+    sched::place_pipeline_data(sys, slot, sched::random_pipeline_data(rng));
+    sch.submit(j % 2 ? t1 : t0, sched::pipeline_job(slot), j * spacing);
+  }
+  const unsigned releases = LineReleaseCheck(sys).run();
+  sch.drain();
+  return releases;
+}
+
+unsigned busy_lines(System& sys) {
+  unsigned busy = 0;
+  for (unsigned v = 0; v < sys.config().llc.num_vpus; ++v) {
+    busy += sys.llc().busy_lines_in_vpu(v);
+  }
+  return busy;
+}
+
+TEST(SchedLineReleaseTest, FinishedKernelsFreeWhatTheFullScanFrees) {
+  System sys(sched_config(MemBackendKind::kDramTiming, 4));
+  const unsigned releases = checked_pipelines(sys, 16, 150);
+  EXPECT_EQ(releases, sys.runtime().phases().kernels_executed);
+  EXPECT_EQ(busy_lines(sys), 0u);
+}
+
+TEST(SchedLineReleaseTest, AbortedHungKernelsFreeWhatTheFullScanFrees) {
+  SystemConfig cfg = sched_config(MemBackendKind::kBurstPsram, 2);
+  cfg.fault.enabled = true;
+  cfg.fault.watchdog_timeout = 500;
+  cfg.fault.max_retries = 2;
+  cfg.fault.retry_backoff = 100;
+  for (const auto& [at, inst] :
+       {std::pair<std::uint64_t, unsigned>{0, 0}, {2000, 1}, {6000, 0}}) {
+    FaultEvent e;
+    e.kind = FaultKind::kOpHang;
+    e.at = at;
+    e.instance = inst;
+    cfg.fault.events.push_back(e);
+  }
+  System sys(cfg);
+  const unsigned releases = checked_pipelines(sys, 8, 400);
+  EXPECT_EQ(sys.scheduler().stats().watchdog_fires, 3u);
+  EXPECT_EQ(sys.scheduler().stats().jobs_completed, 8u);
+  EXPECT_EQ(releases, sys.runtime().phases().kernels_executed);
+  EXPECT_EQ(busy_lines(sys), 0u);
+}
+
+// Host programs run the CPU and the event queue together, so the two
+// host-path cases check the end state: no line stays busy, which is what
+// the full scan of every retired kernel would leave.
+TEST(SchedLineReleaseTest, DroppedResidentsFreeEveryLine) {
+  SystemConfig cfg = SystemConfig::paper(4);
+  cfg.full_writeback_elision = true;
+  System sys(cfg);
+  Rng rng(7);
+  auto X = Matrix<std::int32_t>::random(14, 16, rng, -9, 9);
+  auto F = Matrix<std::int32_t>::random(3, 3, rng, -3, 3);
+  const Addr x = sys.data_base() + 0x1000;
+  const Addr f = sys.data_base() + 0x10000;
+  const Addr mid = sys.data_base() + 0x20000;
+  const Addr out = sys.data_base() + 0x30000;
+  workloads::store_matrix(sys, x, X);
+  workloads::store_matrix(sys, f, F);
+  XProgram prog;
+  prog.xmr(0, x, X.shape(), ElemType::kWord);
+  prog.xmr(1, f, F.shape(), ElemType::kWord);
+  prog.xmr(2, mid, MatShape{12, 14, 14}, ElemType::kWord);
+  prog.xmr(3, out, MatShape{12, 14, 14}, ElemType::kWord);
+  // The first conv's result stays resident for the relu; the second conv
+  // overwrites it, which drops the resident.
+  prog.conv2d(2, 0, 1, ElemType::kWord);
+  prog.leaky_relu(3, 2, 0, ElemType::kWord);
+  prog.conv2d(2, 0, 1, ElemType::kWord);
+  prog.sync_read(out);
+  prog.halt();
+  sys.load_program(prog.finish());
+  sys.run();
+  EXPECT_EQ(sys.runtime().phases().full_elisions, 1u);
+  EXPECT_EQ(busy_lines(sys), 0u);
+}
+
+TEST(SchedLineReleaseTest, MultiChainHostKernelsFreeEveryVpu) {
+  SystemConfig cfg = SystemConfig::paper(4);
+  cfg.multi_vpu_kernels = true;
+  System sys(cfg);
+  Rng rng(43);
+  auto X = Matrix<std::int16_t>::random(3 * 40, 40, rng, -8, 7);
+  auto F = Matrix<std::int16_t>::random(3 * 3, 3, rng, -4, 3);
+  const Addr x = sys.data_base() + 0x1000;
+  const Addr f = sys.data_base() + 0x300000;
+  const Addr d = sys.data_base() + 0x380000;
+  workloads::store_matrix(sys, x, X);
+  workloads::store_matrix(sys, f, F);
+  XProgram prog;
+  prog.xmr(0, x, X.shape(), ElemType::kHalf);
+  prog.xmr(1, f, F.shape(), ElemType::kHalf);
+  prog.xmr(2, d, MatShape{19, 19, 19}, ElemType::kHalf);
+  prog.conv_layer(2, 0, 1, ElemType::kHalf);
+  prog.sync_read(d);
+  prog.halt();
+  sys.load_program(prog.finish());
+  sys.run();
+  for (unsigned v = 0; v < cfg.llc.num_vpus; ++v) {
+    EXPECT_GT(sys.vpus()[v].stats().instructions, 0u) << "VPU " << v;
+  }
+  EXPECT_EQ(busy_lines(sys), 0u);
 }
 
 // The acceptance-criterion scaling check: independent single-op jobs under
