@@ -4,6 +4,8 @@
 // end-to-end conv-layer simulation.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "baseline/runner.hpp"
 #include "arcane/system.hpp"
 #include "isa/assembler.hpp"
@@ -158,6 +160,15 @@ void BM_HostPortHit(benchmark::State& state) {
 }
 BENCHMARK(BM_HostPortHit);
 
+/// `insns` prepared as one program for units of `cfg` (no dispatch gap):
+/// what the VPU benches below run.
+vpu::Program prepared(std::vector<vpu::VInsn> insns, const VpuConfig& cfg) {
+  vpu::Program prog;
+  prog.prepare(insns, cfg, 0);
+  return prog;
+}
+
+/// One vmacc.vx as a one-instruction program, prepared once and run.
 void BM_VpuMacc(benchmark::State& state) {
   LlcConfig cfg{};
   cfg.vpu.lanes = static_cast<unsigned>(state.range(0));
@@ -170,9 +181,12 @@ void BM_VpuMacc(benchmark::State& state) {
   insn.et = ElemType::kByte;
   insn.vl = 1024;
   insn.scalar = 3;
+  const vpu::Program prog = prepared({insn}, cfg.vpu);
+  Cycle t = 0;
   for (auto _ : state) {
-    vu.execute(insn);
+    t = vu.run(prog, t);
   }
+  benchmark::DoNotOptimize(t);
   state.SetItemsProcessed(state.iterations() * 1024);
   state.SetLabel("elements/s");
 }
@@ -180,8 +194,9 @@ BENCHMARK(BM_VpuMacc)->Arg(2)->Arg(8);
 
 /// One conv tap as the ARCANE conv kernels issue it: vslidedown.vx of the
 /// input row into a temporary, then vmacc.es of that temporary times one
-/// filter element into the accumulator, at vl = VLEN capacity. Arg is the
-/// element width in bytes (1 = int8, 4 = int32).
+/// filter element into the accumulator, at vl = VLEN capacity, prepared
+/// once as a two-instruction program (the slide folds into the MAC) and
+/// run. Arg is the element width in bytes (1 = int8, 4 = int32).
 void BM_VpuTap(benchmark::State& state) {
   LlcConfig cfg{};
   vpu::LineStorage storage(cfg);
@@ -203,23 +218,26 @@ void BM_VpuTap(benchmark::State& state) {
   macc.et = et;
   macc.vl = vl;
   macc.scalar = 5;
+  const vpu::Program prog = prepared({slide, macc}, cfg.vpu);
+  Cycle t = 0;
   for (auto _ : state) {
-    vu.execute(slide);
-    vu.execute(macc);
+    t = vu.run(prog, t);
     benchmark::DoNotOptimize(vu.vreg(macc.vd).data());
     benchmark::ClobberMemory();
   }
+  benchmark::DoNotOptimize(t);
   state.SetItemsProcessed(state.iterations() * vl);
   state.SetLabel("elements/s");
 }
 BENCHMARK(BM_VpuTap)->Arg(1)->Arg(4);
 
-/// The first tile of a conv-layer plan (xmk4: 3 channels of 256-wide rows,
-/// k x k filters, then ReLU and 2x2 max-pooling) at the element width of
-/// `state`'s first Arg, in bytes (1 = int8, 2 = int16, 4 = int32).
-crt::Tile conv_layer_first_tile(const SystemConfig& cfg,
-                                benchmark::State& state,
-                                std::uint32_t k = 3) {
+/// The program of the first tile of a conv-layer plan (xmk4: 3 channels of
+/// 256-wide rows, k x k filters, then ReLU and 2x2 max-pooling) at the
+/// element width of `state`'s first Arg, in bytes (1 = int8, 2 = int16,
+/// 4 = int32).
+std::vector<vpu::VInsn> conv_layer_first_tile(const SystemConfig& cfg,
+                                              benchmark::State& state,
+                                              std::uint32_t k = 3) {
   const auto et = state.range(0) == 1   ? ElemType::kByte
                   : state.range(0) == 2 ? ElemType::kHalf
                                         : ElemType::kWord;
@@ -229,51 +247,53 @@ crt::Tile conv_layer_first_tile(const SystemConfig& cfg,
   op.ms1 = {0x1000, {3 * h, w, w}, true};
   op.ms2 = {0x100000, {3 * k, k, k}, true};
   op.md = {0x200000, {(h - k + 1) / 2, (w - k + 1) / 2, (w - k + 1) / 2}, true};
-  crt::Tile tile;
-  const crt::Plan plan = kernels::conv_layer_planner()(op, cfg);
+  std::vector<vpu::VInsn> list;
+  const crt::Plan plan = kernels::conv_layer_planner().plan(op, cfg);
   if (!plan.ok()) {
-    state.SkipWithError(plan.error.c_str());
-    return tile;
+    state.SkipWithError(plan.error);
+    return list;
   }
-  plan.chains.front().make_tile(0, tile);
-  return tile;
+  plan.planner->program(plan, 0, 0, list);
+  return list;
 }
 
-/// One whole conv-layer tile program through run_program on a warm unit:
-/// prepared (validated, timed, slides folded) and run, per program.
+/// One whole conv-layer tile program on a warm unit: prepared (validated,
+/// timed, slides folded) into a warm Program and run, per program.
 void BM_VpuTileProgram(benchmark::State& state) {
   SystemConfig cfg{};
-  const crt::Tile tile = conv_layer_first_tile(cfg, state);
-  if (tile.prog.empty()) return;
+  const std::vector<vpu::VInsn> list = conv_layer_first_tile(cfg, state);
+  if (list.empty()) return;
 
   vpu::LineStorage storage(cfg.llc);
   vpu::VectorUnit vu(cfg.llc.vpu, 0, storage);
+  vpu::Program prog;
   Cycle t = 0;
   for (auto _ : state) {
-    t = vu.run_program(tile.prog, t, 4);
+    prog.prepare(list, cfg.llc.vpu, 4);
+    t = vu.run(prog, t);
     benchmark::DoNotOptimize(vu.vreg(0).data());
     benchmark::ClobberMemory();
   }
   benchmark::DoNotOptimize(t);
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(tile.prog.size()));
-  state.SetLabel(std::to_string(tile.prog.size()) + " vinsns/program");
+                          static_cast<std::int64_t>(list.size()));
+  state.SetLabel(std::to_string(list.size()) + " vinsns/program");
 }
 BENCHMARK(BM_VpuTileProgram)->Arg(1)->Arg(4);
 
 /// The same program prepared once and replayed, as the executor replays a
-/// program that later tiles of a chain repeat: the lane pass alone. Args:
+/// program whose key it has met before: the lane pass alone. Args:
 /// element bytes and k (each conv row is one MAC run of 3 k^2 taps).
 void BM_VpuTileProgramReplay(benchmark::State& state) {
   SystemConfig cfg{};
-  const crt::Tile tile = conv_layer_first_tile(
+  const std::vector<vpu::VInsn> list = conv_layer_first_tile(
       cfg, state, static_cast<std::uint32_t>(state.range(1)));
-  if (tile.prog.empty()) return;
+  if (list.empty()) return;
 
   vpu::LineStorage storage(cfg.llc);
   vpu::VectorUnit vu(cfg.llc.vpu, 0, storage);
   vpu::Program prog;
-  prog.prepare(tile.prog, cfg.llc.vpu, 4);
+  prog.prepare(list, cfg.llc.vpu, 4);
   Cycle t = 0;
   for (auto _ : state) {
     t = vu.run(prog, t);
@@ -282,15 +302,15 @@ void BM_VpuTileProgramReplay(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(t);
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(tile.prog.size()));
-  state.SetLabel(std::to_string(tile.prog.size()) + " vinsns/program, " +
+                          static_cast<std::int64_t>(list.size()));
+  state.SetLabel(std::to_string(list.size()) + " vinsns/program, " +
                  std::to_string(prog.steps().size()) + " steps");
 }
 BENCHMARK(BM_VpuTileProgramReplay)->ArgsProduct({{1, 2, 4}, {3, 7}});
 
-/// The conv2d tile every serve-pipeline job runs first (pipeline_job: a
-/// 10x12 word input, 3x3 filter).
-crt::Tile serve_conv_tile(const SystemConfig& cfg) {
+/// The program of the conv2d tile every serve-pipeline job runs first
+/// (pipeline_job: a 10x12 word input, 3x3 filter).
+std::vector<vpu::VInsn> serve_conv_tile(const SystemConfig& cfg) {
   const sched::JobSpec job = sched::pipeline_job(sched::PipelineSlot(0x10000));
   const sched::OpSpec& s = job.ops.front();
   crt::KernelOp op;
@@ -298,9 +318,10 @@ crt::Tile serve_conv_tile(const SystemConfig& cfg) {
   op.md = s.md;
   op.ms1 = s.ms1;
   op.ms2 = s.ms2;
-  crt::Tile tile;
-  kernels::conv2d_planner()(op, cfg).chains.front().make_tile(0, tile);
-  return tile;
+  const crt::Plan plan = kernels::conv2d_planner().plan(op, cfg);
+  std::vector<vpu::VInsn> list;
+  plan.planner->program(plan, 0, 0, list);
+  return list;
 }
 
 /// Program::prepare alone (validate, time, fold slides, mark MAC runs),
@@ -310,20 +331,20 @@ crt::Tile serve_conv_tile(const SystemConfig& cfg) {
 /// arcane-conv workload prepares once per kernel.
 void BM_VpuProgramPrepare(benchmark::State& state) {
   SystemConfig cfg{};
-  const crt::Tile tile = state.range(0) == 0
-                             ? serve_conv_tile(cfg)
-                             : conv_layer_first_tile(cfg, state);
-  if (tile.prog.empty()) return;
+  const std::vector<vpu::VInsn> list = state.range(0) == 0
+                                           ? serve_conv_tile(cfg)
+                                           : conv_layer_first_tile(cfg, state);
+  if (list.empty()) return;
 
   vpu::Program prog;
   for (auto _ : state) {
-    prog.prepare(tile.prog, cfg.llc.vpu, 4);
+    prog.prepare(list, cfg.llc.vpu, 4);
     benchmark::DoNotOptimize(prog.steps().data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(tile.prog.size()));
-  state.SetLabel(std::to_string(tile.prog.size()) + " vinsns/program");
+                          static_cast<std::int64_t>(list.size()));
+  state.SetLabel(std::to_string(list.size()) + " vinsns/program");
 }
 BENCHMARK(BM_VpuProgramPrepare)->Arg(0)->Arg(1)->Arg(4);
 
@@ -475,31 +496,33 @@ BENCHMARK(BM_SchedDispatchDecision)->Unit(benchmark::kMillisecond);
 /// The scheduled kernel path end to end: submit and drain 64 pipeline jobs
 /// (conv2d -> leaky_relu -> maxpool -> gemm) from 4 tenants on 4 serving
 /// instances — planning, DAG wake-ups, dispatch, tile stepping and
-/// retirement, without perfbench's arrival generator and verification.
+/// retirement, without perfbench's arrival generator and verification. One
+/// warm System serves every iteration, as perfbench's serve-pipeline pass
+/// does: each iteration submits 64 fresh jobs into the same slots.
 void BM_ServePipelineJobs(benchmark::State& state) {
   SystemConfig cfg = SystemConfig::paper(4);
   cfg.sched_instances = 4;
   constexpr unsigned kJobs = 64;
-  std::uint64_t completed = 0;
-  std::unique_ptr<System> sys;
+  System sys(cfg);
+  auto& sch = sys.scheduler();
+  for (const char* name : {"t0", "t1", "t2", "t3"}) sch.add_tenant(name);
+  const std::uint64_t completed_before = sch.stats().jobs_completed;
   for (auto _ : state) {
     state.PauseTiming();
-    sys = std::make_unique<System>(cfg);  // the last one dies untimed
-    auto& sch = sys->scheduler();
-    for (const char* name : {"t0", "t1", "t2", "t3"}) sch.add_tenant(name);
     std::vector<sched::JobSpec> jobs;
     for (unsigned j = 0; j < kJobs; ++j) {
       jobs.push_back(sched::pipeline_job(
-          sched::PipelineSlot(sys->data_base() + 0x10000 + j * 0x8000)));
+          sched::PipelineSlot(sys.data_base() + 0x10000 + j * 0x8000)));
     }
+    const Cycle t0 = sys.events().now();
     state.ResumeTiming();
     for (unsigned j = 0; j < kJobs; ++j) {
-      sch.submit(j % 4, std::move(jobs[j]), 400 * j);
+      sch.submit(j % 4, std::move(jobs[j]), t0 + 400 * j);
     }
     sch.drain();
-    completed += sch.stats().jobs_completed;
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(completed));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(sch.stats().jobs_completed - completed_before));
   state.SetLabel("jobs/s");
 }
 BENCHMARK(BM_ServePipelineJobs)->Unit(benchmark::kMicrosecond);

@@ -5,7 +5,9 @@
 //
 // This is the paper's key usability claim: the in-cache ISA is defined by
 // the reprogrammable software decoder, so users extend it like a library.
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
@@ -17,71 +19,97 @@ using workloads::Matrix;
 
 namespace {
 
-/// Planner for xmk8: tiled element-wise D = alpha*ms1 + beta*ms2.
-crt::Plan plan_axpby(const crt::KernelOp& op, const SystemConfig& cfg) {
-  const kernels::Geometry g(op.et, cfg);
-  const auto& a = op.ms1.shape;
-  const auto& b = op.ms2.shape;
-  if (a.rows != b.rows || a.cols != b.cols ||
-      op.md.shape.rows != a.rows || op.md.shape.cols != a.cols) {
-    return crt::Plan::fail("axpby: shape mismatch");
+/// Planner for xmk8: tiled element-wise D = alpha*ms1 + beta*ms2. A planner
+/// validates and plans an op, then builds each tile on demand: its DMA
+/// transfers, the key naming its micro-program, and that program, which
+/// the C-RT asks for only the first time it meets the key.
+class AxpbyPlanner final : public crt::Planner {
+ public:
+  crt::Plan plan(const crt::KernelOp& op,
+                 const SystemConfig& cfg) const override {
+    const kernels::Geometry g(op.et, cfg);
+    const auto& a = op.ms1.shape;
+    const auto& b = op.ms2.shape;
+    if (a.rows != b.rows || a.cols != b.cols ||
+        op.md.shape.rows != a.rows || op.md.shape.cols != a.cols) {
+      return crt::Plan::fail("axpby: shape mismatch");
+    }
+    if (a.cols > g.cap) return crt::Plan::fail("axpby: row exceeds VLEN");
+
+    // Layout: rt rows of A, rt rows of B, rt rows of D.
+    Params p;
+    p.a = op.ms1.addr;
+    p.b = op.ms2.addr;
+    p.d = op.md.addr;
+    p.a_stride = a.stride * g.es;
+    p.b_stride = b.stride * g.es;
+    p.d_stride = op.md.shape.stride * g.es;
+    p.rows = a.rows;
+    p.cols = a.cols;
+    p.rt = std::min<std::uint32_t>(g.nv / 3, a.rows);
+    p.es = g.es;
+    p.et = op.et;
+    p.alpha = kernels::sx16(op.f.alpha);
+    p.beta = kernels::sx16(op.f.beta);
+    return kernels::one_chain_plan(*this, op, ceil_div(p.rows, p.rt),
+                                   3 * p.rt, p);
   }
-  if (a.cols > g.cap) return crt::Plan::fail("axpby: row exceeds VLEN");
 
-  // Layout: rt rows of A, rt rows of B, rt rows of D.
-  const std::uint32_t rt = std::min<std::uint32_t>((g.nv) / 3, a.rows);
-  struct Params {
-    crt::KernelOp op;
-    std::uint32_t rt;
-    unsigned es;
-    std::int32_t alpha, beta;
-  } p{op, rt, g.es, kernels::sx16(op.f.alpha), kernels::sx16(op.f.beta)};
-
-  crt::Chain chain;
-  chain.tile_count = ceil_div(a.rows, rt);
-  // Tile i is built into the executor's reusable Tile: clear it, refill it.
-  chain.make_tile = [p](unsigned i, crt::Tile& t) {
-    t.clear();
-    const auto& sh = p.op.ms1.shape;
+  kernels::Shape tile(const crt::Plan& plan, unsigned, unsigned i,
+                      crt::Tile& t) const override {
+    const Params& p = plan.params<Params>();
     const std::uint32_t r0 = i * p.rt;
-    const std::uint32_t rc = std::min(p.rt, sh.rows - r0);
-    const std::uint32_t row_b = sh.cols * p.es;
-    kernels::load_rows(t, p.op.ms1.addr, sh.stride * p.es, row_b, r0, rc, 0);
-    kernels::load_rows(t, p.op.ms2.addr, p.op.ms2.shape.stride * p.es, row_b,
-                       r0, rc, static_cast<std::uint8_t>(p.rt));
-    for (std::uint32_t r = 0; r < rc; ++r) {
+    const std::uint32_t rc = rows(p, i);
+    const std::uint32_t row_b = p.cols * p.es;
+    kernels::load_rows(t, p.a, p.a_stride, row_b, r0, rc, 0);
+    kernels::load_rows(t, p.b, p.b_stride, row_b, r0, rc,
+                       static_cast<std::uint8_t>(p.rt));
+    kernels::store_rows(t, p.d, p.d_stride, row_b, r0, rc,
+                        static_cast<std::uint8_t>(2 * p.rt));
+    // Everything program() reads besides the element type.
+    return {rc, p.cols, p.rt, static_cast<std::uint32_t>(p.alpha),
+            static_cast<std::uint32_t>(p.beta)};
+  }
+
+  void program(const crt::Plan& plan, unsigned, unsigned i,
+               std::vector<vpu::VInsn>& prog) const override {
+    const Params& p = plan.params<Params>();
+    for (std::uint32_t r = 0; r < rows(p, i); ++r) {
       const unsigned va = r, vb = p.rt + r, vd = 2 * p.rt + r;
       // vd = alpha*A; vd += beta*B  (two MACs via a zeroed accumulator)
-      kernels::emit_zero(t.prog, vd, p.op.et, sh.cols);
-      t.prog.push_back(kernels::vop(vpu::VOpc::kMaccVX, vd, 0, va, p.op.et,
-                                    sh.cols,
-                                    static_cast<std::uint32_t>(p.alpha)));
-      t.prog.push_back(kernels::vop(vpu::VOpc::kMaccVX, vd, 0, vb, p.op.et,
-                                    sh.cols,
-                                    static_cast<std::uint32_t>(p.beta)));
+      kernels::emit_zero(prog, vd, p.et, p.cols);
+      prog.push_back(kernels::vop(vpu::VOpc::kMaccVX, vd, 0, va, p.et, p.cols,
+                                  static_cast<std::uint32_t>(p.alpha)));
+      prog.push_back(kernels::vop(vpu::VOpc::kMaccVX, vd, 0, vb, p.et, p.cols,
+                                  static_cast<std::uint32_t>(p.beta)));
     }
-    kernels::store_rows(t, p.op.md.addr, p.op.md.shape.stride * p.es, row_b,
-                        r0, rc, static_cast<std::uint8_t>(2 * p.rt));
-  };
-  chain.vregs_claimed = 3 * rt;
+  }
 
-  crt::Plan plan;
-  plan.chains.push_back(std::move(chain));
-  plan.dest_lo = op.md.addr;
-  plan.dest_hi = op.md.addr + mat_footprint_bytes(op.md.shape, op.et);
-  return plan;
-}
+ private:
+  /// The plan's parameter block: plain data, copied into the plan.
+  struct Params {
+    Addr a, b, d;
+    std::uint32_t a_stride, b_stride, d_stride;
+    std::uint32_t rows, cols, rt;
+    unsigned es;
+    ElemType et;
+    std::int32_t alpha, beta;
+  };
+  static std::uint32_t rows(const Params& p, unsigned i) {
+    return std::min(p.rt, p.rows - i * p.rt);
+  }
+};
 
 }  // namespace
 
 int main() {
   // 1. Extend the ISA: drop the new kernel into the library before "C-RT
   //    compilation" (System construction).
+  static const AxpbyPlanner axpby;
   auto lib = crt::KernelLibrary::with_builtins();
   lib.register_kernel(crt::KernelInfo{
       /*func5=*/8, "xmk8", "AXPBY: D = alpha*ms1 + beta*ms2",
-      /*uses_ms1=*/true, /*uses_ms2=*/true, /*uses_ms3=*/false,
-      plan_axpby});
+      /*uses_ms1=*/true, /*uses_ms2=*/true, /*uses_ms3=*/false, &axpby});
   System sys(SystemConfig::paper(4), std::move(lib));
 
   // 2. Use it from the host like any other xmnmc instruction.

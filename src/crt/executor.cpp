@@ -45,7 +45,7 @@ void KernelExecutor::launch(KernelOp op, Plan plan,
                             std::span<const unsigned> vpus, Cycle now,
                             bool hung) {
   ARCANE_ASSERT(!active_.valid, "launch on a busy executor");
-  ARCANE_ASSERT(vpus.size() == plan.chains.size(),
+  ARCANE_ASSERT(vpus.size() == plan.chain_count,
                 "launch: one VPU per chain required");
   active_ = ActiveKernel{};
   active_.op = std::move(op);
@@ -62,16 +62,17 @@ void KernelExecutor::launch(KernelOp op, Plan plan,
     }
   }
   if (hung) return;  // the kernel sits here until abort_hung()
-  const std::size_t n = active_.plan.chains.size();
-  if (chains_.size() < n) chains_.resize(n);
+  const std::size_t n = active_.plan.chain_count;
+  if (chains_.size() < n) {
+    chains_.resize(n);
+    check_programs(check_programs_);
+  }
   active_.chains_left = static_cast<unsigned>(n);
   for (std::size_t i = 0; i < n; ++i) {
     ChainState& cs = chains_[i];
     cs.vpu = vpus[i];
     cs.next_tile = 0;
     cs.claimed = false;
-    cs.progs.unpin_all();
-    cs.kept.clear();
     cs.compute_end = 0;
     cs.breakdown = {};
     const unsigned ci = static_cast<unsigned>(i);
@@ -89,32 +90,22 @@ KernelOp KernelExecutor::abort_hung() {
   return op;
 }
 
-const vpu::Program& KernelExecutor::tile_program(ChainState& cs) {
-  const unsigned i = cs.next_tile;
-  const unsigned r = cs.tile.repeats;
-  if (r < i) {
-    for (const auto& [tile, entry] : cs.kept) {
-      if (tile == r) return cs.progs.program(entry);
-    }
-    ARCANE_ASSERT(false, "tile " << i << " repeats tile " << r
-                                 << ", which no earlier tile kept");
-  }
-  const std::size_t entry = cs.progs.acquire(
-      cs.tile.prog, (*ctx_->vpus)[cs.vpu].config(),
-      ctx_->costs.vinsn_dispatch, /*pin=*/r == i,
-      ctx_->phases.programs_prepared);
-  if (r == i) cs.kept.emplace_back(i, entry);
-  return cs.progs.program(entry);
+void KernelExecutor::check_programs(bool on) {
+  check_programs_ = on;
+  for (ChainState& cs : chains_) cs.progs.set_checked(on);
 }
 
 void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   ARCANE_ASSERT(active_.valid, "chain_step without an active kernel");
   ChainState& cs = chains_[chain_idx];
-  const Chain& chain = active_.plan.chains[chain_idx];
+  const Plan& plan = active_.plan;
   const KernelOp& op = active_.op;
-  ARCANE_ASSERT(cs.next_tile < chain.tile_count, "chain overrun");
+  ARCANE_ASSERT(cs.next_tile < plan.tile_count[chain_idx], "chain overrun");
 
-  chain.make_tile(cs.next_tile, cs.tile);
+  cs.tile.clear();
+  const vpu::ProgramKey key{
+      op.func5, op.et,
+      plan.planner->tile(plan, chain_idx, cs.next_tile, cs.tile)};
   vpu::VectorUnit& vu = (*ctx_->vpus)[cs.vpu];
   Cycle ecpu = std::max(ctx_->ecpu_free, t);
   const Cycle ecpu_start = ecpu;
@@ -143,7 +134,7 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   if (!cs.claimed) {
     client_->before_claim(cs.vpu);
     dma::TransferCost claim_cost;
-    for (unsigned v = 0; v < chain.vregs_claimed; ++v) {
+    for (unsigned v = 0; v < plan.vregs_claimed; ++v) {
       claim_cost += ctx_->llc->claim_line(cs.vpu, v, op.uid);
     }
     if (claim_cost.ext_bytes > 0) {
@@ -222,7 +213,12 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   ctx_->phases.ecpu_busy += ecpu - ecpu_start;
   ctx_->ecpu_free = std::max(ctx_->ecpu_free, ecpu);
   const Cycle compute_start = std::max(alloc_end, ecpu);
-  const vpu::Program& prog = tile_program(cs);
+  const vpu::Program& prog = cs.progs.acquire(
+      key, vu.config(), ctx_->costs.vinsn_dispatch,
+      [&](std::vector<vpu::VInsn>& list) {
+        plan.planner->program(plan, chain_idx, cs.next_tile, list);
+      },
+      ctx_->phases.programs_prepared);
   cs.compute_end = vu.run(prog, compute_start);
   ctx_->phases.compute += cs.compute_end - alloc_end;
   // [alloc_end, compute_start) waited for the eCPU to issue the launch.
@@ -245,7 +241,7 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
 void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
   ARCANE_ASSERT(active_.valid, "chain_writeback without an active kernel");
   ChainState& cs = chains_[chain_idx];
-  const unsigned tile_count = active_.plan.chains[chain_idx].tile_count;
+  const unsigned tile_count = active_.plan.tile_count[chain_idx];
   vpu::VectorUnit& vu = (*ctx_->vpus)[cs.vpu];
   Cycle ecpu = std::max(ctx_->ecpu_free, t);
   const Cycle ecpu_start = ecpu;
@@ -254,7 +250,7 @@ void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
   // destination will be consumed whole by the next kernel, skip the
   // write-back and leave the result resident in the register file.
   const bool single_tile_chain =
-      active_.plan.chains.size() == 1 && tile_count == 1;
+      active_.plan.chain_count == 1 && tile_count == 1;
   if (single_tile_chain && cs.tile.stores.size() == 1 &&
       cs.tile.stores[0].vreg_step == 1 && cs.tile.stores[0].vreg_offset == 0 &&
       client_->allow_writeback_elision(*this, active_.plan.dest_lo,

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -133,6 +132,9 @@ class KernelExecutor {
   bool hung() const { return active_.valid && active_.hung; }
 
   bool busy() const { return active_.valid; }
+  /// Tests only: on every program-cache hit, emit the tile's program anyway
+  /// and assert it equals the cached one (vpu::ProgramCache::set_checked).
+  void check_programs(bool on);
   unsigned id() const { return id_; }
   /// The in-flight kernel (valid while busy).
   const KernelOp& op() const { return active_.op; }
@@ -142,17 +144,13 @@ class KernelExecutor {
   /// the slots its plan uses and keeps each slot's Tile and prepared
   /// programs. The Tile's capacity is what the next tiles are built into;
   /// the programs are replayed by any later tile, of this kernel or
-  /// another, that issues an equal instruction list. The chain itself is
-  /// read from active_.plan.
+  /// another, whose planner names an equal key.
   struct ChainState {
     unsigned vpu = 0;
     unsigned next_tile = 0;
     bool claimed = false;
     Tile tile;  // tile currently in flight (between events)
     vpu::ProgramCache progs;
-    /// (tile, progs entry) of this kernel's tiles that later tiles repeat
-    /// (Tile::repeats); those entries stay pinned until the next launch.
-    std::vector<std::pair<unsigned, std::size_t>> kept;
     Cycle compute_end = 0;
     /// Stall buckets of this chain: they tile [launch event, its latest
     /// write-back end].
@@ -169,10 +167,6 @@ class KernelExecutor {
     bool elided_writeback = false;
   };
 
-  /// The prepared program of chain slot `cs`'s current tile: the one of
-  /// the earlier tile it repeats, else the slot's program of an equal
-  /// instruction list, else its `prog` prepared now.
-  const vpu::Program& tile_program(ChainState& cs);
   void chain_step(unsigned chain_idx, Cycle t);       // alloc + compute
   void chain_writeback(unsigned chain_idx, Cycle t);  // write-back + advance
   void finish_kernel(Cycle t);
@@ -181,7 +175,8 @@ class KernelExecutor {
   Client* client_;
   unsigned id_;
   ActiveKernel active_{};
-  std::vector<ChainState> chains_;  // slots [0, plan.chains.size()) in use
+  std::vector<ChainState> chains_;  // slots [0, plan.chain_count) in use
+  bool check_programs_ = false;
   // Per-tile forwarding scratch (parallel to the tile's loads): reused
   // buffers + validity flags, so chain stepping allocates nothing steady
   // state no matter how many tiles a kernel walks.

@@ -7,7 +7,6 @@
 #define ARCANE_CRT_KERNEL_LIBRARY_HPP_
 
 #include <array>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -18,10 +17,6 @@
 
 namespace arcane::crt {
 
-/// Kernel planner: validates operand shapes and produces the execution plan
-/// (or Plan::fail(reason), which makes the decoder reject the offload).
-using PlannerFn = std::function<Plan(const KernelOp&, const SystemConfig&)>;
-
 struct KernelInfo {
   std::uint8_t func5 = 0;
   std::string name;
@@ -29,7 +24,10 @@ struct KernelInfo {
   bool uses_ms1 = false;
   bool uses_ms2 = false;
   bool uses_ms3 = false;
-  PlannerFn planner;
+  /// Validates operand shapes and plans the kernel (Plan::fail makes the
+  /// decoder reject the offload). Not owned: planners are long-lived
+  /// objects, the builtin ones static.
+  const Planner* planner = nullptr;
 };
 
 class KernelLibrary {

@@ -5,22 +5,25 @@
 // each a sequence of *tiles*. A tile bundles the 2D-DMA loads that bring
 // operand rows into vector registers, the vector micro-program that computes
 // on them, and the 2D-DMA stores that write results back to memory through
-// the cache. Tiles are generated lazily (make_tile), one at a time into a
+// the cache. The kernel's Planner builds tiles lazily, one at a time into a
 // Tile the executor reuses, so walking a kernel neither holds every tile in
-// memory nor allocates per tile. A tile whose program repeats an earlier
-// tile's names that tile (Tile::repeats) instead of emitting it again.
+// memory nor allocates per tile. Each tile's micro-program is named by a
+// ProgramKey and emitted only when the executor has not prepared it yet.
 #ifndef ARCANE_CRT_KERNEL_OP_HPP_
 #define ARCANE_CRT_KERNEL_OP_HPP_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <new>
 #include <span>
-#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/types.hpp"
 #include "isa/xmnmc.hpp"
+#include "vpu/program_cache.hpp"
 #include "vpu/vinsn.hpp"
 
 namespace arcane::crt {
@@ -53,60 +56,87 @@ struct DmaXfer {
   std::uint32_t vreg_offset_step = 0;  // offset advance per row (packing)
 };
 
+/// The 2D-DMA transfers of one tile; its micro-program is named by the
+/// ProgramKey its planner returns and emitted only when the executor does
+/// not hold it prepared.
 struct Tile {
-  /// `repeats` of a tile whose program no later tile of the chain repeats.
-  static constexpr unsigned kOnce = ~0u;
-
   std::vector<DmaXfer> loads;
-  std::vector<vpu::VInsn> prog;
   std::vector<DmaXfer> stores;
-  /// The tile of the same chain whose micro-program tile i runs, so an
-  /// executor prepares each distinct program once (vpu::Program) and
-  /// replays it. Tile i sets one of:
-  ///  * kOnce: `prog` holds the program and no later tile repeats it;
-  ///  * i: `prog` holds the program and later tiles may repeat it;
-  ///  * r < i: `prog` stays empty and the tile runs tile r's program. Tile
-  ///    r must have set repeats = r and emitted exactly the program tile i
-  ///    would emit; only the loads and stores differ.
-  unsigned repeats = kOnce;
 
-  /// Empty every list and reset `repeats`, keeping the capacity for the
-  /// next tile.
+  /// Empty both lists, keeping their capacity for the next tile.
   void clear() {
     loads.clear();
-    prog.clear();
     stores.clear();
-    repeats = kOnce;
   }
 };
 
-/// A sequence of tiles executing on one VPU.
-struct Chain {
-  unsigned tile_count = 0;
-  /// make_tile(i, out) writes tile i into `out`. The contract: the planner
-  /// must clear `out` (Tile::clear) and then refill it. `out` is a Tile the
-  /// executor owns per chain slot and reuses across tiles and kernels, so it
-  /// arrives holding an earlier tile, possibly of another kernel, and its
-  /// capacity is what keeps tile stepping allocation-free. Tile i must be a
-  /// pure function of i and the plan: a retry or an elided write-back
-  /// rebuilds it.
-  std::function<void(unsigned, Tile&)> make_tile;
-  /// Vector registers [0, vregs_claimed) are claimed busy for the chain's
-  /// life.
-  unsigned vregs_claimed = 0;
-};
+class Planner;
+struct KernelOp;
 
+/// A planned kernel: flat and heap-free, so planning, copying and retiring
+/// one allocates nothing. Chain c runs tile_count[c] tiles; the planner
+/// builds each from the plan's parameter block when the executor reaches
+/// it.
 struct Plan {
-  std::vector<Chain> chains;
-  Addr dest_lo = 0, dest_hi = 0;  // destination range for the AT
-  std::string error;              // non-empty => decoder rejects the offload
+  /// Bytes of the planner's parameter block.
+  static constexpr std::size_t kParamBytes = 96;
 
-  bool ok() const { return error.empty(); }
-  static Plan fail(std::string why) {
+  const Planner* planner = nullptr;
+  unsigned chain_count = 0;
+  std::array<unsigned, kMaxVpus> tile_count{};
+  /// Vector registers [0, vregs_claimed) of each chain's VPU are claimed
+  /// busy for the chain's life.
+  unsigned vregs_claimed = 0;
+  Addr dest_lo = 0, dest_hi = 0;  // destination range for the AT
+  const char* error = nullptr;    // set => decoder rejects the offload
+
+  bool ok() const { return error == nullptr; }
+  static Plan fail(const char* why) {
     Plan p;
-    p.error = std::move(why);
+    p.error = why;
     return p;
   }
+
+  /// Store the planner's parameters (any trivially copyable struct that
+  /// fits) and read them back.
+  template <typename P>
+  void set_params(const P& p) {
+    static_assert(std::is_trivially_copyable_v<P>);
+    static_assert(sizeof(P) <= kParamBytes && alignof(P) <= 8);
+    ::new (static_cast<void*>(params_.data())) P(p);
+  }
+  template <typename P>
+  const P& params() const {
+    return *std::launder(reinterpret_cast<const P*>(params_.data()));
+  }
+
+ private:
+  alignas(8) std::array<std::byte, kParamBytes> params_{};
+};
+
+/// The kernel code the C-RT runs for one func5 (paper §IV-B): it validates
+/// and plans an op, then builds each tile's transfers and, on request, its
+/// micro-program. All three are pure functions of their arguments: a retry
+/// re-plans, an elided write-back rebuilds a tile, and any tile may be
+/// built again.
+class Planner {
+ public:
+  virtual ~Planner() = default;
+
+  /// The plan of `op` (planner = this, chain_count >= 1), or
+  /// Plan::fail(reason) when its operand shapes are rejected.
+  virtual Plan plan(const KernelOp& op, const SystemConfig& cfg) const = 0;
+
+  /// Append the loads and stores of tile `i` of chain `chain` to `out`
+  /// (which arrives empty) and return the shape its micro-program depends
+  /// on. The executor adds the kernel's func5 and element type to form the
+  /// ProgramKey; tiles of equal keys must emit equal programs.
+  virtual vpu::ProgramKey::Shape tile(const Plan& plan, unsigned chain,
+                                      unsigned i, Tile& out) const = 0;
+
+  /// Append the micro-program of tile `i` of chain `chain` to `prog`.
+  virtual void program(const Plan& plan, unsigned chain, unsigned i,
+                       std::vector<vpu::VInsn>& prog) const = 0;
 };
 
 /// A fully decoded, renamed and planned kernel operation, as held in the

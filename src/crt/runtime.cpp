@@ -103,7 +103,7 @@ Runtime::DecodeResult Runtime::decode_kernel(const OffloadPayload& p,
 
   Plan plan;
   if (why.empty()) {
-    plan = info->planner(op, cfg_);
+    plan = info->planner->plan(op, cfg_);
     if (!plan.ok()) why = plan.error;
   }
   if (!why.empty()) return reject(why);

@@ -8,11 +8,11 @@
 // tap costs one vslidedown (skipped for kx = 0) plus one vmacc.es that pulls
 // the coefficient straight out of the packed filter register.
 //
-// A tile's micro-program depends only on the ring slot its first row lands
-// in and on its row count, so tiles repeat the program of an earlier tile
-// (crt::Tile::repeats) and emit only their loads and stores.
+// A tile's micro-program depends only on the layout, the ring slot its
+// first row lands in and its row count, which is what its ProgramKey names:
+// a chain prepares one program per ring rotation, and kernels of one shape
+// share them.
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "kernels/planner_util.hpp"
@@ -40,18 +40,6 @@ struct Conv2dParams {
   std::uint8_t ring_base, filt_v, acc_base, tmp_v;
 };
 
-// Which earlier tile's program tile i runs (crt::Tile::repeats). A tile
-// that starts at row r0 with pc rows reads ring slot (r0 + q + ky) % R, so
-// its program is a function of r0 % R and pc. Every tile but the last has
-// the full P rows and starts at i * P, which repeats modulo R with period
-// R / gcd(P, R): the earliest tile of i's class is i modulo that period. A
-// short last tile is the only one with its row count.
-unsigned ring_repeats(unsigned i, std::uint32_t pc, std::uint32_t P,
-                      std::uint32_t R) {
-  if (pc != P) return Tile::kOnce;
-  return i % (R / std::gcd(P, R));
-}
-
 // The program of the conv2d tile that computes output rows [r0, r0 + pc).
 void conv2d_program(const Conv2dParams& p, std::uint32_t r0, std::uint32_t pc,
                     std::vector<VInsn>& prog) {
@@ -69,35 +57,8 @@ void conv2d_program(const Conv2dParams& p, std::uint32_t r0, std::uint32_t pc,
   }
 }
 
-void conv2d_tile(const Conv2dParams& p, unsigned i, Tile& t) {
-  t.clear();
-  const std::uint32_t r0 = i * p.P;
-  const std::uint32_t pc = std::min(p.P, p.Hc - r0);
-  const std::uint32_t row_bytes = p.W * p.es;
-
-  const std::uint32_t need_lo = (i == 0) ? 0 : r0 + p.K - 1;
-  const std::uint32_t need_hi = r0 + pc + p.K - 1;
-  ring_load(t, p.in_addr, p.in_stride_b, row_bytes, need_lo, need_hi,
-            p.ring_base, p.R);
-  if (i == 0) {
-    crt::DmaXfer f;
-    f.mem_addr = p.f_addr;
-    f.rows = p.K;
-    f.row_bytes = p.K * p.es;
-    f.mem_stride = p.f_stride_b;
-    f.first_vreg = p.filt_v;
-    f.vreg_step = 0;
-    f.vreg_offset_step = p.K * p.es;  // pack filter rows into one register
-    t.loads.push_back(f);
-  }
-
-  t.repeats = ring_repeats(i, pc, p.P, p.R);
-  if (t.repeats >= i) conv2d_program(p, r0, pc, t.prog);
-  store_rows(t, p.out_addr, p.out_stride_b, p.Wc * p.es, r0, pc, p.acc_base);
-}
-
-// Lay out a conv2d over one VPU's registers; the error text, or empty.
-std::string conv2d_layout(const KernelOp& op, const SystemConfig& cfg,
+// Lay out a conv2d over one VPU's registers; the error text, or null.
+const char* conv2d_layout(const KernelOp& op, const SystemConfig& cfg,
                           Conv2dParams& p) {
   Geometry g(op.et, cfg);
   const auto& in = op.ms1.shape;
@@ -137,25 +98,42 @@ std::string conv2d_layout(const KernelOp& op, const SystemConfig& cfg,
   p.filt_v = static_cast<std::uint8_t>(p.R);
   p.acc_base = static_cast<std::uint8_t>(p.R + 1);
   p.tmp_v = static_cast<std::uint8_t>(p.R + 1 + P);
-  return {};
+  return nullptr;
 }
 
-Plan plan_conv2d(const KernelOp& op, const SystemConfig& cfg) {
-  Conv2dParams p;
-  if (std::string err = conv2d_layout(op, cfg, p); !err.empty())
-    return Plan::fail(std::move(err));
+class Conv2dPlanner final : public crt::Planner {
+ public:
+  Plan plan(const KernelOp& op, const SystemConfig& cfg) const override {
+    Conv2dParams p;
+    if (const char* err = conv2d_layout(op, cfg, p)) return Plan::fail(err);
+    return one_chain_plan(*this, op, ceil_div(p.Hc, p.P), p.tmp_v + 1u, p);
+  }
 
-  crt::Chain chain;
-  chain.tile_count = ceil_div(p.Hc, p.P);
-  chain.make_tile = [p](unsigned i, Tile& t) { conv2d_tile(p, i, t); };
-  chain.vregs_claimed = p.tmp_v + 1u;
+  Shape tile(const Plan& plan, unsigned, unsigned i, Tile& t) const override {
+    const Conv2dParams& p = plan.params<Conv2dParams>();
+    const std::uint32_t r0 = i * p.P;
+    const std::uint32_t pc = std::min(p.P, p.Hc - r0);
+    const std::uint32_t row_bytes = p.W * p.es;
 
-  Plan plan;
-  plan.chains.push_back(std::move(chain));
-  plan.dest_lo = op.md.addr;
-  plan.dest_hi = op.md.addr + mat_footprint_bytes(op.md.shape, op.et);
-  return plan;
-}
+    const std::uint32_t need_lo = (i == 0) ? 0 : r0 + p.K - 1;
+    const std::uint32_t need_hi = r0 + pc + p.K - 1;
+    ring_load(t, p.in_addr, p.in_stride_b, row_bytes, need_lo, need_hi,
+              p.ring_base, p.R);
+    if (i == 0) {  // the filter, packed into one register
+      pack_rows(t, p.f_addr, p.f_stride_b, p.K * p.es, p.K, p.filt_v);
+    }
+    store_rows(t, p.out_addr, p.out_stride_b, p.Wc * p.es, r0, pc, p.acc_base);
+    // The registers follow from K and P.
+    return {pc, r0 % p.R, p.K, p.P, p.Wc};
+  }
+
+  void program(const Plan& plan, unsigned, unsigned i,
+               std::vector<VInsn>& prog) const override {
+    const Conv2dParams& p = plan.params<Conv2dParams>();
+    const std::uint32_t r0 = i * p.P;
+    conv2d_program(p, r0, std::min(p.P, p.Hc - r0), prog);
+  }
+};
 
 // ------------------------------------------------------------ conv layer --
 
@@ -165,8 +143,8 @@ struct ConvLayerParams {
   std::uint32_t H, W, K, Hc, Wc, Wo;
   unsigned es;
   ElemType et;
-  // chain sub-range (pooled rows [q0, q0+qc))
-  std::uint32_t q0, qc;
+  // chains: chain c pools rows [c * rows_per_chain, ...) of Ho
+  std::uint32_t Ho, rows_per_chain;
   // layout
   std::uint32_t P, R;
   std::uint8_t filt_v, acc_base, out_base, tmp_v;
@@ -206,46 +184,22 @@ void conv_layer_program(const ConvLayerParams& p, std::uint32_t conv_r0,
   }
 }
 
-void conv_layer_tile(const ConvLayerParams& p, unsigned j, Tile& t) {
-  t.clear();
-  const std::uint32_t conv_r0 = 2 * p.q0 + j * p.P;      // global conv row
-  const std::uint32_t conv_left = 2 * p.qc - j * p.P;
-  const std::uint32_t pc = std::min(p.P, conv_left);     // even by design
-  const std::uint32_t row_bytes = p.W * p.es;
+/// Tile j of chain c: its first (global) conv row and its conv row count,
+/// even by design.
+struct ConvLayerTile {
+  std::uint32_t q0, conv_r0, pc;
 
-  const std::uint32_t need_lo = (j == 0) ? conv_r0 : conv_r0 + p.K - 1;
-  const std::uint32_t need_hi = conv_r0 + pc + p.K - 1;
-  for (std::uint32_t c = 0; c < 3; ++c) {
-    // Channel c occupies matrix rows [c*H, (c+1)*H).
-    ring_load(t, p.in_addr + c * p.H * p.in_stride_b, p.in_stride_b,
-              row_bytes, need_lo, need_hi,
-              static_cast<std::uint8_t>(c * p.R), p.R);
-  }
-  if (j == 0) {
-    crt::DmaXfer f;
-    f.mem_addr = p.f_addr;
-    f.rows = 3 * p.K;
-    f.row_bytes = p.K * p.es;
-    f.mem_stride = p.f_stride_b;
-    f.first_vreg = p.filt_v;
-    f.vreg_step = 0;
-    f.vreg_offset_step = p.K * p.es;
-    t.loads.push_back(f);
-  }
+  ConvLayerTile(const ConvLayerParams& p, unsigned c, unsigned j)
+      : q0(c * p.rows_per_chain),
+        conv_r0(2 * q0 + j * p.P),
+        pc(std::min(p.P, 2 * std::min(p.rows_per_chain, p.Ho - q0) -
+                             j * p.P)) {}
+};
 
-  // The chain's first conv row 2 * q0 shifts every tile's ring slot alike.
-  t.repeats = ring_repeats(j, pc, p.P, p.R);
-  if (t.repeats >= j) conv_layer_program(p, conv_r0, pc, t.prog);
-
-  store_rows(t, p.out_addr, p.out_stride_b, p.Wo * p.es,
-             p.q0 + j * p.P / 2, pc / 2, p.out_base);
-}
-
-// Lay out a conv layer over one VPU's registers (q0/qc unset) and pick
-// how many pooled rows each chain takes; the error text, or empty.
-std::string conv_layer_layout(const KernelOp& op, const SystemConfig& cfg,
-                              ConvLayerParams& base,
-                              std::uint32_t& rows_per_chain) {
+// Lay out a conv layer over one VPU's registers and pick how many pooled
+// rows each chain takes; the error text, or null.
+const char* conv_layer_layout(const KernelOp& op, const SystemConfig& cfg,
+                              ConvLayerParams& base) {
   Geometry g(op.et, cfg);
   const auto& in = op.ms1.shape;
   const auto& f = op.ms2.shape;
@@ -304,75 +258,66 @@ std::string conv_layer_layout(const KernelOp& op, const SystemConfig& cfg,
   // Multi-instance mode (§V-C): split pooled output rows across all VPUs.
   const unsigned want_chains =
       cfg.multi_vpu_kernels ? std::min<unsigned>(cfg.llc.num_vpus, Ho) : 1u;
-  rows_per_chain = ceil_div<std::uint32_t>(Ho, want_chains);
-  return {};
+  base.Ho = Ho;
+  base.rows_per_chain = ceil_div<std::uint32_t>(Ho, want_chains);
+  return nullptr;
 }
 
-Plan plan_conv_layer(const KernelOp& op, const SystemConfig& cfg) {
-  ConvLayerParams base;
-  std::uint32_t rows_per_chain = 0;
-  if (std::string err = conv_layer_layout(op, cfg, base, rows_per_chain);
-      !err.empty())
-    return Plan::fail(std::move(err));
-
-  Plan plan;
-  plan.dest_lo = op.md.addr;
-  plan.dest_hi = op.md.addr + mat_footprint_bytes(op.md.shape, op.et);
-
-  const std::uint32_t Ho = op.md.shape.rows;
-  std::uint32_t q0 = 0;
-  while (q0 < Ho) {
-    ConvLayerParams p = base;
-    p.q0 = q0;
-    p.qc = std::min(rows_per_chain, Ho - q0);
-    crt::Chain chain;
-    chain.tile_count = ceil_div<std::uint32_t>(2 * p.qc, p.P);
-    chain.make_tile = [p](unsigned j, Tile& t) { conv_layer_tile(p, j, t); };
-    chain.vregs_claimed = base.tmp_v + 1u;
-    plan.chains.push_back(std::move(chain));
-    q0 += p.qc;
+class ConvLayerPlanner final : public crt::Planner {
+ public:
+  Plan plan(const KernelOp& op, const SystemConfig& cfg) const override {
+    ConvLayerParams p;
+    if (const char* err = conv_layer_layout(op, cfg, p)) return Plan::fail(err);
+    Plan plan = one_chain_plan(*this, op, 0, p.tmp_v + 1u, p);
+    plan.chain_count = ceil_div(p.Ho, p.rows_per_chain);
+    for (unsigned c = 0; c < plan.chain_count; ++c) {
+      const std::uint32_t qc =
+          std::min(p.rows_per_chain, p.Ho - c * p.rows_per_chain);
+      plan.tile_count[c] = ceil_div<std::uint32_t>(2 * qc, p.P);
+    }
+    return plan;
   }
-  return plan;
-}
+
+  Shape tile(const Plan& plan, unsigned c, unsigned j, Tile& t) const override {
+    const ConvLayerParams& p = plan.params<ConvLayerParams>();
+    const ConvLayerTile g(p, c, j);
+    const std::uint32_t row_bytes = p.W * p.es;
+
+    const std::uint32_t need_lo = (j == 0) ? g.conv_r0 : g.conv_r0 + p.K - 1;
+    const std::uint32_t need_hi = g.conv_r0 + g.pc + p.K - 1;
+    for (std::uint32_t ch = 0; ch < 3; ++ch) {
+      // Channel ch occupies matrix rows [ch*H, (ch+1)*H).
+      ring_load(t, p.in_addr + ch * p.H * p.in_stride_b, p.in_stride_b,
+                row_bytes, need_lo, need_hi,
+                static_cast<std::uint8_t>(ch * p.R), p.R);
+    }
+    if (j == 0) {  // the three filters, packed into one register
+      pack_rows(t, p.f_addr, p.f_stride_b, p.K * p.es, 3 * p.K, p.filt_v);
+    }
+    store_rows(t, p.out_addr, p.out_stride_b, p.Wo * p.es,
+               g.q0 + j * p.P / 2, g.pc / 2, p.out_base);
+    // The registers follow from K and P.
+    return {g.pc, g.conv_r0 % p.R, p.K, p.P, p.Wc, p.Wo};
+  }
+
+  void program(const Plan& plan, unsigned c, unsigned j,
+               std::vector<VInsn>& prog) const override {
+    const ConvLayerParams& p = plan.params<ConvLayerParams>();
+    const ConvLayerTile g(p, c, j);
+    conv_layer_program(p, g.conv_r0, g.pc, prog);
+  }
+};
 
 }  // namespace
 
-crt::PlannerFn conv2d_planner() {
-  return [](const KernelOp& op, const SystemConfig& cfg) {
-    return plan_conv2d(op, cfg);
-  };
+const crt::Planner& conv2d_planner() {
+  static const Conv2dPlanner planner;
+  return planner;
 }
 
-crt::PlannerFn conv_layer_planner() {
-  return [](const KernelOp& op, const SystemConfig& cfg) {
-    return plan_conv_layer(op, cfg);
-  };
-}
-
-void conv2d_tile_program(const KernelOp& op, const SystemConfig& cfg,
-                         unsigned i, std::vector<VInsn>& prog) {
-  Conv2dParams p;
-  const std::string err = conv2d_layout(op, cfg, p);
-  ARCANE_CHECK(err.empty(), err);
-  const std::uint32_t r0 = i * p.P;
-  ARCANE_CHECK(r0 < p.Hc, "conv2d: no tile " << i);
-  conv2d_program(p, r0, std::min(p.P, p.Hc - r0), prog);
-}
-
-void conv_layer_tile_program(const KernelOp& op, const SystemConfig& cfg,
-                             unsigned chain, unsigned j,
-                             std::vector<VInsn>& prog) {
-  ConvLayerParams p;
-  std::uint32_t rows_per_chain = 0;
-  const std::string err = conv_layer_layout(op, cfg, p, rows_per_chain);
-  ARCANE_CHECK(err.empty(), err);
-  // Chain c pools rows [c * rows_per_chain, ...), as plan_conv_layer splits.
-  const std::uint32_t q0 = chain * rows_per_chain;
-  ARCANE_CHECK(q0 < op.md.shape.rows, "conv_layer: no chain " << chain);
-  const std::uint32_t qc = std::min(rows_per_chain, op.md.shape.rows - q0);
-  ARCANE_CHECK(j * p.P < 2 * qc, "conv_layer: no tile " << j);
-  conv_layer_program(p, 2 * q0 + j * p.P, std::min(p.P, 2 * qc - j * p.P),
-                     prog);
+const crt::Planner& conv_layer_planner() {
+  static const ConvLayerPlanner planner;
+  return planner;
 }
 
 }  // namespace arcane::kernels

@@ -20,6 +20,7 @@ namespace {
 using crt::KernelOp;
 using crt::Plan;
 using crt::Tile;
+using vpu::VInsn;
 using vpu::VOpc;
 
 // ------------------------------ transpose -------------------------------
@@ -33,60 +34,55 @@ struct TransposeParams {
   std::uint32_t nt;  // output rows (input columns) per tile
 };
 
-void transpose_tile(const TransposeParams& p, unsigned i, Tile& t) {
-  t.clear();
-  const std::uint32_t c0 = i * p.nt;
-  const std::uint32_t cc = std::min(p.nt, p.N - c0);
-  for (std::uint32_t c = 0; c < cc; ++c) {
-    // Column c0+c of the input becomes vector register c: one element per
-    // "DMA row", packed consecutively into the register.
-    crt::DmaXfer x;
-    x.mem_addr = p.in_addr + (c0 + c) * p.es;
-    x.rows = p.M;
-    x.row_bytes = p.es;
-    x.mem_stride = p.in_stride_b;
-    x.first_vreg = static_cast<std::uint8_t>(c);
-    x.vreg_step = 0;
-    x.vreg_offset_step = p.es;
-    t.loads.push_back(x);
-    // Touch the register through the ALU so the VPU timing reflects the
+class TransposePlanner final : public crt::Planner {
+ public:
+  Plan plan(const KernelOp& op, const SystemConfig& cfg) const override {
+    Geometry g(op.et, cfg);
+    const auto& in = op.ms1.shape;
+    const auto& out = op.md.shape;
+    if (out.rows != in.cols || out.cols != in.rows) {
+      return Plan::fail("transpose: destination shape must be NxM");
+    }
+    if (in.rows > g.cap) return Plan::fail("transpose: column exceeds VLEN");
+
+    TransposeParams p;
+    p.in_addr = op.ms1.addr;
+    p.out_addr = op.md.addr;
+    p.in_stride_b = in.stride * g.es;
+    p.out_stride_b = out.stride * g.es;
+    p.M = in.rows;
+    p.N = in.cols;
+    p.es = g.es;
+    p.et = op.et;
+    p.nt = std::min<std::uint32_t>(g.nv - 1, p.N);
+
+    return one_chain_plan(*this, op, ceil_div(p.N, p.nt), p.nt, p);
+  }
+
+  Shape tile(const Plan& plan, unsigned, unsigned i, Tile& t) const override {
+    const TransposeParams& p = plan.params<TransposeParams>();
+    const std::uint32_t c0 = i * p.nt;
+    const std::uint32_t cc = std::min(p.nt, p.N - c0);
+    for (std::uint32_t c = 0; c < cc; ++c) {
+      // Column c0+c of the input becomes vector register c: one element per
+      // "DMA row", packed consecutively into the register.
+      pack_rows(t, p.in_addr + (c0 + c) * p.es, p.in_stride_b, p.es, p.M,
+                static_cast<std::uint8_t>(c));
+    }
+    store_rows(t, p.out_addr, p.out_stride_b, p.M * p.es, c0, cc, 0);
+    return {cc, p.M};
+  }
+
+  void program(const Plan& plan, unsigned, unsigned i,
+               std::vector<VInsn>& prog) const override {
+    const TransposeParams& p = plan.params<TransposeParams>();
+    // Touch each register through the ALU so the VPU timing reflects the
     // pass-through (a single vmv per row).
-    t.prog.push_back(vop(VOpc::kMvVV, c, c, 0, p.et, p.M));
+    for (std::uint32_t c = 0; c < std::min(p.nt, p.N - i * p.nt); ++c) {
+      prog.push_back(vop(VOpc::kMvVV, c, c, 0, p.et, p.M));
+    }
   }
-  store_rows(t, p.out_addr, p.out_stride_b, p.M * p.es, c0, cc, 0);
-}
-
-Plan plan_transpose(const KernelOp& op, const SystemConfig& cfg) {
-  Geometry g(op.et, cfg);
-  const auto& in = op.ms1.shape;
-  const auto& out = op.md.shape;
-  if (out.rows != in.cols || out.cols != in.rows) {
-    return Plan::fail("transpose: destination shape must be NxM");
-  }
-  if (in.rows > g.cap) return Plan::fail("transpose: column exceeds VLEN");
-
-  TransposeParams p;
-  p.in_addr = op.ms1.addr;
-  p.out_addr = op.md.addr;
-  p.in_stride_b = in.stride * g.es;
-  p.out_stride_b = out.stride * g.es;
-  p.M = in.rows;
-  p.N = in.cols;
-  p.es = g.es;
-  p.et = op.et;
-  p.nt = std::min<std::uint32_t>(g.nv - 1, p.N);
-
-  crt::Chain chain;
-  chain.tile_count = ceil_div(p.N, p.nt);
-  chain.make_tile = [p](unsigned i, Tile& t) { transpose_tile(p, i, t); };
-  chain.vregs_claimed = p.nt;
-
-  Plan plan;
-  plan.chains.push_back(std::move(chain));
-  plan.dest_lo = op.md.addr;
-  plan.dest_hi = op.md.addr + mat_footprint_bytes(out, op.et);
-  return plan;
-}
+};
 
 // ------------------------------ hadamard --------------------------------
 
@@ -99,69 +95,67 @@ struct HadamardParams {
   std::uint32_t rt;
 };
 
-void hadamard_tile(const HadamardParams& p, unsigned i, Tile& t) {
-  t.clear();
-  const std::uint32_t r0 = i * p.rt;
-  const std::uint32_t rc = std::min(p.rt, p.rows - r0);
-  const std::uint32_t row_b = p.cols * p.es;
-  load_rows(t, p.a_addr, p.a_stride_b, row_b, r0, rc, 0);
-  load_rows(t, p.b_addr, p.b_stride_b, row_b, r0, rc,
-            static_cast<std::uint8_t>(p.rt));
-  for (std::uint32_t r = 0; r < rc; ++r) {
-    t.prog.push_back(vop(VOpc::kMulVV, 2 * p.rt + r, r, p.rt + r, p.et,
-                         p.cols));
+class HadamardPlanner final : public crt::Planner {
+ public:
+  Plan plan(const KernelOp& op, const SystemConfig& cfg) const override {
+    Geometry g(op.et, cfg);
+    const auto& a = op.ms1.shape;
+    const auto& b = op.ms2.shape;
+    if (a.rows != b.rows || a.cols != b.cols ||
+        op.md.shape.rows != a.rows || op.md.shape.cols != a.cols) {
+      return Plan::fail("hadamard: shape mismatch");
+    }
+    if (a.cols > g.cap) return Plan::fail("hadamard: row exceeds VLEN");
+
+    HadamardParams p;
+    p.a_addr = op.ms1.addr;
+    p.b_addr = op.ms2.addr;
+    p.d_addr = op.md.addr;
+    p.a_stride_b = a.stride * g.es;
+    p.b_stride_b = b.stride * g.es;
+    p.d_stride_b = op.md.shape.stride * g.es;
+    p.rows = a.rows;
+    p.cols = a.cols;
+    p.es = g.es;
+    p.et = op.et;
+    p.rt = std::min<std::uint32_t>(g.nv / 3, p.rows);
+
+    return one_chain_plan(*this, op, ceil_div(p.rows, p.rt), 3 * p.rt, p);
   }
-  store_rows(t, p.d_addr, p.d_stride_b, row_b, r0, rc,
-             static_cast<std::uint8_t>(2 * p.rt));
-}
 
-Plan plan_hadamard(const KernelOp& op, const SystemConfig& cfg) {
-  Geometry g(op.et, cfg);
-  const auto& a = op.ms1.shape;
-  const auto& b = op.ms2.shape;
-  if (a.rows != b.rows || a.cols != b.cols ||
-      op.md.shape.rows != a.rows || op.md.shape.cols != a.cols) {
-    return Plan::fail("hadamard: shape mismatch");
+  Shape tile(const Plan& plan, unsigned, unsigned i, Tile& t) const override {
+    const HadamardParams& p = plan.params<HadamardParams>();
+    const std::uint32_t r0 = i * p.rt;
+    const std::uint32_t rc = std::min(p.rt, p.rows - r0);
+    const std::uint32_t row_b = p.cols * p.es;
+    load_rows(t, p.a_addr, p.a_stride_b, row_b, r0, rc, 0);
+    load_rows(t, p.b_addr, p.b_stride_b, row_b, r0, rc,
+              static_cast<std::uint8_t>(p.rt));
+    store_rows(t, p.d_addr, p.d_stride_b, row_b, r0, rc,
+               static_cast<std::uint8_t>(2 * p.rt));
+    return {rc, p.cols, p.rt};
   }
-  if (a.cols > g.cap) return Plan::fail("hadamard: row exceeds VLEN");
 
-  HadamardParams p;
-  p.a_addr = op.ms1.addr;
-  p.b_addr = op.ms2.addr;
-  p.d_addr = op.md.addr;
-  p.a_stride_b = a.stride * g.es;
-  p.b_stride_b = b.stride * g.es;
-  p.d_stride_b = op.md.shape.stride * g.es;
-  p.rows = a.rows;
-  p.cols = a.cols;
-  p.es = g.es;
-  p.et = op.et;
-  p.rt = std::min<std::uint32_t>(g.nv / 3, p.rows);
-
-  crt::Chain chain;
-  chain.tile_count = ceil_div(p.rows, p.rt);
-  chain.make_tile = [p](unsigned i, Tile& t) { hadamard_tile(p, i, t); };
-  chain.vregs_claimed = 3 * p.rt;
-
-  Plan plan;
-  plan.chains.push_back(std::move(chain));
-  plan.dest_lo = op.md.addr;
-  plan.dest_hi = op.md.addr + mat_footprint_bytes(op.md.shape, op.et);
-  return plan;
-}
+  void program(const Plan& plan, unsigned, unsigned i,
+               std::vector<VInsn>& prog) const override {
+    const HadamardParams& p = plan.params<HadamardParams>();
+    for (std::uint32_t r = 0; r < std::min(p.rt, p.rows - i * p.rt); ++r) {
+      prog.push_back(
+          vop(VOpc::kMulVV, 2 * p.rt + r, r, p.rt + r, p.et, p.cols));
+    }
+  }
+};
 
 }  // namespace
 
-crt::PlannerFn transpose_planner() {
-  return [](const KernelOp& op, const SystemConfig& cfg) {
-    return plan_transpose(op, cfg);
-  };
+const crt::Planner& transpose_planner() {
+  static const TransposePlanner planner;
+  return planner;
 }
 
-crt::PlannerFn hadamard_planner() {
-  return [](const KernelOp& op, const SystemConfig& cfg) {
-    return plan_hadamard(op, cfg);
-  };
+const crt::Planner& hadamard_planner() {
+  static const HadamardPlanner planner;
+  return planner;
 }
 
 }  // namespace arcane::kernels

@@ -11,6 +11,7 @@ namespace {
 using crt::KernelOp;
 using crt::Plan;
 using crt::Tile;
+using vpu::VInsn;
 using vpu::VOpc;
 
 struct LreluParams {
@@ -24,70 +25,69 @@ struct LreluParams {
   std::uint8_t in_base, out_base, tmp_v;
 };
 
-void lrelu_tile(const LreluParams& p, unsigned i, Tile& t) {
-  t.clear();
-  const std::uint32_t r0 = i * p.rt;
-  const std::uint32_t rc = std::min(p.rt, p.rows - r0);
-  load_rows(t, p.in_addr, p.in_stride_b, p.cols * p.es, r0, rc, p.in_base);
-  for (std::uint32_t r = 0; r < rc; ++r) {
-    const unsigned in_v = p.in_base + r;
-    const unsigned out_v = p.out_base + r;
-    t.prog.push_back(vop(VOpc::kMaxVX, out_v, in_v, 0, p.et, p.cols, 0));
-    if (p.alpha != 0) {
-      t.prog.push_back(vop(VOpc::kMinVX, p.tmp_v, in_v, 0, p.et, p.cols, 0));
-      t.prog.push_back(
-          vop(VOpc::kSraVX, p.tmp_v, p.tmp_v, 0, p.et, p.cols, p.alpha));
-      t.prog.push_back(
-          vop(VOpc::kAddVV, out_v, out_v, p.tmp_v, p.et, p.cols));
+class LeakyReluPlanner final : public crt::Planner {
+ public:
+  Plan plan(const KernelOp& op, const SystemConfig& cfg) const override {
+    Geometry g(op.et, cfg);
+    const auto& in = op.ms1.shape;
+    const auto& out = op.md.shape;
+    if (in.rows != out.rows || in.cols != out.cols)
+      return Plan::fail("leaky_relu: shape mismatch");
+    if (in.cols > g.cap) return Plan::fail("leaky_relu: row exceeds VLEN");
+    const std::uint32_t alpha = op.f.alpha;
+    if (alpha >= 8u * g.es)
+      return Plan::fail("leaky_relu: shift exceeds element width");
+
+    LreluParams p;
+    p.in_addr = op.ms1.addr;
+    p.out_addr = op.md.addr;
+    p.in_stride_b = in.stride * g.es;
+    p.out_stride_b = out.stride * g.es;
+    p.rows = in.rows;
+    p.cols = in.cols;
+    p.alpha = alpha;
+    p.es = g.es;
+    p.et = op.et;
+    p.rt = std::min<std::uint32_t>((g.nv - 1) / 2, p.rows);
+    p.in_base = 0;
+    p.out_base = static_cast<std::uint8_t>(p.rt);
+    p.tmp_v = static_cast<std::uint8_t>(2 * p.rt);
+
+    return one_chain_plan(*this, op, ceil_div(p.rows, p.rt), 2 * p.rt + 1, p);
+  }
+
+  Shape tile(const Plan& plan, unsigned, unsigned i, Tile& t) const override {
+    const LreluParams& p = plan.params<LreluParams>();
+    const std::uint32_t r0 = i * p.rt;
+    const std::uint32_t rc = std::min(p.rt, p.rows - r0);
+    const std::uint32_t row_bytes = p.cols * p.es;
+    load_rows(t, p.in_addr, p.in_stride_b, row_bytes, r0, rc, p.in_base);
+    store_rows(t, p.out_addr, p.out_stride_b, row_bytes, r0, rc, p.out_base);
+    return {rc, p.cols, p.alpha, p.rt};
+  }
+
+  void program(const Plan& plan, unsigned, unsigned i,
+               std::vector<VInsn>& prog) const override {
+    const LreluParams& p = plan.params<LreluParams>();
+    for (std::uint32_t r = 0; r < std::min(p.rt, p.rows - i * p.rt); ++r) {
+      const unsigned in_v = p.in_base + r;
+      const unsigned out_v = p.out_base + r;
+      prog.push_back(vop(VOpc::kMaxVX, out_v, in_v, 0, p.et, p.cols, 0));
+      if (p.alpha != 0) {
+        prog.push_back(vop(VOpc::kMinVX, p.tmp_v, in_v, 0, p.et, p.cols, 0));
+        prog.push_back(
+            vop(VOpc::kSraVX, p.tmp_v, p.tmp_v, 0, p.et, p.cols, p.alpha));
+        prog.push_back(vop(VOpc::kAddVV, out_v, out_v, p.tmp_v, p.et, p.cols));
+      }
     }
   }
-  store_rows(t, p.out_addr, p.out_stride_b, p.cols * p.es, r0, rc, p.out_base);
-}
-
-Plan plan_leaky_relu(const KernelOp& op, const SystemConfig& cfg) {
-  Geometry g(op.et, cfg);
-  const auto& in = op.ms1.shape;
-  const auto& out = op.md.shape;
-  if (in.rows != out.rows || in.cols != out.cols)
-    return Plan::fail("leaky_relu: shape mismatch");
-  if (in.cols > g.cap) return Plan::fail("leaky_relu: row exceeds VLEN");
-  const std::uint32_t alpha = op.f.alpha;
-  if (alpha >= 8u * g.es)
-    return Plan::fail("leaky_relu: shift exceeds element width");
-
-  LreluParams p;
-  p.in_addr = op.ms1.addr;
-  p.out_addr = op.md.addr;
-  p.in_stride_b = in.stride * g.es;
-  p.out_stride_b = out.stride * g.es;
-  p.rows = in.rows;
-  p.cols = in.cols;
-  p.alpha = alpha;
-  p.es = g.es;
-  p.et = op.et;
-  p.rt = std::min<std::uint32_t>((g.nv - 1) / 2, p.rows);
-  p.in_base = 0;
-  p.out_base = static_cast<std::uint8_t>(p.rt);
-  p.tmp_v = static_cast<std::uint8_t>(2 * p.rt);
-
-  crt::Chain chain;
-  chain.tile_count = ceil_div(p.rows, p.rt);
-  chain.make_tile = [p](unsigned i, Tile& t) { lrelu_tile(p, i, t); };
-  chain.vregs_claimed = 2 * p.rt + 1;
-
-  Plan plan;
-  plan.chains.push_back(std::move(chain));
-  plan.dest_lo = op.md.addr;
-  plan.dest_hi = op.md.addr + mat_footprint_bytes(out, op.et);
-  return plan;
-}
+};
 
 }  // namespace
 
-crt::PlannerFn leaky_relu_planner() {
-  return [](const KernelOp& op, const SystemConfig& cfg) {
-    return plan_leaky_relu(op, cfg);
-  };
+const crt::Planner& leaky_relu_planner() {
+  static const LeakyReluPlanner planner;
+  return planner;
 }
 
 }  // namespace arcane::kernels

@@ -23,6 +23,24 @@ struct Geometry {
         nv(cfg.llc.vpu.num_vregs) {}
 };
 
+using Shape = vpu::ProgramKey::Shape;
+
+/// The one-chain plan of `planner` for `op`: `tiles` tiles, registers
+/// [0, vregs) claimed, op.md as the destination and `p` as its parameters.
+template <typename P>
+crt::Plan one_chain_plan(const crt::Planner& planner, const crt::KernelOp& op,
+                         unsigned tiles, unsigned vregs, const P& p) {
+  crt::Plan plan;
+  plan.planner = &planner;
+  plan.chain_count = 1;
+  plan.tile_count[0] = tiles;
+  plan.vregs_claimed = vregs;
+  plan.dest_lo = op.md.addr;
+  plan.dest_hi = op.md.addr + mat_footprint_bytes(op.md.shape, op.et);
+  plan.set_params(p);
+  return plan;
+}
+
 /// Sign-extend a 16-bit packed scalar parameter (alpha/beta).
 constexpr std::int32_t sx16(std::uint16_t v) {
   return static_cast<std::int32_t>(static_cast<std::int16_t>(v));
@@ -54,6 +72,22 @@ inline void store_rows(crt::Tile& t, Addr mat_addr, std::uint32_t stride_bytes,
   x.mem_stride = stride_bytes;
   x.first_vreg = vreg0;
   t.stores.push_back(x);
+}
+
+/// Emit a load of `nrows` rows of `row_bytes` each, from `addr` on at a
+/// pitch of `stride_bytes`, packed one after another into register `vreg`.
+inline void pack_rows(crt::Tile& t, Addr addr, std::uint32_t stride_bytes,
+                      std::uint32_t row_bytes, std::uint32_t nrows,
+                      std::uint8_t vreg) {
+  crt::DmaXfer x;
+  x.mem_addr = addr;
+  x.rows = nrows;
+  x.row_bytes = row_bytes;
+  x.mem_stride = stride_bytes;
+  x.first_vreg = vreg;
+  x.vreg_step = 0;
+  x.vreg_offset_step = row_bytes;
+  t.loads.push_back(x);
 }
 
 /// Emit a load of matrix rows [a, b) into a ring of `R` vregs starting at

@@ -204,15 +204,6 @@ dma::TransferCost Llc::claim_line(unsigned vpu, unsigned vreg,
   return cost;
 }
 
-void Llc::release_kernel_lines(std::uint64_t uid) {
-  for (Line& l : lines_) {
-    if (l.state == LineState::kBusy && l.owner_uid == uid) {
-      l.state = LineState::kInvalid;
-      l.owner_uid = 0;
-    }
-  }
-}
-
 void Llc::release_kernel_lines(std::uint64_t uid, std::uint32_t vpus,
                                unsigned vregs) {
   for (; vpus != 0; vpus &= vpus - 1) {

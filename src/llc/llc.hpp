@@ -97,11 +97,9 @@ class Llc {
   /// content (writing back dirty data functionally) and marks it busy.
   /// Returns the eviction transfer cost for the caller's timing.
   dma::TransferCost claim_line(unsigned vpu, unsigned vreg, std::uint64_t uid);
-  /// Free every line owned by kernel `uid` (post write-back).
-  void release_kernel_lines(std::uint64_t uid);
-  /// The same, walking only where a kernel claims lines: registers
-  /// [0, vregs) of each VPU in the bit mask `vpus`. Equal to the full walk
-  /// when `uid` holds no line outside them.
+  /// Free the lines kernel `uid` owns (post write-back), walking only
+  /// where a kernel claims them: registers [0, vregs) of each VPU in the
+  /// bit mask `vpus`.
   void release_kernel_lines(std::uint64_t uid, std::uint32_t vpus,
                             unsigned vregs);
   bool line_is_busy(unsigned vpu, unsigned vreg) const;

@@ -56,7 +56,9 @@ struct JobSpec {
 /// the reverse edges used to wake waiters on completion, flattened into an
 /// offsets array and one waiters array (op i's waiters are
 /// waiters_[first_[i], first_[i+1])). Separate from the scheduler so the
-/// ready-set update is microbenchmarkable on its own.
+/// ready-set update is microbenchmarkable on its own. A rebuild reuses the
+/// capacity of the last build, so a DagState kept across jobs allocates
+/// only when a job outgrows every earlier one.
 class DagState {
  public:
   /// Check `job` (every dep in range, no self-deps, acyclic), build the
@@ -87,14 +89,14 @@ class DagState {
       }
     }
     reset(job);
-    std::vector<unsigned> frontier;
-    for_each_root([&](unsigned r) { frontier.push_back(r); });
+    frontier_.clear();
+    for_each_root([&](unsigned r) { frontier_.push_back(r); });
     std::size_t visited = 0;
-    while (!frontier.empty()) {
-      const unsigned i = frontier.back();
-      frontier.pop_back();
+    while (!frontier_.empty()) {
+      const unsigned i = frontier_.back();
+      frontier_.pop_back();
       ++visited;
-      complete(i, [&](unsigned w) { frontier.push_back(w); });
+      complete(i, [&](unsigned w) { frontier_.push_back(w); });
     }
     if (visited != n) return "job DAG has a dependency cycle";
     reset(job);
@@ -129,6 +131,7 @@ class DagState {
   std::vector<unsigned> deps_left_;
   std::vector<unsigned> first_;
   std::vector<unsigned> waiters_;
+  std::vector<unsigned> frontier_;  // build()'s Kahn pass
 };
 
 /// Validate a job: every dep in range, no self-deps, acyclic. Returns an

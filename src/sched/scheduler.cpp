@@ -23,14 +23,6 @@ crt::KernelOp make_kernel_op(const OpSpec& s) {
   return op;
 }
 
-/// The registers a kernel of `plan` claims on each of its VPUs, [0, n): the
-/// most any of its chains claims.
-unsigned vregs_claimed(const crt::Plan& plan) {
-  unsigned n = 0;
-  for (const crt::Chain& c : plan.chains) n = std::max(n, c.vregs_claimed);
-  return n;
-}
-
 /// The inverse translation, for kernels the bridge decoder already decoded:
 /// the spec the hazard checks and the cost estimate read.
 OpSpec spec_of(const crt::KernelOp& op) {
@@ -126,7 +118,9 @@ std::vector<JobReport> Scheduler::recent(unsigned tenant) const {
 
 std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
   ARCANE_CHECK(tenant < num_tenants(), "submit for unknown tenant " << tenant);
-  JobState js;
+  // The job is built in a free slot, which stays free if it is rejected.
+  const std::uint32_t job_idx = free_job_slot();
+  JobState& js = jobs_[job_idx];
   const std::string why = js.dag.build(job);
   ARCANE_CHECK(why.empty(), "malformed job: " << why);
   // Plan every op now: malformed shapes are rejected at submit, and the
@@ -144,31 +138,49 @@ std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
                  info->name << ": ms2 operand missing");
     ARCANE_CHECK(!info->uses_ms3 || s.ms3.valid,
                  info->name << ": ms3 operand missing");
-    crt::Plan& plan = js.ops[i].plan;
-    plan = info->planner(make_kernel_op(s), *cfg_);
+    const crt::Plan plan = info->planner->plan(make_kernel_op(s), *cfg_);
     ARCANE_CHECK(plan.ok(), info->name << ": " << plan.error);
-    ARCANE_CHECK(plan.chains.size() == 1,
+    ARCANE_CHECK(plan.chain_count == 1,
                  info->name << ": multi-chain plans cannot be pinned to one "
                                "instance (disable multi_vpu_kernels)");
+    js.ops[i] = OpState{};
+    js.ops[i].plan = plan;
   }
-  const std::uint32_t job_idx =
-      open_job(tenant, std::move(job), std::move(js), arrival);
+  open_job(job_idx, tenant, job, arrival);
 
   const Cycle when = std::max(arrival, ctx_->events->now());
   if (ctx_->spans != nullptr) {
     ctx_->spans->instant(telemetry::track_tenant(tenant), "job.submit", when,
                          static_cast<std::int32_t>(tenant),
-                         static_cast<std::int64_t>(jobs_.back().id));
+                         static_cast<std::int64_t>(js.id));
   }
   ++pending_arrivals_;
   ctx_->events->schedule(
       when, [this, job_idx] { arrive(job_idx, ctx_->events->now()); },
       "sched.arrive");
-  return jobs_.back().id;
+  return js.id;
 }
 
-std::uint32_t Scheduler::open_job(unsigned tenant, JobSpec job, JobState js,
-                                  Cycle arrival) {
+std::uint32_t Scheduler::free_job_slot() {
+  if (free_jobs_.empty()) {
+    free_jobs_.push_back(static_cast<std::uint32_t>(jobs_.size()));
+    jobs_.emplace_back();
+  }
+  return free_jobs_.back();
+}
+
+void Scheduler::open_job(std::uint32_t job_idx, unsigned tenant, JobSpec& job,
+                         Cycle arrival) {
+  ARCANE_ASSERT(!free_jobs_.empty() && free_jobs_.back() == job_idx,
+                "open_job outside the free slot");
+  free_jobs_.pop_back();
+  // Reset every field of the slot but the op table and the DAG, which the
+  // caller filled and whose capacity the slot keeps.
+  JobState& js = jobs_[job_idx];
+  JobState fresh;
+  fresh.ops = std::move(js.ops);
+  fresh.dag = std::move(js.dag);
+  js = std::move(fresh);
   js.id = next_job_id_++;
   js.tenant = tenant;
   js.arrival = arrival;
@@ -179,12 +191,9 @@ std::uint32_t Scheduler::open_job(unsigned tenant, JobSpec job, JobState js,
   for (std::size_t i = 0; i < job.ops.size(); ++i) {
     js.ops[i].spec = std::move(job.ops[i]);
   }
-  const auto job_idx = static_cast<std::uint32_t>(jobs_.size());
   if (js.shed_on_expiry) ++shed_armed_;
-  jobs_.push_back(std::move(js));
   ++jobs_open_;
   ++tenant_stats_[tenant].jobs_submitted;
-  return job_idx;
 }
 
 void Scheduler::drain() {
@@ -281,7 +290,11 @@ void Scheduler::shed_expired(Cycle t) {
       }
     }
   }
-  std::sort(expired.begin(), expired.end());
+  // In submission order: slots are recycled, so indices are not.
+  std::sort(expired.begin(), expired.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return jobs_[a].id < jobs_[b].id;
+            });
   expired.erase(std::unique(expired.begin(), expired.end()), expired.end());
   for (std::uint32_t job_idx : expired) {
     cancel_job(job_idx, t, Outcome::kShed);
@@ -435,7 +448,7 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   // One VPU per chain: a serving instance is its own VPU, the host
   // instance selects among all of them.
   unsigned vpu_buf[kMaxVpus];
-  const std::span<unsigned> vpus(vpu_buf, plan.chains.size());
+  const std::span<unsigned> vpus(vpu_buf, plan.chain_count);
   if (is_host(inst)) {
     assign_vpus(op, vpus);
   } else {
@@ -524,7 +537,7 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
     keep_resident(fin);
   } else {
     ctx_->llc->release_kernel_lines(fin.op.uid, fl.vpus,
-                                    vregs_claimed(fin.plan));
+                                    fin.plan.vregs_claimed);
   }
   counters_.instance_occupied[inst] += t - fl.dispatch_at;
 
@@ -674,6 +687,10 @@ void Scheduler::resolve_job(std::uint32_t job_idx, Cycle t, Outcome outcome) {
                       static_cast<std::int64_t>(js.id),
                       static_cast<std::int64_t>(span_arg));
   }
+  // A completed job has nothing queued, in flight or pending: its slot is
+  // free for the next submit (a shed or failed one may still have a retry
+  // pending, so it keeps its slot).
+  if (outcome == Outcome::kCompleted) free_jobs_.push_back(job_idx);
   if (on_job_done_) on_job_done_(outcomes_.back());
 }
 
@@ -771,9 +788,8 @@ void Scheduler::requeue_op(std::uint32_t job_idx, unsigned op_idx,
   // re-run inside dispatch exactly like a first attempt.
   const crt::KernelInfo* info = rt_->library().find(os.spec.func5);
   ARCANE_ASSERT(info != nullptr, "kernel missing from the library on retry");
-  crt::Plan plan = info->planner(make_kernel_op(os.spec), *cfg_);
-  ARCANE_ASSERT(plan.ok(), "retry re-plan failed: " << plan.error);
-  os.plan = std::move(plan);
+  os.plan = info->planner->plan(make_kernel_op(os.spec), *cfg_);
+  ARCANE_ASSERT(os.plan.ok(), "retry re-plan failed: " << os.plan.error);
   os.ready_at = t;
   os.hazard_marked = false;
   os.hazard_since = 0;
@@ -880,13 +896,14 @@ void Scheduler::push_kernel(crt::KernelOp op, crt::Plan plan, Cycle done) {
   JobSpec job;
   job.ops.push_back(spec_of(op));
   job.tag = op.uid;
-  JobState js;
+  const std::uint32_t job_idx = free_job_slot();
+  JobState& js = jobs_[job_idx];
   js.dag.build(job);  // one op, no deps: always well-formed
   js.ops.resize(1);
-  js.ops[0].plan = std::move(plan);
+  js.ops[0] = OpState{};
+  js.ops[0].plan = plan;
   js.ops[0].decoded = std::make_unique<crt::KernelOp>(std::move(op));
-  const std::uint32_t job_idx =
-      open_job(host_tenant_, std::move(job), std::move(js), done);
+  open_job(job_idx, host_tenant_, job, done);
   op_ready(job_idx, 0, done);
   if (!inflight_[serving_].valid) {
     ctx_->events->schedule(done, [this] { try_dispatch(ctx_->events->now()); },
@@ -1016,7 +1033,7 @@ bool Scheduler::allow_writeback_elision(const crt::KernelExecutor& ex,
   }
   const ReadyEntry& e = queues_[serving_].entries().front();
   const OpState& os = jobs_[e.job].ops[e.op];
-  if (os.plan.chains.size() != 1) return false;
+  if (os.plan.chain_count != 1) return false;
   const crt::KernelOp& op = *os.decoded;
   for (const crt::Operand* o : {&op.ms1, &op.ms2, &op.ms3}) {
     if (o->valid && o->addr == dest_lo &&
@@ -1032,19 +1049,18 @@ void Scheduler::keep_resident(const crt::FinishedKernel& fin) {
   // The write-back was elided, so the destination lives only in the VPU
   // register file: forward it to the consumer, materialize it if the host
   // touches it first. The executor elides single-tile, unit-step stores only.
-  ARCANE_ASSERT(fin.plan.chains.size() == 1 &&
-                    fin.plan.chains[0].tile_count == 1,
+  ARCANE_ASSERT(fin.plan.chain_count == 1 && fin.plan.tile_count[0] == 1,
                 "elided write-back of a multi-tile kernel");
   crt::Tile tile;
-  fin.plan.chains[0].make_tile(0, tile);
+  fin.plan.planner->tile(fin.plan, 0, 0, tile);
   ARCANE_ASSERT(tile.stores.size() == 1 && tile.stores[0].vreg_step == 1 &&
                     tile.stores[0].vreg_offset == 0,
                 "elided write-back of a strided store");
   const crt::DmaXfer& s = tile.stores[0];
   residents_.push_back({s.mem_addr,
                         s.mem_addr + (s.rows - 1) * s.mem_stride + s.row_bytes,
-                        fin.vpu, s.first_vreg,
-                        fin.plan.chains[0].vregs_claimed, s.rows, s.row_bytes,
+                        fin.vpu, s.first_vreg, fin.plan.vregs_claimed, s.rows,
+                        s.row_bytes,
                         s.mem_stride, fin.op.uid, fin.op.dest_at_entry});
   ++ctx_->phases.full_elisions;
   ctx_->llc->host_observer = this;

@@ -305,11 +305,14 @@ class Scheduler final : public crt::KernelExecutor::Client,
     int deferred_at_entry = -1;  // >= 0: write-back was elided
   };
 
-  /// Record a job whose DAG was built into `js.dag` and whose ops were
-  /// planned into `js.ops[i].plan`: the specs move from `job`, the rest of
-  /// `js` is filled here. Returns the job's index.
-  std::uint32_t open_job(unsigned tenant, JobSpec job, JobState js,
-                         Cycle arrival);
+  /// The job slot the next submit builds into: the most recently freed
+  /// one, else a new one. It stays free until open_job takes it.
+  std::uint32_t free_job_slot();
+  /// Open the job built in slot `job_idx` (free_job_slot()), whose DAG was
+  /// built into its `dag` and whose ops were planned into `ops[i].plan`:
+  /// the specs move from `job`, the other fields are reset here.
+  void open_job(std::uint32_t job_idx, unsigned tenant, JobSpec& job,
+                Cycle arrival);
   void arrive(std::uint32_t job_idx, Cycle t);
   void op_ready(std::uint32_t job_idx, unsigned op_idx, Cycle t);
   /// Append a ready entry for the op to instance `inst`'s queue.
@@ -419,7 +422,11 @@ class Scheduler final : public crt::KernelExecutor::Client,
   std::vector<sim::OpStallBreakdown> tenant_stall_;
   sim::OpStallBreakdown stall_totals_{};
   telemetry::OpLog* op_log_ = nullptr;
+  /// Job slots, indexed by ReadyEntry::job. A completed job's slot is
+  /// recycled with the capacity of its op table and DAG, so a steady
+  /// stream of jobs stops allocating per job.
   std::vector<JobState> jobs_;
+  std::vector<std::uint32_t> free_jobs_;
   std::vector<JobReport> outcomes_;
   std::function<void(const JobReport&)> on_job_done_;
   sim::SchedCounters counters_;

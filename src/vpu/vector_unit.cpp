@@ -488,22 +488,8 @@ const detail::LanePass g_lane_pass = detail::host_has_avx2()
 
 }  // namespace
 
-void VectorUnit::execute(const VInsn& insn) {
-  if (!valid_insn(insn, cfg_)) [[unlikely]]
-    reject_insn(insn, cfg_);
-  const detail::Step step{insn, 0};
-  g_lane_pass(*this, {&step, 1});
-  count_insn(stats_, insn);
-}
-
 Cycle VectorUnit::run(const Program& prog, Cycle start) {
   return detail::run_with(*this, prog, start, g_lane_pass);
-}
-
-Cycle VectorUnit::run_program(std::span<const VInsn> prog, Cycle start,
-                              unsigned dispatch_gap) {
-  scratch_.prepare(prog, cfg_, dispatch_gap);
-  return run(scratch_, start);
 }
 
 }  // namespace arcane::vpu

@@ -103,9 +103,6 @@ class VectorUnit {
     return storage_->vreg(id_, idx);
   }
 
-  /// Functionally execute one instruction (no timing).
-  void execute(const VInsn& insn);
-
   /// Run a prepared micro-program starting at `start`: the eCPU issues
   /// instruction i at start + (i+1) * gap, for the program's dispatch gap,
   /// and the unit executes in order, so instruction i completes at
@@ -117,10 +114,6 @@ class VectorUnit {
   /// program. An invalid instruction throws with every earlier one
   /// executed and counted.
   Cycle run(const Program& prog, Cycle start);
-
-  /// Prepare `prog` into the unit's scratch program and run it.
-  Cycle run_program(std::span<const VInsn> prog, Cycle start,
-                    unsigned dispatch_gap);
 
   const sim::VpuStats& stats() const { return stats_; }
   sim::VpuStats& stats() { return stats_; }
@@ -140,11 +133,9 @@ class VectorUnit {
   LineStorage* storage_;
   sim::VpuStats stats_;
   // Reused hot-path scratch, each sized once at first use: two VLEN source
-  // snapshots (taken only when a source register aliases vd) and the
-  // program run_program prepares. A unit that never runs a program
-  // allocates none of them.
+  // snapshots, taken only when a source register aliases vd. A unit that
+  // never runs a program allocates neither.
   std::vector<std::uint8_t> snap1_, snap2_;
-  Program scratch_;
 };
 
 }  // namespace arcane::vpu

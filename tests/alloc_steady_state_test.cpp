@@ -5,7 +5,7 @@
 //  * stepping tiles on a warm executor (allocation DMA, micro-program,
 //    write-back, every builtin planner) allocates nothing, also when its
 //    tiles cycle through more programs than the executor keeps prepared;
-//  * submitting and draining pipeline jobs allocates only per-job state,
+//  * submitting and draining pipeline jobs on a warm scheduler allocates
 //    within the bound stated at kPerJobAllocs.
 #include <gtest/gtest.h>
 
@@ -18,8 +18,10 @@
 #include "arcane/system.hpp"
 #include "crt/executor.hpp"
 #include "isa/xmnmc.hpp"
+#include "kernels/planner_util.hpp"
 #include "sched/pipelines.hpp"
 #include "vpu/program_cache.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -62,32 +64,6 @@ void warm_event_queue(sim::EventQueue& q) {
   q.run_all();
 }
 
-/// Executor owner with no cross-kernel policy: it frees the kernel's lines
-/// and counts completions.
-class PlainClient final : public crt::KernelExecutor::Client {
- public:
-  explicit PlainClient(llc::Llc& llc) : llc_(&llc) {}
-  bool forward_load(const crt::KernelExecutor&, const crt::DmaXfer&,
-                    std::vector<std::uint8_t>&) override {
-    return false;
-  }
-  void before_claim(unsigned) override {}
-  void materialize_deferred(Addr, Addr) override {}
-  bool allow_writeback_elision(const crt::KernelExecutor&, Addr,
-                               Addr) override {
-    return false;
-  }
-  void on_kernel_finish(crt::KernelExecutor&, crt::FinishedKernel fin,
-                        Cycle) override {
-    llc_->release_kernel_lines(fin.op.uid);
-    ++finished;
-  }
-  unsigned finished = 0;
-
- private:
-  llc::Llc* llc_;
-};
-
 crt::KernelOp kernel_op(std::uint8_t func5, crt::Operand md, crt::Operand ms1,
                         crt::Operand ms2 = {}, crt::Operand ms3 = {},
                         std::uint16_t alpha = 0, std::uint16_t beta = 0) {
@@ -110,7 +86,7 @@ TEST(AllocSteadyStateTest, TileSteppingOnAWarmExecutorAllocatesNothing) {
   namespace x = isa::xmnmc;
   System sys(SystemConfig::paper(4));
   crt::CrtContext& ctx = sys.runtime().context();
-  PlainClient client(sys.llc());
+  test::PlainClient client(sys.llc(), sys.config().llc);
   crt::KernelExecutor ex(ctx, client, /*id=*/0);
 
   // Multi-tile kernels of every builtin planner (word elements).
@@ -130,10 +106,11 @@ TEST(AllocSteadyStateTest, TileSteppingOnAWarmExecutorAllocatesNothing) {
   std::vector<crt::Plan> plans;
   for (const crt::KernelOp& op : ops) {
     plans.push_back(
-        sys.runtime().library().find(op.func5)->planner(op, sys.config()));
+        sys.runtime().library().find(op.func5)->planner->plan(op,
+                                                              sys.config()));
     ASSERT_TRUE(plans.back().ok()) << plans.back().error;
-    ASSERT_EQ(plans.back().chains.size(), 1u);
-    ASSERT_GT(plans.back().chains[0].tile_count, 1u);
+    ASSERT_EQ(plans.back().chain_count, 1u);
+    ASSERT_GT(plans.back().tile_count[0], 1u);
   }
 
   // Run every kernel once; return the allocations made from launch to
@@ -164,6 +141,30 @@ TEST(AllocSteadyStateTest, TileSteppingOnAWarmExecutorAllocatesNothing) {
   EXPECT_EQ(run_all_kernels(), 0u);
 }
 
+/// A chain whose tile i runs `vadd.vx v1, v0, i` repeated 1 + (7 i mod 23)
+/// times: every program differs from the others, and their lengths vary.
+class CyclingPlanner final : public crt::Planner {
+ public:
+  crt::Plan plan(const crt::KernelOp& op, const SystemConfig&) const override {
+    return kernels::one_chain_plan(
+        *this, op, 2 * vpu::ProgramCache::kCapacity + 3, 2, /*params=*/0u);
+  }
+  kernels::Shape tile(const crt::Plan&, unsigned, unsigned i,
+                      crt::Tile&) const override {
+    return {i};
+  }
+  void program(const crt::Plan&, unsigned, unsigned i,
+               std::vector<vpu::VInsn>& prog) const override {
+    vpu::VInsn add;
+    add.op = vpu::VOpc::kAddVX;
+    add.vd = 1;
+    add.et = ElemType::kWord;
+    add.vl = 64;
+    add.scalar = i;
+    prog.assign(1 + (7 * i) % 23, add);
+  }
+};
+
 // A chain whose tiles each run a program of their own, more of them than an
 // executor slot keeps: every tile misses and is prepared into a recycled
 // entry, which still allocates nothing once the slot has seen the longest
@@ -171,27 +172,12 @@ TEST(AllocSteadyStateTest, TileSteppingOnAWarmExecutorAllocatesNothing) {
 TEST(AllocSteadyStateTest, CyclingMoreProgramsThanTheCacheHoldsAllocatesNothing) {
   System sys(SystemConfig::paper(4));
   crt::CrtContext& ctx = sys.runtime().context();
-  PlainClient client(sys.llc());
+  test::PlainClient client(sys.llc(), sys.config().llc);
   crt::KernelExecutor ex(ctx, client, /*id=*/0);
 
-  // Tile i runs `vadd.vx v1, v0, i` repeated 1 + (7 i mod 23) times: every
-  // program differs from the others, and their lengths vary.
-  constexpr unsigned kTiles = 2 * vpu::ProgramCache::kCapacity + 3;
-  crt::Plan plan;
-  crt::Chain chain;
-  chain.tile_count = kTiles;
-  chain.vregs_claimed = 2;
-  chain.make_tile = [](unsigned i, crt::Tile& t) {
-    t.clear();
-    vpu::VInsn add;
-    add.op = vpu::VOpc::kAddVX;
-    add.vd = 1;
-    add.et = ElemType::kWord;
-    add.vl = 64;
-    add.scalar = i;
-    t.prog.assign(1 + (7 * i) % 23, add);
-  };
-  plan.chains.push_back(std::move(chain));
+  const CyclingPlanner planner;
+  const crt::Plan plan = planner.plan({}, sys.config());
+  const unsigned kTiles = plan.tile_count[0];
   crt::KernelOp op;
   op.func5 = isa::xmnmc::kLeakyRelu;
 
@@ -221,13 +207,11 @@ TEST(AllocSteadyStateTest, CyclingMoreProgramsThanTheCacheHoldsAllocatesNothing)
 }
 
 // Heap allocations one pipeline job (4 single-chain ops) may make between
-// submit and retirement: its DAG (pending-dependency counts, waiter
-// offsets, waiters and the Kahn frontier of validation: 4), its op table
-// (1), and per op the plan's chain list and tile generator (4 x 2). One
-// more per job covers the amortized growth of the job table, the outcome
-// log and the event queue. Dispatch, tile stepping and retirement add
-// nothing.
-constexpr std::uint64_t kPerJobAllocs = 4 + 1 + 4 * 2 + 1;
+// submit and retirement. Its DAG and op table live in a recycled job slot
+// and its plans are flat, so planning, dispatch, tile stepping and
+// retirement add nothing; the one allowed per job covers the amortized
+// growth of the outcome log and the event queue.
+constexpr std::uint64_t kPerJobAllocs = 1;
 
 TEST(AllocSteadyStateTest, PipelineJobsAllocateOnlyPerJobState) {
   SystemConfig cfg = SystemConfig::paper(4);

@@ -14,6 +14,7 @@
 #include "mem/main_memory.hpp"
 #include "sim/event_queue.hpp"
 #include "vpu/line_storage.hpp"
+#include "test_support.hpp"
 #include "workloads/tensors.hpp"
 
 namespace arcane::llc {
@@ -91,7 +92,7 @@ TEST_P(CachePropertyTest, StreamWithKernelLineClaims) {
       claimed = true;
     }
     if (i % 500 == 499 && claimed) {
-      llc.release_kernel_lines(uid);
+      test::release_kernel_lines_everywhere(llc, cfg.llc, uid);
       ++uid;
       claimed = false;
     }
@@ -153,7 +154,7 @@ TEST_P(CachePropertyTest, SmallLinesReachBothEndsOfTheDataRegion) {
       claimed = true;
     }
     if (i % 600 == 599 && claimed) {
-      llc.release_kernel_lines(uid++);
+      test::release_kernel_lines_everywhere(llc, cfg.llc, uid++);
       claimed = false;
     }
     if (i % 2000 == 1999) {
@@ -182,7 +183,7 @@ TEST_P(CachePropertyTest, SmallLinesReachBothEndsOfTheDataRegion) {
           << "addr 0x" << std::hex << addr << " after " << std::dec << i;
     }
   }
-  if (claimed) llc.release_kernel_lines(uid);
+  if (claimed) test::release_kernel_lines_everywhere(llc, cfg.llc, uid);
   llc.flush_all();
   for (const auto& [addr, want] : model) {
     ASSERT_EQ(ext.read_scalar<std::uint32_t>(addr), want);
@@ -276,7 +277,7 @@ TEST_P(CacheInvariantTest, BusyLinesAreNeverEvicted) {
   for (unsigned r = 0; r < vregs / 2; ++r) {
     EXPECT_TRUE(rig.llc->line_is_busy(1, r));
   }
-  rig.llc->release_kernel_lines(uid);
+  test::release_kernel_lines_everywhere(*rig.llc, rig.cfg.llc, uid);
 }
 
 TEST_P(CacheInvariantTest, ResidentTagsFormABijection) {
@@ -327,7 +328,7 @@ TEST_P(CacheInvariantTest, IdenticalRunsProduceIdenticalState) {
         }
       }
       if (i % 700 == 699) {
-        rig.llc->release_kernel_lines(uid);
+        test::release_kernel_lines_everywhere(*rig.llc, rig.cfg.llc, uid);
         ++uid;
       }
       std::uint32_t v = static_cast<std::uint32_t>(rng.next());

@@ -7,6 +7,7 @@
 #include "mem/main_memory.hpp"
 #include "sim/event_queue.hpp"
 #include "vpu/line_storage.hpp"
+#include "test_support.hpp"
 
 namespace arcane::llc {
 namespace {
@@ -118,7 +119,7 @@ TEST(CacheTest, BusyLinesExcludedFromReplacement) {
   std::uint32_t x;
   f.llc.host_access(f.base() + 4096, 4, false, &x, 50000);
   EXPECT_EQ(f.llc.stats().evictions, 1u);  // the free line was recycled
-  f.llc.release_kernel_lines(42);
+  test::release_kernel_lines_everywhere(f.llc, f.cfg.llc, 42);
   EXPECT_EQ(f.llc.busy_lines_in_vpu(1), 0u);
 }
 

@@ -14,9 +14,12 @@
 #include "crt/kernel_library.hpp"
 #include "crt/matrix_map.hpp"
 #include "isa/xmnmc.hpp"
+#include "kernels/planner_util.hpp"
+#include "kernels/planners.hpp"
 #include "vpu/program_cache.hpp"
 #include "workloads/golden.hpp"
 #include "workloads/tensors.hpp"
+#include "test_support.hpp"
 
 namespace arcane {
 namespace {
@@ -60,9 +63,7 @@ TEST(KernelLibraryTest, RejectsBadRegistrations) {
   crt::KernelLibrary lib;
   crt::KernelInfo info;
   info.func5 = 31;  // xmr's slot — not a kernel id
-  info.planner = [](const crt::KernelOp&, const SystemConfig&) {
-    return crt::Plan::fail("x");
-  };
+  info.planner = &kernels::leaky_relu_planner();
   EXPECT_THROW(lib.register_kernel(info), Error);
   info.func5 = 5;
   info.planner = nullptr;
@@ -213,56 +214,78 @@ TEST(CrtSchedulerTest, FewestDirtyPolicySelectsCleanVpu) {
   EXPECT_EQ(sys.vpus()[0].stats().instructions, 0u);
 }
 
+/// xmk7 = elementwise doubling, one tile: rows of ms1 into v0.., doubled
+/// into v16.., stored to md.
+class DoublePlanner final : public crt::Planner {
+ public:
+  crt::Plan plan(const crt::KernelOp& op,
+                 const SystemConfig& /*cfg*/) const override {
+    const auto& in = op.ms1.shape;
+    if (op.md.shape.rows != in.rows || op.md.shape.cols != in.cols) {
+      return crt::Plan::fail("xmk7: shape mismatch");
+    }
+    const Params p{op.ms1.addr,
+                   op.md.addr,
+                   in.stride * elem_bytes(op.et),
+                   op.md.shape.stride * elem_bytes(op.et),
+                   in.rows,
+                   in.cols,
+                   elem_bytes(op.et),
+                   op.et};
+    return kernels::one_chain_plan(*this, op, 1, 16 + in.rows, p);
+  }
+  kernels::Shape tile(const crt::Plan& plan, unsigned, unsigned,
+                      crt::Tile& t) const override {
+    const Params& p = plan.params<Params>();
+    crt::DmaXfer load;
+    load.mem_addr = p.in;
+    load.rows = p.rows;
+    load.row_bytes = p.cols * p.es;
+    load.mem_stride = p.in_stride;
+    load.first_vreg = 0;
+    t.loads.push_back(load);
+    crt::DmaXfer store = load;
+    store.mem_addr = p.out;
+    store.mem_stride = p.out_stride;
+    store.first_vreg = 16;
+    t.stores.push_back(store);
+    return {p.rows, p.cols};
+  }
+  void program(const crt::Plan& plan, unsigned, unsigned,
+               std::vector<vpu::VInsn>& prog) const override {
+    const Params& p = plan.params<Params>();
+    for (std::uint32_t r = 0; r < p.rows; ++r) {
+      vpu::VInsn i;
+      i.op = vpu::VOpc::kMulVX;
+      i.vd = static_cast<std::uint8_t>(16 + r);
+      i.vs1 = static_cast<std::uint8_t>(r);
+      i.et = p.et;
+      i.vl = p.cols;
+      i.scalar = 2;
+      prog.push_back(i);
+    }
+  }
+
+ private:
+  struct Params {
+    Addr in, out;
+    std::uint32_t in_stride, out_stride, rows, cols;
+    unsigned es;
+    ElemType et;
+  };
+};
+
 TEST(CrtTest, CustomKernelRegistration) {
   // Register a user kernel (xmk7 = elementwise doubling) before System
   // construction — the paper's software-defined ISA extensibility.
+  static const DoublePlanner doubler;
   auto lib = crt::KernelLibrary::with_builtins();
   crt::KernelInfo info;
   info.func5 = 7;
   info.name = "xmk7";
   info.description = "D = 2*ms1";
   info.uses_ms1 = true;
-  info.planner = [](const crt::KernelOp& op, const SystemConfig& /*cfg*/) {
-    const auto& in = op.ms1.shape;
-    const unsigned es = elem_bytes(op.et);
-    if (op.md.shape.rows != in.rows || op.md.shape.cols != in.cols) {
-      return crt::Plan::fail("xmk7: shape mismatch");
-    }
-    crt::Plan plan;
-    plan.dest_lo = op.md.addr;
-    plan.dest_hi = op.md.addr + mat_footprint_bytes(op.md.shape, op.et);
-    crt::Chain chain;
-    chain.tile_count = 1;
-    const auto self = op;  // snapshot
-    chain.make_tile = [self, es](unsigned, crt::Tile& t) {
-      t.clear();
-      crt::DmaXfer load;
-      load.mem_addr = self.ms1.addr;
-      load.rows = self.ms1.shape.rows;
-      load.row_bytes = self.ms1.shape.cols * es;
-      load.mem_stride = self.ms1.shape.stride * es;
-      load.first_vreg = 0;
-      t.loads.push_back(load);
-      for (std::uint32_t r = 0; r < self.ms1.shape.rows; ++r) {
-        vpu::VInsn i;
-        i.op = vpu::VOpc::kMulVX;
-        i.vd = static_cast<std::uint8_t>(16 + r);
-        i.vs1 = static_cast<std::uint8_t>(r);
-        i.et = self.et;
-        i.vl = self.ms1.shape.cols;
-        i.scalar = 2;
-        t.prog.push_back(i);
-      }
-      crt::DmaXfer store = load;
-      store.mem_addr = self.md.addr;
-      store.mem_stride = self.md.shape.stride * es;
-      store.first_vreg = 16;
-      t.stores.push_back(store);
-    };
-    chain.vregs_claimed = 16 + in.rows;
-    plan.chains.push_back(std::move(chain));
-    return plan;
-  };
+  info.planner = &doubler;
   lib.register_kernel(std::move(info));
 
   System sys(SystemConfig::paper(4), std::move(lib));
@@ -308,36 +331,11 @@ TEST(CrtTest, PhaseAccountingMonotone) {
 }
 
 // ------------------- prepared programs across kernels -------------------
-// A kernel executor keeps each slot's prepared programs keyed by their
-// instruction lists and replays them for any later tile, of any kernel,
-// that issues an equal list. Replaying must be indistinguishable from
-// preparing afresh.
-
-/// Executor owner without cross-kernel policy: frees the kernel's lines
-/// and records when it finished.
-class FinishClient final : public crt::KernelExecutor::Client {
- public:
-  explicit FinishClient(llc::Llc& llc) : llc_(&llc) {}
-  bool forward_load(const crt::KernelExecutor&, const crt::DmaXfer&,
-                    std::vector<std::uint8_t>&) override {
-    return false;
-  }
-  void before_claim(unsigned) override {}
-  void materialize_deferred(Addr, Addr) override {}
-  bool allow_writeback_elision(const crt::KernelExecutor&, Addr,
-                               Addr) override {
-    return false;
-  }
-  void on_kernel_finish(crt::KernelExecutor&, crt::FinishedKernel fin,
-                        Cycle t) override {
-    llc_->release_kernel_lines(fin.op.uid);
-    finish = t;
-  }
-  Cycle finish = 0;
-
- private:
-  llc::Llc* llc_;
-};
+// A kernel executor keeps each slot's prepared programs keyed by the names
+// their planners give them and replays them for any later tile, of any
+// kernel, whose planner names an equal key. Replaying must be
+// indistinguishable from preparing afresh. Every executor here checks each
+// hit against a fresh emission of the program.
 
 constexpr Addr kRegionBytes = 0x20000;
 
@@ -356,7 +354,10 @@ struct ExecRig {
   /// Run `op` with `plan` to completion; returns its finish time.
   Cycle run(crt::KernelOp op, crt::Plan plan) {
     crt::CrtContext& ctx = sys.runtime().context();
-    if (fresh || !ex) ex = std::make_unique<crt::KernelExecutor>(ctx, client, 0);
+    if (fresh || !ex) {
+      ex = std::make_unique<crt::KernelExecutor>(ctx, client, 0);
+      ex->check_programs(true);
+    }
     op.uid = ctx.next_uid++;
     ctx.ecpu_free = std::max(ctx.ecpu_free, sys.events().now());
     const unsigned vpu0[] = {0};
@@ -371,7 +372,7 @@ struct ExecRig {
 
   bool fresh;
   System sys{SystemConfig::paper(4)};
-  FinishClient client{sys.llc()};
+  test::PlainClient client{sys.llc(), sys.config().llc};
   std::unique_ptr<crt::KernelExecutor> ex;
 };
 
@@ -398,8 +399,9 @@ crt::Operand mat(Addr addr, std::uint32_t rows, std::uint32_t cols) {
   return crt::Operand{addr, {rows, cols, cols}, true};
 }
 
-/// A random kernel of one of the five builtin planners, from a few shapes
-/// per planner so that programs repeat across kernels.
+/// A random kernel of one of the five builtin planners or the two
+/// extensions, from a few shapes per planner so that programs repeat across
+/// kernels.
 crt::KernelOp random_kernel(Rng& rng, const ExecRig& rig) {
   const Addr a = rig.region(0), b = rig.region(1), c = rig.region(2),
              d = rig.region(3);
@@ -408,9 +410,11 @@ crt::KernelOp random_kernel(Rng& rng, const ExecRig& rig) {
                                         ElemType::kByte};
   op.et = kTypes[rng.uniform(0, 2)];
   const auto h = static_cast<std::uint32_t>(8 * rng.uniform(2, 5));
-  const auto w = static_cast<std::uint32_t>(16 * rng.uniform(1, 3));
+  const auto w16 = static_cast<std::uint32_t>(16 * rng.uniform(1, 3));
   const auto k = static_cast<std::uint32_t>(rng.uniform(1, 2) * 2 + 1);
-  switch (rng.uniform(0, 4)) {
+  // Convolutions of both filter sizes share their output widths.
+  const std::uint32_t w = w16 + k - 1;
+  switch (rng.uniform(0, 6)) {
     case 0:
       op.func5 = x::kConv2d;
       op.md = mat(d, h - k + 1, w - k + 1);
@@ -439,11 +443,22 @@ crt::KernelOp random_kernel(Rng& rng, const ExecRig& rig) {
       op.ms2 = mat(b, k * 4, w);
       op.ms3 = mat(c, h / 2, w);
       break;
-    default:
+    case 4:
       op.func5 = x::kConvLayer;
       op.md = mat(d, (h - k + 1) / 2, (w - k + 1) / 2);
       op.ms1 = mat(a, 3 * h, w);
       op.ms2 = mat(b, 3 * k, k);
+      break;
+    case 5:  // transpose
+      op.func5 = 5;
+      op.md = mat(d, w, h);
+      op.ms1 = mat(a, h, w);
+      break;
+    default:  // hadamard
+      op.func5 = 6;
+      op.md = mat(d, h, w);
+      op.ms1 = mat(a, h, w);
+      op.ms2 = mat(b, h, w);
       break;
   }
   return op;
@@ -452,16 +467,16 @@ crt::KernelOp random_kernel(Rng& rng, const ExecRig& rig) {
 TEST(ProgramReuseTest, WarmExecutorMatchesFreshExecutorsKernelByKernel) {
   ExecRig warm(/*fresh_per_kernel=*/false);
   ExecRig fresh(/*fresh_per_kernel=*/true);
+  const crt::KernelLibrary lib = crt::KernelLibrary::with_extensions();
   Rng rng(1234);
   unsigned kernels = 0;
-  bool planners[5] = {};
-  while (kernels < 60) {
+  bool planners[7] = {};
+  while (kernels < 80) {
     const crt::KernelOp op = random_kernel(rng, warm);
     crt::Plan plan =
-        warm.sys.runtime().library().find(op.func5)->planner(op,
-                                                             warm.sys.config());
+        lib.find(op.func5)->planner->plan(op, warm.sys.config());
     if (!plan.ok()) continue;
-    ASSERT_EQ(plan.chains.size(), 1u);
+    ASSERT_EQ(plan.chain_count, 1u);
     planners[op.func5] = true;
     const std::string what = "kernel " + std::to_string(kernels) + " (xmk" +
                              std::to_string(op.func5) + ")";
@@ -476,77 +491,112 @@ TEST(ProgramReuseTest, WarmExecutorMatchesFreshExecutorsKernelByKernel) {
   EXPECT_LT(warm.prepared(), fresh.prepared());
 }
 
-/// A one-tile kernel running `prog` on VPU 0 after loading 16 rows of 256
-/// bytes into v0..v15.
-crt::Plan program_plan(const ExecRig& rig, std::vector<vpu::VInsn> prog) {
-  crt::Plan plan;
-  crt::Chain chain;
-  chain.tile_count = 1;
-  chain.vregs_claimed = 24;
-  crt::DmaXfer load;
-  load.mem_addr = rig.region(0);
-  load.rows = 16;
-  load.row_bytes = 256;
-  load.mem_stride = 256;
-  chain.make_tile = [load, prog](unsigned, crt::Tile& t) {
-    t.clear();
-    t.loads.push_back(load);
-    t.prog = prog;
+/// One-tile kernels on VPU 0 that load 16 rows of 256 bytes into v0..v15
+/// and run the list their parameters point to, under the shape they carry.
+class ListPlanner final : public crt::Planner {
+ public:
+  struct Params {
+    Addr load;
+    const std::vector<vpu::VInsn>* prog;
+    kernels::Shape shape;
   };
-  plan.chains.push_back(std::move(chain));
-  return plan;
+  crt::Plan plan(const crt::KernelOp&, const SystemConfig&) const override {
+    return crt::Plan::fail("list kernels are planned by list_plan");
+  }
+  kernels::Shape tile(const crt::Plan& plan, unsigned, unsigned,
+                      crt::Tile& t) const override {
+    crt::DmaXfer load;
+    load.mem_addr = plan.params<Params>().load;
+    load.rows = 16;
+    load.row_bytes = 256;
+    load.mem_stride = 256;
+    t.loads.push_back(load);
+    return plan.params<Params>().shape;
+  }
+  void program(const crt::Plan& plan, unsigned, unsigned,
+               std::vector<vpu::VInsn>& prog) const override {
+    const std::vector<vpu::VInsn>& list = *plan.params<Params>().prog;
+    prog.insert(prog.end(), list.begin(), list.end());
+  }
+};
+
+crt::Plan list_plan(const ExecRig& rig, const crt::KernelOp& op,
+                    const std::vector<vpu::VInsn>& prog,
+                    const kernels::Shape& shape) {
+  static const ListPlanner planner;
+  return kernels::one_chain_plan(
+      planner, op, 1, 24, ListPlanner::Params{rig.region(0), &prog, shape});
 }
 
-TEST(ProgramReuseTest, ProgramsOneFieldAwayFromACachedOneDoNotHit) {
+TEST(ProgramReuseTest, KeysOneFieldAwayFromACachedOneDoNotHit) {
   using vpu::VInsn;
   using vpu::VOpc;
-  const std::vector<VInsn> base = {
+  const std::vector<VInsn> base_prog = {
       {VOpc::kAddVX, 16, 0, 0, ElemType::kWord, 64, 3},
       {VOpc::kMulVV, 17, 16, 1, ElemType::kWord, 64, 0},
       {VOpc::kMaccEs, 18, 2, 17, ElemType::kWord, 64, 5},
       {VOpc::kSlideDownVX, 19, 18, 0, ElemType::kWord, 64, 2},
   };
-  // Each variant changes one field of instruction 1 or 2, or the length.
-  std::vector<std::pair<std::string, std::vector<VInsn>>> variants;
-  auto with = [&](const char* name, unsigned i, auto change) {
-    std::vector<VInsn> p = base;
-    change(p[i]);
-    variants.emplace_back(name, std::move(p));
+  struct Variant {
+    std::string name;
+    crt::KernelOp op;
+    kernels::Shape shape;
+    std::vector<VInsn> prog;
   };
-  with("op", 1, [](VInsn& v) { v.op = VOpc::kAddVV; });
-  with("vd", 1, [](VInsn& v) { v.vd = 20; });
-  with("vs1", 1, [](VInsn& v) { v.vs1 = 3; });
-  with("vs2", 1, [](VInsn& v) { v.vs2 = 4; });
-  with("et", 1, [](VInsn& v) { v.et = ElemType::kHalf; });
-  with("vl", 1, [](VInsn& v) { v.vl = 63; });
-  with("scalar", 2, [](VInsn& v) { v.scalar = 6; });
-  variants.emplace_back("shorter",
-                        std::vector<VInsn>(base.begin(), base.end() - 1));
-  std::vector<VInsn> longer = base;
-  longer.push_back(base[0]);
-  variants.emplace_back("longer", std::move(longer));
+  Variant base{"base", {}, {1, 2, 3, 4, 5, 6, 7}, base_prog};
+  base.op.func5 = x::kLeakyRelu;
+  // Each variant changes one field of the key, and runs a program of its
+  // own, so a wrong hit would leave other register contents.
+  std::vector<Variant> variants;
+  auto with = [&](std::string name, auto change) {
+    Variant v = base;
+    v.name = std::move(name);
+    v.prog[0].scalar = 10 + static_cast<std::uint32_t>(variants.size());
+    change(v);
+    variants.push_back(std::move(v));
+  };
+  with("kernel", [](Variant& v) { v.op.func5 = x::kMaxPool; });
+  with("et", [](Variant& v) { v.op.et = ElemType::kHalf; });
+  for (std::size_t w = 0; w < vpu::ProgramKey::kShapeWords; ++w) {
+    with("shape word " + std::to_string(w),
+         [w](Variant& v) { v.shape[w] += 1; });
+  }
 
   ExecRig warm(/*fresh_per_kernel=*/false);
   ExecRig fresh(/*fresh_per_kernel=*/true);
-  crt::KernelOp op;
-  op.func5 = x::kLeakyRelu;
-  auto run_both = [&](const std::vector<VInsn>& prog, const std::string& what) {
-    const Cycle tw = warm.run(op, program_plan(warm, prog));
-    const Cycle tf = fresh.run(op, program_plan(fresh, prog));
+  auto run_both = [&](const Variant& v, const std::string& what) {
+    const Cycle tw = warm.run(v.op, list_plan(warm, v.op, v.prog, v.shape));
+    const Cycle tf = fresh.run(v.op, list_plan(fresh, v.op, v.prog, v.shape));
     EXPECT_EQ(tw, tf) << what;
     expect_same_vpus(warm.sys, fresh.sys, what);
   };
   run_both(base, "base");
-  for (const auto& [name, prog] : variants) {
+  for (const Variant& v : variants) {
     const std::uint64_t before = warm.prepared();
-    run_both(prog, name);
-    EXPECT_EQ(warm.prepared(), before + 1) << name << " hit the cache";
+    run_both(v, v.name);
+    EXPECT_EQ(warm.prepared(), before + 1) << v.name << " hit the cache";
   }
   // The base and every variant replay now.
   const std::uint64_t before = warm.prepared();
   run_both(base, "base again");
-  for (const auto& [name, prog] : variants) run_both(prog, name + " again");
+  for (const Variant& v : variants) run_both(v, v.name + " again");
   EXPECT_EQ(warm.prepared(), before);
+}
+
+// The checked mode itself: a planner whose key leaves out what tells two
+// of its programs apart is caught at the first hit.
+TEST(ProgramReuseTest, CheckedModeCatchesAKeyThatNamesTwoPrograms) {
+  using vpu::VInsn;
+  using vpu::VOpc;
+  const std::vector<VInsn> a = {{VOpc::kAddVX, 16, 0, 0, ElemType::kWord,
+                                 64, 3}};
+  std::vector<VInsn> b = a;
+  b[0].scalar = 4;
+  ExecRig rig(/*fresh_per_kernel=*/false);
+  crt::KernelOp op;
+  op.func5 = x::kLeakyRelu;
+  rig.run(op, list_plan(rig, op, a, {1}));
+  EXPECT_THROW(rig.run(op, list_plan(rig, op, b, {1})), AssertionError);
 }
 
 TEST(ProgramReuseTest, InvalidProgramReplaysItsPrefixAndError) {
@@ -589,10 +639,12 @@ TEST(ProgramReuseTest, InvalidProgramReplaysItsPrefixAndError) {
   auto attempt = [&] {
     restore(start);
     const sim::VpuStats before = vu.stats();
-    const std::size_t e = cache.acquire(prog, cfg.llc.vpu, 4, false, prepared);
+    const vpu::Program& program = cache.acquire(
+        vpu::ProgramKey{}, cfg.llc.vpu, 4,
+        [&](std::vector<VInsn>& list) { list = prog; }, prepared);
     Outcome o;
     try {
-      vu.run(cache.program(e), 0);
+      vu.run(program, 0);
       ADD_FAILURE() << "the invalid program ran through";
     } catch (const Error& err) {
       o.error = err.what();

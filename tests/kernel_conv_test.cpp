@@ -1,20 +1,27 @@
 // Conv2D (xmk3) and Conv Layer (xmk4) kernel property sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
 #include "crt/kernel_op.hpp"
+#include "isa/xmnmc.hpp"
 #include "kernels/planners.hpp"
 #include "workloads/golden.hpp"
 #include "workloads/tensors.hpp"
+#include "test_support.hpp"
 
 namespace arcane {
 namespace {
 
 using workloads::Matrix;
 using workloads::Rng;
+namespace x = isa::xmnmc;
 
 struct ConvParam {
   std::uint32_t h, w, k;
@@ -172,76 +179,92 @@ TEST(ConvLayerKernelTest, InputLargerThanCacheStreams) {
                                  false);
 }
 
-// The Tile::repeats contract of both conv planners: a tile that repeats
-// another names an earlier tile of its own chain, which emitted its program
-// and kept it (repeats == itself), and whose program is exactly the one the
-// repeating tile would emit. Every tile that emits a program emits its own.
-TEST(ConvTileRepeats, EveryRepeatNamesAnEarlierTileWithTheSameProgram) {
-  std::uint64_t tiles = 0, replayed = 0;
+// The program keys of both conv planners. Every conv kernel of a sweep runs
+// on one warm executor that checks each key hit against a fresh emission,
+// and across the whole sweep tiles of equal keys (func5, element type,
+// shape) must emit equal programs: a key that leaves out the ring slot, the
+// row count, K or the layout would name two programs.
+TEST(ConvProgramKeys, EqualKeysNameEqualPrograms) {
+  std::uint64_t tiles = 0, prepared = 0;
   for (const bool multi_vpu : {false, true}) {
     SystemConfig cfg = SystemConfig::paper(4);
     cfg.multi_vpu_kernels = multi_vpu;
+    System sys(cfg);
+    crt::CrtContext& ctx = sys.runtime().context();
+    test::PlainClient client(sys.llc(), cfg.llc);
+    crt::KernelExecutor ex(ctx, client, /*id=*/0);
+    ex.check_programs(true);
+    const std::uint64_t prepared_before = ctx.phases.programs_prepared;
+    std::vector<std::pair<vpu::ProgramKey, std::vector<vpu::VInsn>>> named;
     for (const ElemType et :
          {ElemType::kWord, ElemType::kHalf, ElemType::kByte}) {
-      for (const std::uint32_t n : {16u, 23u, 32u, 64u, 100u, 128u, 256u}) {
+      // Square inputs, and a 12x40 output for every filter size, where the
+      // row blocking P of K = 3 and K = 5 agree.
+      for (const std::uint32_t n :
+           {16u, 23u, 32u, 64u, 100u, 128u, 256u, 0u}) {
         for (const std::uint32_t k : {3u, 5u, 7u}) {
           for (const bool layer : {false, true}) {
+            const std::uint32_t h = n != 0 ? n : 12 + k - 1;
+            const std::uint32_t w = n != 0 ? n : 40 + k - 1;
             crt::KernelOp op;
+            op.func5 = layer ? x::kConvLayer : x::kConv2d;
             op.et = et;
-            std::uint32_t ho = n - k + 1, wo = n - k + 1;
+            std::uint32_t ho = h - k + 1, wo = w - k + 1;
             if (layer) {
               ho /= 2;
               wo /= 2;
             }
-            op.ms1 = {0x1000, {layer ? 3 * n : n, n, n}, true};
-            op.ms2 = {0x400000, {layer ? 3 * k : k, k, k}, true};
-            op.md = {0x500000, {ho, wo, wo}, true};
-            const crt::Plan plan =
-                layer ? kernels::conv_layer_planner()(op, cfg)
-                      : kernels::conv2d_planner()(op, cfg);
+            const Addr base = sys.data_base() + 0x1000;
+            op.ms1 = {base, {layer ? 3 * h : h, w, w}, true};
+            op.ms2 = {base + 0x400000, {layer ? 3 * k : k, k, k}, true};
+            op.md = {base + 0x500000, {ho, wo, wo}, true};
+            const crt::Planner& planner = layer
+                                              ? kernels::conv_layer_planner()
+                                              : kernels::conv2d_planner();
+            const crt::Plan plan = planner.plan(op, cfg);
             SCOPED_TRACE(::testing::Message()
-                         << (layer ? "conv layer " : "conv2d ") << n << "x"
-                         << n << " k" << k << elem_suffix(et)
+                         << (layer ? "conv layer " : "conv2d ") << h << "x"
+                         << w << " k" << k << elem_suffix(et)
                          << " multi=" << multi_vpu);
             ASSERT_TRUE(plan.ok()) << plan.error;
 
-            auto full = [&](unsigned c, unsigned i) {
-              std::vector<vpu::VInsn> prog;
-              if (layer) {
-                kernels::conv_layer_tile_program(op, cfg, c, i, prog);
-              } else {
-                kernels::conv2d_tile_program(op, cfg, i, prog);
-              }
-              return prog;
-            };
-            for (unsigned c = 0; c < plan.chains.size(); ++c) {
-              const crt::Chain& chain = plan.chains[c];
-              crt::Tile tile, target;
-              for (unsigned i = 0; i < chain.tile_count; ++i) {
-                chain.make_tile(i, tile);
+            for (unsigned c = 0; c < plan.chain_count; ++c) {
+              crt::Tile tile;
+              for (unsigned i = 0; i < plan.tile_count[c]; ++i) {
+                tile.clear();
+                const vpu::ProgramKey key{op.func5, op.et,
+                                          planner.tile(plan, c, i, tile)};
+                std::vector<vpu::VInsn> prog;
+                planner.program(plan, c, i, prog);
                 ++tiles;
-                if (tile.repeats == crt::Tile::kOnce || tile.repeats == i) {
-                  EXPECT_EQ(tile.prog, full(c, i))
-                      << "chain " << c << " tile " << i;
-                  continue;
+                auto it = std::find_if(
+                    named.begin(), named.end(),
+                    [&key](const auto& e) { return e.first == key; });
+                if (it == named.end()) {
+                  named.emplace_back(key, std::move(prog));
+                } else {
+                  EXPECT_EQ(prog, it->second) << "chain " << c << " tile "
+                                              << i;
                 }
-                ++replayed;
-                ASSERT_LT(tile.repeats, i) << "chain " << c << " tile " << i;
-                EXPECT_TRUE(tile.prog.empty());
-                chain.make_tile(tile.repeats, target);
-                EXPECT_EQ(target.repeats, tile.repeats);
-                EXPECT_EQ(target.prog, full(c, i))
-                    << "chain " << c << " tile " << i << " repeats "
-                    << tile.repeats;
               }
             }
+
+            op.uid = ctx.next_uid++;
+            ctx.ecpu_free = std::max(ctx.ecpu_free, sys.events().now());
+            std::vector<unsigned> vpus(plan.chain_count);
+            std::iota(vpus.begin(), vpus.end(), 0u);
+            const unsigned finished = client.finished;
+            ex.launch(op, plan, vpus, sys.events().now());
+            sys.events().run_all();
+            EXPECT_EQ(client.finished, finished + 1);
           }
         }
       }
     }
+    prepared += ctx.phases.programs_prepared - prepared_before;
   }
-  // Most tiles of the larger shapes replay an earlier program.
-  EXPECT_GT(replayed * 2, tiles);
+  // Most tiles replay a program an earlier tile or kernel prepared.
+  EXPECT_GT(tiles, 2 * prepared);
 }
 
 }  // namespace

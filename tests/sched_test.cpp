@@ -21,6 +21,7 @@
 #include "vpu/program_cache.hpp"
 #include "workloads/golden.hpp"
 #include "workloads/tensors.hpp"
+#include "test_support.hpp"
 
 namespace arcane {
 namespace {
@@ -521,8 +522,8 @@ TEST(SchedProgramReuseTest, IdenticalJobsPrepareEachDistinctProgramOnce) {
   auto& sch = sys.scheduler();
   const unsigned t0 = sch.add_tenant("a");
 
-  // The distinct programs one job's tiles emit, from its plans.
-  std::vector<std::vector<vpu::VInsn>> distinct;
+  // The distinct programs one job's tiles name, from its plans.
+  std::vector<vpu::ProgramKey> distinct;
   const PipelineSlot first(sys.data_base() + 0x20000);
   for (const sched::OpSpec& s : sched::pipeline_job(first).ops) {
     crt::KernelOp op;
@@ -535,16 +536,18 @@ TEST(SchedProgramReuseTest, IdenticalJobsPrepareEachDistinctProgramOnce) {
     op.ms2 = s.ms2;
     op.ms3 = s.ms3;
     const crt::Plan plan =
-        sys.runtime().library().find(s.func5)->planner(op, sys.config());
+        sys.runtime().library().find(s.func5)->planner->plan(op,
+                                                             sys.config());
     ASSERT_TRUE(plan.ok()) << plan.error;
-    for (const crt::Chain& chain : plan.chains) {
+    for (unsigned c = 0; c < plan.chain_count; ++c) {
       crt::Tile t;
-      for (unsigned i = 0; i < chain.tile_count; ++i) {
-        chain.make_tile(i, t);
-        if (t.repeats < i) continue;  // runs an earlier tile's program
-        if (std::find(distinct.begin(), distinct.end(), t.prog) ==
+      for (unsigned i = 0; i < plan.tile_count[c]; ++i) {
+        t.clear();
+        const vpu::ProgramKey key{op.func5, op.et,
+                                  plan.planner->tile(plan, c, i, t)};
+        if (std::find(distinct.begin(), distinct.end(), key) ==
             distinct.end()) {
-          distinct.push_back(t.prog);
+          distinct.push_back(key);
         }
       }
     }
@@ -566,7 +569,8 @@ TEST(SchedProgramReuseTest, IdenticalJobsPrepareEachDistinctProgramOnce) {
 // The scheduler frees a kernel's lines by walking only its VPUs' claimed
 // registers. Run every event of a scenario one at a time; after each, for
 // every kernel whose busy lines just went free, the full scan over all
-// lines (Llc::release_kernel_lines(uid)) must find nothing left to free.
+// lines (test::release_kernel_lines_everywhere) must find nothing left to
+// free.
 class LineReleaseCheck {
  public:
   explicit LineReleaseCheck(System& sys) : sys_(&sys), before_(owners()) {}
@@ -582,7 +586,8 @@ class LineReleaseCheck {
         if (it != now.end() && it->second >= lines) continue;
         ++releases;
         const auto states = line_states();
-        sys_->llc().release_kernel_lines(uid);
+        test::release_kernel_lines_everywhere(sys_->llc(),
+                                              sys_->config().llc, uid);
         EXPECT_EQ(line_states(), states)
             << "kernel " << uid << " kept lines the full scan frees";
       }

@@ -39,6 +39,7 @@
 #include "common/bits.hpp"
 #include "vpu/line_storage.hpp"
 #include "vpu/vector_unit.hpp"
+#include "test_support.hpp"
 
 namespace arcane::vpu {
 namespace {
@@ -388,7 +389,7 @@ TEST(VpuReferenceTest, MaccEsIndexPastCapacityStillAsserts) {
   insn.vs2 = 3;
   insn.vl = 4;
   insn.scalar = p.vlen() / 2;
-  EXPECT_THROW(p.unit().execute(insn), AssertionError);
+  EXPECT_THROW(test::run_insn(p.unit(), insn), AssertionError);
   EXPECT_EQ(p.unit().stats().instructions, 0u);
 }
 

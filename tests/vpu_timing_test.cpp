@@ -1,7 +1,7 @@
 // Vector unit timing model: lane/element-width scaling, pipeline overlap and
-// dispatch, run_program against a per-instruction model, and prepared
+// dispatch, whole programs against a per-instruction model, and prepared
 // programs (vpu::Program: run once and replayed, slides folded into their
-// MACs, vmacc.es runs swept at once) against per-instruction execute() on
+// MACs, vmacc.es runs swept at once) against one-instruction programs on
 // both lane pass builds.
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "common/assert.hpp"
 #include "vpu/line_storage.hpp"
 #include "vpu/vector_unit.hpp"
+#include "test_support.hpp"
 
 namespace arcane::vpu {
 namespace {
@@ -113,7 +114,7 @@ TEST(VpuTiming, ProgramLongVectorsHideDispatch) {
   VectorUnit vu(cfg.vpu, 0, storage);
   // 10 long instructions: execution dominates; total ~ sum of exec.
   std::vector<VInsn> prog(10, insn(VOpc::kAddVV, ElemType::kWord, 256));
-  const Cycle end = vu.run_program(prog, 1000, /*dispatch_gap=*/4);
+  const Cycle end = test::run_insns(vu, prog, 1000, /*dispatch_gap=*/4);
   const Cycle exec_each = vinsn_cycles(prog[0], cfg.vpu);
   EXPECT_LE(end, 1000 + 4 + 10 * exec_each + cfg.vpu.pipe_fill);
 }
@@ -124,7 +125,7 @@ TEST(VpuTiming, ProgramShortVectorsDispatchBound) {
   VectorUnit vu(cfg.vpu, 0, storage);
   std::vector<VInsn> prog(100, insn(VOpc::kAddVV, ElemType::kWord, 1));
   const Cycle gap = 50;  // absurdly slow dispatcher
-  const Cycle end = vu.run_program(prog, 0, gap);
+  const Cycle end = test::run_insns(vu, prog, 0, gap);
   EXPECT_GE(end, 100 * gap);  // dispatch dominates
 }
 
@@ -133,7 +134,7 @@ TEST(VpuTiming, ProgramBusyCyclesAccumulated) {
   LineStorage storage(cfg);
   VectorUnit vu(cfg.vpu, 0, storage);
   std::vector<VInsn> prog(5, insn(VOpc::kMulVV, ElemType::kWord, 64));
-  vu.run_program(prog, 0, 4);
+  test::run_insns(vu, prog, 0, 4);
   EXPECT_EQ(vu.stats().busy_cycles,
             5 * vinsn_cycles(prog[0], cfg.vpu));
   EXPECT_EQ(vu.stats().instructions, 5u);
@@ -143,12 +144,12 @@ TEST(VpuTiming, EmptyProgramCompletesImmediately) {
   LlcConfig cfg{};
   LineStorage storage(cfg);
   VectorUnit vu(cfg.vpu, 0, storage);
-  EXPECT_EQ(vu.run_program({}, 123, 4), 123u);
+  EXPECT_EQ(test::run_insns(vu, {}, 123, 4), 123u);
 }
 
 // ---------------------------------------------------------------------
-// run_program against a per-instruction twin: the same program executed one
-// execute() at a time, timed by a test-local issue model that keeps every
+// A whole program against a per-instruction twin: the same program run one
+// instruction at a time, timed by a test-local issue model that keeps every
 // completion time.
 // ---------------------------------------------------------------------
 
@@ -234,8 +235,8 @@ TEST(VpuTiming, ProgramMatchesPerInstructionModel) {
     const Cycle start = 1000;
 
     Unit real(cfg, 7), twin(cfg, 7);
-    const Cycle end = real.vu.run_program(prog, start, gap);
-    for (const VInsn& i : prog) twin.vu.execute(i);
+    const Cycle end = test::run_insns(real.vu, prog, start, gap);
+    for (const VInsn& i : prog) test::run_insn(twin.vu, i);
     const std::vector<Cycle> done =
         model_completions(prog, cfg.vpu, start, gap);
 
@@ -249,10 +250,10 @@ TEST(VpuTiming, ProgramMatchesPerInstructionModel) {
 
     // Completion time of every instruction: a prefix of the program
     // completes when its last instruction does. One warm unit runs every
-    // prefix, so each run also reuses the unit's scratch program.
+    // prefix.
     Unit timing(cfg, 7);
     for (std::size_t k = 1; k <= prog.size(); ++k) {
-      ASSERT_EQ(timing.vu.run_program({prog.data(), k}, start, gap),
+      ASSERT_EQ(test::run_insns(timing.vu, {prog.data(), k}, start, gap),
                 done[k - 1])
           << "instruction " << k - 1;
     }
@@ -279,8 +280,8 @@ TEST(VpuTiming, ProgramThatThrowsLeavesItsPrefixExecuted) {
       Unit real(cfg, 9), twin(cfg, 9);
       real.vu.stats().busy_cycles = 5;
       twin.vu.stats().busy_cycles = 5;
-      EXPECT_ANY_THROW(real.vu.run_program(p, 0, 4)) << "k " << k;
-      for (std::size_t i = 0; i < k; ++i) twin.vu.execute(p[i]);
+      EXPECT_ANY_THROW(test::run_insns(real.vu, p, 0, 4)) << "k " << k;
+      for (std::size_t i = 0; i < k; ++i) test::run_insn(twin.vu, p[i]);
       EXPECT_TRUE(real.same_registers(twin)) << "k " << k;
       expect_same_counts(real.vu.stats(), twin.vu.stats());
       EXPECT_EQ(real.vu.stats().busy_cycles, 5u);
@@ -290,7 +291,7 @@ TEST(VpuTiming, ProgramThatThrowsLeavesItsPrefixExecuted) {
 
 // ---------------------------------------------------------------------
 // A prepared program, run and then replayed on the changed registers, against
-// per-instruction execute() plus the issue model: every register byte, all
+// one-instruction programs plus the issue model: every register byte, all
 // VpuStats fields and the completion time, through each lane pass build.
 // ---------------------------------------------------------------------
 
@@ -370,7 +371,7 @@ class VpuProgramTest : public ::testing::TestWithParam<LaneBuild> {
     std::string error;
     Unit probe(cfg, seed, vpu);
     for (; valid < prog.size(); ++valid) {
-      error = thrown_by([&] { probe.vu.execute(prog[valid]); });
+      error = thrown_by([&] { test::run_insn(probe.vu, prog[valid]); });
       if (!error.empty()) break;
     }
     const std::vector<VInsn> prefix(prog.begin(), prog.begin() + valid);
@@ -386,7 +387,7 @@ class VpuProgramTest : public ::testing::TestWithParam<LaneBuild> {
                                          GetParam().pass);
                 }),
                 error);
-      for (const VInsn& i : prefix) twin.vu.execute(i);
+      for (const VInsn& i : prefix) test::run_insn(twin.vu, i);
       EXPECT_TRUE(real.same_registers(twin));
 
       sim::VpuStats want = twin.vu.stats();
@@ -552,7 +553,7 @@ TEST_P(VpuProgramTest, FoldCasesMatchPerInstructionExecution) {
 
 // ---------------------------------------------------------------------
 // MAC runs: consecutive vmacc.es steps into one accumulator, which the lane
-// pass sweeps one 64-byte block at a time, against per-instruction execute().
+// pass sweeps one 64-byte block at a time, against one-instruction programs.
 // ---------------------------------------------------------------------
 
 /// The term counts of the MAC runs a prepared program marks, in order.
