@@ -41,28 +41,27 @@ void register_at_ranges(KernelOp& op, const Plan& plan,
   register_src(op.ms3);
 }
 
-void KernelExecutor::launch(KernelOp op, Plan plan,
+void KernelExecutor::launch(const KernelOp& op, const Plan& plan,
                             std::span<const unsigned> vpus, Cycle now,
                             bool hung) {
-  ARCANE_ASSERT(!active_.valid, "launch on a busy executor");
+  ARCANE_ASSERT(!busy(), "launch on a busy executor");
   ARCANE_ASSERT(vpus.size() == plan.chain_count,
                 "launch: one VPU per chain required");
   active_ = ActiveKernel{};
-  active_.op = std::move(op);
-  active_.plan = std::move(plan);
-  active_.valid = true;
+  active_.op = &op;
+  active_.plan = &plan;
   active_.hung = hung;
 
   if (ctx_->spans != nullptr) {
     for (unsigned v : vpus) {
       ctx_->spans->instant(telemetry::track_vpu(v), "kernel.launch", now,
                            /*tenant=*/-1,
-                           /*job=*/static_cast<std::int64_t>(active_.op.uid),
-                           /*arg=*/active_.op.func5);
+                           /*job=*/static_cast<std::int64_t>(op.uid),
+                           /*arg=*/op.func5);
     }
   }
   if (hung) return;  // the kernel sits here until abort_hung()
-  const std::size_t n = active_.plan.chain_count;
+  const std::size_t n = plan.chain_count;
   if (chains_.size() < n) {
     chains_.resize(n);
     check_programs(check_programs_);
@@ -82,12 +81,9 @@ void KernelExecutor::launch(KernelOp op, Plan plan,
   }
 }
 
-KernelOp KernelExecutor::abort_hung() {
-  ARCANE_ASSERT(active_.valid && active_.hung,
-                "abort_hung on an executor that is not hung");
-  KernelOp op = std::move(active_.op);
+void KernelExecutor::abort_hung() {
+  ARCANE_ASSERT(hung(), "abort_hung on an executor that is not hung");
   active_ = ActiveKernel{};
-  return op;
 }
 
 void KernelExecutor::check_programs(bool on) {
@@ -96,10 +92,10 @@ void KernelExecutor::check_programs(bool on) {
 }
 
 void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
-  ARCANE_ASSERT(active_.valid, "chain_step without an active kernel");
+  ARCANE_ASSERT(busy(), "chain_step without an active kernel");
   ChainState& cs = chains_[chain_idx];
-  const Plan& plan = active_.plan;
-  const KernelOp& op = active_.op;
+  const Plan& plan = *active_.plan;
+  const KernelOp& op = *active_.op;
   ARCANE_ASSERT(cs.next_tile < plan.tile_count[chain_idx], "chain overrun");
 
   cs.tile.clear();
@@ -239,9 +235,10 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
 }
 
 void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
-  ARCANE_ASSERT(active_.valid, "chain_writeback without an active kernel");
+  ARCANE_ASSERT(busy(), "chain_writeback without an active kernel");
   ChainState& cs = chains_[chain_idx];
-  const unsigned tile_count = active_.plan.tile_count[chain_idx];
+  const Plan& plan = *active_.plan;
+  const unsigned tile_count = plan.tile_count[chain_idx];
   vpu::VectorUnit& vu = (*ctx_->vpus)[cs.vpu];
   Cycle ecpu = std::max(ctx_->ecpu_free, t);
   const Cycle ecpu_start = ecpu;
@@ -249,12 +246,10 @@ void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
   // Full write-back elision (paper §IV-B2): when the owner knows the
   // destination will be consumed whole by the next kernel, skip the
   // write-back and leave the result resident in the register file.
-  const bool single_tile_chain =
-      active_.plan.chain_count == 1 && tile_count == 1;
+  const bool single_tile_chain = plan.chain_count == 1 && tile_count == 1;
   if (single_tile_chain && cs.tile.stores.size() == 1 &&
       cs.tile.stores[0].vreg_step == 1 && cs.tile.stores[0].vreg_offset == 0 &&
-      client_->allow_writeback_elision(*this, active_.plan.dest_lo,
-                                       active_.plan.dest_hi)) {
+      client_->allow_writeback_elision(*this, plan.dest_lo, plan.dest_hi)) {
     active_.elided_writeback = true;
   }
 
@@ -291,7 +286,7 @@ void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
     if (ctx_->spans != nullptr) {
       ctx_->spans->span(telemetry::track_vpu(cs.vpu), "writeback", wb_start,
                         wb_end, /*tenant=*/-1,
-                        /*job=*/static_cast<std::int64_t>(active_.op.uid),
+                        /*job=*/static_cast<std::int64_t>(active_.op->uid),
                         /*arg=*/cs.next_tile);
     }
   }
@@ -328,14 +323,11 @@ void KernelExecutor::chain_writeback(unsigned chain_idx, Cycle t) {
 }
 
 void KernelExecutor::finish_kernel(Cycle t) {
-  ARCANE_ASSERT(active_.valid, "finish_kernel without active kernel");
+  ARCANE_ASSERT(busy(), "finish_kernel without active kernel");
   ++ctx_->phases.kernels_executed;
-  FinishedKernel fin;
-  fin.op = std::move(active_.op);
-  fin.plan = std::move(active_.plan);
-  fin.vpu = chains_[0].vpu;
-  fin.elided_writeback = active_.elided_writeback;
-  fin.breakdown = chains_[active_.critical_chain].breakdown;
+  const FinishedKernel fin{*active_.op, *active_.plan, chains_[0].vpu,
+                           active_.elided_writeback,
+                           chains_[active_.critical_chain].breakdown};
   if (ctx_->spans != nullptr) {
     ctx_->spans->instant(telemetry::track_vpu(fin.vpu), "kernel.done", t,
                          /*tenant=*/-1,
@@ -344,7 +336,7 @@ void KernelExecutor::finish_kernel(Cycle t) {
   }
   // Free the executor *before* the hook so the owner can relaunch from it.
   active_ = ActiveKernel{};
-  client_->on_kernel_finish(*this, std::move(fin), t);
+  client_->on_kernel_finish(*this, fin, t);
 }
 
 }  // namespace arcane::crt

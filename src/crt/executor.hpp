@@ -48,13 +48,14 @@ struct CrtContext {
   telemetry::SpanTracer* spans = nullptr;
 };
 
-/// Everything the owner needs to retire a completed kernel: the decoded op
-/// (AT entries, uid), its plan (destination range, chain/tile geometry for
-/// resident bookkeeping), the VPU its first chain ran on, whether the
-/// write-back was elided, and the kernel's cycle accounting.
+/// Everything the owner needs to retire a completed kernel: the op and plan
+/// it was launched with (the owner's own, referred to rather than copied:
+/// AT entries, uid, destination range, tile geometry for resident
+/// bookkeeping), the VPU its first chain ran on, whether the write-back was
+/// elided, and the kernel's cycle accounting.
 struct FinishedKernel {
-  KernelOp op;
-  Plan plan;
+  const KernelOp& op;
+  const Plan& plan;
   unsigned vpu = 0;  // VPU of chain 0 (the only chain of an elidable kernel)
   bool elided_writeback = false;
   /// Exclusive stall-bucket decomposition of the kernel's in-executor
@@ -107,8 +108,8 @@ class KernelExecutor {
     /// executor already free). The owner releases AT entries / kernel
     /// lines, records its bookkeeping and may launch the next kernel on
     /// `ex` right away.
-    virtual void on_kernel_finish(KernelExecutor& ex, FinishedKernel fin,
-                                  Cycle t) = 0;
+    virtual void on_kernel_finish(KernelExecutor& ex,
+                                  const FinishedKernel& fin, Cycle t) = 0;
   };
 
   KernelExecutor(CrtContext& ctx, Client& client, unsigned id)
@@ -123,21 +124,22 @@ class KernelExecutor {
   /// (fault injection, src/fault/ OpVerdict::kHang) the kernel occupies the
   /// executor but its chains are never scheduled: no lines are claimed, no
   /// DMA runs, and only abort_hung() frees the executor.
-  void launch(KernelOp op, Plan plan, std::span<const unsigned> vpus,
-              Cycle now, bool hung = false);
-  /// Abort a hung kernel: the executor becomes free and the kernel is NOT
-  /// retired through Client::on_kernel_finish (it never finished). Returns
-  /// it so the owner can release what it registered.
-  KernelOp abort_hung();
-  bool hung() const { return active_.valid && active_.hung; }
+  ///
+  /// The executor borrows `op` and `plan`: the caller keeps both alive and
+  /// unchanged until Client::on_kernel_finish or abort_hung() returns.
+  void launch(const KernelOp& op, const Plan& plan,
+              std::span<const unsigned> vpus, Cycle now, bool hung = false);
+  /// Abort a hung kernel: the executor becomes free and drops its borrow;
+  /// the kernel is NOT retired through Client::on_kernel_finish (it never
+  /// finished), so the owner releases what its op registered.
+  void abort_hung();
+  bool hung() const { return busy() && active_.hung; }
 
-  bool busy() const { return active_.valid; }
+  bool busy() const { return active_.op != nullptr; }
   /// Tests only: on every program-cache hit, emit the tile's program anyway
   /// and assert it equals the cached one (vpu::ProgramCache::set_checked).
   void check_programs(bool on);
   unsigned id() const { return id_; }
-  /// The in-flight kernel (valid while busy).
-  const KernelOp& op() const { return active_.op; }
 
  private:
   /// One chain slot. Slots outlive kernels: a launch resets the counters of
@@ -157,12 +159,11 @@ class KernelExecutor {
     sim::OpStallBreakdown breakdown{};
   };
   struct ActiveKernel {
-    KernelOp op;
-    Plan plan;
+    const KernelOp* op = nullptr;  // borrowed from the owner; null = idle
+    const Plan* plan = nullptr;
     unsigned chains_left = 0;
     Cycle finish_time = 0;
     unsigned critical_chain = 0;  // the chain that set finish_time
-    bool valid = false;
     bool hung = false;  // fault-injected: chains never scheduled
     bool elided_writeback = false;
   };

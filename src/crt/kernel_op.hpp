@@ -117,8 +117,8 @@ struct Plan {
 /// The kernel code the C-RT runs for one func5 (paper §IV-B): it validates
 /// and plans an op, then builds each tile's transfers and, on request, its
 /// micro-program. All three are pure functions of their arguments: a retry
-/// re-plans, an elided write-back rebuilds a tile, and any tile may be
-/// built again.
+/// reuses its plan, an elided write-back rebuilds a tile, and any tile may
+/// be built again.
 class Planner {
  public:
   virtual ~Planner() = default;

@@ -128,7 +128,7 @@ Runtime::DecodeResult Runtime::decode_kernel(const OffloadPayload& p,
   ctx_.phases.preamble += cost;
   ctx_.phases.ecpu_busy += cost;
 
-  queue_->push_kernel(std::move(op), std::move(plan), done);
+  queue_->push_kernel(op, plan, done);
   return {true, done, {}};
 }
 

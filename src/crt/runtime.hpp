@@ -52,8 +52,9 @@ class KernelQueue {
   /// `reg` (the decoder's rename check).
   virtual bool kernel_uses_matrix(std::uint16_t reg) const = 0;
   /// Append a decoded, planned and AT-registered kernel whose decode
-  /// completes at `done`.
-  virtual void push_kernel(KernelOp op, Plan plan, Cycle done) = 0;
+  /// completes at `done`; the queue keeps its own copy of both.
+  virtual void push_kernel(const KernelOp& op, const Plan& plan,
+                           Cycle done) = 0;
   /// Stall buckets summed over every retired kernel pushed here.
   virtual sim::OpStallBreakdown kernel_stalls() const = 0;
 };

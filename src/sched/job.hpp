@@ -103,6 +103,13 @@ class DagState {
     return {};
   }
 
+  /// The state of a one-op job (a bridge kernel): no DAG to check.
+  void build_single() {
+    deps_left_.assign(1, 0);
+    first_.assign(2, 0);
+    waiters_.clear();
+  }
+
   /// Call `fn(op)` for every op with no dependencies (ready at arrival).
   template <typename Fn>
   void for_each_root(Fn&& fn) const {

@@ -9,7 +9,8 @@ namespace arcane::sched {
 namespace {
 
 /// The scheduler's analogue of the decoder's operand resolution: ops carry
-/// operand snapshots directly, so this is a straight field translation.
+/// operand snapshots directly, so this is a straight field translation,
+/// made once per submitted op.
 crt::KernelOp make_kernel_op(const OpSpec& s) {
   crt::KernelOp op;
   op.func5 = s.func5;
@@ -23,37 +24,22 @@ crt::KernelOp make_kernel_op(const OpSpec& s) {
   return op;
 }
 
-/// The inverse translation, for kernels the bridge decoder already decoded:
-/// the spec the hazard checks and the cost estimate read.
-OpSpec spec_of(const crt::KernelOp& op) {
-  OpSpec s;
-  s.func5 = op.func5;
-  s.et = op.et;
-  s.alpha = op.f.alpha;
-  s.beta = op.f.beta;
-  s.md = op.md;
-  s.ms1 = op.ms1;
-  s.ms2 = op.ms2;
-  s.ms3 = op.ms3;
-  return s;
-}
-
 bool ranges_overlap(Addr a_lo, Addr a_hi, Addr b_lo, Addr b_hi) {
   return a_lo < b_hi && b_lo < a_hi;
 }
 
-std::pair<Addr, Addr> dest_range(const OpSpec& s) {
-  return {s.md.addr,
-          s.md.addr + std::max<std::uint32_t>(s.md.footprint(s.et), 1u)};
+std::pair<Addr, Addr> dest_range(const crt::KernelOp& op) {
+  return {op.md.addr,
+          op.md.addr + std::max<std::uint32_t>(op.md.footprint(op.et), 1u)};
 }
 
-/// Any dest/dest, dest/src or src/dest overlap between two op specs.
-bool specs_conflict(const OpSpec& a, const OpSpec& b) {
+/// Any dest/dest, dest/src or src/dest overlap between two ops.
+bool ops_conflict(const crt::KernelOp& a, const crt::KernelOp& b) {
   const auto [alo, ahi] = dest_range(a);
   const auto [blo, bhi] = dest_range(b);
   if (ranges_overlap(alo, ahi, blo, bhi)) return true;
-  auto src_hits_dest = [](const OpSpec& from, Addr lo, Addr hi) {
-    for (const OperandSpec* s : {&from.ms1, &from.ms2, &from.ms3}) {
+  auto src_hits_dest = [](const crt::KernelOp& from, Addr lo, Addr hi) {
+    for (const crt::Operand* s : {&from.ms1, &from.ms2, &from.ms3}) {
       if (!s->valid) continue;
       const Addr slo = s->addr;
       const Addr shi =
@@ -123,11 +109,12 @@ std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
   JobState& js = jobs_[job_idx];
   const std::string why = js.dag.build(job);
   ARCANE_CHECK(why.empty(), "malformed job: " << why);
-  // Plan every op now: malformed shapes are rejected at submit, and the
-  // validated plan (pure function of spec + cfg) is kept for dispatch.
+  // Decode and plan every op now: malformed shapes are rejected at submit,
+  // and the op and its validated plan (pure function of op + cfg) stay in
+  // the slot for every dispatch attempt.
   js.ops.resize(job.ops.size());
   for (std::size_t i = 0; i < job.ops.size(); ++i) {
-    const OpSpec& s = job.ops[i];
+    OpSpec& s = job.ops[i];
     const crt::KernelInfo* info = rt_->library().find(s.func5);
     ARCANE_CHECK(info != nullptr,
                  "job uses unknown kernel id " << unsigned(s.func5));
@@ -138,15 +125,18 @@ std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
                  info->name << ": ms2 operand missing");
     ARCANE_CHECK(!info->uses_ms3 || s.ms3.valid,
                  info->name << ": ms3 operand missing");
-    const crt::Plan plan = info->planner->plan(make_kernel_op(s), *cfg_);
-    ARCANE_CHECK(plan.ok(), info->name << ": " << plan.error);
-    ARCANE_CHECK(plan.chain_count == 1,
+    OpState& os = js.ops[i];
+    os = OpState{};
+    os.op = make_kernel_op(s);
+    os.plan = info->planner->plan(os.op, *cfg_);
+    ARCANE_CHECK(os.plan.ok(), info->name << ": " << os.plan.error);
+    ARCANE_CHECK(os.plan.chain_count == 1,
                  info->name << ": multi-chain plans cannot be pinned to one "
                                "instance (disable multi_vpu_kernels)");
-    js.ops[i] = OpState{};
-    js.ops[i].plan = plan;
+    os.deps = std::move(s.deps);
   }
-  open_job(job_idx, tenant, job, arrival);
+  open_job(job_idx, tenant, arrival, job.deadline, job.shed_on_expiry,
+           job.tag);
 
   const Cycle when = std::max(arrival, ctx_->events->now());
   if (ctx_->spans != nullptr) {
@@ -169,8 +159,9 @@ std::uint32_t Scheduler::free_job_slot() {
   return free_jobs_.back();
 }
 
-void Scheduler::open_job(std::uint32_t job_idx, unsigned tenant, JobSpec& job,
-                         Cycle arrival) {
+void Scheduler::open_job(std::uint32_t job_idx, unsigned tenant, Cycle arrival,
+                         Cycle deadline, bool shed_on_expiry,
+                         std::uint64_t tag) {
   ARCANE_ASSERT(!free_jobs_.empty() && free_jobs_.back() == job_idx,
                 "open_job outside the free slot");
   free_jobs_.pop_back();
@@ -184,13 +175,10 @@ void Scheduler::open_job(std::uint32_t job_idx, unsigned tenant, JobSpec& job,
   js.id = next_job_id_++;
   js.tenant = tenant;
   js.arrival = arrival;
-  js.deadline = job.deadline;
-  js.shed_on_expiry = job.shed_on_expiry && job.deadline != 0;
-  js.tag = job.tag;
-  js.ops_left = static_cast<unsigned>(job.ops.size());
-  for (std::size_t i = 0; i < job.ops.size(); ++i) {
-    js.ops[i].spec = std::move(job.ops[i]);
-  }
+  js.deadline = deadline;
+  js.shed_on_expiry = shed_on_expiry && deadline != 0;
+  js.tag = tag;
+  js.ops_left = static_cast<unsigned>(js.ops.size());
   if (js.shed_on_expiry) ++shed_armed_;
   ++jobs_open_;
   ++tenant_stats_[tenant].jobs_submitted;
@@ -240,7 +228,7 @@ void Scheduler::enqueue(std::uint32_t job_idx, unsigned op_idx,
   e.op = static_cast<std::uint16_t>(op_idx);
   e.tenant = static_cast<std::uint16_t>(js.tenant);
   e.priority = static_cast<std::uint8_t>(tenant_priority_[js.tenant]);
-  e.est_cost = estimate_cost(js.ops[op_idx].spec);
+  e.est_cost = estimate_cost(js.ops[op_idx].op);
   e.seq = ready_seq_++;
   queues_[inst].push(e);
 }
@@ -317,15 +305,15 @@ void Scheduler::try_dispatch(Cycle t) {
     for (const ReadyQueue& q : queues_) {
       for (const ReadyEntry& other : q.entries()) {
         queued_scratch_.emplace_back(other.seq,
-                                     &jobs_[other.job].ops[other.op].spec);
+                                     &jobs_[other.job].ops[other.op].op);
       }
     }
     const auto eligible = [this, t](const ReadyEntry& e) {
       OpState& os = jobs_[e.job].ops[e.op];
-      bool ok = !conflicts(os.spec);
+      bool ok = !conflicts(os.op);
       if (ok) {
         for (const auto& [seq, other] : queued_scratch_) {
-          if (seq < e.seq && specs_conflict(*other, os.spec)) {
+          if (seq < e.seq && ops_conflict(*other, os.op)) {
             ok = false;
             break;
           }
@@ -381,7 +369,8 @@ void Scheduler::check_liveness(Cycle t) const {
 void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   JobState& js = jobs_[e.job];
   OpState& os = js.ops[e.op];
-  const OpSpec& spec = os.spec;
+  crt::KernelOp& op = os.op;
+  const crt::Plan& plan = os.plan;
   // A host kernel can be popped by a completion that fires before its
   // decode's `done` cycle (the decoder runs ahead of the event queue); it
   // is then ready from the pop, and its eCPU decode time counts as
@@ -389,19 +378,14 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   if (os.ready_at > t) os.ready_at = os.first_ready = js.arrival = t;
 
   // Host kernels were decoded, renamed and AT-registered at IRQ time;
-  // submitted ops are decoded here, on every attempt.
-  const bool predecoded = os.decoded != nullptr;
-  crt::KernelOp op;
-  if (predecoded) {
-    op = std::move(*os.decoded);
-    os.decoded.reset();
-  } else {
-    op = make_kernel_op(spec);
+  // submitted ops are decoded here, on every attempt: a fresh uid, and the
+  // AT entries are registered again below.
+  const bool predecoded = os.predecoded;
+  os.predecoded = false;
+  if (!predecoded) {
     op.uid = ctx_->next_uid++;
+    op.src_at_count = 0;
   }
-  // Ops dispatch exactly once per attempt; a retry re-planned the spec
-  // into os.plan before requeueing (requeue_op).
-  crt::Plan plan = std::move(os.plan);
 
   // Failover accounting: a retry attempt landing on a different instance
   // than the failed one is a failover.
@@ -514,8 +498,7 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
         "sched.watchdog");
   }
 
-  execs_[inst]->launch(std::move(op), std::move(plan), vpus, t,
-                       verdict == fault::OpVerdict::kHang);
+  execs_[inst]->launch(op, plan, vpus, t, verdict == fault::OpVerdict::kHang);
 }
 
 void Scheduler::release_at(const crt::KernelOp& op, bool elided_writeback) {
@@ -526,7 +509,7 @@ void Scheduler::release_at(const crt::KernelOp& op, bool elided_writeback) {
 }
 
 void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
-                                 crt::FinishedKernel fin, Cycle t) {
+                                 const crt::FinishedKernel& fin, Cycle t) {
   const unsigned inst = ex.id();
   ARCANE_ASSERT(inflight_[inst].valid, "finish on an idle instance");
   const InFlight fl = std::move(inflight_[inst]);
@@ -599,7 +582,7 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
     ot.dispatch = fl.dispatch_at;
     ot.finish = t;
     ot.breakdown = bd;
-    ot.deps = os.spec.deps;
+    ot.deps = os.deps;
     ot.dropped_job = js.dropped;
     op_log_->record(std::move(ot));
   }
@@ -721,12 +704,12 @@ void Scheduler::abort_hung_inflight(unsigned inst, Cycle t) {
   // lines or ran DMA; release what it held so a retry re-registers
   // cleanly (idempotent re-dispatch). No line can be its own outside its
   // VPUs' registers.
-  const crt::KernelOp op = execs_[inst]->abort_hung();
-  release_at(op, /*elided_writeback=*/false);
-  ctx_->llc->release_kernel_lines(op.uid, fl.vpus, cfg_->llc.vpu.num_vregs);
-  counters_.instance_occupied[inst] += t - fl.dispatch_at;
+  execs_[inst]->abort_hung();
   JobState& js = jobs_[fl.job];
   OpState& os = js.ops[fl.op];
+  release_at(os.op, /*elided_writeback=*/false);
+  ctx_->llc->release_kernel_lines(os.op.uid, fl.vpus, cfg_->llc.vpu.num_vregs);
+  counters_.instance_occupied[inst] += t - fl.dispatch_at;
   // Attempt accounting: the pre-dispatch buckets are real work; the hung
   // window [launch, abort] is failure-handling time, charged to
   // retry_backoff so the telescoping invariant spans the abort.
@@ -783,13 +766,8 @@ void Scheduler::requeue_op(std::uint32_t job_idx, unsigned op_idx,
     return;
   }
   OpState& os = js.ops[op_idx];
-  // Idempotent re-dispatch: re-plan from the immutable spec (the planner
-  // is a pure function of spec + cfg); AT registration and operand reload
-  // re-run inside dispatch exactly like a first attempt.
-  const crt::KernelInfo* info = rt_->library().find(os.spec.func5);
-  ARCANE_ASSERT(info != nullptr, "kernel missing from the library on retry");
-  os.plan = info->planner->plan(make_kernel_op(os.spec), *cfg_);
-  ARCANE_ASSERT(os.plan.ok(), "retry re-plan failed: " << os.plan.error);
+  // Idempotent re-dispatch with the kept plan: AT registration and operand
+  // reload re-run inside dispatch exactly like a first attempt.
   os.ready_at = t;
   os.hazard_marked = false;
   os.hazard_since = 0;
@@ -861,20 +839,20 @@ void Scheduler::on_instance_recover(unsigned inst, Cycle t) {
   try_dispatch(t);
 }
 
-bool Scheduler::conflicts(const OpSpec& spec) const {
+bool Scheduler::conflicts(const crt::KernelOp& op) const {
   for (const InFlight& fl : inflight_) {
-    if (fl.valid && specs_conflict(spec, jobs_[fl.job].ops[fl.op].spec)) {
+    if (fl.valid && ops_conflict(op, jobs_[fl.job].ops[fl.op].op)) {
       return true;
     }
   }
   return false;
 }
 
-std::uint64_t Scheduler::estimate_cost(const OpSpec& spec) const {
+std::uint64_t Scheduler::estimate_cost(const crt::KernelOp& op) const {
   // Footprint proxy: bytes the allocation + write-back DMA would move.
-  return static_cast<std::uint64_t>(spec.md.footprint(spec.et)) +
-         spec.ms1.footprint(spec.et) + spec.ms2.footprint(spec.et) +
-         spec.ms3.footprint(spec.et);
+  return static_cast<std::uint64_t>(op.md.footprint(op.et)) +
+         op.ms1.footprint(op.et) + op.ms2.footprint(op.et) +
+         op.ms3.footprint(op.et);
 }
 
 // ---------------------------- host instance ----------------------------
@@ -888,22 +866,23 @@ void Scheduler::add_instance() {
   counters_.instance_occupied.push_back(0);
 }
 
-void Scheduler::push_kernel(crt::KernelOp op, crt::Plan plan, Cycle done) {
+void Scheduler::push_kernel(const crt::KernelOp& op, const crt::Plan& plan,
+                            Cycle done) {
   if (!has_host()) {  // the first offload creates the host tenant + instance
     host_tenant_ = add_tenant("host");
     add_instance();
   }
-  JobSpec job;
-  job.ops.push_back(spec_of(op));
-  job.tag = op.uid;
   const std::uint32_t job_idx = free_job_slot();
   JobState& js = jobs_[job_idx];
-  js.dag.build(job);  // one op, no deps: always well-formed
+  js.dag.build_single();
   js.ops.resize(1);
-  js.ops[0] = OpState{};
-  js.ops[0].plan = plan;
-  js.ops[0].decoded = std::make_unique<crt::KernelOp>(std::move(op));
-  open_job(job_idx, host_tenant_, job, done);
+  OpState& os = js.ops[0];
+  os = OpState{};
+  os.op = op;
+  os.plan = plan;
+  os.predecoded = true;
+  open_job(job_idx, host_tenant_, done, /*deadline=*/0,
+           /*shed_on_expiry=*/false, /*tag=*/op.uid);
   op_ready(job_idx, 0, done);
   if (!inflight_[serving_].valid) {
     ctx_->events->schedule(done, [this] { try_dispatch(ctx_->events->now()); },
@@ -918,10 +897,10 @@ bool Scheduler::kernel_uses_matrix(std::uint16_t reg) const {
            op.f.ms3 == reg;
   };
   for (const ReadyEntry& e : queues_[serving_].entries()) {
-    if (uses(*jobs_[e.job].ops[e.op].decoded)) return true;
+    if (uses(jobs_[e.job].ops[e.op].op)) return true;
   }
-  const crt::KernelExecutor& ex = *execs_[serving_];
-  return ex.busy() && uses(ex.op());
+  const InFlight& fl = inflight_[serving_];
+  return fl.valid && uses(jobs_[fl.job].ops[fl.op].op);
 }
 
 bool Scheduler::group_held(unsigned inst) const {
@@ -1034,7 +1013,7 @@ bool Scheduler::allow_writeback_elision(const crt::KernelExecutor& ex,
   const ReadyEntry& e = queues_[serving_].entries().front();
   const OpState& os = jobs_[e.job].ops[e.op];
   if (os.plan.chain_count != 1) return false;
-  const crt::KernelOp& op = *os.decoded;
+  const crt::KernelOp& op = os.op;
   for (const crt::Operand* o : {&op.ms1, &op.ms2, &op.ms3}) {
     if (o->valid && o->addr == dest_lo &&
         o->addr + std::max<std::uint32_t>(o->footprint(op.et), 1u) ==

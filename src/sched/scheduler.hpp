@@ -38,6 +38,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/config.hpp"
@@ -208,7 +209,8 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// Park the kernel as a single-op job of the host tenant, now rather than
   /// through a `sched.arrive` event: the decoder's queue-depth wait and the
   /// full-elision lookahead read the queue at decode time.
-  void push_kernel(crt::KernelOp op, crt::Plan plan, Cycle done) override;
+  void push_kernel(const crt::KernelOp& op, const crt::Plan& plan,
+                   Cycle done) override;
   sim::OpStallBreakdown kernel_stalls() const override {
     return has_host() ? tenant_stall_[host_tenant_] : sim::OpStallBreakdown{};
   }
@@ -225,16 +227,24 @@ class Scheduler final : public crt::KernelExecutor::Client,
   void materialize_deferred(Addr lo, Addr hi) override;
   bool allow_writeback_elision(const crt::KernelExecutor& ex, Addr dest_lo,
                                Addr dest_hi) override;
-  void on_kernel_finish(crt::KernelExecutor& ex, crt::FinishedKernel fin,
-                        Cycle t) override;
+  void on_kernel_finish(crt::KernelExecutor& ex,
+                        const crt::FinishedKernel& fin, Cycle t) override;
 
  private:
+  /// One kernel op's only home, from submit (or the bridge decoder's push)
+  /// until its job's slot is reused. The executor borrows `op` and `plan`
+  /// from here while the op is in flight: a slot's op table is resized only
+  /// when a completed job's slot is reused, a shed or failed job never
+  /// frees its slot, and growing jobs_ moves each table's buffer intact.
   struct OpState {
-    OpSpec spec;
-    crt::Plan plan;  // validated at submit, consumed by dispatch
-    /// Host kernels only: decoded, renamed and AT-registered by the bridge
-    /// decoder, consumed by dispatch.
-    std::unique_ptr<crt::KernelOp> decoded;
+    /// The decoded op the hazard checks, the cost estimate and the executor
+    /// read; dispatch refreshes its per-attempt uid and AT entries.
+    crt::KernelOp op;
+    crt::Plan plan;              // validated at submit or decode
+    std::vector<unsigned> deps;  // op indices within the same job
+    /// Decoded, renamed and AT-registered by the bridge decoder: the first
+    /// dispatch skips decode; a retry decodes again like a submitted op.
+    bool predecoded = false;
     Cycle ready_at = 0;
     /// First cycle a dispatch scan held this op back for a hazard (an
     /// in-flight or older-queued conflicting op). Cycles before that count
@@ -267,6 +277,8 @@ class Scheduler final : public crt::KernelExecutor::Client,
     std::vector<OpState> ops;
     DagState dag;
   };
+  // Growing jobs_ must move op tables, not copy them: executors borrow ops.
+  static_assert(std::is_nothrow_move_constructible_v<JobState>);
   /// What an instance is currently executing (for hazard checks and the
   /// uid -> op mapping at completion).
   struct InFlight {
@@ -308,11 +320,10 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// The job slot the next submit builds into: the most recently freed
   /// one, else a new one. It stays free until open_job takes it.
   std::uint32_t free_job_slot();
-  /// Open the job built in slot `job_idx` (free_job_slot()), whose DAG was
-  /// built into its `dag` and whose ops were planned into `ops[i].plan`:
-  /// the specs move from `job`, the other fields are reset here.
-  void open_job(std::uint32_t job_idx, unsigned tenant, JobSpec& job,
-                Cycle arrival);
+  /// Open the job built in slot `job_idx` (free_job_slot()), whose DAG
+  /// and op table the caller filled: the other fields are reset here.
+  void open_job(std::uint32_t job_idx, unsigned tenant, Cycle arrival,
+                Cycle deadline, bool shed_on_expiry, std::uint64_t tag);
   void arrive(std::uint32_t job_idx, Cycle t);
   void op_ready(std::uint32_t job_idx, unsigned op_idx, Cycle t);
   /// Append a ready entry for the op to instance `inst`'s queue.
@@ -359,9 +370,9 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// Write an elided (never materialized) resident back to memory and
   /// release its deferred AT entry.
   void materialize(Resident& r);
-  /// An in-flight op's ranges overlap `spec`'s (WAW, WAR or RAW).
-  bool conflicts(const OpSpec& spec) const;
-  std::uint64_t estimate_cost(const OpSpec& spec) const;
+  /// An in-flight op's ranges overlap `op`'s (WAW, WAR or RAW).
+  bool conflicts(const crt::KernelOp& op) const;
+  std::uint64_t estimate_cost(const crt::KernelOp& op) const;
   // ------------------- failure handling (src/fault/) -------------------
   /// Least-loaded healthy instance to park a ready op on (ties → lowest
   /// index). `avoid` >= 0 is skipped when another healthy instance exists
@@ -382,8 +393,9 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// a retry (backoff + requeue) or fail the job on exhaustion.
   void handle_op_failure(unsigned inst, std::uint32_t job_idx,
                          unsigned op_idx, Cycle t);
-  /// Re-admit a failed op to a ready queue: re-plan from the spec
-  /// (idempotent — AT registration and operand reload re-run at dispatch).
+  /// Re-admit a failed op to a ready queue with the plan it kept (the
+  /// planner is pure); AT registration and operand reload re-run at
+  /// dispatch, so the re-dispatch is idempotent.
   void requeue_op(std::uint32_t job_idx, unsigned op_idx, unsigned prev_inst,
                   Cycle t);
   /// Record an op outcome for `inst`'s health; `ok` resets the
@@ -431,10 +443,10 @@ class Scheduler final : public crt::KernelExecutor::Client,
   std::function<void(const JobReport&)> on_job_done_;
   sim::SchedCounters counters_;
 
-  /// try_dispatch's flattened (seq, spec) view of every queued entry for
+  /// try_dispatch's flattened (seq, op) view of every queued entry for
   /// the older-conflict eligibility check — reused across scans so the
   /// dispatch hot path stays allocation-free.
-  std::vector<std::pair<std::uint64_t, const OpSpec*>> queued_scratch_;
+  std::vector<std::pair<std::uint64_t, const crt::KernelOp*>> queued_scratch_;
 
   unsigned rr_last_ = 0;        // tenant served last (round-robin policy)
   std::uint64_t next_job_id_ = 1;

@@ -6,7 +6,9 @@
 //    write-back, every builtin planner) allocates nothing, also when its
 //    tiles cycle through more programs than the executor keeps prepared;
 //  * submitting and draining pipeline jobs on a warm scheduler allocates
-//    within the bound stated at kPerJobAllocs.
+//    within the bound stated at kPerJobAllocs;
+//  * a kernel the host program offloads through the bridge allocates
+//    nothing on a warm System.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include <new>
 #include <vector>
 
+#include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
 #include "crt/executor.hpp"
 #include "isa/xmnmc.hpp"
@@ -36,8 +39,12 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC's -Wmismatched-new-delete would otherwise see free()
+// called on memory from operator new wherever both land in one function.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace arcane {
 namespace {
@@ -114,20 +121,17 @@ TEST(AllocSteadyStateTest, TileSteppingOnAWarmExecutorAllocatesNothing) {
   }
 
   // Run every kernel once; return the allocations made from launch to
-  // finish. The op and plan copies are made before the window opens.
+  // finish. The op copy is made before the window opens.
   const std::vector<unsigned> vpu0 = {0};
   auto run_all_kernels = [&] {
     std::uint64_t allocs = 0;
     for (std::size_t k = 0; k < ops.size(); ++k) {
       crt::KernelOp op = ops[k];
       op.uid = ctx.next_uid++;
-      crt::Plan plan = plans[k];
-      std::vector<unsigned> vpus = vpu0;
       const unsigned before = client.finished;
       ctx.ecpu_free = std::max(ctx.ecpu_free, sys.events().now());
       const AllocCounter window;
-      ex.launch(std::move(op), std::move(plan), std::move(vpus),
-                sys.events().now());
+      ex.launch(op, plans[k], vpu0, sys.events().now());
       sys.events().run_all();
       allocs += window.count();
       EXPECT_EQ(client.finished, before + 1);
@@ -185,14 +189,11 @@ TEST(AllocSteadyStateTest, CyclingMoreProgramsThanTheCacheHoldsAllocatesNothing)
   auto run_kernel = [&] {
     crt::KernelOp o = op;
     o.uid = ctx.next_uid++;
-    crt::Plan p = plan;
-    std::vector<unsigned> vpus = vpu0;
     const unsigned before = client.finished;
     const std::uint64_t prepared = ctx.phases.programs_prepared;
     ctx.ecpu_free = std::max(ctx.ecpu_free, sys.events().now());
     const AllocCounter window;
-    ex.launch(std::move(o), std::move(p), std::move(vpus),
-              sys.events().now());
+    ex.launch(o, plan, vpu0, sys.events().now());
     sys.events().run_all();
     const std::uint64_t allocs = window.count();
     EXPECT_EQ(client.finished, before + 1);
@@ -251,6 +252,67 @@ TEST(AllocSteadyStateTest, PipelineJobsAllocateOnlyPerJobState) {
   EXPECT_EQ(sch.stats().jobs_completed, 2u * kJobs);
   EXPECT_LE(allocs, kJobs * kPerJobAllocs)
       << allocs / static_cast<double>(kJobs) << " allocations per job";
+}
+
+// The bridge path: the decoder's op and plan go straight into the host
+// instance's op slot, where the executor borrows them, so once a System is
+// warm, offloading twice the kernels allocates no more.
+TEST(AllocSteadyStateTest, OffloadedKernelsAllocateNothingPerKernel) {
+  constexpr unsigned kKernels = 16;
+  constexpr std::int32_t kSpin = 60000;
+  System sys(SystemConfig::paper(4));
+  warm_event_queue(sys.events());
+  const Addr src = sys.data_base() + 0x10000;
+  const Addr dst = src + 0x1000;
+  const MatShape shape{8, 8, 8};
+  // One straight-line host program after a spin loop that takes the host's
+  // clock (which starts at 0) past the warmed event queue: a warm-up
+  // section of 2 kKernels offloads, then kKernels, then 2 kKernels, each
+  // ended by a read of the destination that waits for its last kernel.
+  // ends[s] is the number of instructions executed through section s.
+  XProgram prog;
+  isa::Assembler& a = prog.a();
+  a.li(isa::Reg::kT3, kSpin);
+  const isa::Assembler::Label spin = a.here();
+  a.addi(isa::Reg::kT3, isa::Reg::kT3, -1);
+  a.bnez(isa::Reg::kT3, spin);
+  const std::uint64_t spun = 2 * (kSpin - 1);  // iterations past the first
+  prog.xmr(0, src, shape, ElemType::kWord);
+  prog.xmr(1, dst, shape, ElemType::kWord);
+  std::vector<std::uint64_t> ends;
+  for (unsigned kernels : {2 * kKernels, kKernels, 2 * kKernels}) {
+    for (unsigned k = 0; k < kernels; ++k) {
+      prog.leaky_relu(1, 0, 1, ElemType::kWord);
+    }
+    prog.sync_read(dst);
+    ends.push_back(a.pc() / 4 + spun);
+  }
+  prog.halt();
+  sys.load_program(prog.finish());
+
+  // Run the host program through section `s`; returns the allocations of
+  // that stretch, less the reallocations of the scheduler's outcome log,
+  // which keeps every job's report.
+  const sched::Scheduler& sch = sys.scheduler();
+  auto run_section = [&](std::size_t s) {
+    const std::uint64_t insns = ends[s] - sys.host().stats().instructions;
+    const std::size_t resolved = sch.outcomes().size();
+    const std::size_t log_room = sch.outcomes().capacity();
+    const AllocCounter window;
+    const auto res = sys.host().run(insns);
+    const std::uint64_t allocs = window.count();
+    EXPECT_EQ(res.reason, cpu::HaltReason::kMaxInstructions);
+    EXPECT_EQ(sch.outcomes().size() - resolved,
+              s == 1 ? kKernels : 2 * kKernels);
+    return allocs - (sch.outcomes().capacity() != log_room ? 1 : 0);
+  };
+
+  run_section(0);  // warm-up: host tenant, instance, slots and queues
+  const std::uint64_t once = run_section(1);
+  const std::uint64_t twice = run_section(2);
+  EXPECT_EQ(twice, once) << "per extra offloaded kernel: "
+                         << (static_cast<double>(twice) - once) / kKernels;
+  sys.run();
 }
 
 }  // namespace

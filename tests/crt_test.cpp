@@ -361,7 +361,7 @@ struct ExecRig {
     op.uid = ctx.next_uid++;
     ctx.ecpu_free = std::max(ctx.ecpu_free, sys.events().now());
     const unsigned vpu0[] = {0};
-    ex->launch(std::move(op), std::move(plan), vpu0, sys.events().now());
+    ex->launch(op, plan, vpu0, sys.events().now());
     sys.events().run_all();
     EXPECT_FALSE(ex->busy());
     return client.finish;

@@ -1,4 +1,4 @@
-#include "isa/disasm.hpp"
+#include "disasm.hpp"
 
 #include <sstream>
 

@@ -1,7 +1,7 @@
-// Disassembler — human-readable rendering of decoded instructions, used by
-// traces, error messages and tests.
-#ifndef ARCANE_ISA_DISASM_HPP_
-#define ARCANE_ISA_DISASM_HPP_
+// Disassembler — human-readable rendering of decoded instructions, the
+// reference isa_encode_decode_test checks encodings against.
+#ifndef ARCANE_TESTS_DISASM_HPP_
+#define ARCANE_TESTS_DISASM_HPP_
 
 #include <string>
 
@@ -15,4 +15,4 @@ std::string disassemble(const DecodedInst& inst, Addr pc = 0);
 
 }  // namespace arcane::isa
 
-#endif  // ARCANE_ISA_DISASM_HPP_
+#endif  // ARCANE_TESTS_DISASM_HPP_

@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "isa/decode.hpp"
-#include "isa/disasm.hpp"
 #include "isa/encode.hpp"
 #include "isa/rv32.hpp"
+
+#include "disasm.hpp"
 
 namespace arcane::isa {
 namespace {

@@ -287,7 +287,10 @@ TEST(SchedOrderingTest, ConflictingJobsExecuteInReadyOrder) {
 // One offload path: a host program offloading through the bridge while
 // tenant jobs are in flight on the same System finishes both. The host
 // instance spans every VPU, so its kernel waits until no serving instance
-// holds one, instead of racing them for lines and operand ranges.
+// holds one, instead of racing them for lines and operand ranges. The first
+// offload creates the host tenant, its job slot and its instance while
+// serving kernels are in flight: the job and instance tables grow under
+// executors that borrow their ops from those job slots.
 TEST(SchedMixedPathTest, HostOffloadsAndTenantJobsFinishTogether) {
   System sys(sched_config(MemBackendKind::kBurstPsram, 4));
   auto& sch = sys.scheduler();
@@ -317,6 +320,15 @@ TEST(SchedMixedPathTest, HostOffloadsAndTenantJobsFinishTogether) {
   prog.sync_read(out);
   prog.halt();
   sys.load_program(prog.finish());
+  // Dispatch the jobs due at cycle 0 first: the bridge decodes an offload
+  // without running the events due before it.
+  sys.events().run_until(0);
+  while (sch.num_tenants() == 1) {  // step the host to its first offload
+    ASSERT_EQ(sys.host().run(1).reason, cpu::HaltReason::kMaxInstructions);
+  }
+  const sim::SchedStats at_offload = sch.stats();
+  EXPECT_GT(at_offload.ops_dispatched, at_offload.ops_completed)
+      << "no serving kernel in flight at the first offload";
   sys.run();
 
   // The host tenant is created on the first offload, after tenant "t".

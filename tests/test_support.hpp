@@ -57,7 +57,7 @@ class PlainClient final : public crt::KernelExecutor::Client {
                                Addr) override {
     return false;
   }
-  void on_kernel_finish(crt::KernelExecutor&, crt::FinishedKernel fin,
+  void on_kernel_finish(crt::KernelExecutor&, const crt::FinishedKernel& fin,
                         Cycle t) override {
     release_kernel_lines_everywhere(*llc_, cfg_, fin.op.uid);
     ++finished;
