@@ -398,6 +398,52 @@ void BM_EventQueueMixedHorizon(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueMixedHorizon);
 
+/// Kernel-phase traffic as serve-pipeline makes it (seed 1): of all
+/// events, 7% land under 256 cycles ahead, 84% 256-4,095, 2% 4,096-65,535
+/// and 6% further. Here 16 phase chains each schedule their next phase at a
+/// distance from the first three bands, and 64 arrivals, parked beyond the
+/// wheel's horizon as perfbench's generator leaves them, each re-park
+/// themselves when they run; the queue drains one span at a time.
+class KernelPhaseMix {
+ public:
+  explicit KernelPhaseMix(sim::EventQueue& q) : q_(q) {
+    for (int i = 0; i < 64; ++i) arrival();
+    for (int i = 0; i < 16; ++i) phase();
+  }
+
+ private:
+  std::uint64_t draw() {
+    rng_ = rng_ * 6364136223846793005ull + 1442695040888963407ull;
+    return rng_ >> 33;
+  }
+  void phase() {
+    const std::uint64_t r = draw();
+    const std::uint64_t band = r % 1000, x = r / 1000;
+    const Cycle d = band < 79    ? x % 256
+                    : band < 976 ? 256 + x % 3840
+                                 : 4096 + x % 61440;
+    q_.schedule(q_.now() + d, [this] { phase(); });
+  }
+  void arrival() {
+    q_.schedule(q_.now() + sim::EventQueue::kHorizon + draw() % 200000,
+                [this] { arrival(); });
+  }
+
+  sim::EventQueue& q_;
+  std::uint64_t rng_ = 1;
+};
+
+void BM_EventQueueKernelPhases(benchmark::State& state) {
+  sim::EventQueue q;
+  KernelPhaseMix mix(q);
+  q.run_until(1 << 20);  // warm: the slab and the key heap at their peak
+  const std::uint64_t executed_before = q.executed();
+  for (auto _ : state) q.run_until(q.now() + sim::EventQueue::kSlots);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(q.executed() - executed_before));
+}
+BENCHMARK(BM_EventQueueKernelPhases);
+
 // ---- kernel-offload scheduler hot path (src/sched/) ----
 
 /// Ready-queue push + policy pick + take, per dispatch policy.

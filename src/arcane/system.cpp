@@ -55,7 +55,7 @@ void System::load_program(const std::vector<std::uint32_t>& words) {
 void System::load_program(const std::vector<std::uint32_t>& words, Addr base) {
   imem_->load(base, words);
   host_->invalidate_decode_cache();
-  host_->reset(base, stack_top());
+  host_->reset(base, stack_top(), events_.now());
 }
 
 cpu::HostCpu::RunResult System::run(std::uint64_t max_instructions) {

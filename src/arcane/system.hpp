@@ -52,8 +52,9 @@ class System final : public cpu::DataPort {
 
   // ------------------------- program control -------------------------
   /// Load a host program (defaults to the instruction-memory base) and
-  /// reset the CPU with pc at its first word and sp at the top of the data
-  /// region.
+  /// reset the CPU with pc at its first word, sp at the top of the data
+  /// region and its clock at the event queue's time, so a program loaded
+  /// after earlier events (or an earlier program) runs from `now()` on.
   void load_program(const std::vector<std::uint32_t>& words);
   void load_program(const std::vector<std::uint32_t>& words, Addr base);
 

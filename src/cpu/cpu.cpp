@@ -51,12 +51,12 @@ void HostCpu::invalidate_decode_cache() {
   }
 }
 
-void HostCpu::reset(Addr pc, Addr sp) {
+void HostCpu::reset(Addr pc, Addr sp, Cycle start) {
   regs_.fill(0);
   regs_[reg_index(isa::Reg::kSp)] = sp;
   ARCANE_CHECK(pc % 2 == 0, "reset pc must be halfword aligned");
   pc_ = pc;
-  time_ = 0;
+  time_ = start;
   hwloop_ = {};
   stats_ = {};
 }

@@ -67,12 +67,13 @@ class HostCpu {
   HostCpu(const SystemConfig& cfg, mem::InstructionMemory& imem,
           DataPort& port, Coprocessor* copro = nullptr);
 
-  /// Reset architectural state and start executing at `pc` with stack `sp`.
-  void reset(Addr pc, Addr sp);
+  /// Reset architectural state and start executing at `pc` with stack `sp`,
+  /// with the local clock at cycle `start`.
+  void reset(Addr pc, Addr sp, Cycle start = 0);
 
   struct RunResult {
     HaltReason reason = HaltReason::kNone;
-    Cycle cycles = 0;           // total elapsed (== time() at halt)
+    Cycle cycles = 0;           // time() at halt (elapsed, from a 0 start)
     std::uint64_t instructions = 0;
     std::uint32_t exit_code = 0;  // a0 at ecall
     Addr pc = 0;                // faulting / final pc

@@ -8,7 +8,9 @@
 //  * submitting and draining pipeline jobs on a warm scheduler allocates
 //    within the bound stated at kPerJobAllocs;
 //  * a kernel the host program offloads through the bridge allocates
-//    nothing on a warm System.
+//    nothing on a warm System;
+//  * a warm event queue replaying serve-pipeline's schedule distances,
+//    through all three levels of its timing wheel, allocates nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,9 +61,10 @@ class AllocCounter {
   std::uint64_t start_;
 };
 
-/// The calendar's 256 buckets, the far-event heap and its slab grow on
-/// first use. Give every bucket room for a few same-cycle events and park
-/// some far events, so the measurements below see only the kernel path.
+/// The event queue's node slab and its far-event key heap grow on first
+/// use. Fill the slab with a few same-cycle events for every cycle of a
+/// span and park some far events, so the measurements below see only the
+/// kernel path.
 void warm_event_queue(sim::EventQueue& q) {
   const Cycle now = q.now();
   for (Cycle c = 0; c < 256; ++c) {
@@ -315,5 +318,63 @@ TEST(AllocSteadyStateTest, OffloadedKernelsAllocateNothingPerKernel) {
   sys.run();
 }
 
+
+/// serve-pipeline's schedule distances (seed 1), event by event: 7% under
+/// 256 cycles ahead, 84% 256-4,095, 2% 4,096-65,535 and 6% beyond the
+/// wheel's horizon. 16 phase chains each schedule their next phase, and 64
+/// arrivals parked beyond the horizon each re-park themselves, until
+/// `budget` events have been scheduled.
+class ServeDistanceMix {
+ public:
+  ServeDistanceMix(sim::EventQueue& q, unsigned budget)
+      : q_(q), left_(budget) {
+    for (int i = 0; i < 64; ++i) arrival();
+    for (int i = 0; i < 16; ++i) phase();
+  }
+
+ private:
+  std::uint64_t draw() {
+    rng_ = rng_ * 6364136223846793005ull + 1442695040888963407ull;
+    return rng_ >> 33;
+  }
+  void phase() {
+    if (left_ == 0) return;
+    --left_;
+    const std::uint64_t r = draw();
+    const std::uint64_t band = r % 1000, x = r / 1000;
+    const Cycle d = band < 79    ? x % 256
+                    : band < 976 ? 256 + x % 3840
+                                 : 4096 + x % 61440;
+    q_.schedule(q_.now() + d, [this] { phase(); });
+  }
+  void arrival() {
+    if (left_ == 0) return;
+    --left_;
+    q_.schedule(q_.now() + sim::EventQueue::kHorizon + draw() % 200000,
+                [this] { arrival(); });
+  }
+
+  sim::EventQueue& q_;
+  unsigned left_;
+  std::uint64_t rng_ = 1;
+};
+
+// Once its slab and key heap have seen the peak, a queue replaying serve's
+// distance mix through all three levels allocates nothing.
+TEST(AllocSteadyStateTest, EventQueueReplayingServesDistanceMixAllocatesNothing) {
+  constexpr unsigned kEvents = 20000;
+  sim::EventQueue q;
+  {
+    ServeDistanceMix warm(q, kEvents);
+    q.run_all();
+  }
+  const std::uint64_t executed_before = q.executed();
+  const AllocCounter allocs;
+  ServeDistanceMix mix(q, kEvents);
+  EXPECT_EQ(q.beyond_horizon(), 64u);
+  q.run_all();
+  EXPECT_EQ(allocs.count(), 0u);
+  EXPECT_EQ(q.executed() - executed_before, kEvents);
+}
 }  // namespace
 }  // namespace arcane

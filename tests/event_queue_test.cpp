@@ -265,14 +265,15 @@ struct StressTrace {
   std::vector<std::pair<std::uint64_t, Cycle>> ran;  // (event id, now)
   std::vector<std::pair<Cycle, std::size_t>> steps;  // (now, pending)
   std::uint64_t far_scheduled = 0;
+  std::uint64_t beyond_horizon_scheduled = 0;  // >= kHorizon ahead
   std::size_t peak_pending = 0;
 };
 
 /// Replay the seeded workload on `Queue`. The sequence of external
 /// schedule and run calls comes from `seed`; event k (the k-th scheduled)
 /// spawns up to two children as a pure function of (seed, k) while the
-/// event budget lasts.
-template <typename Queue>
+/// event budget lasts. `Pick` maps a random word to a schedule distance.
+template <typename Queue, Cycle (*Pick)(std::uint64_t) = pick_delta>
 StressTrace replay_stress(std::uint64_t seed) {
   constexpr std::uint64_t kBudget = 20000;
   Queue q;
@@ -280,6 +281,7 @@ StressTrace replay_stress(std::uint64_t seed) {
   std::uint64_t scheduled = 0;
   auto schedule = [&](Cycle when) {
     if (when >= q.now() + 256) ++tr.far_scheduled;
+    if (when >= q.now() + EventQueue::kHorizon) ++tr.beyond_horizon_scheduled;
     q.schedule(when, scheduled++);
     tr.peak_pending = std::max(tr.peak_pending, q.pending());
   };
@@ -287,7 +289,7 @@ StressTrace replay_stress(std::uint64_t seed) {
     tr.ran.emplace_back(k, q.now());
     const std::uint64_t h = splitmix64(seed ^ (k * 0x100000001B3ull));
     for (unsigned i = 0; i < h % 3 && scheduled < kBudget; ++i) {
-      schedule(q.now() + pick_delta(splitmix64(h + i)));
+      schedule(q.now() + Pick(splitmix64(h + i)));
     }
   };
   std::uint64_t r = seed;
@@ -296,7 +298,7 @@ StressTrace replay_stress(std::uint64_t seed) {
     switch (r % 3) {
       case 0:
         for (unsigned i = 0; i <= (r >> 8) % 4 && scheduled < kBudget; ++i) {
-          schedule(q.now() + pick_delta(splitmix64(r + i)));
+          schedule(q.now() + Pick(splitmix64(r + i)));
         }
         break;
       case 1:
@@ -327,6 +329,190 @@ TEST(EventQueue, SeededStressMatchesPriorityQueueReference) {
     EXPECT_EQ(got.steps, want.steps) << "seed " << seed;
     EXPECT_EQ(got.ran.size(), 20000u) << "seed " << seed;
     EXPECT_GT(got.far_scheduled, 3 * got.peak_pending) << "seed " << seed;
+  }
+}
+
+// ---- the timing wheel's three levels ----
+
+/// at() schedules an event at `when` under the next id and records (when,
+/// id) in `expected` now and in `ran` once it runs; sort `expected` with
+/// sort_by_time() before comparing.
+struct OrderLog {
+  std::vector<std::pair<Cycle, int>> ran, expected;
+  int next_id = 0;
+
+  void at(EventQueue& q, Cycle when) {
+    expected.emplace_back(when, next_id);
+    q.schedule(when, [this, when, id = next_id] { ran.emplace_back(when, id); });
+    ++next_id;
+  }
+  void sort_by_time() {
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;  // stable = seq tie-break
+                     });
+  }
+};
+
+// The last cycle of a span and the first of the next, in the fine level,
+// the coarse level and past the horizon, scheduled in both orders.
+TEST(EventQueue, SpanBoundariesKeepGlobalOrder) {
+  EventQueue q;
+  OrderLog log;
+  q.schedule(100, [] {});
+  q.run_until(100);  // now lies mid-span
+  for (const Cycle k : {1u, 2u, 3u, 255u, 256u, 257u, 300u}) {
+    const Cycle edge = k * EventQueue::kSlots;
+    log.at(q, edge);
+    log.at(q, edge - 1);
+    log.at(q, edge);
+    log.at(q, edge - 1);
+  }
+  EXPECT_EQ(q.beyond_horizon(), 10u);  // 65,536 and later
+  log.sort_by_time();
+  q.run_all();
+  EXPECT_EQ(log.ran, log.expected);
+}
+
+// At a span's first cycle the wheel reaches exactly kHorizon cycles: 65,535
+// ahead is its last cycle, 65,536 and 65,537 ahead wait in the heap. From
+// mid-span all three are beyond it.
+TEST(EventQueue, HorizonEdgesPlaceAndOrder) {
+  static_assert(EventQueue::kHorizon == 65536);
+  EventQueue q;
+  OrderLog log;
+  for (const Cycle d : {65537u, 65536u, 65535u, 65536u, 65535u}) log.at(q, d);
+  EXPECT_EQ(q.beyond_horizon(), 3u);
+  log.sort_by_time();
+  q.run_all();
+  EXPECT_EQ(log.ran, log.expected);
+
+  EventQueue mid;
+  OrderLog mid_log;
+  mid.schedule(1000, [] {});
+  mid.run_until(1000);
+  for (const Cycle d : {65537u, 65536u, 65535u}) mid_log.at(mid, 1000 + d);
+  EXPECT_EQ(mid.beyond_horizon(), 3u);
+  // A quiet stretch moves the horizon past them; later schedules for the
+  // same cycles still run after them.
+  mid.run_until(2000);
+  for (const Cycle d : {65535u, 65537u}) mid_log.at(mid, 1000 + d);
+  EXPECT_EQ(mid.beyond_horizon(), 0u);
+  mid_log.sort_by_time();
+  mid.run_all();
+  EXPECT_EQ(mid_log.ran, mid_log.expected);
+}
+
+// A run_until that stops mid-span with the span's later events pending,
+// then schedules into the current span, the next one and past the horizon.
+TEST(EventQueue, RunUntilMidSpanThenScheduleEveryLevel) {
+  EventQueue q;
+  OrderLog log;
+  for (const Cycle c : {1030u, 1100u, 1040u, 1100u}) log.at(q, c);
+  q.run_until(1050);
+  ASSERT_EQ(log.ran.size(), 2u);
+  EXPECT_EQ(q.next_time(), 1100u);
+  for (const Cycle c : {1100u, 1050u, 1279u, 1280u, 1050u + 70000u, 1281u,
+                        1100u, 1050u + 65536u}) {
+    log.at(q, c);
+  }
+  EXPECT_EQ(q.beyond_horizon(), 2u);
+  log.sort_by_time();
+  q.run_all();
+  EXPECT_EQ(log.ran, log.expected);
+  EXPECT_EQ(q.now(), 1050u + 70000u);
+}
+
+// A quiet gap longer than the horizon: the first schedule after it moves
+// the wheel up to now, so near events land in the wheel, not the heap.
+TEST(EventQueue, QuietGapLongerThanTheHorizon) {
+  EventQueue q;
+  OrderLog log;
+  log.at(q, 1);
+  log.at(q, 10 * EventQueue::kHorizon);
+  q.run_until(3 * EventQueue::kHorizon + 17);
+  EXPECT_EQ(q.beyond_horizon(), 1u);
+  const Cycle now = q.now();
+  for (const Cycle d : {5u, 300u, 0u, 5u, 65000u}) log.at(q, now + d);
+  EXPECT_EQ(q.beyond_horizon(), 1u);
+  EXPECT_EQ(q.next_time(), now);
+  log.sort_by_time();
+  q.run_all();
+  EXPECT_EQ(log.ran, log.expected);
+}
+
+// An event parked beyond the horizon migrates as soon as its span enters
+// it, so a later schedule for the same cycle, which goes straight to the
+// coarse level, still runs after it.
+TEST(EventQueue, ParkedEventsPrecedeLaterCoarseSchedules) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(70000, [&] { order.push_back(0); });  // beyond the horizon
+  q.schedule(10000, [&] {
+    q.schedule(70000, [&] { order.push_back(1); });  // within it now
+  });
+  q.run_until(10000);
+  EXPECT_EQ(q.beyond_horizon(), 0u);
+  q.schedule(70000, [&] { order.push_back(2); });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// run_one through a coarse bucket's cascade: same-cycle events keep their
+// order, and an event scheduled for the cascaded cycle runs after them.
+TEST(EventQueue, RunOneAcrossACascade) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(600, [&] { order.push_back(0); });
+  q.schedule(520, [&] {
+    order.push_back(1);
+    q.schedule(600, [&] { order.push_back(4); });
+  });
+  q.schedule(600, [&] { order.push_back(2); });
+  q.schedule(70000, [&] { order.push_back(5); });
+  q.schedule(600, [&] { order.push_back(3); });
+  EXPECT_EQ(q.next_time(), 520u);
+  EXPECT_EQ(q.run_one(), 520u);
+  EXPECT_EQ(q.run_one(), 600u);
+  EXPECT_EQ(q.run_one(), 600u);
+  EXPECT_EQ(q.next_time(), 600u);
+  EXPECT_EQ(q.run_one(), 600u);
+  EXPECT_EQ(q.run_one(), 600u);
+  EXPECT_EQ(q.next_time(), 70000u);
+  EXPECT_EQ(q.run_one(), 70000u);
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3, 4, 5}));
+  EXPECT_TRUE(q.empty());
+}
+
+/// The pick_delta mix widened past the horizon: the fine level, kernel
+/// phases of 256-4,095 cycles, the rest of the coarse level, both sides of
+/// the horizon, and far beyond it.
+Cycle pick_wide_delta(std::uint64_t r) {
+  const std::uint64_t x = r >> 8;
+  switch (r % 16) {
+    case 0: return 0;
+    case 1: return x % 256;
+    case 2: return 255 + x % 2;
+    case 3: case 4: case 5: case 6: case 7: case 8: case 9:
+      return 256 + x % 3840;
+    case 10: return 4096 + x % 61440;
+    case 11: return EventQueue::kHorizon - 2 + x % 5;
+    default: return EventQueue::kHorizon + x % 400000;
+  }
+}
+
+// The seeded stress of SeededStressMatchesPriorityQueueReference with
+// distances that reach every level: a sixth of them lie beyond the
+// horizon, so events park in the heap, migrate into the coarse level and
+// cascade into the fine level while the script keeps scheduling.
+TEST(EventQueue, SeededStressAcrossAllLevelsMatchesReference) {
+  for (const std::uint64_t seed : {1ull, 2ull, 7ull, 1013ull}) {
+    const StressTrace got = replay_stress<CalendarQueue, pick_wide_delta>(seed);
+    const StressTrace want = replay_stress<ReferenceQueue, pick_wide_delta>(seed);
+    EXPECT_EQ(got.ran, want.ran) << "seed " << seed;
+    EXPECT_EQ(got.steps, want.steps) << "seed " << seed;
+    EXPECT_EQ(got.ran.size(), 20000u) << "seed " << seed;
+    EXPECT_GT(got.beyond_horizon_scheduled, 2000u) << "seed " << seed;
   }
 }
 

@@ -222,5 +222,49 @@ TEST(SystemTest, DrainSettlesAsyncKernels) {
             0u);
 }
 
+
+/// Runs a small GeMM program on `sys`, checks its result and returns the
+/// host cycle it halted at.
+Cycle run_small_gemm(System& sys) {
+  workloads::Rng rng(7);
+  auto A = workloads::Matrix<std::int32_t>::random(4, 5, rng, -100, 100);
+  auto B = workloads::Matrix<std::int32_t>::random(5, 6, rng, -100, 100);
+  auto C = workloads::Matrix<std::int32_t>::random(4, 6, rng, -100, 100);
+  const Addr a = sys.data_base() + 0x1000;
+  const Addr b = sys.data_base() + 0x2000;
+  const Addr c = sys.data_base() + 0x3000;
+  const Addr d = sys.data_base() + 0x4000;
+  workloads::store_matrix(sys, a, A);
+  workloads::store_matrix(sys, b, B);
+  workloads::store_matrix(sys, c, C);
+  XProgram prog;
+  prog.xmr(0, a, A.shape(), ElemType::kWord);
+  prog.xmr(1, b, B.shape(), ElemType::kWord);
+  prog.xmr(2, c, C.shape(), ElemType::kWord);
+  prog.xmr(3, d, MatShape{4, 6, 6}, ElemType::kWord);
+  prog.gemm(3, 0, 1, 2, /*alpha=*/3, /*beta=*/-2, ElemType::kWord);
+  prog.sync_read(d);
+  prog.halt();
+  sys.load_program(prog.finish());
+  const Cycle halted = sys.run().cycles;
+  EXPECT_EQ(workloads::count_mismatches(
+                workloads::load_matrix<std::int32_t>(sys, d, 4, 6),
+                workloads::golden_gemm(A, B, C, 3, -2)),
+            0u);
+  return halted;
+}
+
+// A program loaded after the event queue has run ahead starts at the
+// queue's time: its offloads schedule from there, and it takes exactly as
+// many cycles as on a fresh System.
+TEST(SystemTest, ProgramLoadedAfterEventsStartsAtQueueTime) {
+  System fresh(SystemConfig::paper(4));
+  const Cycle cycles = run_small_gemm(fresh);
+
+  System sys(SystemConfig::paper(4));
+  sys.events().schedule(100000, [] {});
+  sys.events().run_all();
+  EXPECT_EQ(run_small_gemm(sys), 100000 + cycles);
+}
 }  // namespace
 }  // namespace arcane
