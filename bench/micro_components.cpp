@@ -70,24 +70,36 @@ void BM_IssAluLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_IssAluLoop)->Unit(benchmark::kMillisecond);
 
-/// The scalar conv's kx loop (two lb, mul, add, three addi, bnez), run 64
-/// taps at a time over two 64-byte rows: every load an LLC hit.
+/// The scalar conv's kx loop (two loads, mul, add, three addi, bnez), run
+/// 64 taps at a time over two 64-element rows: every load an LLC hit. The
+/// Arg is the element width in bytes: 1 loads with lb (the int8 conv's
+/// tap), 2 with lh, 4 with lw.
 void BM_IssConvTapLoop(benchmark::State& state) {
+  const auto width = static_cast<std::int32_t>(state.range(0));
   System sys(SystemConfig::paper(4));
   const auto data = static_cast<std::int32_t>(sys.data_base());
   Assembler a;
+  auto load = [&a, width](Reg rd, Reg rs1) {
+    if (width == 1) {
+      a.lb(rd, rs1, 0);
+    } else if (width == 2) {
+      a.lh(rd, rs1, 0);
+    } else {
+      a.lw(rd, rs1, 0);
+    }
+  };
   a.li(Reg::kS0, 1000);
   auto rows = a.here();
   a.li(Reg::kA1, data);
-  a.li(Reg::kA2, data + 64);
+  a.li(Reg::kA2, data + 64 * width);
   a.li(Reg::kT4, 64);
   auto kx = a.here();
-  a.lb(Reg::kA3, Reg::kA1, 0);
-  a.lb(Reg::kA4, Reg::kA2, 0);
+  load(Reg::kA3, Reg::kA1);
+  load(Reg::kA4, Reg::kA2);
   a.mul(Reg::kA3, Reg::kA3, Reg::kA4);
   a.add(Reg::kA0, Reg::kA0, Reg::kA3);
-  a.addi(Reg::kA1, Reg::kA1, 1);
-  a.addi(Reg::kA2, Reg::kA2, 1);
+  a.addi(Reg::kA1, Reg::kA1, width);
+  a.addi(Reg::kA2, Reg::kA2, width);
   a.addi(Reg::kT4, Reg::kT4, -1);
   a.bnez(Reg::kT4, kx);
   a.addi(Reg::kS0, Reg::kS0, -1);
@@ -95,7 +107,8 @@ void BM_IssConvTapLoop(benchmark::State& state) {
   a.ecall();
   run_iss_bench(state, sys, a.finish());
 }
-BENCHMARK(BM_IssConvTapLoop)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IssConvTapLoop)->Arg(1)->Arg(2)->Arg(4)->Unit(
+    benchmark::kMillisecond);
 
 /// The XCVPULP int8 k=7 conv window (fig4's shape): hardware loop 1 over 7
 /// rows around hardware loop 0 over 2 words, whose body is two cv.lw

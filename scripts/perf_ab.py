@@ -3,7 +3,7 @@
 
     scripts/perf_ab.py --parent <rev> --workload W [--workload W2 ...]
         --seed N [--seed N2 ...] --pairs N --seconds S --out FILE
-        [--work-dir DIR]
+        [--work-dir DIR] [--items]
 
 Exports <rev> with `git archive` into a temporary directory (or --work-dir,
 where a later run reuses the parent's build) and builds its perfbench there
@@ -25,6 +25,14 @@ every end-to-end metric of the run's JSON line plus `raw_best_pass_s` and
 `correct: false` or fails aborts the comparison. FILE also gets the text of
 `scripts/perfbench_layout.py <change binary> --against <parent binary>`.
 
+With --items, after the pairs of a workload and seed it makes one
+`--trace 1` run per side (parent first) and reads the host-time spans it
+writes to <build>/traces/<workload>-<seed>.json: FILE's `items` then gets,
+per "<workload>/seed<N>" and item index (perfbench's item order), each
+side's fastest `arcane.run` and `cpu.iss` span in microseconds and the
+change / parent ratio of each. A span an item never records (`cpu.iss` of
+an ARCANE item) is left out.
+
 `--self-test` checks the parser and the output shape on canned run output;
 it builds nothing and runs no perfbench.
 """
@@ -40,6 +48,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+ITEM_SPANS = ("arcane.run", "cpu.iss")
 SUMMARY = re.compile(r"best pass: ([0-9.eE+-]+) s in timed calls, raw; "
                      r"calibration fastest ([0-9.eE+-]+) ms")
 
@@ -61,6 +70,32 @@ def parse_run(stdout):
             values["calibration_fastest_ms"] = float(match.group(2))
             return values
     raise ValueError("no 'best pass' summary line")
+
+
+def item_spans(trace):
+    """Item index (str) -> {span name: fastest duration in us} over the
+    ITEM_SPANS of one perfbench Chrome trace; spans outside items (item
+    -1) are skipped."""
+    items = {}
+    for ev in trace["traceEvents"]:
+        item = ev["args"]["item"]
+        if ev["name"] not in ITEM_SPANS or item < 0:
+            continue
+        spans = items.setdefault(str(item), {})
+        spans[ev["name"]] = min(spans.get(ev["name"], ev["dur"]), ev["dur"])
+    return items
+
+
+def compare_items(parent, change):
+    """Per item and span: both sides' fastest span (us) and change/parent."""
+    out = {}
+    for item in sorted(parent, key=int):
+        out[item] = {}
+        for name, p in sorted(parent[item].items()):
+            c = change.get(item, {}).get(name)
+            out[item][name] = {"parent_us": p, "change_us": c,
+                               "ratio": c / p if c is not None and p else None}
+    return out
 
 
 def quartiles(xs):
@@ -108,6 +143,24 @@ def run_side(checkout, target_dir, workload, seed, seconds):
     except ValueError as e:
         sys.stdout.write(proc.stdout)
         raise SystemExit(f"perf_ab: {checkout}: {e}")
+
+
+def traced_items(checkout, target_dir, workload, seed, seconds):
+    """One `--trace 1` run; returns item_spans of the trace it writes."""
+    env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
+         "--workload", workload, "--seed", str(seed), "--seconds",
+         str(seconds), "--trace", "1"],
+        cwd=checkout, env=env, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.rstrip("\n").split("\n")
+    if (proc.returncode != 0 or not lines[-1].startswith("{")
+            or not json.loads(lines[-1]).get("correct")):
+        sys.stdout.write(proc.stdout)
+        raise SystemExit(f"perf_ab: traced run failed in {checkout}")
+    path = os.path.join(target_dir, "traces", f"{workload}-{seed}.json")
+    with open(path) as f:
+        return item_spans(json.load(f))
 
 
 def export_parent(rev, dest):
@@ -164,6 +217,30 @@ def self_test():
     assert jobs["parent_iqr"] == 102.5 - 97.5
     assert rec["metrics"]["sim_cycles"]["change_higher_pairs"] == 0
     json.dumps(rec)
+
+    def span(name, item, dur):
+        return {"name": name, "ph": "X", "pid": 1, "tid": 1, "ts": 0.0,
+                "dur": dur, "args": {"id": 1, "parent": 0, "item": item}}
+    trace = {"traceEvents": [
+        span("arcane.run", 0, 70.0), span("cpu.iss", 0, 60.0),
+        span("arcane.run", 0, 68.0), span("conv.item", 0, 90.0),
+        span("arcane.run", 1, 300.0), span("cpu.iss", 1, 250.0),
+        span("arcane.run", 1, 320.0), span("arcane.run", 2, 5.0),
+        span("arcane.run", -1, 1.0)]}
+    parent = item_spans(trace)
+    assert parent == {"0": {"arcane.run": 68.0, "cpu.iss": 60.0},
+                      "1": {"arcane.run": 300.0, "cpu.iss": 250.0},
+                      "2": {"arcane.run": 5.0}}, parent
+    change = {"0": {"arcane.run": 34.0, "cpu.iss": 60.0},
+              "1": {"arcane.run": 240.0, "cpu.iss": 200.0},
+              "2": {"arcane.run": 5.0}}
+    items = compare_items(parent, change)
+    assert items["0"]["arcane.run"] == {"parent_us": 68.0,
+                                        "change_us": 34.0, "ratio": 0.5}
+    assert items["1"]["cpu.iss"]["ratio"] == 0.8
+    assert items["2"] == {"arcane.run": {"parent_us": 5.0, "change_us": 5.0,
+                                         "ratio": 1.0}}
+    json.dumps(items)
     print("perf_ab self-test: ok")
     return 0
 
@@ -180,6 +257,9 @@ def main():
     ap.add_argument("--out", help="JSON file to write")
     ap.add_argument("--work-dir", help="where the parent is exported and "
                     "built (kept; default: a temporary directory)")
+    ap.add_argument("--items", action="store_true",
+                    help="after the pairs, one traced run per side: each "
+                    "item's fastest arcane.run and cpu.iss span")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
@@ -215,7 +295,18 @@ def main():
                       f"{pair['parent']['raw_best_pass_s']:.6f} s change "
                       f"{pair['change']['raw_best_pass_s']:.6f} s",
                       flush=True)
-            doc["end_to_end"][f"{workload}/seed{seed}"] = summarize(runs)
+            key = f"{workload}/seed{seed}"
+            doc["end_to_end"][key] = summarize(runs)
+            if args.items:
+                spans = {side: traced_items(*checkouts[side], workload,
+                                            seed, args.seconds)
+                         for side in SIDES}
+                doc.setdefault("items", {})[key] = compare_items(
+                    spans["parent"], spans["change"])
+                for item, by_name in doc["items"][key].items():
+                    print(f"{key} item {item}: " + ", ".join(
+                        f"{name} {v['parent_us']} -> {v['change_us']} us"
+                        for name, v in by_name.items()), flush=True)
 
     binary = {side: os.path.join(target, "perfbench", "perfbench")
               for side, (_, target) in checkouts.items()}

@@ -7,11 +7,11 @@ namespace arcane {
 
 RunReport make_report(System& sys, const cpu::HostCpu::RunResult& res) {
   RunReport r;
-  r.host_cycles = res.cycles;
+  r.host_cycles = res.cycles - res.start;  // the program's own length
   r.host_instructions = res.instructions;
-  r.host_ipc = res.cycles
+  r.host_ipc = r.host_cycles
                    ? static_cast<double>(res.instructions) /
-                         static_cast<double>(res.cycles)
+                         static_cast<double>(r.host_cycles)
                    : 0.0;
   r.host_stall_cycles = sys.host().stats().stall_cycles;
   r.offloads = sys.host().stats().offloads;
@@ -25,7 +25,8 @@ RunReport make_report(System& sys, const cpu::HostCpu::RunResult& res) {
     r.vpu_busy_cycles += vu.stats().busy_cycles;
   }
   const double hz = sys.config().clock_mhz * 1e6;
-  r.simulated_seconds = hz > 0 ? static_cast<double>(res.cycles) / hz : 0.0;
+  r.simulated_seconds =
+      hz > 0 ? static_cast<double>(r.host_cycles) / hz : 0.0;
   r.effective_gops =
       r.simulated_seconds > 0
           ? 2.0 * static_cast<double>(r.vpu_macs) / r.simulated_seconds / 1e9

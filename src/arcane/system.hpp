@@ -138,19 +138,30 @@ class System final : public cpu::DataPort {
 
   // ------------------------- cpu::DataPort ---------------------------
   // Forced inline, so that HostCpu::run_on<System> (run_unchecked) inlines
-  // the LLC's host-port hit path into its loads and stores.
+  // the LLC's host-port hit path into its loads and stores. The hit checks
+  // the data region once (Llc::host_port); every other access is routed
+  // here: into the data region through Llc::host_access, anything else to
+  // the MMIO window or a bus fault.
   [[gnu::always_inline]] Cycle read(Addr addr, unsigned bytes, void* out,
                                     Cycle now) override {
+    const Cycle hit =
+        llc_->host_port(addr, bytes, /*is_write=*/false, out, now);
+    if (hit != llc::Llc::kNoInlineHit) [[likely]] return hit;
     if (range_within(addr, bytes, cfg_.mem.data_base, cfg_.mem.data_bytes)) {
-      return llc_->host_port(addr, bytes, /*is_write=*/false, out, now);
+      return llc_->host_access(addr, bytes, /*is_write=*/false, out, now)
+          .complete_at;
     }
     return read_outside_data(addr, bytes, out, now);
   }
   [[gnu::always_inline]] Cycle write(Addr addr, unsigned bytes,
                                      const void* in, Cycle now) override {
+    void* const data = const_cast<void*>(in);
+    const Cycle hit =
+        llc_->host_port(addr, bytes, /*is_write=*/true, data, now);
+    if (hit != llc::Llc::kNoInlineHit) [[likely]] return hit;
     if (range_within(addr, bytes, cfg_.mem.data_base, cfg_.mem.data_bytes)) {
-      return llc_->host_port(addr, bytes, /*is_write=*/true,
-                             const_cast<void*>(in), now);
+      return llc_->host_access(addr, bytes, /*is_write=*/true, data, now)
+          .complete_at;
     }
     return write_outside_data(addr, bytes, now);
   }

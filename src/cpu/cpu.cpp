@@ -57,6 +57,7 @@ void HostCpu::reset(Addr pc, Addr sp, Cycle start) {
   ARCANE_CHECK(pc % 2 == 0, "reset pc must be halfword aligned");
   pc_ = pc;
   time_ = start;
+  start_ = start;
   hwloop_ = {};
   stats_ = {};
 }

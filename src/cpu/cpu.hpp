@@ -73,10 +73,11 @@ class HostCpu {
 
   struct RunResult {
     HaltReason reason = HaltReason::kNone;
-    Cycle cycles = 0;           // time() at halt (elapsed, from a 0 start)
+    Cycle cycles = 0;           // time() at halt
     std::uint64_t instructions = 0;
     std::uint32_t exit_code = 0;  // a0 at ecall
     Addr pc = 0;                // faulting / final pc
+    Cycle start = 0;            // time() at reset: ran cycles - start
   };
   RunResult run(std::uint64_t max_instructions = ~0ull);
   /// run() over a concrete port type (cpu/run_loop.hpp): with a `final`
@@ -108,6 +109,7 @@ class HostCpu {
   std::array<std::uint32_t, 32> regs_{};
   Addr pc_ = 0;
   Cycle time_ = 0;
+  Cycle start_ = 0;  // time_ at reset
 
   // XCVPULP hardware-loop state (two nesting levels).
   struct HwLoop {

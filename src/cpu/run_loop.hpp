@@ -18,6 +18,13 @@
 // active hardware-loop end inside it: computed from the end's distance
 // when the block holds no RVC op, else by walking the block.
 //
+// The datum rule: a load reads its buffer back at the width the port
+// wrote it, never wider. The port's hit path stores a 1- or 2-byte datum;
+// reading 4 bytes back would need bytes from two stores, which the host
+// core cannot forward from its store buffer, so every lb/lh would wait for
+// both stores to reach L1 (cpu-conv's scalar int8 conv does two lb per
+// 8-instruction tap). lb/lh then sign-extend and lbu/lhu mask, as before.
+//
 // Included by the two translation units that instantiate HostCpu::run_on:
 // cpu.cpp (the DataPort interface, for HostCpu::run) and arcane/system.cpp
 // (the `final` System, whose inline LLC hit path then lands in the loads
@@ -204,7 +211,7 @@ HostCpu::RunResult HostCpu::run_on(Port& port,
     pc_ = at;
     time_ = t;
     stats_.cycles = t;
-    return RunResult{why, t, stats_.instructions, regs_[10], at};
+    return RunResult{why, t, stats_.instructions, regs_[10], at, start_};
   };
   // A halt inside a block: `enter` counted the whole block, but only the
   // halting instruction retires its count.
@@ -230,7 +237,7 @@ HostCpu::RunResult HostCpu::run_on(Port& port,
                                  std::uint32_t& raw, Cycle t)
       __attribute__((always_inline)) -> Cycle {
     const unsigned p1 = std::min(bytes, 4u - (addr & 3u));
-    std::uint8_t buf[4] = {0, 0, 0, 0};
+    std::uint8_t buf[4];  // the read(s) write all `bytes` of it
     const Cycle start = t + tm.load_base;
     Cycle done;
     try {
@@ -240,7 +247,16 @@ HostCpu::RunResult HostCpu::run_on(Port& port,
     } catch (const Error&) {
       return kFault;
     }
-    std::memcpy(&raw, buf, 4);
+    // Back at the width the port wrote: the datum rule above.
+    if (bytes == 1) {
+      raw = buf[0];
+    } else if (bytes == 2) {
+      std::uint16_t half;
+      std::memcpy(&half, buf, 2);
+      raw = half;
+    } else {
+      std::memcpy(&raw, buf, 4);
+    }
     stats_.stall_cycles += (done > start) ? done - start : 0;
     ++stats_.loads;
     return std::max(done, start);

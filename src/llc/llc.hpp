@@ -62,19 +62,24 @@ class Llc {
   /// Aligned access of 1/2/4 bytes. Reads fill `data`, writes consume it.
   HostResult host_access(Addr addr, unsigned bytes, bool is_write,
                          void* data, Cycle now);
-  /// host_access(...).complete_at, with the common hit inlined into the
-  /// caller (the ISS loop): no decay due, no host observer, controller
-  /// unlocked, no AT entry active, no event pending and the line present.
-  /// Every other access takes the out-of-line host_access.
+  /// host_port's answer when the access does not take the inline hit.
+  static constexpr Cycle kNoInlineHit = ~Cycle{0};
+  /// host_access(...).complete_at for the common hit, inlined into the
+  /// caller (the ISS loop): the line present, the access 1-4 bytes within
+  /// it, no decay due, no host observer, controller unlocked, no AT entry
+  /// active and no event pending. Anything else, an access whose base lies
+  /// outside the data region included (`lookup` answers -1 there), returns
+  /// kNoInlineHit and changes nothing: the caller routes it (System::read
+  /// and System::write), into the data region through host_access.
   [[gnu::always_inline]] Cycle host_port(Addr addr, unsigned bytes,
                                          bool is_write, void* data,
                                          Cycle now) {
-    check_host_access(addr, bytes);
     const Addr base = line_base(addr);
     const int idx = lookup(base);
-    if (idx < 0 || decay_countdown_ == 1 || host_observer != nullptr ||
-        locked_until_ > now || at_.any_active() || !events_->empty()) {
-      return host_access(addr, bytes, is_write, data, now).complete_at;
+    if (!fits_line(addr, bytes) || idx < 0 || decay_countdown_ == 1 ||
+        host_observer != nullptr || locked_until_ > now ||
+        at_.any_active() || !events_->empty()) {
+      return kNoInlineHit;
     }
     --decay_countdown_;
     ++(is_write ? stats_.writes : stats_.reads);
@@ -147,13 +152,14 @@ class Llc {
 
  private:
   Addr line_base(Addr addr) const { return addr & ~(line_bytes_ - 1); }
-  /// A host access is 1-4 bytes within one line; the assertion messages
-  /// are built out of line (reject_host_access) to keep host_port small.
+  /// A host access is 1-4 bytes within one line.
+  bool fits_line(Addr addr, unsigned bytes) const {
+    return bytes - 1 <= 3 && (addr & (line_bytes_ - 1)) + bytes <= line_bytes_;
+  }
+  /// host_access's check of fits_line; the assertion messages are built
+  /// out of line (reject_host_access).
   void check_host_access(Addr addr, unsigned bytes) const {
-    if (bytes - 1 > 3 || (addr & (line_bytes_ - 1)) + bytes > line_bytes_)
-        [[unlikely]] {
-      reject_host_access(addr, bytes);
-    }
+    if (!fits_line(addr, bytes)) [[unlikely]] reject_host_access(addr, bytes);
   }
   [[gnu::noinline]] void reject_host_access(Addr addr, unsigned bytes) const;
   /// Moves a host datum between `data` and resident line `idx` at `off`

@@ -262,24 +262,17 @@ TEST(AllocSteadyStateTest, PipelineJobsAllocateOnlyPerJobState) {
 // warm, offloading twice the kernels allocates no more.
 TEST(AllocSteadyStateTest, OffloadedKernelsAllocateNothingPerKernel) {
   constexpr unsigned kKernels = 16;
-  constexpr std::int32_t kSpin = 60000;
   System sys(SystemConfig::paper(4));
   warm_event_queue(sys.events());
   const Addr src = sys.data_base() + 0x10000;
   const Addr dst = src + 0x1000;
   const MatShape shape{8, 8, 8};
-  // One straight-line host program after a spin loop that takes the host's
-  // clock (which starts at 0) past the warmed event queue: a warm-up
-  // section of 2 kKernels offloads, then kKernels, then 2 kKernels, each
-  // ended by a read of the destination that waits for its last kernel.
+  // One straight-line host program, started at the warmed queue's time: a
+  // warm-up section of 2 kKernels offloads, then kKernels, then 2 kKernels,
+  // each ended by a read of the destination that waits for its last kernel.
   // ends[s] is the number of instructions executed through section s.
   XProgram prog;
   isa::Assembler& a = prog.a();
-  a.li(isa::Reg::kT3, kSpin);
-  const isa::Assembler::Label spin = a.here();
-  a.addi(isa::Reg::kT3, isa::Reg::kT3, -1);
-  a.bnez(isa::Reg::kT3, spin);
-  const std::uint64_t spun = 2 * (kSpin - 1);  // iterations past the first
   prog.xmr(0, src, shape, ElemType::kWord);
   prog.xmr(1, dst, shape, ElemType::kWord);
   std::vector<std::uint64_t> ends;
@@ -288,7 +281,7 @@ TEST(AllocSteadyStateTest, OffloadedKernelsAllocateNothingPerKernel) {
       prog.leaky_relu(1, 0, 1, ElemType::kWord);
     }
     prog.sync_read(dst);
-    ends.push_back(a.pc() / 4 + spun);
+    ends.push_back(a.pc() / 4);
   }
   prog.halt();
   sys.load_program(prog.finish());

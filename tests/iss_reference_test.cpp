@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "arcane/system.hpp"
+#include "bridge/bridge.hpp"
 #include "common/bits.hpp"
 #include "cpu/cpu.hpp"
 #include "isa/decode.hpp"
@@ -536,6 +537,14 @@ class Program {
   std::vector<Fix> fixes_;
 };
 
+/// rd = v (lui + addi).
+void li(Program& p, unsigned rd, std::uint32_t v) {
+  const std::int32_t lo = sign_extend(v, 12);
+  p.op32(enc::lui(rd, static_cast<std::int32_t>(
+                          (v - static_cast<std::uint32_t>(lo)) >> 12)));
+  p.op32(enc::addi(rd, rd, lo));
+}
+
 // ---------------------------------------------------------------------
 // Seeded structured program generator. Control flow is forward except for
 // counted loops and hardware loops with small counts, so every program
@@ -598,12 +607,6 @@ class Generator {
     } else {
       p.op32_to(l, std::move(wide));
     }
-  }
-  static void li(Program& p, unsigned rd, std::uint32_t v) {
-    const std::int32_t lo = sign_extend(v, 12);
-    p.op32(enc::lui(rd, static_cast<std::int32_t>(
-                            (v - static_cast<std::uint32_t>(lo)) >> 12)));
-    p.op32(enc::addi(rd, rd, lo));
   }
 
   void alu(Program& p) {
@@ -1012,6 +1015,226 @@ TEST(IssReferenceTest, MatchesReferenceThroughTheSystemPort) {
     sys.read_bytes(sys.data_base(), got);
     twin.read_bytes(twin.data_base(), want);
     EXPECT_EQ(got, want);
+  }
+}
+
+void expect_same_llc_stats(const sim::CacheStats& got,
+                           const sim::CacheStats& want) {
+  EXPECT_EQ(got.reads, want.reads);
+  EXPECT_EQ(got.writes, want.writes);
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.writebacks, want.writebacks);
+  EXPECT_EQ(got.refills, want.refills);
+  EXPECT_EQ(got.stalls.total(), want.stalls.total());
+}
+
+/// One load or store op of the routing test: its encoder (rd or rs2 first,
+/// then the address register and the offset or increment), width, kind.
+struct MemOp {
+  const char* name;
+  std::uint32_t (*make)(unsigned, unsigned, std::int32_t);
+  unsigned bytes;
+  bool store;
+  bool sign;  // a load that sign-extends
+  bool post;  // XCVPULP post-increment
+};
+
+/// s-type encoders take (rs1, rs2, imm): the address register first.
+template <std::uint32_t (*kEnc)(unsigned, unsigned, std::int32_t)>
+std::uint32_t store_of(unsigned value_reg, unsigned addr_reg,
+                       std::int32_t imm) {
+  return kEnc(addr_reg, value_reg, imm);
+}
+
+TEST(IssReferenceTest, NarrowAccessesAtTheDataRegionEdgesRouteLikeTheReference) {
+  // Every load and store width, at offsets 0-3 of the data region's first
+  // and last word, of the first word past its end and the word just below
+  // its base, and of a bridge MMIO register. Each program makes two
+  // accesses at one address (a miss, then an inline hit, inside the
+  // region) and halts: in the region and in the MMIO window with an ecall,
+  // elsewhere with a bus fault, at the first part that leaves them. The
+  // System instantiation runs against the reference on a twin System, and
+  // every loaded value and stored byte is checked against the data.
+  SystemConfig cfg = SystemConfig::paper(4);
+  cfg.host_cpu = HostCpuKind::kCv32e40px;
+  const Addr base = cfg.mem.data_base;
+  const Addr end = base + cfg.mem.data_bytes;
+  constexpr std::uint32_t kEdge = 64;  // bytes seeded at each region edge
+  const auto seeded = [](Addr off_from_edge) {  // bit 7 set in every byte
+    return static_cast<std::uint8_t>(0x80u | (off_from_edge * 37u + 5u));
+  };
+  const std::uint32_t kValue0 = 0x8180'8F80u;  // bits 7 and 15 set
+  const std::uint32_t kValue1 = 0xFE7F'80FFu;
+  const MemOp ops[] = {
+      {"lb", enc::lb, 1, false, true, false},
+      {"lbu", enc::lbu, 1, false, false, false},
+      {"lh", enc::lh, 2, false, true, false},
+      {"lhu", enc::lhu, 2, false, false, false},
+      {"lw", enc::lw, 4, false, false, false},
+      {"cv.lb", enc::cv_lb_post, 1, false, true, true},
+      {"cv.lbu", enc::cv_lbu_post, 1, false, false, true},
+      {"cv.lh", enc::cv_lh_post, 2, false, true, true},
+      {"cv.lhu", enc::cv_lhu_post, 2, false, false, true},
+      {"cv.lw", enc::cv_lw_post, 4, false, false, true},
+      {"sb", store_of<enc::sb>, 1, true, false, false},
+      {"sh", store_of<enc::sh>, 2, true, false, false},
+      {"sw", store_of<enc::sw>, 4, true, false, false},
+      {"cv.sb", store_of<enc::cv_sb_post>, 1, true, false, true},
+      {"cv.sh", store_of<enc::cv_sh_post>, 2, true, false, true},
+      {"cv.sw", store_of<enc::cv_sw_post>, 4, true, false, true},
+  };
+  const Addr words[] = {base, end - 4, end, base - 4,
+                        cfg.mem.mmio_base + bridge::kRegMagic};
+  for (const MemOp& op : ops) {
+    for (const Addr word : words) {
+      for (Addr off = 0; off < 4; ++off) {
+        const Addr addr = word + off;
+        SCOPED_TRACE(::testing::Message() << op.name << " at 0x" << std::hex
+                                          << addr);
+        System sys(cfg), twin(cfg);
+        std::vector<std::uint8_t> head(kEdge), tail(kEdge);
+        for (Addr i = 0; i < kEdge; ++i) {
+          head[i] = seeded(i);
+          tail[i] = seeded(kEdge + i);
+        }
+        for (System* s : {&sys, &twin}) {
+          s->write_bytes(base, head);
+          s->write_bytes(end - kEdge, tail);
+        }
+        // x5 the address; x6 and x7 the stored values; loads land in x10
+        // and x11. A post-increment op moves x5 by 0, then by 4.
+        Program p;
+        li(p, 5, addr);
+        li(p, 6, kValue0);
+        li(p, 7, kValue1);
+        p.op32(op.make(op.store ? 6 : 10, 5, 0));
+        p.op32(op.make(op.store ? 7 : 11, 5, op.post ? 4 : 0));
+        p.op32(enc::ecall());
+        const auto prog = p.words();
+        mem::InstructionMemory imem(cfg.mem.imem_base, cfg.mem.imem_bytes);
+        imem.load(cfg.mem.imem_base, prog);
+        RefIss ref(cfg, imem, twin);
+        sys.load_program(prog);
+        ref.reset(cfg.mem.imem_base, sys.stack_top());
+        const auto got = sys.run_unchecked(1000);
+        const auto want = ref.run(1000);
+        expect_same_result(got, want);
+        expect_same_stats(sys.host().stats(), ref.stats);
+        expect_same_regs(sys.host(), ref);
+        expect_same_llc_stats(sys.llc().stats(), twin.llc().stats());
+
+        // What the two accesses must do. An access splits at the 32-bit
+        // boundary; a part outside both windows faults and ends the run,
+        // so a store whose first part lies in the region leaves it there.
+        const unsigned p1 = std::min(op.bytes, 4u - (addr & 3u));
+        const bool in_data = range_within(addr, op.bytes, base, end - base);
+        const bool mapped =
+            in_data || range_within(addr, op.bytes, cfg.mem.mmio_base,
+                                    cfg.mem.mmio_bytes);
+        EXPECT_EQ(got.reason,
+                  mapped ? HaltReason::kEcall : HaltReason::kBusFault);
+        EXPECT_EQ(sys.host().stats().loads, op.store || !mapped ? 0u : 2u);
+        EXPECT_EQ(sys.host().stats().stores, op.store && mapped ? 2u : 0u);
+        auto edge_byte = [&](Addr a) -> std::uint8_t& {
+          return a < base + kEdge ? head[a - base] : tail[a - (end - kEdge)];
+        };
+        auto put = [&](unsigned bytes, std::uint32_t v) {
+          for (unsigned i = 0; i < bytes; ++i) {
+            edge_byte(addr + i) = static_cast<std::uint8_t>(v >> (8 * i));
+          }
+        };
+        if (op.store && in_data) {
+          put(op.bytes, kValue1);
+        } else if (op.store && range_within(addr, p1, base, end - base)) {
+          put(p1, kValue0);
+        }
+        std::vector<std::uint8_t> got_head(kEdge), got_tail(kEdge);
+        std::vector<std::uint8_t> twin_head(kEdge), twin_tail(kEdge);
+        sys.read_bytes(base, got_head);
+        sys.read_bytes(end - kEdge, got_tail);
+        twin.read_bytes(base, twin_head);
+        twin.read_bytes(end - kEdge, twin_tail);
+        EXPECT_EQ(got_head, twin_head);
+        EXPECT_EQ(got_tail, twin_tail);
+        EXPECT_EQ(got_head, head);
+        EXPECT_EQ(got_tail, tail);
+        if (!op.store && in_data) {
+          std::uint32_t datum = 0;
+          for (unsigned i = 0; i < op.bytes; ++i) {
+            datum |= static_cast<std::uint32_t>(edge_byte(addr + i)) << (8 * i);
+          }
+          if (op.sign) {
+            datum = static_cast<std::uint32_t>(sign_extend(datum, 8 * op.bytes));
+          }
+          EXPECT_EQ(sys.host().reg(10), datum);
+          EXPECT_EQ(sys.host().reg(11), datum);
+        }
+        if (mapped) {
+          EXPECT_EQ(sys.host().reg(5), addr + (op.post ? 4 : 0));
+        }
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(IssReferenceTest, DirectAccessesPastTheDataRegionEndFault) {
+  // System::read and write calls of 2 and 4 bytes that start in the data
+  // region's last line and run past its end raise the bus-fault Error, with
+  // that line resident or not; one that crosses a line inside the region
+  // is an LLC invariant violation (the ISS never issues either: it splits
+  // at 32-bit boundaries).
+  for (const bool resident : {false, true}) {
+    SCOPED_TRACE(resident ? "resident" : "absent");
+    System sys(SystemConfig::paper(4));
+    const Addr end = sys.data_base() + sys.data_size();
+    const unsigned line_bytes = sys.config().llc.line_bytes();
+    std::uint8_t buf[4] = {0x80, 0x81, 0x82, 0x83};
+    if (resident) {
+      sys.read(end - 4, 4, buf, 0);
+      sys.read(sys.data_base() + line_bytes - 4, 4, buf, 0);
+    }
+    for (const unsigned bytes : {2u, 4u}) {
+      for (Addr back = 1; back < bytes; ++back) {
+        const Addr addr = end - back;
+        SCOPED_TRACE(::testing::Message() << bytes << " bytes at end - "
+                                          << back);
+        try {
+          sys.read(addr, bytes, buf, 0);
+          ADD_FAILURE() << "read did not fault";
+        } catch (const AssertionError& e) {
+          ADD_FAILURE() << "read raised an invariant violation: " << e.what();
+        } catch (const Error& e) {
+          EXPECT_STREQ(e.what(), "bus fault: read outside mapped regions");
+        }
+        try {
+          sys.write(addr, bytes, buf, 0);
+          ADD_FAILURE() << "write did not fault";
+        } catch (const AssertionError& e) {
+          ADD_FAILURE() << "write raised an invariant violation: " << e.what();
+        } catch (const Error& e) {
+          EXPECT_STREQ(e.what(), "bus fault: write outside mapped regions");
+        }
+        const Addr inside = sys.data_base() + line_bytes - back;
+        for (const bool write : {false, true}) {
+          try {
+            if (write) {
+              sys.write(inside, bytes, buf, 0);
+            } else {
+              sys.read(inside, bytes, buf, 0);
+            }
+            ADD_FAILURE() << "a line-crossing access was accepted";
+          } catch (const AssertionError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "host access crosses a cache line"),
+                      std::string::npos)
+                << e.what();
+          }
+        }
+      }
+    }
   }
 }
 

@@ -224,8 +224,8 @@ TEST(SystemTest, DrainSettlesAsyncKernels) {
 
 
 /// Runs a small GeMM program on `sys`, checks its result and returns the
-/// host cycle it halted at.
-Cycle run_small_gemm(System& sys) {
+/// host's run result.
+cpu::HostCpu::RunResult run_small_gemm_result(System& sys) {
   workloads::Rng rng(7);
   auto A = workloads::Matrix<std::int32_t>::random(4, 5, rng, -100, 100);
   auto B = workloads::Matrix<std::int32_t>::random(5, 6, rng, -100, 100);
@@ -246,13 +246,16 @@ Cycle run_small_gemm(System& sys) {
   prog.sync_read(d);
   prog.halt();
   sys.load_program(prog.finish());
-  const Cycle halted = sys.run().cycles;
+  const auto res = sys.run();
   EXPECT_EQ(workloads::count_mismatches(
                 workloads::load_matrix<std::int32_t>(sys, d, 4, 6),
                 workloads::golden_gemm(A, B, C, 3, -2)),
             0u);
-  return halted;
+  return res;
 }
+
+/// The host cycle run_small_gemm_result's program halted at.
+Cycle run_small_gemm(System& sys) { return run_small_gemm_result(sys).cycles; }
 
 // A program loaded after the event queue has run ahead starts at the
 // queue's time: its offloads schedule from there, and it takes exactly as
@@ -265,6 +268,28 @@ TEST(SystemTest, ProgramLoadedAfterEventsStartsAtQueueTime) {
   sys.events().schedule(100000, [] {});
   sys.events().run_all();
   EXPECT_EQ(run_small_gemm(sys), 100000 + cycles);
+}
+
+// The report of a program loaded after the queue ran ahead counts only the
+// program's own cycles, not the idle time before its start.
+TEST(SystemTest, ProgramLoadedAfterEventsReportsItsOwnCycles) {
+  System fresh(SystemConfig::paper(4));
+  const auto fresh_res = run_small_gemm_result(fresh);
+  const RunReport want = make_report(fresh, fresh_res);
+
+  System sys(SystemConfig::paper(4));
+  sys.events().schedule(100000, [] {});
+  sys.events().run_all();
+  const auto res = run_small_gemm_result(sys);
+  EXPECT_EQ(res.start, 100000u);
+  EXPECT_EQ(res.cycles, 100000 + fresh_res.cycles);
+  const RunReport got = make_report(sys, res);
+  EXPECT_EQ(got.host_cycles, want.host_cycles);
+  EXPECT_EQ(got.host_instructions, want.host_instructions);
+  EXPECT_EQ(got.host_ipc, want.host_ipc);
+  EXPECT_EQ(got.simulated_seconds, want.simulated_seconds);
+  EXPECT_EQ(got.effective_gops, want.effective_gops);
+  EXPECT_GT(got.effective_gops, 0.0);
 }
 }  // namespace
 }  // namespace arcane
