@@ -1,6 +1,7 @@
 // arcane_explore — command-line driver for interactive exploration:
 // run a conv-layer workload on any implementation/configuration and print
-// the full run report (optionally with the event trace).
+// its cycles, phases and component counters (optionally with the event
+// trace).
 //
 //   arcane_explore [options]
 //     --impl arcane|scalar|pulp   (default arcane)
@@ -19,7 +20,6 @@
 #include <string>
 
 #include "arcane/program_builder.hpp"
-#include "arcane/report.hpp"
 #include "baseline/runner.hpp"
 #include "telemetry/perfetto.hpp"
 #include "workloads/tensors.hpp"

@@ -1,6 +1,6 @@
 // The metric catalogue: one field table per stats struct, and the one place
-// a System binds them into its registry. docs/OBSERVABILITY.md lists every
-// name these tables produce; tests/telemetry_test.cpp checks it does.
+// a System binds them into its registry. docs/OBSERVABILITY.md lists exactly
+// the names these tables produce; tests/telemetry_test.cpp checks it does.
 #include <array>
 #include <utility>
 
@@ -12,6 +12,29 @@ namespace {
 
 using telemetry::Field;
 using telemetry::member;
+
+constexpr auto kCpu = std::to_array<Field<sim::CpuStats>>({
+    {"instructions", member<&sim::CpuStats::instructions>},
+    {"compressed_instructions",
+     member<&sim::CpuStats::compressed_instructions>},
+    {"loads", member<&sim::CpuStats::loads>},
+    {"stores", member<&sim::CpuStats::stores>},
+    {"branches", member<&sim::CpuStats::branches>},
+    {"taken_branches", member<&sim::CpuStats::taken_branches>},
+    {"mul_div", member<&sim::CpuStats::mul_div>},
+    {"simd_ops", member<&sim::CpuStats::simd_ops>},
+    {"hw_loop_iterations", member<&sim::CpuStats::hw_loop_iterations>},
+    {"offloads", member<&sim::CpuStats::offloads>},
+    {"cycles", member<&sim::CpuStats::cycles>},
+    {"stall_cycles", member<&sim::CpuStats::stall_cycles>},
+});
+
+constexpr auto kVpu = std::to_array<Field<sim::VpuStats>>({
+    {"instructions", member<&sim::VpuStats::instructions>},
+    {"elements", member<&sim::VpuStats::elements>},
+    {"macs", member<&sim::VpuStats::macs>},
+    {"busy_cycles", member<&sim::VpuStats::busy_cycles>},
+});
 
 constexpr auto kCache = std::to_array<Field<sim::CacheStats>>({
     {"reads", member<&sim::CacheStats::reads>},
@@ -138,6 +161,10 @@ constexpr auto kFault = std::to_array<Field<fault::FaultStats>>({
 void System::bind_metrics() {
   // Getters return copies: a snapshot reads each struct once.
   auto& m = metrics_;
+  m.add("cpu.", [this] { return host_->stats(); }, kCpu);
+  m.add_indexed("vpu<i>.",
+                [this] { return static_cast<unsigned>(vpus_.size()); },
+                [this](unsigned v) { return vpus_[v].stats(); }, kVpu);
   m.add("llc.", [this] { return llc_->stats(); }, kCache);
   m.add("llc.stall.", [this] { return llc_->stats().stalls; }, kCacheStall);
   m.add("dma.", [this] { return dma_->stats(); }, kDma);

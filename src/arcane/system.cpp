@@ -98,7 +98,9 @@ Cycle System::read_outside_data(Addr addr, unsigned bytes, void* out,
   const auto& m = cfg_.mem;
   if (range_within(addr, bytes, m.mmio_base, m.mmio_bytes)) {
     events_.run_until(now);
-    const std::uint32_t v = bridge_->mmio_read(addr - m.mmio_base);
+    // A narrow read takes its byte lanes of the word register holding it.
+    const Addr off = addr - m.mmio_base;
+    const std::uint32_t v = bridge_->mmio_read(off & ~3u) >> (8 * (off & 3));
     std::memcpy(out, &v, bytes);
     return now + 1;
   }

@@ -125,12 +125,6 @@ class System final : public cpu::DataPort {
   /// default; op_log().enable() to record — capture never perturbs timing).
   telemetry::OpLog& op_log() { return op_log_; }
   const telemetry::OpLog& op_log() const { return op_log_; }
-  /// System-wide stall-bucket totals of every retired kernel, host
-  /// offloads included. Each contributes exactly its lifetime cycles
-  /// (docs/OBSERVABILITY.md, "Cycle accounting").
-  const sim::OpStallBreakdown& stall_totals() const {
-    return sched_->stall_totals();
-  }
   std::vector<vpu::VectorUnit>& vpus() { return vpus_; }
   /// Timing model of the external memory (cfg.mem.backend selects it).
   mem::MemBackend& mem_backend() { return ext_->backend(); }

@@ -30,13 +30,6 @@ class AssertionError : public std::logic_error {
   explicit AssertionError(const std::string& what) : std::logic_error(what) {}
 };
 
-/// Raised when the simulation cannot make forward progress (e.g. the host
-/// CPU blocks on an address that no pending kernel will ever release).
-class DeadlockError : public Error {
- public:
-  explicit DeadlockError(const std::string& what) : Error(what) {}
-};
-
 namespace detail {
 
 [[noreturn]] inline void throw_check_failure(const char* file, int line,

@@ -7,13 +7,12 @@
 //     into the VPU completes.
 //   * RAW/WAW: any host access to a *destination* range stalls until the
 //     kernel write-back completes.
-// Entries carry a `free_at` time once the release instant is known; until
-// then the host drains simulator events to make progress (see DESIGN.md).
+// A blocked host access executes pending kernel events until the entry is
+// released (Llc::resolve_stalls).
 #ifndef ARCANE_LLC_ADDRESS_TABLE_HPP_
 #define ARCANE_LLC_ADDRESS_TABLE_HPP_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -21,13 +20,10 @@
 
 namespace arcane::llc {
 
-inline constexpr Cycle kUnknownTime = std::numeric_limits<Cycle>::max();
-
 struct AtEntry {
   Addr lo = 0, hi = 0;  // [lo, hi)
   bool is_dest = false;
   bool active = false;
-  Cycle free_at = kUnknownTime;
   std::uint64_t kernel_uid = 0;
 };
 
@@ -42,18 +38,12 @@ class AddressTable {
     ARCANE_CHECK(lo < hi, "empty AT range");
     for (unsigned i = 0; i < entries_.size(); ++i) {
       if (!entries_[i].active) {
-        entries_[i] = AtEntry{lo, hi, is_dest, true, kUnknownTime, kernel_uid};
+        entries_[i] = AtEntry{lo, hi, is_dest, true, kernel_uid};
         ++active_count_;
         return i;
       }
     }
     throw Error("address table full");
-  }
-
-  void set_free_time(unsigned idx, Cycle when) {
-    ARCANE_ASSERT(idx < entries_.size() && entries_[idx].active,
-                  "set_free_time on inactive AT entry " << idx);
-    entries_[idx].free_at = when;
   }
 
   void release(unsigned idx) {
@@ -64,7 +54,6 @@ class AddressTable {
   }
 
   bool any_active() const { return active_count_ > 0; }
-  const AtEntry& entry(unsigned idx) const { return entries_[idx]; }
 
   /// Entry blocking a host access, or nullptr. Reads of sources are legal;
   /// everything overlapping an active destination blocks.
@@ -78,16 +67,6 @@ class AddressTable {
       }
     }
     return nullptr;
-  }
-
-  /// True when any active entry overlaps [addr, addr+len).
-  bool overlaps(Addr addr, unsigned len) const {
-    if (active_count_ == 0) return false;
-    const Addr end = addr + len;
-    for (const AtEntry& e : entries_) {
-      if (e.active && addr < e.hi && e.lo < end) return true;
-    }
-    return false;
   }
 
  private:

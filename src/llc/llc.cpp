@@ -102,13 +102,7 @@ Cycle Llc::resolve_stalls(Addr addr, unsigned bytes, bool is_write, Cycle t) {
     }
     const AtEntry* block = at_.blocking(addr, bytes, is_write);
     if (block == nullptr) return t;
-    if (block->free_at != kUnknownTime && block->free_at > t) {
-      (block->is_dest ? stats_.stalls.at_dest : stats_.stalls.at_source) +=
-          block->free_at - t;
-      t = block->free_at;
-      continue;
-    }
-    // Release instant not yet computed: execute the next kernel event.
+    // Execute the next kernel event; one of them releases the entry.
     ARCANE_CHECK(!events_->empty(),
                  "host blocked on AT range [0x"
                      << std::hex << block->lo << ", 0x" << block->hi

@@ -1,6 +1,6 @@
 // Statistics collected by the simulator. Plain aggregates (Core Guidelines
 // C.1: use struct when members can vary independently); every component owns
-// one and the system aggregates them into a run report.
+// one and the System's metrics registry names their fields (metrics.cpp).
 #ifndef ARCANE_SIM_STATS_HPP_
 #define ARCANE_SIM_STATS_HPP_
 
@@ -155,7 +155,6 @@ struct VpuStats {
   std::uint64_t elements = 0;
   std::uint64_t macs = 0;          // multiply-accumulate element operations
   Cycle busy_cycles = 0;
-  std::uint64_t kernels = 0;
 };
 
 /// C-RT phase accounting — the quantities behind Figure 3.

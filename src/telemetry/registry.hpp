@@ -1,6 +1,6 @@
 // Deterministic metrics registry: a read-only, named index over the stats
-// structs the simulated layers already keep (sched/qos/crt/llc/mem/dma/
-// fault). The registry owns no counters. It holds *groups*, each made of
+// structs the simulated layers already keep (cpu/vpu/llc/dma/mem/crt/sched/
+// qos/fault). The registry owns no counters. It holds *groups*, each made of
 //
 //   * a prefix ("llc.", or "sched.tenant<i>." for one group per tenant),
 //   * a getter that reads the struct when the registry is read, and
@@ -45,7 +45,7 @@ std::uint64_t member(const S& s) {
 
 /// Name → value index over bound groups. Naming scheme
 /// (docs/OBSERVABILITY.md): dotted lowercase `layer.metric`, per-tenant
-/// entries as `layer.tenant<i>.metric`.
+/// entries as `layer.tenant<i>.metric`, per-VPU ones as `vpu<i>.metric`.
 class Registry {
  public:
   using Entries = std::vector<std::pair<std::string, std::uint64_t>>;

@@ -385,7 +385,6 @@ void expect_same_vpus(System& a, System& b, const std::string& what) {
     EXPECT_EQ(sa.elements, sb.elements) << what << " VPU " << v;
     EXPECT_EQ(sa.macs, sb.macs) << what << " VPU " << v;
     EXPECT_EQ(sa.busy_cycles, sb.busy_cycles) << what << " VPU " << v;
-    EXPECT_EQ(sa.kernels, sb.kernels) << what << " VPU " << v;
     for (unsigned r = 0; r < a.config().llc.vpu.num_vregs; ++r) {
       const auto ra = a.vpus()[v].vreg(r);
       const auto rb = b.vpus()[v].vreg(r);

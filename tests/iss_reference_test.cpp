@@ -1056,7 +1056,8 @@ TEST(IssReferenceTest, NarrowAccessesAtTheDataRegionEdgesRouteLikeTheReference) 
   // region) and halts: in the region and in the MMIO window with an ecall,
   // elsewhere with a bus fault, at the first part that leaves them. The
   // System instantiation runs against the reference on a twin System, and
-  // every loaded value and stored byte is checked against the data.
+  // every loaded value and stored byte is checked against the data (a load
+  // within the MMIO register against that register's byte lanes).
   SystemConfig cfg = SystemConfig::paper(4);
   cfg.host_cpu = HostCpuKind::kCv32e40px;
   const Addr base = cfg.mem.data_base;
@@ -1167,6 +1168,18 @@ TEST(IssReferenceTest, NarrowAccessesAtTheDataRegionEdgesRouteLikeTheReference) 
           }
           if (op.sign) {
             datum = static_cast<std::uint32_t>(sign_extend(datum, 8 * op.bytes));
+          }
+          EXPECT_EQ(sys.host().reg(10), datum);
+          EXPECT_EQ(sys.host().reg(11), datum);
+        }
+        if (!op.store && mapped && !in_data && off + op.bytes <= 4) {
+          // A load inside the magic register reads its byte lanes (no lane
+          // sets bit 7, so sign extension changes nothing).
+          constexpr std::uint8_t kMagicLanes[] = {0x41, 0x43, 0x52, 0x41};
+          std::uint32_t datum = 0;
+          for (unsigned i = 0; i < op.bytes; ++i) {
+            datum |= static_cast<std::uint32_t>(kMagicLanes[off + i])
+                     << (8 * i);
           }
           EXPECT_EQ(sys.host().reg(10), datum);
           EXPECT_EQ(sys.host().reg(11), datum);

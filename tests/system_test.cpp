@@ -1,11 +1,14 @@
 // System-level plumbing: bridge handshake, MMIO map, address routing,
-// configuration validation, run reports, compressed-instruction execution.
+// configuration validation, the host and VPU metrics of a run,
+// compressed-instruction execution.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "arcane/program_builder.hpp"
-#include "arcane/report.hpp"
 #include "arcane/system.hpp"
 #include "isa/encode.hpp"
 #include "workloads/golden.hpp"
@@ -135,7 +138,9 @@ TEST(SystemTest, StackTopInsideDataRegion) {
   EXPECT_EQ(sys.stack_top() % 16, 0u);
 }
 
-TEST(SystemTest, RunReportAggregates) {
+// The registry holds every CpuStats field as cpu.* and every VpuStats field
+// of each VPU as vpu<i>.*, each equal to its struct field after a run.
+TEST(SystemTest, MetricsHoldEveryCpuAndVpuField) {
   System sys(SystemConfig::paper(4));
   workloads::Rng rng(1);
   auto X = workloads::Matrix<std::int32_t>::random(8, 8, rng, -5, 5);
@@ -148,16 +153,65 @@ TEST(SystemTest, RunReportAggregates) {
   prog.halt();
   sys.load_program(prog.finish());
   const auto res = sys.run();
-  const auto report = make_report(sys, res);
-  EXPECT_EQ(report.host_cycles, res.cycles);
-  EXPECT_EQ(report.offloads, 3u);
-  EXPECT_EQ(report.phases.kernels_executed, 1u);
-  EXPECT_GT(report.vpu_instructions, 0u);
-  EXPECT_GT(report.vpu_elements, 0u);
-  EXPECT_EQ(report.vpu_macs, 0u);  // ReLU performs no multiply-accumulates
-  const std::string text = report.to_string();
-  EXPECT_NE(text.find("kernels"), std::string::npos);
-  EXPECT_NE(text.find("vpu:"), std::string::npos);
+
+  std::map<std::string, std::uint64_t> snap;
+  for (const auto& [name, v] : sys.metrics().snapshot()) snap[name] = v;
+  auto entries_under = [&snap](const std::string& prefix) {
+    unsigned n = 0;
+    for (const auto& [name, v] : snap) n += name.starts_with(prefix) ? 1 : 0;
+    return n;
+  };
+
+  const sim::CpuStats& c = sys.host().stats();
+  const std::pair<const char*, std::uint64_t> cpu[] = {
+      {"cpu.instructions", c.instructions},
+      {"cpu.compressed_instructions", c.compressed_instructions},
+      {"cpu.loads", c.loads},
+      {"cpu.stores", c.stores},
+      {"cpu.branches", c.branches},
+      {"cpu.taken_branches", c.taken_branches},
+      {"cpu.mul_div", c.mul_div},
+      {"cpu.simd_ops", c.simd_ops},
+      {"cpu.hw_loop_iterations", c.hw_loop_iterations},
+      {"cpu.offloads", c.offloads},
+      {"cpu.cycles", c.cycles},
+      {"cpu.stall_cycles", c.stall_cycles},
+  };
+  EXPECT_EQ(entries_under("cpu."), std::size(cpu));
+  for (const auto& [name, want] : cpu) {
+    ASSERT_TRUE(snap.contains(name)) << name;
+    EXPECT_EQ(snap[name], want) << name;
+  }
+  EXPECT_EQ(snap["cpu.cycles"], res.cycles);
+  EXPECT_EQ(snap["cpu.instructions"], res.instructions);
+  EXPECT_EQ(snap["cpu.offloads"], 3u);
+  EXPECT_EQ(snap["crt.kernels_executed"], 1u);
+
+  ASSERT_GT(sys.vpus().size(), 1u);
+  std::uint64_t instructions = 0, elements = 0, macs = 0;
+  for (unsigned v = 0; v < sys.vpus().size(); ++v) {
+    const std::string p = "vpu" + std::to_string(v) + ".";
+    const sim::VpuStats& s = sys.vpus()[v].stats();
+    const std::pair<std::string, std::uint64_t> vpu[] = {
+        {p + "instructions", s.instructions},
+        {p + "elements", s.elements},
+        {p + "macs", s.macs},
+        {p + "busy_cycles", s.busy_cycles},
+    };
+    EXPECT_EQ(entries_under(p), std::size(vpu)) << p;
+    for (const auto& [name, want] : vpu) {
+      ASSERT_TRUE(snap.contains(name)) << name;
+      EXPECT_EQ(snap[name], want) << name;
+    }
+    instructions += s.instructions;
+    elements += s.elements;
+    macs += s.macs;
+  }
+  EXPECT_FALSE(snap.contains("vpu" + std::to_string(sys.vpus().size()) +
+                             ".instructions"));
+  EXPECT_GT(instructions, 0u);
+  EXPECT_GT(elements, 0u);
+  EXPECT_EQ(macs, 0u);  // ReLU performs no multiply-accumulates
 }
 
 TEST(SystemTest, CompressedInstructionsExecute) {
@@ -270,26 +324,20 @@ TEST(SystemTest, ProgramLoadedAfterEventsStartsAtQueueTime) {
   EXPECT_EQ(run_small_gemm(sys), 100000 + cycles);
 }
 
-// The report of a program loaded after the queue ran ahead counts only the
-// program's own cycles, not the idle time before its start.
+// A program loaded after the queue ran ahead reports its start, so its own
+// length, cycles - start, excludes the idle time before it.
 TEST(SystemTest, ProgramLoadedAfterEventsReportsItsOwnCycles) {
   System fresh(SystemConfig::paper(4));
   const auto fresh_res = run_small_gemm_result(fresh);
-  const RunReport want = make_report(fresh, fresh_res);
 
   System sys(SystemConfig::paper(4));
   sys.events().schedule(100000, [] {});
   sys.events().run_all();
   const auto res = run_small_gemm_result(sys);
+  EXPECT_EQ(fresh_res.start, 0u);
   EXPECT_EQ(res.start, 100000u);
   EXPECT_EQ(res.cycles, 100000 + fresh_res.cycles);
-  const RunReport got = make_report(sys, res);
-  EXPECT_EQ(got.host_cycles, want.host_cycles);
-  EXPECT_EQ(got.host_instructions, want.host_instructions);
-  EXPECT_EQ(got.host_ipc, want.host_ipc);
-  EXPECT_EQ(got.simulated_seconds, want.simulated_seconds);
-  EXPECT_EQ(got.effective_gops, want.effective_gops);
-  EXPECT_GT(got.effective_gops, 0.0);
+  EXPECT_EQ(res.instructions, fresh_res.instructions);
 }
 }  // namespace
 }  // namespace arcane
