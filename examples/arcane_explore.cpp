@@ -11,7 +11,7 @@
 //     --lanes L       VPU lanes: 2, 4 or 8          (default 4)
 //     --multi         multi-instance mode (all VPUs on one kernel)
 //     --elide         full write-back elision
-//     --policy p      replacement: lru|truelru|random|clock|lru-k|arc
+//     --policy p      replacement: lru|random|clock|lru-k|arc
 //     --trace         dump the kernel/offload event trace
 //     --verify        check the result against the golden model
 #include <cstdio>
@@ -32,7 +32,7 @@ namespace {
   std::fprintf(stderr,
                "usage: %s [--impl arcane|scalar|pulp] [--size N] [--filter K]"
                " [--dtype b|h|w]\n  [--lanes L] [--multi] [--elide]"
-               " [--policy lru|truelru|random|clock|lru-k|arc]"
+               " [--policy lru|random|clock|lru-k|arc]"
                " [--trace] [--verify]\n",
                argv0);
   std::exit(2);
@@ -79,9 +79,8 @@ int main(int argc, char** argv) {
       elide = true;
     } else if (arg == "--policy") {
       const std::string v = next();
-      // Canonical names plus the short aliases this tool always accepted.
-      const auto parsed = replacement_from_name(
-          v == "lru" ? "approx-lru" : v == "truelru" ? "true-lru" : v);
+      // Canonical names plus the short alias this tool always accepted.
+      const auto parsed = replacement_from_name(v == "lru" ? "approx-lru" : v);
       if (!parsed) {
         std::fprintf(stderr, "%s: unknown replacement policy '%s'\n", argv[0],
                      v.c_str());

@@ -21,9 +21,7 @@ int main() {
   constexpr unsigned kFeat = kPool * kPool;  // 144 flattened features
   constexpr unsigned kClasses = 10;
 
-  SystemConfig cfg = SystemConfig::paper(8);
-  cfg.full_writeback_elision = true;  // chain conv -> gemm through the cache
-  System sys(cfg);
+  System sys(SystemConfig::paper(8));
 
   workloads::Rng rng(2025);
   auto image = Matrix<std::int8_t>::random(3 * kImg, kImg, rng, -8, 7);

@@ -23,13 +23,13 @@
 namespace arcane {
 
 /// Replacement policies for the LLC victim selection. The paper uses a
-/// counter-based approximate LRU; the legacy alternatives exist for the
-/// ablation bench (`bench/ablation_replacement`) and the adaptive family
+/// counter-based approximate LRU; random is the ablation bench's
+/// (`bench/ablation_replacement`) floor and the adaptive family
 /// (src/llc/replacement.cpp) makes the cache self-tuning under hot-set
-/// shifts, loops and scans.
+/// shifts, loops and scans. Id 1 (exact LRU) is retired; the ids stay put
+/// because tests derive their seeds from them.
 enum class ReplacementPolicy : std::uint8_t {
   kApproxLru = 0,  // per-line age counters with periodic decay (paper)
-  kTrueLru = 1,    // exact LRU stack ordering
   kRandom = 2,     // pseudo-random victim (deterministic xorshift)
   kClock = 3,      // reference-bit second chance (one bit per line)
   kLruK = 4,       // LRU-K, K=2 backward distance with retained history
@@ -243,12 +243,10 @@ struct MemConfig {
 };
 
 /// Stable lowercase names used by bench CLI flags and the CI nightly
-/// replacement axis ("approx-lru" / "true-lru" / "random" / "clock" /
-/// "lru-k" / "arc").
+/// replacement axis ("approx-lru" / "random" / "clock" / "lru-k" / "arc").
 constexpr const char* replacement_name(ReplacementPolicy p) {
   switch (p) {
     case ReplacementPolicy::kApproxLru: return "approx-lru";
-    case ReplacementPolicy::kTrueLru: return "true-lru";
     case ReplacementPolicy::kRandom: return "random";
     case ReplacementPolicy::kClock: return "clock";
     case ReplacementPolicy::kLruK: return "lru-k";
@@ -260,9 +258,9 @@ constexpr const char* replacement_name(ReplacementPolicy p) {
 /// Every replacement policy, in enum order — the sweep/iteration order of
 /// benches, tests and the canonical name lookup below.
 inline constexpr ReplacementPolicy kAllReplacementPolicies[] = {
-    ReplacementPolicy::kApproxLru, ReplacementPolicy::kTrueLru,
-    ReplacementPolicy::kRandom,    ReplacementPolicy::kClock,
-    ReplacementPolicy::kLruK,      ReplacementPolicy::kArc,
+    ReplacementPolicy::kApproxLru, ReplacementPolicy::kRandom,
+    ReplacementPolicy::kClock,     ReplacementPolicy::kLruK,
+    ReplacementPolicy::kArc,
 };
 
 /// The single name→policy parser behind every CLI/env knob. Unknown names
@@ -366,11 +364,11 @@ struct SystemConfig {
     ARCANE_CHECK(llc.vpu.num_vregs >= 8 && llc.vpu.num_vregs <= 64,
                  "vector register count out of range");
     ARCANE_CHECK(
-        static_cast<std::size_t>(llc.replacement) <
-            sizeof(kAllReplacementPolicies) / sizeof(ReplacementPolicy),
+        std::ranges::find(kAllReplacementPolicies, llc.replacement) !=
+            std::end(kAllReplacementPolicies),
         "unknown LLC replacement policy id "
             << static_cast<unsigned>(llc.replacement)
-            << " (valid: approx-lru, true-lru, random, clock, lru-k, arc)");
+            << " (valid: approx-lru, random, clock, lru-k, arc)");
     ARCANE_CHECK(num_matrix_regs >= 3 && num_matrix_regs <= 256,
                  "matrix register count out of range");
     ARCANE_CHECK(kernel_queue_depth >= 1, "kernel queue too small");

@@ -28,13 +28,13 @@ void register_at_ranges(KernelOp& op, const Plan& plan,
                         llc::AddressTable& at) {
   // Destination first, then sources not covered by it.
   op.dest_at_entry = static_cast<int>(
-      at.register_range(plan.dest_lo, plan.dest_hi, true, op.uid));
+      at.register_range(plan.dest_lo, plan.dest_hi, true));
   auto register_src = [&](const Operand& o) {
     if (!o.valid) return;
     const Addr lo = o.addr;
     const Addr hi = o.addr + std::max<std::uint32_t>(o.footprint(op.et), 1u);
     if (lo >= plan.dest_lo && hi <= plan.dest_hi) return;  // covered by dest
-    op.src_at[op.src_at_count++] = at.register_range(lo, hi, false, op.uid);
+    op.src_at[op.src_at_count++] = at.register_range(lo, hi, false);
   };
   register_src(op.ms1);
   register_src(op.ms2);

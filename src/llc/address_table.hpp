@@ -24,7 +24,6 @@ struct AtEntry {
   Addr lo = 0, hi = 0;  // [lo, hi)
   bool is_dest = false;
   bool active = false;
-  std::uint64_t kernel_uid = 0;
 };
 
 class AddressTable {
@@ -33,12 +32,11 @@ class AddressTable {
 
   /// Register a range; returns the entry id. Throws when the (statically
   /// sized, paper §IV-B) table is full.
-  unsigned register_range(Addr lo, Addr hi, bool is_dest,
-                          std::uint64_t kernel_uid) {
+  unsigned register_range(Addr lo, Addr hi, bool is_dest) {
     ARCANE_CHECK(lo < hi, "empty AT range");
     for (unsigned i = 0; i < entries_.size(); ++i) {
       if (!entries_[i].active) {
-        entries_[i] = AtEntry{lo, hi, is_dest, true, kernel_uid};
+        entries_[i] = AtEntry{lo, hi, is_dest, true};
         ++active_count_;
         return i;
       }

@@ -18,8 +18,7 @@ enum class LineState : std::uint8_t {
 
 struct Line {
   LineState state = LineState::kInvalid;
-  Addr tag = 0;               // line base address (valid for Clean/Dirty)
-  std::uint64_t lru_seq = 0;  // exact-LRU timestamp (ablation policy)
+  Addr tag = 0;                 // line base address (valid for Clean/Dirty)
   std::uint64_t owner_uid = 0;  // kernel owning a Busy line
 };
 

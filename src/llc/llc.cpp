@@ -24,7 +24,7 @@ Llc::Llc(const SystemConfig& cfg, sim::EventQueue& events,
       index_(data_bytes_ >> line_shift_, -1),
       decay_countdown_(cfg.llc.lru_decay_period),
       policy_(make_replacement_strategy(cfg.llc, lines_)),
-      stamps_(policy_->stamps()) {}
+      ages_(policy_->stamps()) {}
 
 int Llc::find_victim(Addr incoming) {
   // Pass 1: any invalid line — free capacity beats any policy decision.
@@ -342,8 +342,6 @@ void Llc::invalidate_all() {
       l = Line{};
     }
   }
-  // Adaptive strategies drop their resident/ghost directories; the legacy
-  // strategies keep their counters, matching the pre-strategy controller.
   policy_->reset();
 }
 

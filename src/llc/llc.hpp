@@ -3,7 +3,7 @@
 // Normal mode: fully associative, write-back + write-allocate cache with
 // single-cycle hits, DMA-serviced misses and a pluggable replacement
 // strategy (replacement.hpp: the paper's counter-based approximate LRU,
-// true LRU, random, and the adaptive CLOCK/LRU-K/ARC family).
+// random, and the adaptive CLOCK/LRU-K/ARC family).
 // Compute mode: cache lines double as VPU vector registers; lines claimed
 // for an in-flight kernel are "busy computing" and are excluded from
 // replacement. The controller arbitrates between the host port and the
@@ -84,9 +84,8 @@ class Llc {
     --decay_countdown_;
     ++(is_write ? stats_.writes : stats_.reads);
     ++stats_.hits;
-    if (stamps_.ages != nullptr) {  // a legacy strategy's touch, in place
-      stamps_.ages[idx] = 255;
-      lines_[idx].lru_seq = ++*stamps_.seq;
+    if (ages_ != nullptr) {  // approximate LRU's touch, in place
+      ages_[idx] = 255;
     } else {
       policy_->touch(static_cast<unsigned>(idx), base);
     }
@@ -223,7 +222,7 @@ class Llc {
   /// Replacement bookkeeping (victim ranking, recency/ghost state) lives in
   /// the strategy; the controller only reports touch/fill/evict events.
   std::unique_ptr<ReplacementStrategy> policy_;
-  RecencyStamps stamps_;  // policy_->stamps(), for host_port's hit
+  std::uint8_t* ages_;  // policy_->stamps(), for host_port's hit
   AddressTable at_;
   Cycle locked_until_ = 0;
   telemetry::SpanTracer* spans_ = nullptr;

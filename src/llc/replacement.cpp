@@ -1,10 +1,8 @@
-// The six LLC replacement strategies behind the ReplacementStrategy
+// The five LLC replacement strategies behind the ReplacementStrategy
 // interface (see replacement.hpp for the controller contract).
 //
-// Legacy family — bit-identical to the pre-strategy controller, including
-// the shared recency bookkeeping (per-line ages, lru_seq in the Line array):
+// The paper's policy and its floor:
 //   * approx-lru  per-line 8-bit ages, periodic decay (the paper's policy)
-//   * true-lru    exact LRU stack ordering via a 64-bit sequence counter
 //   * random      deterministic xorshift32 over the evictable candidates
 //
 // Adaptive family — deterministic and allocation-free in steady state
@@ -18,8 +16,8 @@
 //
 // Busy-line pinning: claimed lines are evicted by the controller before
 // they turn Busy, so the adaptive strategies' resident lists only ever
-// contain evictable (Clean/Dirty) lines; the legacy and clock scans skip
-// Busy states explicitly.
+// contain evictable (Clean/Dirty) lines; the approx-lru, random and clock
+// scans skip Busy states explicitly.
 #include "llc/replacement.hpp"
 
 #include <algorithm>
@@ -35,46 +33,24 @@ bool resident(const Line& l) {
 }
 
 // ------------------------------------------------------------------
-// Legacy family
+// Approximate LRU (the paper's policy) and random
 // ------------------------------------------------------------------
 
-/// Shared recency bookkeeping of the pre-strategy controller: every touch
-/// stamps both the approximate age and the exact LRU sequence, whichever
-/// policy is active, so introspection (Llc::line, Llc::line_age) stays
-/// unchanged. The ages live in their own byte array so decay() vectorizes.
-class LegacyStrategy : public ReplacementStrategy {
+/// Per-line 8-bit ages set to 255 on every reference and decayed every
+/// `lru_decay_period` accesses; the victim is the first lowest age. The
+/// ages live in their own byte array so decay() vectorizes.
+class ApproxLruStrategy final : public ReplacementStrategy {
  public:
-  explicit LegacyStrategy(std::vector<Line>& lines)
+  explicit ApproxLruStrategy(std::vector<Line>& lines)
       : lines_(lines), ages_(lines.size(), 0) {}
-
-  // Llc::host_port's hit writes the same two stamps in place (stamps()).
-  void touch(unsigned idx, Addr) override {
-    ages_[idx] = 255;
-    lines_[idx].lru_seq = ++lru_counter_;
-  }
-  void fill(unsigned idx, Addr base) override { touch(idx, base); }
-  void evict(unsigned idx, Addr) override { ages_[idx] = 0; }
-  // Ages restart from zero, but the sequence counter deliberately survives
-  // reset(): invalidate_all never rewound it in the pre-strategy controller.
-  void reset() override { std::fill(ages_.begin(), ages_.end(), 0); }
-  std::uint8_t age(unsigned idx) const override { return ages_[idx]; }
-  // ages_ is never resized, so its data pointer stays valid.
-  RecencyStamps stamps() override { return {ages_.data(), &lru_counter_}; }
-
- protected:
-  std::vector<Line>& lines_;
-  /// Per-line approximate-LRU age; zero for every non-resident line.
-  std::vector<std::uint8_t> ages_;
-  std::uint64_t lru_counter_ = 0;
-};
-
-class ApproxLruStrategy final : public LegacyStrategy {
- public:
-  using LegacyStrategy::LegacyStrategy;
 
   void decay() override {
     for (std::uint8_t& a : ages_) a = a > 0 ? a - 1 : 0;
   }
+  // Llc::host_port's hit writes the same age in place (stamps()).
+  void touch(unsigned idx, Addr) override { ages_[idx] = 255; }
+  void fill(unsigned idx, Addr) override { ages_[idx] = 255; }
+  void evict(unsigned idx, Addr) override { ages_[idx] = 0; }
 
   int find_victim(Addr) override {
     int best = -1;
@@ -88,49 +64,45 @@ class ApproxLruStrategy final : public LegacyStrategy {
     }
     return best;
   }
+
+  void reset() override { std::fill(ages_.begin(), ages_.end(), 0); }
+  std::uint8_t age(unsigned idx) const override { return ages_[idx]; }
+  // ages_ is never resized, so its data pointer stays valid.
+  std::uint8_t* stamps() override { return ages_.data(); }
+
+ private:
+  std::vector<Line>& lines_;
+  /// Per-line age; zero for every non-resident line.
+  std::vector<std::uint8_t> ages_;
 };
 
-class TrueLruStrategy final : public LegacyStrategy {
+/// One xorshift32 draw per replacement picks the k-th non-busy line in
+/// index order, k = draw mod the number of non-busy lines.
+class RandomStrategy final : public ReplacementStrategy {
  public:
-  using LegacyStrategy::LegacyStrategy;
+  explicit RandomStrategy(std::vector<Line>& lines) : lines_(lines) {}
+
+  void touch(unsigned, Addr) override {}
+  void fill(unsigned, Addr) override {}
 
   int find_victim(Addr) override {
-    int best = -1;
-    std::uint64_t best_seq = ~0ull;
-    for (unsigned i = 0; i < lines_.size(); ++i) {
-      const Line& l = lines_[i];
-      if (l.state == LineState::kBusy) continue;
-      if (l.lru_seq < best_seq) {
-        best_seq = l.lru_seq;
-        best = static_cast<int>(i);
-      }
+    unsigned candidates = 0;
+    for (const Line& l : lines_) {
+      candidates += l.state != LineState::kBusy ? 1 : 0;
     }
-    return best;
-  }
-};
-
-class RandomStrategy final : public LegacyStrategy {
- public:
-  using LegacyStrategy::LegacyStrategy;
-
-  int find_victim(Addr) override {
-    // Deterministic xorshift over the non-busy candidates. The per-miss
-    // candidate vector is kept (despite the steady-state allocation) so the
-    // rng_ consumption — and with it the victim stream — stays bit-identical
-    // to the pre-strategy controller.
-    std::vector<unsigned> candidates;
-    candidates.reserve(lines_.size());
-    for (unsigned i = 0; i < lines_.size(); ++i) {
-      if (lines_[i].state != LineState::kBusy) candidates.push_back(i);
-    }
-    if (candidates.empty()) return -1;
+    if (candidates == 0) return -1;
     rng_ ^= rng_ << 13;
     rng_ ^= rng_ >> 17;
     rng_ ^= rng_ << 5;
-    return static_cast<int>(candidates[rng_ % candidates.size()]);
+    unsigned k = rng_ % candidates;
+    for (unsigned i = 0;; ++i) {
+      if (lines_[i].state == LineState::kBusy) continue;
+      if (k-- == 0) return static_cast<int>(i);
+    }
   }
 
  private:
+  std::vector<Line>& lines_;
   std::uint32_t rng_ = 0x9E3779B9u;
 };
 
@@ -522,8 +494,6 @@ std::unique_ptr<ReplacementStrategy> make_replacement_strategy(
   switch (cfg.replacement) {
     case ReplacementPolicy::kApproxLru:
       return std::make_unique<ApproxLruStrategy>(lines);
-    case ReplacementPolicy::kTrueLru:
-      return std::make_unique<TrueLruStrategy>(lines);
     case ReplacementPolicy::kRandom:
       return std::make_unique<RandomStrategy>(lines);
     case ReplacementPolicy::kClock:

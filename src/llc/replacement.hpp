@@ -23,24 +23,20 @@
 //                      when nothing is evictable (all lines busy
 //                      computing); the controller then drains kernel
 //                      events and retries.
-//  * reset()         — invalidate_all. Legacy strategies zero their ages
-//                      but keep their counters (bit-compatible with the
-//                      pre-strategy controller); adaptive strategies drop
-//                      all state.
+//  * reset()         — invalidate_all: drop all recency state (random's
+//                      generator runs on).
 //  * age(idx)        — read-only introspection of the approximate-LRU age
-//                      the legacy strategies keep per line (0 elsewhere).
-//  * stamps()        — asked once, at construction: the recency state a
-//                      legacy strategy's touch() writes, which the
-//                      controller's inline hit path then stamps itself
-//                      instead of calling touch(). Null under the adaptive
-//                      strategies, which keep the virtual touch().
+//                      of line `idx` (0 under every other policy).
+//  * stamps()        — asked once, at construction: approximate LRU's age
+//                      bytes, which the controller's inline hit path sets
+//                      to 255 itself instead of calling touch() (its whole
+//                      touch). Null under the other strategies, which keep
+//                      the virtual touch().
 //
 // Determinism rules: strategies may consult only their own state and the
 // shared line array — no wall clock, no address-dependent hashing with
-// unspecified iteration order. The adaptive strategies are allocation-free
-// in steady state (fixed node pools sized at construction); legacy kRandom
-// keeps its historical per-miss candidate vector so its victim stream stays
-// bit-identical to the pre-strategy controller.
+// unspecified iteration order. Every strategy is allocation-free in steady
+// state (per-line arrays and fixed node pools sized at construction).
 //
 // Allocator DMA paths keep their historical behaviour for every policy:
 // read_range never updates recency and write_range updates it only when it
@@ -58,13 +54,6 @@
 
 namespace arcane::llc {
 
-/// What a legacy touch(idx) writes: `ages[idx] = 255`, then
-/// `lines[idx].lru_seq = ++*seq` (lines: the controller's own array).
-struct RecencyStamps {
-  std::uint8_t* ages = nullptr;
-  std::uint64_t* seq = nullptr;
-};
-
 class ReplacementStrategy {
  public:
   virtual ~ReplacementStrategy() = default;
@@ -75,12 +64,12 @@ class ReplacementStrategy {
   virtual int find_victim(Addr incoming) = 0;
   virtual void reset() {}
   virtual std::uint8_t age(unsigned /*idx*/) const { return 0; }
-  virtual RecencyStamps stamps() { return {}; }
+  virtual std::uint8_t* stamps() { return nullptr; }
 };
 
 /// Builds the strategy selected by `cfg.replacement`. `lines` is the
 /// controller's line array; the strategy holds the reference for its whole
-/// lifetime (it reads states and writes the legacy lru_seq field).
+/// lifetime (it reads the line states).
 std::unique_ptr<ReplacementStrategy> make_replacement_strategy(
     const LlcConfig& cfg, std::vector<Line>& lines);
 

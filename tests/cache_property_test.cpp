@@ -243,7 +243,6 @@ std::uint64_t state_hash(const CacheRig& rig) {
     mix(static_cast<std::uint64_t>(l.state));
     mix(l.tag);
     mix(rig.llc->line_age(i));
-    mix(l.lru_seq);
   }
   mix(rig.llc->stats().hits);
   mix(rig.llc->stats().misses);

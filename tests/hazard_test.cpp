@@ -154,7 +154,7 @@ TEST(HazardTest, DeadlockOnForeverBlockedAddressDetected) {
   // blocked host with an empty event queue raises a diagnosable error.
   HazardFixture s;
   auto& at = s.sys.llc().at();
-  at.register_range(s.d, s.d + 64, /*is_dest=*/true, /*uid=*/1);
+  at.register_range(s.d, s.d + 64, /*is_dest=*/true);
   std::uint32_t v;
   EXPECT_THROW(s.sys.llc().host_access(s.d, 4, false, &v, 0), Error);
 }
@@ -163,21 +163,21 @@ TEST(HazardTest, AtCapacityExhaustionThrows) {
   HazardFixture s;
   auto& at = s.sys.llc().at();
   for (int i = 0; i < 64; ++i) {
-    at.register_range(1000 + 8 * i, 1008 + 8 * i, false, i);
+    at.register_range(1000 + 8 * i, 1008 + 8 * i, false);
   }
-  EXPECT_THROW(at.register_range(1, 2, false, 99), Error);
+  EXPECT_THROW(at.register_range(1, 2, false), Error);
 }
 
 TEST(HazardTest, AtOverlapQueries) {
   llc::AddressTable at(8);
-  const unsigned e = at.register_range(100, 200, /*is_dest=*/false, 1);
+  const unsigned e = at.register_range(100, 200, /*is_dest=*/false);
   EXPECT_NE(at.blocking(150, 4, /*is_write=*/true), nullptr);   // WAR
   EXPECT_EQ(at.blocking(150, 4, /*is_write=*/false), nullptr);  // read ok
   EXPECT_EQ(at.blocking(200, 4, true), nullptr);                // end excl.
   EXPECT_NE(at.blocking(96, 8, true), nullptr);                 // straddles
   at.release(e);
   EXPECT_EQ(at.blocking(150, 4, true), nullptr);
-  const unsigned d = at.register_range(100, 200, /*is_dest=*/true, 2);
+  const unsigned d = at.register_range(100, 200, /*is_dest=*/true);
   EXPECT_NE(at.blocking(150, 4, false), nullptr);  // RAW
   at.release(d);
 }

@@ -11,7 +11,9 @@
 // Also here: scenario regression tests pinning hit-rate orderings and
 // golden hit counts (ARC >= LRU after a hot-set shift, LRU-K scan
 // resistance, CLOCK ~ approx-LRU on uniform random, ARC and LRU-2 each
-// winning one workload by 20+ points), the equivalence of the host port's
+// winning one workload by 20+ points; "LRU" there is RefTrueLru, exact LRU
+// being a textbook baseline rather than a controller policy), the
+// equivalence of the host port's
 // inline hit with the strategy's touch(), and negative tests for the
 // policy-name/config validation path.
 #include <gtest/gtest.h>
@@ -109,7 +111,8 @@ class RefApproxLru final : public RefModel {
   std::uint64_t accesses_ = 0;
 };
 
-/// Exact LRU: victim = oldest reference.
+/// Exact LRU: victim = oldest reference. No controller policy: the scenario
+/// tests replay their traces through it as the LRU baseline.
 class RefTrueLru final : public RefModel {
  public:
   explicit RefTrueLru(unsigned n) : RefModel(n), seq_(n, 0) {}
@@ -360,7 +363,6 @@ std::unique_ptr<RefModel> make_model(ReplacementPolicy pol,
   switch (pol) {
     case ReplacementPolicy::kApproxLru:
       return std::make_unique<RefApproxLru>(n, cfg.llc.lru_decay_period);
-    case ReplacementPolicy::kTrueLru: return std::make_unique<RefTrueLru>(n);
     case ReplacementPolicy::kRandom: return std::make_unique<RefRandom>(n);
     case ReplacementPolicy::kClock: return std::make_unique<RefClock>(n);
     case ReplacementPolicy::kLruK: return std::make_unique<RefLruK>(n);
@@ -519,22 +521,37 @@ INSTANTIATE_TEST_SUITE_P(
 // stream changed and must be reviewed (and re-blessed) deliberately.
 // =====================================================================
 
-std::vector<std::uint64_t> segment_hits(ReplacementPolicy pol,
-                                        const std::vector<Addr>& trace,
-                                        const std::vector<std::size_t>& cuts) {
-  Rig rig(pol);
-  const Addr base = rig.cfg.mem.data_base;
+/// Hits of `hit(x)` over each segment [previous cut, cut) of `trace`.
+template <typename HitFn>
+std::vector<std::uint64_t> count_hits(HitFn hit, const std::vector<Addr>& trace,
+                                      const std::vector<std::size_t>& cuts) {
   std::vector<std::uint64_t> hits;
   std::size_t begin = 0;
   for (const std::size_t cut : cuts) {
     std::uint64_t h = 0;
     for (std::size_t i = begin; i < cut; ++i) {
-      if (rig.read(base + trace[i]).hit) ++h;
+      if (hit(trace[i])) ++h;
     }
     hits.push_back(h);
     begin = cut;
   }
   return hits;
+}
+
+std::vector<std::uint64_t> segment_hits(ReplacementPolicy pol,
+                                        const std::vector<Addr>& trace,
+                                        const std::vector<std::size_t>& cuts) {
+  Rig rig(pol);
+  const Addr base = rig.cfg.mem.data_base;
+  return count_hits([&](Addr x) { return rig.read(base + x).hit; }, trace,
+                    cuts);
+}
+
+/// segment_hits for exact LRU, on a RefTrueLru as large as the Rig's cache.
+std::vector<std::uint64_t> lru_hits(const std::vector<Addr>& trace,
+                                    const std::vector<std::size_t>& cuts) {
+  RefTrueLru lru(SystemConfig::paper(4).llc.num_lines());
+  return count_hits([&](Addr x) { return lru.access(x).hit; }, trace, cuts);
 }
 
 TEST(ReplacementScenarioTest, ArcRecoversAfterWorkloadShiftWhereLruThrashes) {
@@ -543,8 +560,8 @@ TEST(ReplacementScenarioTest, ArcRecoversAfterWorkloadShiftWhereLruThrashes) {
                                                /*seed=*/0x5EED);
   const std::vector<std::size_t> cuts = {6000, 12000};
   const auto arc = segment_hits(ReplacementPolicy::kArc, trace, cuts);
-  const auto lru = segment_hits(ReplacementPolicy::kTrueLru, trace, cuts);
-  // ARC shields the hot set from the cold spray in both phases; true LRU
+  const auto lru = lru_hits(trace, cuts);
+  // ARC shields the hot set from the cold spray in both phases; exact LRU
   // lets the spray evict it continuously.
   EXPECT_GT(arc[0], lru[0]);
   EXPECT_GT(arc[1], lru[1]);
@@ -562,7 +579,7 @@ TEST(ReplacementScenarioTest, AdaptivePoliciesAtLeastMatchLruOnLoop) {
   // Loop at 1.25x capacity: LRU's worst case (zero steady-state hits).
   const auto trace = workloads::looping(160, 40, 1024);
   const std::vector<std::size_t> cuts = {trace.size()};
-  const auto lru = segment_hits(ReplacementPolicy::kTrueLru, trace, cuts)[0];
+  const auto lru = lru_hits(trace, cuts)[0];
   for (ReplacementPolicy pol :
        {ReplacementPolicy::kArc, ReplacementPolicy::kLruK}) {
     EXPECT_GE(segment_hits(pol, trace, cuts)[0], lru)
@@ -603,7 +620,7 @@ TEST(ReplacementScenarioTest, LruKResistsScansThatFlushTrueLru) {
   const std::vector<std::size_t> cuts = {trace.size() - 64, trace.size()};
 
   const auto lruk = segment_hits(ReplacementPolicy::kLruK, trace, cuts);
-  const auto lru = segment_hits(ReplacementPolicy::kTrueLru, trace, cuts);
+  const auto lru = lru_hits(trace, cuts);
   EXPECT_EQ(lruk[1], 64u);  // full retention through the scan
   EXPECT_EQ(lru[1], 0u);    // the scan flushed everything
 }
@@ -667,8 +684,7 @@ TEST(ReplacementScenarioTest, ArcKeepsRecencyWindowThatLru2Evicts) {
   // Golden counts (of 15960 accesses; both LRUs hit all 7960 re-references).
   EXPECT_EQ(arc, 7920u);
   EXPECT_EQ(lru2, 88u);
-  EXPECT_EQ(segment_hits(ReplacementPolicy::kTrueLru, trace, cuts)[0],
-            7960u);
+  EXPECT_EQ(lru_hits(trace, cuts)[0], 7960u);
   EXPECT_EQ(segment_hits(ReplacementPolicy::kApproxLru, trace, cuts)[0],
             7960u);
 }
@@ -704,11 +720,11 @@ TEST(ReplacementScenarioTest, Lru2KeepsFrequencySetThatArcLosesToLoop) {
 // =====================================================================
 
 TEST(ReplacementTouchTest, InlineHostPortHitMatchesTheStrategyTouch) {
-  // System::read/write reach Llc::host_port, whose hit writes a legacy
-  // strategy's recency stamps in place; Llc::host_access on a twin System
-  // calls the strategy's virtual touch(). A seeded stream of reads and
-  // writes, three in four to a hot set that fits the cache, must leave both
-  // with the same data, times, hits, lines, ages and lru_seq stamps.
+  // System::read/write reach Llc::host_port, whose hit writes approximate
+  // LRU's age in place; Llc::host_access on a twin System calls the
+  // strategy's virtual touch(). A seeded stream of reads and writes, three
+  // in four to a hot set that fits the cache, must leave both with the same
+  // data, times, hits, lines and ages.
   for (ReplacementPolicy pol : kAllReplacementPolicies) {
     SCOPED_TRACE(replacement_name(pol));
     SystemConfig cfg = SystemConfig::paper(4);
@@ -743,7 +759,6 @@ TEST(ReplacementTouchTest, InlineHostPortHitMatchesTheStrategyTouch) {
       EXPECT_EQ(port.llc().line(i).tag, twin.llc().line(i).tag) << i;
       EXPECT_EQ(port.llc().line(i).state, twin.llc().line(i).state) << i;
       EXPECT_EQ(port.llc().line_age(i), twin.llc().line_age(i)) << i;
-      EXPECT_EQ(port.llc().line(i).lru_seq, twin.llc().line(i).lru_seq) << i;
     }
   }
 }
@@ -767,6 +782,8 @@ TEST(ReplacementConfigTest, NameParserAcceptsExactlyTheCanonicalNames) {
 TEST(ReplacementConfigTest, ValidateRejectsUnknownPolicyId) {
   SystemConfig cfg = SystemConfig::paper(4);
   cfg.llc.replacement = static_cast<ReplacementPolicy>(42);
+  EXPECT_THROW(cfg.validate(), arcane::Error);
+  cfg.llc.replacement = static_cast<ReplacementPolicy>(1);  // retired: LRU
   EXPECT_THROW(cfg.validate(), arcane::Error);
 }
 
